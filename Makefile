@@ -19,9 +19,12 @@ race:
 # The federation's concurrency-heavy packages under the race detector:
 # heartbeat monitor, wire client/server resilience, fault injectors,
 # the registry's health-driven placement, and the portal serving layer
-# (epoch cache + SSE hub + admission under churn, obs instruments).
+# (epoch cache + SSE hub + admission under churn, obs instruments) —
+# then the one chunk-engine worker pool raced end to end through both
+# sinks (in-process and over a socket to a daemon that is kill -9'd).
 race-fed:
-	$(GO) test -race ./internal/health/ ./internal/wire/ ./internal/netfault/ ./internal/facility/ ./internal/transfer/ ./internal/portal/ ./internal/obs/
+	$(GO) test -race ./internal/health/ ./internal/wire/ ./internal/netfault/ ./internal/facility/ ./internal/transfer/ ./internal/landing/ ./internal/portal/ ./internal/obs/
+	$(GO) test -race -count 1 -run 'TestWireCrossPathEquivalence|TestWireDaemonKillNineResume' .
 
 # A short-mode pass of the chaos soak and the heartbeat detection gate
 # (DESIGN.md §12): a scaled-down daemon federation under the seeded

@@ -1,0 +1,293 @@
+package transfer
+
+import (
+	"fmt"
+	"io"
+	"os"
+	"path/filepath"
+	"sync"
+	"sync/atomic"
+
+	"picoprobe/internal/fsutil"
+	"picoprobe/internal/landing"
+)
+
+// sink is the destination side of one move attempt — the only thing the
+// two real movers do differently. The engine owns the plan, the manifest,
+// the worker pool and every resume decision; a sink only touches
+// destination bytes and reports what it found (contract: DESIGN.md §8).
+// A sink must refuse a rel that is not local to its root.
+type sink interface {
+	// Stat reports each destination file's current size, -1 when absent.
+	Stat(rels []string) ([]int64, error)
+	// Prepare creates rel at exactly size bytes.
+	Prepare(rel string, size int64) error
+	// Write lands src's bytes at sp in the same range of rel and returns
+	// their hex SHA-256 ("" when not checksumming).
+	Write(rel string, sp chunkSpan, src io.ReaderAt) (sum string, err error)
+	// Hash digests what rel holds at [off, off+n) now; present is false
+	// when the destination does not extend past the range.
+	Hash(rel string, off, n int64) (sum string, present bool, err error)
+	// Merge is the sequential verified pass over a landed file: the
+	// whole-file digest, or the index of the first chunk that no longer
+	// matches its recorded digest (badChunk, -1 when none).
+	Merge(rel string, chunks []landing.Chunk) (sum string, badChunk int, err error)
+}
+
+// moveConfig is the framing and fault-injection configuration both real
+// movers expose as fields, gathered per attempt.
+type moveConfig struct {
+	checksum        bool
+	chunkBytes      int64
+	streams         int
+	tuner           RouteTuner
+	manifestDir     string
+	killAfterChunks int
+	fs              fsutil.FS
+}
+
+// engine is what a mover keeps across attempts — the chunk manifests and
+// the one-shot kill latch. Both real movers embed it.
+type engine struct {
+	killed    atomic.Bool
+	manifests *manifestStore
+	initOnce  sync.Once
+}
+
+// adaptiveWorkerCap bounds the adaptive worker pool: the tuner can widen
+// the window up to this many concurrent chunk copies.
+const adaptiveWorkerCap = 32
+
+func (e *engine) store(cfg moveConfig) *manifestStore {
+	e.initOnce.Do(func() { e.manifests = newManifestStore(cfg.manifestDir, cfg.fs) })
+	return e.manifests
+}
+
+// tunedStreams is the dispatcher's current admission window: the tuner's
+// stream count (the fixed one without a tuner or an opinion) clamped to
+// [1, pool].
+func tunedStreams(cfg moveConfig, pool int) int {
+	s := cfg.streams
+	if cfg.tuner != nil {
+		if ts, _ := cfg.tuner.Tune(); ts > 0 {
+			s = ts
+		}
+	}
+	return min(max(s, 1), pool)
+}
+
+// run is one move attempt: plan → fingerprint → manifest resume → bounded
+// worker pool → verified merge. The partial Report of a failed attempt
+// still counts every chunk that landed.
+func (e *engine) run(cfg moveConfig, task *Task, src, dst *Endpoint, sk sink) (Report, error) {
+	var rep Report
+	ms := e.store(cfg)
+
+	// Fix the plan from the real source files, so chunk spans and the task
+	// fingerprint are computed from real sizes. The fingerprint includes
+	// the source modification times, so a source rewritten between
+	// attempts gets a fresh manifest instead of resuming stale chunks
+	// into a mixed-content destination.
+	srcs := make([]*os.File, len(task.Files))
+	defer func() {
+		for _, f := range srcs {
+			if f != nil {
+				f.Close()
+			}
+		}
+	}()
+	files := make([]FileSpec, len(task.Files))
+	mtimes := make([]int64, len(task.Files))
+	rels := make([]string, len(task.Files))
+	for i, f := range task.Files {
+		in, err := os.Open(filepath.Join(src.Root, f.RelPath))
+		if err != nil {
+			return rep, fmt.Errorf("transfer: %w", err)
+		}
+		srcs[i] = in
+		st, err := in.Stat()
+		if err != nil {
+			return rep, fmt.Errorf("transfer: %w", err)
+		}
+		files[i] = FileSpec{RelPath: f.RelPath, Bytes: st.Size()}
+		mtimes[i] = st.ModTime().UnixNano()
+		rels[i] = f.RelPath
+	}
+	// With a tuner the fingerprint pins the adaptive MODE rather than the
+	// measured size, so a retry resumes the recorded chunk plan even after
+	// the tuner's answer has moved.
+	chunkBytes, keyChunk := cfg.chunkBytes, cfg.chunkBytes
+	adaptive := cfg.tuner != nil
+	if adaptive {
+		if _, cb := cfg.tuner.Tune(); cb > 0 {
+			chunkBytes = cb
+		}
+		keyChunk = adaptiveChunkSentinel
+	}
+	key := taskKey(src.ID, dst.ID, files, keyChunk, mtimes)
+	man, err := ms.load(key, files, chunkBytes, adaptive)
+	if err != nil {
+		return rep, err
+	}
+	spans := man.spans()
+	rep.ChunksTotal = len(spans)
+
+	// Size every destination BEFORE preparing it: resume must judge
+	// manifest-done chunks against what actually survived, not against
+	// the full-size file Prepare creates.
+	preSizes, err := sk.Stat(rels)
+	if err != nil {
+		return rep, fmt.Errorf("transfer: stat destination: %w", err)
+	}
+	for i, f := range files {
+		if preSizes[i] != f.Bytes {
+			if err := sk.Prepare(f.RelPath, f.Bytes); err != nil {
+				return rep, fmt.Errorf("transfer: prepare %s: %w", f.RelPath, err)
+			}
+		}
+	}
+
+	// Resume: a chunk the manifest marks done is skipped only if it
+	// survived at the destination; any that did not are demoted and
+	// re-moved.
+	var todo []chunkSpan
+	for _, sp := range spans {
+		sum, ok := ms.done(man, sp)
+		if ok && survived(cfg, sk, files[sp.File].RelPath, sp, sum, preSizes[sp.File]) {
+			rep.ChunksSkipped++
+			continue
+		}
+		if ok {
+			ms.mark(man, sp, "", false)
+		}
+		todo = append(todo, sp)
+	}
+
+	// The bounded worker pool. With a tuner the pool is sized to the
+	// adaptive ceiling and the dispatcher throttles admission to the
+	// tuned window instead, so the effective parallelism can move
+	// mid-task without re-spawning workers.
+	pool := max(cfg.streams, 1)
+	if adaptive {
+		pool = adaptiveWorkerCap
+	}
+	if len(todo) > 0 {
+		pool = min(pool, len(todo))
+	}
+	var (
+		work      = make(chan chunkSpan)
+		chunkDone = make(chan struct{}, len(todo)) // one send per dispatched chunk: workers never block on it
+		wg        sync.WaitGroup
+		errOnce   sync.Once
+		firstErr  error
+		aborted   atomic.Bool
+		completed atomic.Int64
+		copied    atomic.Int64
+	)
+	fail := func(err error) {
+		errOnce.Do(func() { firstErr = err })
+		aborted.Store(true)
+	}
+	for w := 0; w < pool; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for sp := range work {
+				if !aborted.Load() {
+					sum, err := sk.Write(files[sp.File].RelPath, sp, srcs[sp.File])
+					if err != nil {
+						fail(err)
+					} else {
+						ms.mark(man, sp, sum, true)
+						copied.Add(sp.N)
+						n := completed.Add(1)
+						if cfg.killAfterChunks > 0 && n >= int64(cfg.killAfterChunks) && e.killed.CompareAndSwap(false, true) {
+							fail(fmt.Errorf("transfer: killed after %d chunks (injected fault)", n))
+						}
+					}
+				}
+				chunkDone <- struct{}{}
+			}
+		}()
+	}
+	// Dispatch: keep at most the admission window of chunks in flight,
+	// re-reading it between dispatches so the stream count tracks the
+	// measured path mid-task (without a tuner the window is the pool).
+	inFlight := 0
+	for _, sp := range todo {
+		for inFlight >= tunedStreams(cfg, pool) {
+			<-chunkDone
+			inFlight--
+		}
+		work <- sp
+		inFlight++
+	}
+	close(work)
+	wg.Wait()
+
+	rep.ChunksMoved = int(completed.Load())
+	rep.BytesCopied = copied.Load()
+	if firstErr != nil {
+		return rep, firstErr
+	}
+
+	// Verified merge, file by file: a damaged chunk is never folded into
+	// a "completed" file.
+	sums := map[string]string{}
+	for fi, f := range files {
+		sum, err := merge(cfg, sk, ms, man, fi)
+		if err != nil {
+			return rep, err
+		}
+		sums[f.RelPath] = sum
+		rep.BytesMoved += f.Bytes
+	}
+	rep.Checksums = sums
+	ms.forget(key)
+	return rep, nil
+}
+
+// survived decides whether a manifest-done chunk can be skipped. preSize
+// is the destination file's size before this attempt touched it: a chunk
+// can only have survived if the file already extended past it (the
+// current size is useless — the attempt prepares the file to full
+// length). With checksumming the range is re-hashed in place (a cheap
+// read, 32 bytes on the wire, not a copy) and must match the recorded
+// digest; without it the preSize bound is the only check — the manifest
+// then records written, unverified chunks, the ablation's trade.
+func survived(cfg moveConfig, sk sink, rel string, sp chunkSpan, sum string, preSize int64) bool {
+	if preSize < sp.Off+sp.N {
+		return false
+	}
+	if !cfg.checksum {
+		return true
+	}
+	if sum == "" {
+		return false // copied under Checksum=false; cannot verify now
+	}
+	got, present, err := sk.Hash(rel, sp.Off, sp.N)
+	return err == nil && present && got == sum
+}
+
+// merge runs the verified merge for one file. A mismatched chunk is
+// demoted in the manifest (so the retry re-moves exactly it) and the
+// merge fails.
+func merge(cfg moveConfig, sk sink, ms *manifestStore, man *manifest, fi int) (string, error) {
+	if !cfg.checksum {
+		return "", nil
+	}
+	mf := man.Files[fi]
+	plan := make([]landing.Chunk, len(mf.Chunks))
+	for i, c := range mf.Chunks {
+		plan[i] = landing.Chunk{Off: c.Off, N: c.N, SHA256: c.SHA256}
+	}
+	sum, bad, err := sk.Merge(mf.RelPath, plan)
+	if err != nil {
+		return "", fmt.Errorf("transfer: merge %s: %w", mf.RelPath, err)
+	}
+	if bad >= 0 {
+		ms.mark(man, chunkSpan{File: fi, Index: bad, Off: plan[bad].Off, N: plan[bad].N}, "", false)
+		return "", fmt.Errorf("transfer: checksum mismatch on %s chunk @%d", mf.RelPath, plan[bad].Off)
+	}
+	return sum, nil
+}

@@ -5,25 +5,16 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"picoprobe/internal/fsutil"
+	"picoprobe/internal/landing"
 	"picoprobe/internal/netsim"
 	"picoprobe/internal/sim"
 )
 
-// copyBufPool supplies the scratch buffers the chunk workers copy and
-// verify through, so a busy ingest burst does not allocate per chunk.
-var copyBufPool = sync.Pool{
-	New: func() any { b := make([]byte, 256<<10); return &b },
-}
-
 // LiveMover really moves bytes between endpoint roots on the local
-// filesystem as a pipelined chunk engine: each file is split into
+// filesystem through the chunk engine (engine.go): each file is split into
 // ChunkBytes-sized chunks, a bounded pool of Streams workers copies the
 // chunks as parallel ranged writes (SHA-256 of the source bytes computed
 // in-flight), and a sequential verified merge re-reads the destination,
@@ -65,315 +56,47 @@ type LiveMover struct {
 	// fault-injection hook. Payload copies always use the real filesystem.
 	FS fsutil.FS
 
-	killed    atomic.Bool
-	manifests *manifestStore
-	initOnce  sync.Once
-}
-
-// liveAdaptiveWorkerCap bounds the adaptive worker pool: the tuner can
-// widen the window up to this many concurrent chunk copies.
-const liveAdaptiveWorkerCap = 32
-
-func (m *LiveMover) store() *manifestStore {
-	m.initOnce.Do(func() { m.manifests = newManifestStore(m.ManifestDir, m.FS) })
-	return m.manifests
-}
-
-// tunedStreams is the dispatcher's current admission window: the tuner's
-// stream count clamped to [1, pool].
-func (m *LiveMover) tunedStreams(pool int) int {
-	s, _ := m.Tuner.Tune()
-	if s < 1 {
-		s = m.Streams
-	}
-	if s < 1 {
-		s = 1
-	}
-	if s > pool {
-		s = pool
-	}
-	return s
+	engine
 }
 
 // Move implements Mover. The copy runs on its own goroutines; done is
 // called exactly once.
 func (m *LiveMover) Move(task *Task, src, dst *Endpoint, done func(Report, error)) {
+	cfg := moveConfig{checksum: m.Checksum, chunkBytes: m.ChunkBytes, streams: m.Streams, tuner: m.Tuner,
+		manifestDir: m.ManifestDir, killAfterChunks: m.KillAfterChunks, fs: m.FS}
 	go func() {
-		done(m.move(task, src, dst))
+		done(m.run(cfg, task, src, dst, localSink{landing.Store{Root: dst.Root}, m.Checksum}))
 	}()
 }
 
-func (m *LiveMover) move(task *Task, src, dst *Endpoint) (Report, error) {
-	var rep Report
-
-	// Fix the plan: stat every source file so chunk spans and the task
-	// fingerprint are computed from real sizes. The fingerprint includes
-	// the source modification times, so a source rewritten between
-	// attempts gets a fresh manifest instead of resuming stale chunks
-	// into a mixed-content destination.
-	files := make([]FileSpec, len(task.Files))
-	mtimes := make([]int64, len(task.Files))
-	for i, f := range task.Files {
-		st, err := os.Stat(filepath.Join(src.Root, f.RelPath))
-		if err != nil {
-			return rep, fmt.Errorf("transfer: %w", err)
-		}
-		files[i] = FileSpec{RelPath: f.RelPath, Bytes: st.Size()}
-		mtimes[i] = st.ModTime().UnixNano()
-	}
-	chunkBytes := m.ChunkBytes
-	adaptive := m.Tuner != nil
-	if adaptive {
-		if _, cb := m.Tuner.Tune(); cb > 0 {
-			chunkBytes = cb
-		}
-	}
-	keyChunk := chunkBytes
-	if adaptive {
-		keyChunk = adaptiveChunkSentinel
-	}
-	key := taskKey(src.ID, dst.ID, files, keyChunk, mtimes)
-	man, err := m.store().load(key, files, chunkBytes, adaptive)
-	if err != nil {
-		return rep, err
-	}
-	spans := man.spans()
-	rep.ChunksTotal = len(spans)
-
-	// Open (and size) every destination file up front; chunk workers write
-	// ranged slices into them concurrently. The size of whatever was
-	// already on disk is captured BEFORE the truncate: resume must judge
-	// manifest-done chunks against what actually survived, not against
-	// the full-size file this attempt just created.
-	dsts := make([]*os.File, len(files))
-	preSizes := make([]int64, len(files))
-	defer func() {
-		for _, f := range dsts {
-			if f != nil {
-				f.Close()
-			}
-		}
-	}()
-	for i, f := range files {
-		path := filepath.Join(dst.Root, f.RelPath)
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			return rep, fmt.Errorf("transfer: %w", err)
-		}
-		preSizes[i] = -1 // absent
-		if st, err := os.Stat(path); err == nil {
-			preSizes[i] = st.Size()
-		}
-		out, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-		if err != nil {
-			return rep, fmt.Errorf("transfer: %w", err)
-		}
-		if preSizes[i] != f.Bytes {
-			if err := out.Truncate(f.Bytes); err != nil {
-				out.Close()
-				return rep, fmt.Errorf("transfer: %w", err)
-			}
-		}
-		dsts[i] = out
-	}
-
-	// Resume: chunks the manifest marks done are verified against the
-	// destination (a cheap read, not a copy) and skipped; any that no
-	// longer match are demoted and re-copied.
-	var todo []chunkSpan
-	for _, sp := range spans {
-		sum, ok := m.store().done(man, sp)
-		if ok && m.verifyChunk(dsts[sp.File], sp, sum, preSizes[sp.File]) {
-			rep.ChunksSkipped++
-			continue
-		}
-		if ok {
-			m.store().mark(man, sp, "", false)
-		}
-		todo = append(todo, sp)
-	}
-
-	// The bounded worker pool: Streams concurrent ranged copies. With a
-	// tuner the pool is sized to the adaptive ceiling and the dispatcher
-	// throttles admission to the tuned window instead, so the effective
-	// parallelism can move mid-task without re-spawning workers.
-	streams := m.Streams
-	if streams < 1 {
-		streams = 1
-	}
-	if m.Tuner != nil {
-		streams = liveAdaptiveWorkerCap
-	}
-	if streams > len(todo) && len(todo) > 0 {
-		streams = len(todo)
-	}
-	var (
-		srcFiles  = make([]*os.File, len(files))
-		work      = make(chan chunkSpan)
-		chunkDone = make(chan struct{}, len(todo)+1)
-		wg        sync.WaitGroup
-		errOnce   sync.Once
-		firstErr  error
-		aborted   atomic.Bool
-		completed atomic.Int64
-		copied    atomic.Int64
-	)
-	fail := func(err error) {
-		errOnce.Do(func() { firstErr = err })
-		aborted.Store(true)
-	}
-	for i, f := range files {
-		in, err := os.Open(filepath.Join(src.Root, f.RelPath))
-		if err != nil {
-			return rep, fmt.Errorf("transfer: %w", err)
-		}
-		srcFiles[i] = in
-	}
-	defer func() {
-		for _, f := range srcFiles {
-			f.Close()
-		}
-	}()
-
-	for w := 0; w < streams; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for sp := range work {
-				if !aborted.Load() {
-					sum, err := m.copyChunk(srcFiles[sp.File], dsts[sp.File], sp)
-					if err != nil {
-						fail(err)
-					} else {
-						m.store().mark(man, sp, sum, true)
-						copied.Add(sp.N)
-						n := completed.Add(1)
-						if m.KillAfterChunks > 0 && n >= int64(m.KillAfterChunks) && m.killed.CompareAndSwap(false, true) {
-							fail(fmt.Errorf("transfer: killed after %d chunks (injected fault)", n))
-						}
-					}
-				}
-				chunkDone <- struct{}{}
-			}
-		}()
-	}
-	if m.Tuner == nil {
-		for _, sp := range todo {
-			work <- sp
-		}
-	} else {
-		// Adaptive dispatch: keep at most the tuned window of chunks in
-		// flight, re-reading the tuner between dispatches so the stream
-		// count tracks the measured path mid-task.
-		inFlight := 0
-		for _, sp := range todo {
-			for inFlight >= m.tunedStreams(streams) {
-				<-chunkDone
-				inFlight--
-			}
-			work <- sp
-			inFlight++
-		}
-	}
-	close(work)
-	wg.Wait()
-
-	rep.ChunksMoved = int(completed.Load())
-	rep.BytesCopied = copied.Load()
-	if firstErr != nil {
-		return rep, firstErr
-	}
-
-	// Verified merge: one sequential pass over each destination file,
-	// producing the whole-file checksum while re-checking every chunk's
-	// digest against what the copy recorded.
-	sums := map[string]string{}
-	for fi, f := range files {
-		sum, err := m.mergeVerify(dsts[fi], man, fi)
-		if err != nil {
-			return rep, err
-		}
-		sums[f.RelPath] = sum
-		rep.BytesMoved += f.Bytes
-	}
-	rep.Checksums = sums
-	m.store().forget(key)
-	return rep, nil
+// localSink lands chunks in a landing store on the local filesystem —
+// the same store, and so the same disk code, the facility daemon serves
+// the wire sink's requests from. Stat, Prepare, Hash and Merge are the
+// store's own.
+type localSink struct {
+	landing.Store
+	checksum bool
 }
 
-// copyChunk moves one ranged slice from src to dst, hashing the source
-// bytes in-flight when checksumming is enabled.
-func (m *LiveMover) copyChunk(src, dst *os.File, sp chunkSpan) (string, error) {
-	bufp := copyBufPool.Get().(*[]byte)
-	defer copyBufPool.Put(bufp)
+// Write streams one ranged slice from src into the store, hashing the
+// source bytes in-flight when checksumming is enabled.
+func (s localSink) Write(rel string, sp chunkSpan, src io.ReaderAt) (string, error) {
 	var r io.Reader = io.NewSectionReader(src, sp.Off, sp.N)
 	h := sha256.New()
-	if m.Checksum {
+	if s.checksum {
 		r = io.TeeReader(r, h)
 	}
-	n, err := io.CopyBuffer(io.NewOffsetWriter(dst, sp.Off), r, *bufp)
+	n, err := s.Store.Write(rel, sp.Off, r)
 	if err != nil {
 		return "", fmt.Errorf("transfer: copy chunk @%d: %w", sp.Off, err)
 	}
 	if n != sp.N {
 		return "", fmt.Errorf("transfer: chunk @%d short copy: %d of %d bytes", sp.Off, n, sp.N)
 	}
-	if !m.Checksum {
+	if !s.checksum {
 		return "", nil
 	}
 	return hex.EncodeToString(h.Sum(nil)), nil
-}
-
-// verifyChunk re-reads one destination range and checks it against the
-// recorded source digest. preSize is the destination file's size before
-// this attempt touched it: a chunk can only have survived if the file
-// already extended past it (the current size is useless — the attempt
-// truncates the file to full length up front). Without checksumming the
-// preSize bound is the only check (the manifest then records written,
-// unverified chunks — the ablation's trade).
-func (m *LiveMover) verifyChunk(dst *os.File, sp chunkSpan, sum string, preSize int64) bool {
-	if preSize < sp.Off+sp.N {
-		return false
-	}
-	if !m.Checksum {
-		return true
-	}
-	if sum == "" {
-		return false // copied under Checksum=false; cannot verify now
-	}
-	bufp := copyBufPool.Get().(*[]byte)
-	defer copyBufPool.Put(bufp)
-	h := sha256.New()
-	if _, err := io.CopyBuffer(h, io.NewSectionReader(dst, sp.Off, sp.N), *bufp); err != nil {
-		return false
-	}
-	return hex.EncodeToString(h.Sum(nil)) == sum
-}
-
-// mergeVerify is the sequential read-back pass over one destination file:
-// it computes the whole-file SHA-256 and, chunk by chunk, compares the
-// landed bytes' digest with the one recorded at copy time. A mismatched
-// chunk is demoted in the manifest (so the retry re-copies exactly it)
-// and the merge fails.
-func (m *LiveMover) mergeVerify(dst *os.File, man *manifest, fi int) (string, error) {
-	if !m.Checksum {
-		return "", nil
-	}
-	bufp := copyBufPool.Get().(*[]byte)
-	defer copyBufPool.Put(bufp)
-	whole := sha256.New()
-	for ci := range man.Files[fi].Chunks {
-		c := man.Files[fi].Chunks[ci]
-		chunk := sha256.New()
-		r := io.NewSectionReader(dst, c.Off, c.N)
-		if _, err := io.CopyBuffer(io.MultiWriter(whole, chunk), r, *bufp); err != nil {
-			return "", fmt.Errorf("transfer: verify read %s @%d: %w", man.Files[fi].RelPath, c.Off, err)
-		}
-		if got := hex.EncodeToString(chunk.Sum(nil)); got != c.SHA256 {
-			m.store().mark(man, chunkSpan{File: fi, Index: ci, Off: c.Off, N: c.N}, "", false)
-			return "", fmt.Errorf("transfer: checksum mismatch on %s chunk @%d", man.Files[fi].RelPath, c.Off)
-		}
-	}
-	return hex.EncodeToString(whole.Sum(nil)), nil
 }
 
 // RouteTuner yields the transfer framing a route should use right now.

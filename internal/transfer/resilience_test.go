@@ -90,7 +90,7 @@ func TestRetryBackoffSpacesAttempts(t *testing.T) {
 	}
 }
 
-// chunkRejectServer speaks just enough wire protocol for shipChunk:
+// chunkRejectServer speaks just enough wire protocol for wireSink.Write:
 // Hello, then MsgWrite answered with the configured code for the first
 // `rejects` writes and MsgWriteOK afterwards.
 func chunkRejectServer(t *testing.T, code string, rejects int) (addr string, writes *atomic.Int64) {
@@ -147,8 +147,7 @@ func shipOneChunk(t *testing.T, m *WireMover, addr string) error {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	cl := m.client(addr)
-	_, err = m.shipChunk(cl, f, "c.bin", chunkSpan{File: 0, Index: 0, Off: 0, N: 512})
+	_, err = m.sink(addr).Write("c.bin", chunkSpan{File: 0, Index: 0, Off: 0, N: 512}, f)
 	return err
 }
 
@@ -202,7 +201,7 @@ func TestShipChunkNegativeRetriesDisables(t *testing.T) {
 // TestShipChunkDoesNotResendOnCorrupt: the corrupt code means the
 // STREAM is damaged, not the chunk bytes — that is the service-attempt
 // retry's job (and the attempts=2 contract of the corrupt-on-wire
-// test), so shipChunk must not absorb it.
+// test), so the sink must not absorb it.
 func TestShipChunkDoesNotResendOnCorrupt(t *testing.T) {
 	addr, writes := chunkRejectServer(t, wire.CodeCorrupt, 1)
 	m := &WireMover{Checksum: true, ChunkBytes: 1024, Timeout: 5 * time.Second,

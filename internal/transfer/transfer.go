@@ -6,20 +6,23 @@
 // chunks, moved by a bounded worker pool over N concurrent streams, and
 // recorded in a per-task chunk manifest so an interrupted or failed
 // transfer resumes from the last verified chunk instead of restarting
-// (retry cost is O(remaining chunks)). Two movers implement it: a live
-// mover that really copies chunks as parallel ranged writes between
-// endpoint roots on disk with per-chunk SHA-256 and a verified merge, and
-// a simulated mover that drives the same framing over the netsim
-// fluid-flow network so 1-hour facility experiments run in milliseconds
-// of virtual time. Failed moves are retried with bounded attempts,
-// mirroring the service-managed fault tolerance the paper delegates to
-// Globus; with chunk framing disabled and a single stream, both movers
-// degenerate exactly to the original whole-file, single-stream behavior
-// the Table 1 reproductions pin.
+// (retry cost is O(remaining chunks)). The real movers share one chunk
+// engine (engine.go) and differ only in the sink a chunk lands through:
+// LiveMover really copies chunks as parallel ranged writes between
+// endpoint roots on disk, WireMover ships them to a facility daemon over
+// TCP, both with per-chunk SHA-256 and a verified merge. A simulated
+// mover drives the same framing over the netsim fluid-flow network so
+// 1-hour facility experiments run in milliseconds of virtual time.
+// Failed moves are retried with bounded attempts, mirroring the
+// service-managed fault tolerance the paper delegates to Globus; with
+// chunk framing disabled and a single stream, every mover degenerates
+// exactly to the original whole-file, single-stream behavior the Table 1
+// reproductions pin.
 package transfer
 
 import (
 	"fmt"
+	"path/filepath"
 	"sync"
 	"time"
 
@@ -200,6 +203,13 @@ func (s *Service) Submit(token, srcID, dstID string, files []FileSpec) (string, 
 	}
 	if len(files) == 0 {
 		return "", fmt.Errorf("transfer: task has no files")
+	}
+	// A RelPath is joined under both endpoint roots; one that is empty,
+	// absolute or climbs out ("../x") would read and land outside them.
+	for _, f := range files {
+		if !filepath.IsLocal(f.RelPath) {
+			return "", fmt.Errorf("transfer: file path %q is not local to the endpoint roots", f.RelPath)
+		}
 	}
 	s.mu.Lock()
 	src, ok := s.endpoints[srcID]

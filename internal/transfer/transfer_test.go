@@ -8,7 +8,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 
@@ -47,52 +46,61 @@ func waitFor(t *testing.T, svc *Service, tok, id string, want TaskStatus) TaskVi
 	return TaskView{}
 }
 
-func TestLiveMoverCopiesAndVerifies(t *testing.T) {
-	iss, tok := issuerAndToken(t)
-	srcRoot, dstRoot := t.TempDir(), t.TempDir()
-	payload := []byte(strings.Repeat("picoprobe!", 1000))
-	if err := os.WriteFile(filepath.Join(srcRoot, "a.emdg"), payload, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	svc := NewService(iss, &LiveMover{Checksum: true}, time.Now, Options{})
-	svc.RegisterEndpoint(Endpoint{ID: "src", Root: srcRoot})
-	svc.RegisterEndpoint(Endpoint{ID: "dst", Root: dstRoot})
-	id, err := svc.Submit(tok, "src", "dst", []FileSpec{{RelPath: "a.emdg"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	view := waitFor(t, svc, tok, id, StatusSucceeded)
-	if view.BytesMoved != int64(len(payload)) {
-		t.Errorf("bytes moved = %d", view.BytesMoved)
-	}
-	got, err := os.ReadFile(filepath.Join(dstRoot, "a.emdg"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != string(payload) {
-		t.Error("copied content mismatch")
-	}
-	if view.Completed.Before(view.Started) {
-		t.Error("completed before started")
-	}
+// TestMoversCopyAndVerify: the basic transfer on both movers — files land
+// byte-identical, chunk accounting is exact, and the reported checksums
+// are the real whole-file SHA-256s the verified merge computed.
+func TestMoversCopyAndVerify(t *testing.T) {
+	forBothMovers(t, func(t *testing.T, w *world) {
+		os.MkdirAll(filepath.Join(w.srcRoot, "runs"), 0o755)
+		a := writeRandom(t, filepath.Join(w.srcRoot, "runs/a.emdg"), 4096+100, 1) // 5 chunks, last partial
+		b := writeRandom(t, filepath.Join(w.srcRoot, "b.emdg"), 2048, 2)          // 2 chunks exactly
+		svc := w.service(t, moveConfig{checksum: true, chunkBytes: 1024, streams: 1}, Options{})
+		id, err := svc.Submit(w.tok, "src", "dst", []FileSpec{{RelPath: "runs/a.emdg"}, {RelPath: "b.emdg"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		view := waitFor(t, svc, w.tok, id, StatusSucceeded)
+		if view.BytesMoved != int64(len(a)+len(b)) {
+			t.Errorf("bytes moved = %d, want %d", view.BytesMoved, len(a)+len(b))
+		}
+		if view.ChunksTotal != 7 || view.ChunksMoved != 7 || view.ChunksSkipped != 0 {
+			t.Errorf("chunks total/moved/skipped = %d/%d/%d, want 7/7/0",
+				view.ChunksTotal, view.ChunksMoved, view.ChunksSkipped)
+		}
+		if view.Completed.Before(view.Started) {
+			t.Error("completed before started")
+		}
+		for rel, want := range map[string][]byte{"runs/a.emdg": a, "b.emdg": b} {
+			got, err := os.ReadFile(filepath.Join(w.dstRoot, rel))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s landed corrupted", rel)
+			}
+			sum := sha256.Sum256(want)
+			if view.Checksums[rel] != hex.EncodeToString(sum[:]) {
+				t.Errorf("%s checksum = %s, want %s", rel, view.Checksums[rel], hex.EncodeToString(sum[:]))
+			}
+		}
+	})
 }
 
-func TestLiveMoverMissingFileFailsAfterRetries(t *testing.T) {
-	iss, tok := issuerAndToken(t)
-	svc := NewService(iss, &LiveMover{Checksum: true}, time.Now, Options{MaxAttempts: 2})
-	svc.RegisterEndpoint(Endpoint{ID: "src", Root: t.TempDir()})
-	svc.RegisterEndpoint(Endpoint{ID: "dst", Root: t.TempDir()})
-	id, err := svc.Submit(tok, "src", "dst", []FileSpec{{RelPath: "missing.emdg"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	view := waitFor(t, svc, tok, id, StatusFailed)
-	if view.Attempts != 2 {
-		t.Errorf("attempts = %d, want 2", view.Attempts)
-	}
-	if view.Error == "" {
-		t.Error("failed task should carry an error")
-	}
+func TestMissingFileFailsAfterRetries(t *testing.T) {
+	forBothMovers(t, func(t *testing.T, w *world) {
+		svc := w.service(t, moveConfig{checksum: true}, Options{MaxAttempts: 2})
+		id, err := svc.Submit(w.tok, "src", "dst", []FileSpec{{RelPath: "missing.emdg"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		view := waitFor(t, svc, w.tok, id, StatusFailed)
+		if view.Attempts != 2 {
+			t.Errorf("attempts = %d, want 2", view.Attempts)
+		}
+		if view.Error == "" {
+			t.Error("failed task should carry an error")
+		}
+	})
 }
 
 func TestAuthEnforced(t *testing.T) {
@@ -369,34 +377,31 @@ func TestMultiFileChunkedTask(t *testing.T) {
 // manifest, and the retry cost is exactly the remaining chunks — every
 // byte of the file crosses the wire exactly once.
 func TestKillMidTransferResumesInService(t *testing.T) {
-	iss, tok := issuerAndToken(t)
-	srcRoot, dstRoot := t.TempDir(), t.TempDir()
-	const chunk = 8 << 10
-	payload := writeRandom(t, filepath.Join(srcRoot, "f.emdg"), 8*chunk, 2)
-	mover := &LiveMover{Checksum: true, ChunkBytes: chunk, Streams: 1, KillAfterChunks: 3}
-	svc := NewService(iss, mover, time.Now, Options{MaxAttempts: 2})
-	svc.RegisterEndpoint(Endpoint{ID: "src", Root: srcRoot})
-	svc.RegisterEndpoint(Endpoint{ID: "dst", Root: dstRoot})
-	id, err := svc.Submit(tok, "src", "dst", []FileSpec{{RelPath: "f.emdg"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	view := waitFor(t, svc, tok, id, StatusSucceeded)
-	if view.Attempts != 2 {
-		t.Errorf("attempts = %d, want 2", view.Attempts)
-	}
-	if view.ChunksTotal != 8 || view.ChunksMoved != 8 || view.ChunksSkipped != 3 {
-		t.Errorf("chunks total/moved/skipped = %d/%d/%d, want 8/8/3",
-			view.ChunksTotal, view.ChunksMoved, view.ChunksSkipped)
-	}
-	if view.BytesCopied != int64(len(payload)) {
-		t.Errorf("bytes copied = %d, want %d (resume must not re-copy verified chunks)",
-			view.BytesCopied, len(payload))
-	}
-	got, err := os.ReadFile(filepath.Join(dstRoot, "f.emdg"))
-	if err != nil || !bytes.Equal(got, payload) {
-		t.Errorf("content mismatch after resume (err=%v)", err)
-	}
+	forBothMovers(t, func(t *testing.T, w *world) {
+		const chunk = 8 << 10
+		payload := writeRandom(t, filepath.Join(w.srcRoot, "f.emdg"), 8*chunk, 2)
+		svc := w.service(t, moveConfig{checksum: true, chunkBytes: chunk, streams: 1, killAfterChunks: 3}, Options{MaxAttempts: 2})
+		id, err := svc.Submit(w.tok, "src", "dst", []FileSpec{{RelPath: "f.emdg"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		view := waitFor(t, svc, w.tok, id, StatusSucceeded)
+		if view.Attempts != 2 {
+			t.Errorf("attempts = %d, want 2", view.Attempts)
+		}
+		if view.ChunksTotal != 8 || view.ChunksMoved != 8 || view.ChunksSkipped != 3 {
+			t.Errorf("chunks total/moved/skipped = %d/%d/%d, want 8/8/3",
+				view.ChunksTotal, view.ChunksMoved, view.ChunksSkipped)
+		}
+		if view.BytesCopied != int64(len(payload)) {
+			t.Errorf("bytes copied = %d, want %d (resume must not re-copy verified chunks)",
+				view.BytesCopied, len(payload))
+		}
+		got, err := os.ReadFile(filepath.Join(w.dstRoot, "f.emdg"))
+		if err != nil || !bytes.Equal(got, payload) {
+			t.Errorf("content mismatch after resume (err=%v)", err)
+		}
+	})
 }
 
 // TestManifestResumesAcrossServices pins resume across a service restart:
@@ -404,113 +409,109 @@ func TestKillMidTransferResumesInService(t *testing.T) {
 // new service with a fresh mover over the same manifest directory is
 // handed the same task and re-moves only the unverified chunks.
 func TestManifestResumesAcrossServices(t *testing.T) {
-	iss, tok := issuerAndToken(t)
-	srcRoot, dstRoot, manDir := t.TempDir(), t.TempDir(), t.TempDir()
-	const chunk = 8 << 10
-	payload := writeRandom(t, filepath.Join(srcRoot, "f.emdg"), 8*chunk, 3)
+	forBothMovers(t, func(t *testing.T, w *world) {
+		const chunk = 8 << 10
+		payload := writeRandom(t, filepath.Join(w.srcRoot, "f.emdg"), 8*chunk, 3)
 
-	svc1 := NewService(iss, &LiveMover{
-		Checksum: true, ChunkBytes: chunk, Streams: 1,
-		ManifestDir: manDir, KillAfterChunks: 3,
-	}, time.Now, Options{MaxAttempts: 1})
-	svc1.RegisterEndpoint(Endpoint{ID: "src", Root: srcRoot})
-	svc1.RegisterEndpoint(Endpoint{ID: "dst", Root: dstRoot})
-	id1, err := svc1.Submit(tok, "src", "dst", []FileSpec{{RelPath: "f.emdg"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1 := waitFor(t, svc1, tok, id1, StatusFailed)
-	if v1.ChunksMoved != 3 {
-		t.Fatalf("first service moved %d chunks, want 3", v1.ChunksMoved)
-	}
+		svc1 := w.service(t, moveConfig{
+			checksum: true, chunkBytes: chunk, streams: 1,
+			manifestDir: w.manDir, killAfterChunks: 3,
+		}, Options{MaxAttempts: 1})
+		id1, err := svc1.Submit(w.tok, "src", "dst", []FileSpec{{RelPath: "f.emdg"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		v1 := waitFor(t, svc1, w.tok, id1, StatusFailed)
+		if v1.ChunksMoved != 3 {
+			t.Fatalf("first service moved %d chunks, want 3", v1.ChunksMoved)
+		}
 
-	// "Reboot": everything about the first service is gone except the
-	// manifest directory and the partially landed destination file.
-	svc2 := NewService(iss, &LiveMover{
-		Checksum: true, ChunkBytes: chunk, Streams: 1, ManifestDir: manDir,
-	}, time.Now, Options{})
-	svc2.RegisterEndpoint(Endpoint{ID: "src", Root: srcRoot})
-	svc2.RegisterEndpoint(Endpoint{ID: "dst", Root: dstRoot})
-	id2, err := svc2.Submit(tok, "src", "dst", []FileSpec{{RelPath: "f.emdg"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2 := waitFor(t, svc2, tok, id2, StatusSucceeded)
-	if v2.ChunksSkipped != 3 || v2.ChunksMoved != 5 {
-		t.Errorf("resumed skipped/moved = %d/%d, want 3/5", v2.ChunksSkipped, v2.ChunksMoved)
-	}
-	if v2.BytesCopied != int64(5*chunk) {
-		t.Errorf("resumed bytes copied = %d, want %d", v2.BytesCopied, 5*chunk)
-	}
-	got, err := os.ReadFile(filepath.Join(dstRoot, "f.emdg"))
-	if err != nil || !bytes.Equal(got, payload) {
-		t.Errorf("content mismatch after cross-service resume (err=%v)", err)
-	}
-	if entries, err := os.ReadDir(manDir); err != nil || len(entries) != 0 {
-		t.Errorf("manifest not cleaned up after success: %d files (err=%v)", len(entries), err)
-	}
+		// "Reboot": everything about the first service is gone except the
+		// manifest directory and the partially landed destination file.
+		svc2 := w.service(t, moveConfig{
+			checksum: true, chunkBytes: chunk, streams: 1, manifestDir: w.manDir,
+		}, Options{})
+		id2, err := svc2.Submit(w.tok, "src", "dst", []FileSpec{{RelPath: "f.emdg"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		v2 := waitFor(t, svc2, w.tok, id2, StatusSucceeded)
+		if v2.ChunksSkipped != 3 || v2.ChunksMoved != 5 {
+			t.Errorf("resumed skipped/moved = %d/%d, want 3/5", v2.ChunksSkipped, v2.ChunksMoved)
+		}
+		if v2.BytesCopied != int64(5*chunk) {
+			t.Errorf("resumed bytes copied = %d, want %d", v2.BytesCopied, 5*chunk)
+		}
+		got, err := os.ReadFile(filepath.Join(w.dstRoot, "f.emdg"))
+		if err != nil || !bytes.Equal(got, payload) {
+			t.Errorf("content mismatch after cross-service resume (err=%v)", err)
+		}
+		if entries, err := os.ReadDir(w.manDir); err != nil || len(entries) != 0 {
+			t.Errorf("manifest not cleaned up after success: %d files (err=%v)", len(entries), err)
+		}
+	})
 }
 
 // TestResumeRecopiesCorruptedChunk: a chunk the manifest claims verified
 // but whose destination bytes no longer match is demoted and re-copied,
 // not trusted.
 func TestResumeRecopiesCorruptedChunk(t *testing.T) {
-	iss, tok := issuerAndToken(t)
-	srcRoot, dstRoot, manDir := t.TempDir(), t.TempDir(), t.TempDir()
-	const chunk = 8 << 10
-	payload := writeRandom(t, filepath.Join(srcRoot, "f.emdg"), 4*chunk, 4)
+	forBothMovers(t, func(t *testing.T, w *world) {
+		const chunk = 8 << 10
+		payload := writeRandom(t, filepath.Join(w.srcRoot, "f.emdg"), 4*chunk, 4)
 
-	svc1 := NewService(iss, &LiveMover{
-		Checksum: true, ChunkBytes: chunk, Streams: 1,
-		ManifestDir: manDir, KillAfterChunks: 3,
-	}, time.Now, Options{MaxAttempts: 1})
-	svc1.RegisterEndpoint(Endpoint{ID: "src", Root: srcRoot})
-	svc1.RegisterEndpoint(Endpoint{ID: "dst", Root: dstRoot})
-	id1, _ := svc1.Submit(tok, "src", "dst", []FileSpec{{RelPath: "f.emdg"}})
-	waitFor(t, svc1, tok, id1, StatusFailed)
+		svc1 := w.service(t, moveConfig{
+			checksum: true, chunkBytes: chunk, streams: 1,
+			manifestDir: w.manDir, killAfterChunks: 3,
+		}, Options{MaxAttempts: 1})
+		id1, _ := svc1.Submit(w.tok, "src", "dst", []FileSpec{{RelPath: "f.emdg"}})
+		waitFor(t, svc1, w.tok, id1, StatusFailed)
 
-	// Corrupt the second landed chunk on disk.
-	f, err := os.OpenFile(filepath.Join(dstRoot, "f.emdg"), os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteAt([]byte("CORRUPTED"), chunk+100); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+		// Corrupt the second landed chunk on disk.
+		f, err := os.OpenFile(filepath.Join(w.dstRoot, "f.emdg"), os.O_WRONLY, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteAt([]byte("CORRUPTED"), chunk+100); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
 
-	svc2 := NewService(iss, &LiveMover{
-		Checksum: true, ChunkBytes: chunk, Streams: 1, ManifestDir: manDir,
-	}, time.Now, Options{})
-	svc2.RegisterEndpoint(Endpoint{ID: "src", Root: srcRoot})
-	svc2.RegisterEndpoint(Endpoint{ID: "dst", Root: dstRoot})
-	id2, _ := svc2.Submit(tok, "src", "dst", []FileSpec{{RelPath: "f.emdg"}})
-	v2 := waitFor(t, svc2, tok, id2, StatusSucceeded)
-	if v2.ChunksSkipped != 2 || v2.ChunksMoved != 2 {
-		t.Errorf("skipped/moved = %d/%d, want 2/2 (corrupted chunk must be re-copied)",
-			v2.ChunksSkipped, v2.ChunksMoved)
-	}
-	got, err := os.ReadFile(filepath.Join(dstRoot, "f.emdg"))
-	if err != nil || !bytes.Equal(got, payload) {
-		t.Errorf("content mismatch after corruption recovery (err=%v)", err)
-	}
+		svc2 := w.service(t, moveConfig{
+			checksum: true, chunkBytes: chunk, streams: 1, manifestDir: w.manDir,
+		}, Options{})
+		id2, _ := svc2.Submit(w.tok, "src", "dst", []FileSpec{{RelPath: "f.emdg"}})
+		v2 := waitFor(t, svc2, w.tok, id2, StatusSucceeded)
+		if v2.ChunksSkipped != 2 || v2.ChunksMoved != 2 {
+			t.Errorf("skipped/moved = %d/%d, want 2/2 (corrupted chunk must be re-copied)",
+				v2.ChunksSkipped, v2.ChunksMoved)
+		}
+		got, err := os.ReadFile(filepath.Join(w.dstRoot, "f.emdg"))
+		if err != nil || !bytes.Equal(got, payload) {
+			t.Errorf("content mismatch after corruption recovery (err=%v)", err)
+		}
+	})
 }
 
-// TestChunkedWithoutChecksum exercises the ablation: no digests, no merge
-// pass, still chunked, parallel and correct.
+// TestChunkedWithoutChecksum exercises the ablation on both movers: no
+// digests, no merge pass, no fabricated checksums — still chunked,
+// parallel and correct.
 func TestChunkedWithoutChecksum(t *testing.T) {
-	iss, tok := issuerAndToken(t)
-	srcRoot, dstRoot := t.TempDir(), t.TempDir()
-	payload := writeRandom(t, filepath.Join(srcRoot, "f.emdg"), 50_000, 5)
-	svc := NewService(iss, &LiveMover{ChunkBytes: 4 << 10, Streams: 4}, time.Now, Options{})
-	svc.RegisterEndpoint(Endpoint{ID: "src", Root: srcRoot})
-	svc.RegisterEndpoint(Endpoint{ID: "dst", Root: dstRoot})
-	id, _ := svc.Submit(tok, "src", "dst", []FileSpec{{RelPath: "f.emdg"}})
-	waitFor(t, svc, tok, id, StatusSucceeded)
-	got, err := os.ReadFile(filepath.Join(dstRoot, "f.emdg"))
-	if err != nil || !bytes.Equal(got, payload) {
-		t.Errorf("content mismatch (err=%v)", err)
-	}
+	forBothMovers(t, func(t *testing.T, w *world) {
+		payload := writeRandom(t, filepath.Join(w.srcRoot, "f.emdg"), 50_000, 5)
+		svc := w.service(t, moveConfig{chunkBytes: 4 << 10, streams: 4}, Options{})
+		id, _ := svc.Submit(w.tok, "src", "dst", []FileSpec{{RelPath: "f.emdg"}})
+		view := waitFor(t, svc, w.tok, id, StatusSucceeded)
+		for rel, sum := range view.Checksums {
+			if sum != "" {
+				t.Errorf("checksum-off transfer fabricated digest %s for %s", sum, rel)
+			}
+		}
+		got, err := os.ReadFile(filepath.Join(w.dstRoot, "f.emdg"))
+		if err != nil || !bytes.Equal(got, payload) {
+			t.Errorf("content mismatch (err=%v)", err)
+		}
+	})
 }
 
 // TestChunkPoolConcurrentTasks hammers the chunk worker pool and the
@@ -657,39 +658,35 @@ func TestSimChunkKillResume(t *testing.T) {
 // (the full-size file the new attempt creates is all zeros) — every
 // chunk is re-copied.
 func TestNoChecksumResumeDetectsLostDestination(t *testing.T) {
-	iss, tok := issuerAndToken(t)
-	srcRoot, dstRoot, manDir := t.TempDir(), t.TempDir(), t.TempDir()
-	const chunk = 8 << 10
-	payload := writeRandom(t, filepath.Join(srcRoot, "f.emdg"), 4*chunk, 6)
+	forBothMovers(t, func(t *testing.T, w *world) {
+		const chunk = 8 << 10
+		payload := writeRandom(t, filepath.Join(w.srcRoot, "f.emdg"), 4*chunk, 6)
 
-	svc1 := NewService(iss, &LiveMover{
-		ChunkBytes: chunk, Streams: 1, ManifestDir: manDir, KillAfterChunks: 2,
-	}, time.Now, Options{MaxAttempts: 1})
-	svc1.RegisterEndpoint(Endpoint{ID: "src", Root: srcRoot})
-	svc1.RegisterEndpoint(Endpoint{ID: "dst", Root: dstRoot})
-	id1, _ := svc1.Submit(tok, "src", "dst", []FileSpec{{RelPath: "f.emdg"}})
-	waitFor(t, svc1, tok, id1, StatusFailed)
+		svc1 := w.service(t, moveConfig{
+			chunkBytes: chunk, streams: 1, manifestDir: w.manDir, killAfterChunks: 2,
+		}, Options{MaxAttempts: 1})
+		id1, _ := svc1.Submit(w.tok, "src", "dst", []FileSpec{{RelPath: "f.emdg"}})
+		waitFor(t, svc1, w.tok, id1, StatusFailed)
 
-	// The destination is lost entirely.
-	if err := os.Remove(filepath.Join(dstRoot, "f.emdg")); err != nil {
-		t.Fatal(err)
-	}
+		// The destination is lost entirely.
+		if err := os.Remove(filepath.Join(w.dstRoot, "f.emdg")); err != nil {
+			t.Fatal(err)
+		}
 
-	svc2 := NewService(iss, &LiveMover{
-		ChunkBytes: chunk, Streams: 1, ManifestDir: manDir,
-	}, time.Now, Options{})
-	svc2.RegisterEndpoint(Endpoint{ID: "src", Root: srcRoot})
-	svc2.RegisterEndpoint(Endpoint{ID: "dst", Root: dstRoot})
-	id2, _ := svc2.Submit(tok, "src", "dst", []FileSpec{{RelPath: "f.emdg"}})
-	v2 := waitFor(t, svc2, tok, id2, StatusSucceeded)
-	if v2.ChunksSkipped != 0 || v2.ChunksMoved != 4 {
-		t.Errorf("skipped/moved = %d/%d, want 0/4 (lost dst must not be trusted)",
-			v2.ChunksSkipped, v2.ChunksMoved)
-	}
-	got, err := os.ReadFile(filepath.Join(dstRoot, "f.emdg"))
-	if err != nil || !bytes.Equal(got, payload) {
-		t.Errorf("content mismatch after dst loss (err=%v)", err)
-	}
+		svc2 := w.service(t, moveConfig{
+			chunkBytes: chunk, streams: 1, manifestDir: w.manDir,
+		}, Options{})
+		id2, _ := svc2.Submit(w.tok, "src", "dst", []FileSpec{{RelPath: "f.emdg"}})
+		v2 := waitFor(t, svc2, w.tok, id2, StatusSucceeded)
+		if v2.ChunksSkipped != 0 || v2.ChunksMoved != 4 {
+			t.Errorf("skipped/moved = %d/%d, want 0/4 (lost dst must not be trusted)",
+				v2.ChunksSkipped, v2.ChunksMoved)
+		}
+		got, err := os.ReadFile(filepath.Join(w.dstRoot, "f.emdg"))
+		if err != nil || !bytes.Equal(got, payload) {
+			t.Errorf("content mismatch after dst loss (err=%v)", err)
+		}
+	})
 }
 
 // TestRewrittenSourceInvalidatesManifest: a source file rewritten (same

@@ -7,29 +7,27 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"os"
-	"path/filepath"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"picoprobe/internal/fsutil"
+	"picoprobe/internal/landing"
 	"picoprobe/internal/wire"
 )
 
 // WireMover moves bytes to a remote facility daemon over the wire
-// protocol, implementing the same mover seam — and the same chunk
-// discipline — as LiveMover: files split into chunk spans, a bounded
-// pool of Streams workers shipping chunks as ranged writes (SHA-256
-// computed before the bytes leave the machine, re-checked by the daemon
-// at the door), a per-task chunk manifest for resume, and a verified
-// merge (run daemon-side in one request) producing the whole-file
-// checksum. The source endpoint's Root is a local directory exactly as
-// for LiveMover; the DESTINATION endpoint's Root is the daemon's
-// host:port. All resume state is client-side: a daemon that is
-// SIGKILLed and restarted on the same storage root serves the resumed
-// transfer with no recovery step, because the manifest plus remote
-// range hashes reconstruct exactly which chunks survived.
+// protocol through the same chunk engine as LiveMover (engine.go): files
+// split into chunk spans, a bounded pool of Streams workers shipping
+// chunks as ranged writes (SHA-256 computed before the bytes leave the
+// machine, re-checked by the daemon at the door), a per-task chunk
+// manifest for resume, and a verified merge (run daemon-side in one
+// request) producing the whole-file checksum. The source endpoint's Root
+// is a local directory exactly as for LiveMover; the DESTINATION
+// endpoint's Root is the daemon's host:port. All resume state is
+// client-side: a daemon that is SIGKILLed and restarted on the same
+// storage root serves the resumed transfer with no recovery step, because
+// the manifest plus remote range hashes reconstruct exactly which chunks
+// survived.
 type WireMover struct {
 	// Checksum, ChunkBytes, Streams, Tuner, ManifestDir, KillAfterChunks
 	// and FS mean exactly what they mean on LiveMover.
@@ -48,34 +46,24 @@ type WireMover struct {
 	Dial func(addr string) (net.Conn, error)
 	// Timeout is the per-op wire deadline (0 = wire.DefaultTimeout).
 	Timeout time.Duration
-	// MaxFrame bounds received frames (0 = wire.DefaultMaxFrame).
-	MaxFrame uint32
 	// ChunkRetries re-sends a chunk the daemon rejected with a checksum
 	// mismatch up to this many extra times before failing the attempt
 	// (0 = DefaultChunkRetries, negative = no re-sends). Re-reading and
 	// re-shipping one chunk costs one chunk; burning a whole
 	// service-attempt retry costs a full resume pass.
 	ChunkRetries int
-	// IdleTimeout, BreakerThreshold, BreakerCooldown, BusyRetries and
-	// Backoff are handed to every wire client (see wire.Client); all
-	// zero values preserve the historical behavior.
-	IdleTimeout      time.Duration
+	// BreakerThreshold, BreakerCooldown and Backoff are handed to every
+	// wire client (see wire.Client); all zero values preserve the
+	// historical behavior: no circuit breaker, and Backoff only spaces
+	// the client's busy retries, which this mover leaves at zero.
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
-	BusyRetries      int
 	Backoff          *wire.Backoff
 
-	killed    atomic.Bool
-	manifests *manifestStore
-	initOnce  sync.Once
+	engine
 
 	cmu     sync.Mutex
 	clients map[string]*wire.Client
-}
-
-func (m *WireMover) store() *manifestStore {
-	m.initOnce.Do(func() { m.manifests = newManifestStore(m.ManifestDir, m.FS) })
-	return m.manifests
 }
 
 // client returns the shared wire client for one daemon address. Clients
@@ -90,9 +78,8 @@ func (m *WireMover) client(addr string) *wire.Client {
 	c, ok := m.clients[addr]
 	if !ok {
 		c = &wire.Client{
-			Addr: addr, Token: m.Token, Dial: m.Dial, Timeout: m.Timeout, MaxFrame: m.MaxFrame,
-			IdleTimeout: m.IdleTimeout, BreakerThreshold: m.BreakerThreshold,
-			BreakerCooldown: m.BreakerCooldown, BusyRetries: m.BusyRetries, Backoff: m.Backoff,
+			Addr: addr, Token: m.Token, Dial: m.Dial, Timeout: m.Timeout,
+			BreakerThreshold: m.BreakerThreshold, BreakerCooldown: m.BreakerCooldown, Backoff: m.Backoff,
 		}
 		m.clients[addr] = c
 	}
@@ -110,289 +97,83 @@ func (m *WireMover) Close() error {
 	return nil
 }
 
-func (m *WireMover) tunedStreams(pool int) int {
-	s, _ := m.Tuner.Tune()
-	if s < 1 {
-		s = m.Streams
-	}
-	if s < 1 {
-		s = 1
-	}
-	if s > pool {
-		s = pool
-	}
-	return s
-}
-
 // Move implements Mover.
 func (m *WireMover) Move(task *Task, src, dst *Endpoint, done func(Report, error)) {
+	cfg := moveConfig{checksum: m.Checksum, chunkBytes: m.ChunkBytes, streams: m.Streams, tuner: m.Tuner,
+		manifestDir: m.ManifestDir, killAfterChunks: m.KillAfterChunks, fs: m.FS}
 	go func() {
-		done(m.move(task, src, dst))
+		done(m.run(cfg, task, src, dst, m.sink(dst.Root)))
 	}()
-}
-
-func (m *WireMover) move(task *Task, src, dst *Endpoint) (Report, error) {
-	var rep Report
-	cl := m.client(dst.Root)
-
-	// Fix the plan from real source sizes and mtimes, exactly as the
-	// live mover does — same fingerprint discipline, same fresh-manifest
-	// rule for rewritten sources.
-	files := make([]FileSpec, len(task.Files))
-	mtimes := make([]int64, len(task.Files))
-	rels := make([]string, len(task.Files))
-	for i, f := range task.Files {
-		st, err := os.Stat(filepath.Join(src.Root, f.RelPath))
-		if err != nil {
-			return rep, fmt.Errorf("transfer: %w", err)
-		}
-		files[i] = FileSpec{RelPath: f.RelPath, Bytes: st.Size()}
-		mtimes[i] = st.ModTime().UnixNano()
-		rels[i] = f.RelPath
-	}
-	chunkBytes := m.ChunkBytes
-	adaptive := m.Tuner != nil
-	if adaptive {
-		if _, cb := m.Tuner.Tune(); cb > 0 {
-			chunkBytes = cb
-		}
-	}
-	keyChunk := chunkBytes
-	if adaptive {
-		keyChunk = adaptiveChunkSentinel
-	}
-	key := taskKey(src.ID, dst.ID, files, keyChunk, mtimes)
-	man, err := m.store().load(key, files, chunkBytes, adaptive)
-	if err != nil {
-		return rep, err
-	}
-	spans := man.spans()
-	rep.ChunksTotal = len(spans)
-
-	// Size every remote destination BEFORE preparing it: resume must
-	// judge manifest-done chunks against what actually survived on the
-	// daemon's disk, not against the full-size file Prepare creates.
-	preSizes, err := cl.Stat(rels)
-	if err != nil {
-		return rep, fmt.Errorf("transfer: wire stat: %w", err)
-	}
-	for i, f := range files {
-		if preSizes[i] != f.Bytes {
-			if err := cl.Prepare(f.RelPath, f.Bytes); err != nil {
-				return rep, fmt.Errorf("transfer: wire prepare %s: %w", f.RelPath, err)
-			}
-		}
-	}
-
-	// Resume: a manifest-done chunk is skipped only if the remote range
-	// survives verification — the preSize bound always, plus a remote
-	// range hash against the recorded digest when checksumming. The hash
-	// moves 32 bytes per chunk instead of the chunk, which is the whole
-	// point of resuming over a wire.
-	var todo []chunkSpan
-	for _, sp := range spans {
-		sum, ok := m.store().done(man, sp)
-		if ok && m.verifyRemote(cl, files[sp.File].RelPath, sp, sum, preSizes[sp.File]) {
-			rep.ChunksSkipped++
-			continue
-		}
-		if ok {
-			m.store().mark(man, sp, "", false)
-		}
-		todo = append(todo, sp)
-	}
-
-	// The bounded worker pool, identical in shape to the live mover's:
-	// fixed Streams without a tuner, the adaptive ceiling with one, the
-	// dispatcher throttling admission to the tuned window re-read
-	// between chunk launches.
-	streams := m.Streams
-	if streams < 1 {
-		streams = 1
-	}
-	if m.Tuner != nil {
-		streams = liveAdaptiveWorkerCap
-	}
-	if streams > len(todo) && len(todo) > 0 {
-		streams = len(todo)
-	}
-	var (
-		srcFiles  = make([]*os.File, len(files))
-		work      = make(chan chunkSpan)
-		chunkDone = make(chan struct{}, len(todo)+1)
-		wg        sync.WaitGroup
-		errOnce   sync.Once
-		firstErr  error
-		aborted   atomic.Bool
-		completed atomic.Int64
-		copied    atomic.Int64
-	)
-	fail := func(err error) {
-		errOnce.Do(func() { firstErr = err })
-		aborted.Store(true)
-	}
-	for i, f := range files {
-		in, err := os.Open(filepath.Join(src.Root, f.RelPath))
-		if err != nil {
-			return rep, fmt.Errorf("transfer: %w", err)
-		}
-		srcFiles[i] = in
-	}
-	defer func() {
-		for _, f := range srcFiles {
-			f.Close()
-		}
-	}()
-
-	for w := 0; w < streams; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for sp := range work {
-				if !aborted.Load() {
-					sum, err := m.shipChunk(cl, srcFiles[sp.File], files[sp.File].RelPath, sp)
-					if err != nil {
-						fail(err)
-					} else {
-						m.store().mark(man, sp, sum, true)
-						copied.Add(sp.N)
-						n := completed.Add(1)
-						if m.KillAfterChunks > 0 && n >= int64(m.KillAfterChunks) && m.killed.CompareAndSwap(false, true) {
-							fail(fmt.Errorf("transfer: killed after %d chunks (injected fault)", n))
-						}
-					}
-				}
-				chunkDone <- struct{}{}
-			}
-		}()
-	}
-	if m.Tuner == nil {
-		for _, sp := range todo {
-			work <- sp
-		}
-	} else {
-		inFlight := 0
-		for _, sp := range todo {
-			for inFlight >= m.tunedStreams(streams) {
-				<-chunkDone
-				inFlight--
-			}
-			work <- sp
-			inFlight++
-		}
-	}
-	close(work)
-	wg.Wait()
-
-	rep.ChunksMoved = int(completed.Load())
-	rep.BytesCopied = copied.Load()
-	if firstErr != nil {
-		return rep, firstErr
-	}
-
-	// Verified merge, run daemon-side: one request per file carries the
-	// recorded chunk plan, the daemon re-reads the landed file
-	// sequentially checking every chunk digest while computing the
-	// whole-file checksum. A mismatched chunk is demoted in the manifest
-	// (the retry re-ships exactly it) and the merge fails — a damaged
-	// chunk is never folded into a "completed" file.
-	sums := map[string]string{}
-	for fi, f := range files {
-		sum, err := m.mergeRemote(cl, man, fi)
-		if err != nil {
-			return rep, err
-		}
-		sums[f.RelPath] = sum
-		rep.BytesMoved += f.Bytes
-	}
-	rep.Checksums = sums
-	m.store().forget(key)
-	return rep, nil
 }
 
 // DefaultChunkRetries is how many times one chunk rejected by the
 // daemon's checksum check is re-sent before the attempt fails.
 const DefaultChunkRetries = 2
 
-func (m *WireMover) chunkRetries() int {
+// sink returns the wire sink for one daemon address.
+func (m *WireMover) sink(addr string) wireSink {
+	retries := DefaultChunkRetries
 	switch {
 	case m.ChunkRetries > 0:
-		return m.ChunkRetries
+		retries = m.ChunkRetries
 	case m.ChunkRetries < 0:
-		return 0
+		retries = 0
 	}
-	return DefaultChunkRetries
+	return wireSink{Client: m.client(addr), checksum: m.Checksum, retries: retries}
 }
 
-// shipChunk reads one source range, hashes it, and lands it on the
-// daemon as a ranged write; the daemon re-hashes the received bytes and
-// refuses a mismatch, so a chunk corrupted past the frame CRC still
-// never reaches the destination file. A checksum rejection is re-sent
-// (fresh read, fresh hash) up to chunkRetries times: one damaged chunk
-// costs one chunk re-ship, not a whole service-attempt resume pass.
-func (m *WireMover) shipChunk(cl *wire.Client, src *os.File, rel string, sp chunkSpan) (string, error) {
+// wireSink lands chunks on a facility daemon, which serves each request
+// from its own landing store — the same disk code the local sink calls
+// directly. Stat and Prepare are the client's own.
+type wireSink struct {
+	*wire.Client
+	checksum bool
+	retries  int
+}
+
+// Write reads one source range, hashes it, and lands it on the daemon as
+// a ranged write; the daemon re-hashes the received bytes and refuses a
+// mismatch, so a chunk corrupted past the frame CRC still never reaches
+// the destination file. A checksum rejection is re-sent (fresh read,
+// fresh hash) up to retries times: one damaged chunk costs one chunk
+// re-ship, not a whole service-attempt resume pass.
+func (s wireSink) Write(rel string, sp chunkSpan, src io.ReaderAt) (string, error) {
 	for resend := 0; ; resend++ {
 		buf := make([]byte, sp.N)
 		if _, err := io.ReadFull(io.NewSectionReader(src, sp.Off, sp.N), buf); err != nil {
 			return "", fmt.Errorf("transfer: read chunk @%d: %w", sp.Off, err)
 		}
 		var sum string
-		if m.Checksum {
+		if s.checksum {
 			h := sha256.Sum256(buf)
 			sum = hex.EncodeToString(h[:])
 		}
-		err := cl.WriteChunk(rel, sp.Off, buf, sum)
+		err := s.WriteChunk(rel, sp.Off, buf, sum)
 		if err == nil {
 			return sum, nil
 		}
-		if resend < m.chunkRetries() && wire.IsRemoteCode(err, wire.CodeChecksum) {
+		if resend < s.retries && wire.IsRemoteCode(err, wire.CodeChecksum) {
 			continue
 		}
 		return "", fmt.Errorf("transfer: wire chunk %s @%d: %w", rel, sp.Off, err)
 	}
 }
 
-// verifyRemote checks whether a manifest-done chunk survived on the
-// daemon's disk: the preSize bound first (the file must already have
-// extended past the chunk before this attempt prepared it), then a
-// remote range hash against the recorded digest. Without checksumming
-// the preSize bound is the only check, as for the live mover.
-func (m *WireMover) verifyRemote(cl *wire.Client, rel string, sp chunkSpan, sum string, preSize int64) bool {
-	if preSize < sp.Off+sp.N {
-		return false
-	}
-	if !m.Checksum {
-		return true
-	}
-	if sum == "" {
-		return false
-	}
-	present, got, err := cl.HashChunk(rel, sp.Off, sp.N)
-	return err == nil && present && got == sum
+func (s wireSink) Hash(rel string, off, n int64) (string, bool, error) {
+	present, sum, err := s.HashChunk(rel, off, n)
+	return sum, present, err
 }
 
-// mergeRemote runs the verified merge for one file on the daemon. A
-// chunk-mismatch rejection demotes exactly the offending chunk before
-// surfacing the failure, mirroring LiveMover.mergeVerify.
-func (m *WireMover) mergeRemote(cl *wire.Client, man *manifest, fi int) (string, error) {
-	if !m.Checksum {
-		return "", nil
+// Merge runs the verified merge on the daemon. Its chunk-mismatch
+// rejection names the offending chunk, which becomes badChunk.
+func (s wireSink) Merge(rel string, chunks []landing.Chunk) (string, int, error) {
+	sum, err := s.Client.Merge(rel, chunks)
+	var re *wire.RemoteError
+	if errors.As(err, &re) && re.Code == wire.CodeChunkMismatch && re.Chunk >= 0 && re.Chunk < len(chunks) {
+		return "", re.Chunk, nil
 	}
-	mf := man.Files[fi]
-	chunks := make([]wire.MergeChunk, len(mf.Chunks))
-	for i, c := range mf.Chunks {
-		chunks[i] = wire.MergeChunk{Off: c.Off, N: c.N, SHA256: c.SHA256}
-	}
-	sum, err := cl.Merge(mf.RelPath, chunks)
 	if err != nil {
-		var re *wire.RemoteError
-		if errors.As(err, &re) && re.Code == wire.CodeChunkMismatch &&
-			re.Chunk >= 0 && re.Chunk < len(mf.Chunks) {
-			c := mf.Chunks[re.Chunk]
-			m.store().mark(man, chunkSpan{File: fi, Index: re.Chunk, Off: c.Off, N: c.N}, "", false)
-			return "", fmt.Errorf("transfer: checksum mismatch on %s chunk @%d", mf.RelPath, c.Off)
-		}
-		return "", fmt.Errorf("transfer: wire merge %s: %w", mf.RelPath, err)
+		return "", -1, err
 	}
-	return sum, nil
+	return sum, -1, nil
 }

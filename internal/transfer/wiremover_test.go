@@ -13,60 +13,37 @@ import (
 	"testing"
 	"time"
 
-	"picoprobe/internal/auth"
 	"picoprobe/internal/netfault"
 	"picoprobe/internal/wire"
 )
 
-// wireWorld is one end-to-end wire fixture: a facility daemon on
-// loopback, a source directory, and a transfer.Service whose mover
-// ships chunks over the socket.
+// wireWorld is the wire-only fixture for what only the wire mover can
+// do (reconnects, daemon restarts, auth): a "wire" world plus one
+// WireMover the test can reach into.
 type wireWorld struct {
-	srv     *wire.Server
-	addr    string
-	srcRoot string
-	dstRoot string // the daemon's storage root
-	mover   *WireMover
-	svc     *Service
-	tok     string
+	*world
+	addr  string
+	mover *WireMover
+	svc   *Service
 }
 
 func newWireWorld(t *testing.T, mutate func(*WireMover), opts Options) *wireWorld {
 	t.Helper()
-	iss := auth.NewIssuer([]byte("test"), nil)
-	tok, err := iss.Issue("user@anl.gov", []string{auth.ScopeTransfer}, time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := &wireWorld{srcRoot: t.TempDir(), dstRoot: t.TempDir(), tok: tok}
-	w.srv = &wire.Server{
-		Root:     w.dstRoot,
-		Facility: "test",
-		Verify: func(token string) error {
-			_, err := iss.Verify(token, auth.ScopeTransfer)
-			return err
-		},
-	}
-	if w.addr, err = w.srv.Start("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { w.srv.Close() })
-
+	w := &wireWorld{world: newWorld(t, "wire")}
+	w.addr = w.dstAddr
 	w.mover = &WireMover{
 		Checksum:    true,
 		ChunkBytes:  1024,
 		Streams:     1,
 		ManifestDir: filepath.Join(w.srcRoot, ".manifests"),
-		Token:       tok,
+		Token:       w.tok,
 		Timeout:     10 * time.Second,
 	}
 	if mutate != nil {
 		mutate(w.mover)
 	}
 	t.Cleanup(func() { w.mover.Close() })
-	w.svc = NewService(iss, w.mover, time.Now, opts)
-	w.svc.RegisterEndpoint(Endpoint{ID: "src", Root: w.srcRoot})
-	w.svc.RegisterEndpoint(Endpoint{ID: "dst", Root: w.addr})
+	w.svc = w.serve(w.mover, opts)
 	return w
 }
 
@@ -82,41 +59,6 @@ func (w *wireWorld) stage(t *testing.T, rel string, n int, seed int64) []byte {
 		t.Fatal(err)
 	}
 	return data
-}
-
-// TestWireMoverCopiesAndVerifies: the basic wire transfer — files land
-// on the daemon byte-identical, and the reported checksums are the real
-// whole-file SHA-256s computed by the daemon's verified merge.
-func TestWireMoverCopiesAndVerifies(t *testing.T) {
-	w := newWireWorld(t, nil, Options{})
-	a := w.stage(t, "runs/a.emdg", 4096+100, 1) // 5 chunks, last partial
-	b := w.stage(t, "b.emdg", 2048, 2)          // 2 chunks exactly
-
-	id, err := w.svc.Submit(w.tok, "src", "dst", []FileSpec{{RelPath: "runs/a.emdg"}, {RelPath: "b.emdg"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	view := waitFor(t, w.svc, w.tok, id, StatusSucceeded)
-	if view.BytesMoved != int64(len(a)+len(b)) {
-		t.Errorf("bytes moved = %d, want %d", view.BytesMoved, len(a)+len(b))
-	}
-	if view.ChunksTotal != 7 || view.ChunksMoved != 7 || view.ChunksSkipped != 0 {
-		t.Errorf("chunks total/moved/skipped = %d/%d/%d, want 7/7/0",
-			view.ChunksTotal, view.ChunksMoved, view.ChunksSkipped)
-	}
-	for rel, want := range map[string][]byte{"runs/a.emdg": a, "b.emdg": b} {
-		got, err := os.ReadFile(filepath.Join(w.dstRoot, rel))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("%s landed corrupted", rel)
-		}
-		sum := sha256.Sum256(want)
-		if view.Checksums[rel] != hex.EncodeToString(sum[:]) {
-			t.Errorf("%s checksum = %s, want %s", rel, view.Checksums[rel], hex.EncodeToString(sum[:]))
-		}
-	}
 }
 
 // TestWireMoverSeverAtNthChunkReconnects severs the connection at the
@@ -192,56 +134,12 @@ func TestWireMoverCorruptOnWireRetried(t *testing.T) {
 	}
 }
 
-// TestWireMoverDestinationCorruptionRefetched: chunks that landed and
-// were recorded as done, but whose bytes on the daemon's disk were
-// later damaged, fail the remote hash verification at resume — exactly
-// the damaged chunk is re-fetched, the rest are skipped.
-func TestWireMoverDestinationCorruptionRefetched(t *testing.T) {
-	w := newWireWorld(t, func(m *WireMover) { m.KillAfterChunks = 4 }, Options{MaxAttempts: 1})
-	data := w.stage(t, "z.bin", 4096, 5) // 4 chunks
-
-	// First task: all four chunks land, then the injected kill fails the
-	// attempt before the merge — the manifest remembers all four as done.
-	id, err := w.svc.Submit(w.tok, "src", "dst", []FileSpec{{RelPath: "z.bin"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, w.svc, w.tok, id, StatusFailed)
-
-	// Corrupt one byte of the third chunk on the daemon's disk.
-	f, err := os.OpenFile(filepath.Join(w.dstRoot, "z.bin"), os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteAt([]byte{0xEE}, 2*1024+100); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	// Second task over the same plan: resume must skip the three intact
-	// chunks and re-move only the damaged one.
-	id2, err := w.svc.Submit(w.tok, "src", "dst", []FileSpec{{RelPath: "z.bin"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	view := waitFor(t, w.svc, w.tok, id2, StatusSucceeded)
-	if view.ChunksSkipped != 3 || view.ChunksMoved != 1 {
-		t.Errorf("chunks skipped/moved = %d/%d, want 3/1", view.ChunksSkipped, view.ChunksMoved)
-	}
-	got, err := os.ReadFile(filepath.Join(w.dstRoot, "z.bin"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("corruption survived the resume")
-	}
-}
-
-// TestWireMoverMergeDemotesMismatchedChunk drives mergeRemote directly:
-// when the daemon's merge rejects a chunk whose landed bytes do not
-// match the recorded digest, the mover demotes exactly that chunk in
-// its manifest — the damaged bytes are never folded into a completed
-// file, and the retry re-ships only the demoted chunk.
+// TestWireMoverMergeDemotesMismatchedChunk drives the engine's merge
+// step over the wire sink directly: when the daemon's merge rejects a
+// chunk whose landed bytes do not match the recorded digest, the engine
+// demotes exactly that chunk in its manifest — the damaged bytes are
+// never folded into a completed file, and the retry re-ships only the
+// demoted chunk (TestEngineDemotedChunkOnlyOneResent).
 func TestWireMoverMergeDemotesMismatchedChunk(t *testing.T) {
 	w := newWireWorld(t, nil, Options{})
 	w.stage(t, "m.bin", 2048, 6) // 2 chunks
@@ -268,23 +166,24 @@ func TestWireMoverMergeDemotesMismatchedChunk(t *testing.T) {
 	// Build the manifest, recording a WRONG digest for chunk 1 — the
 	// stand-in for bytes that rotted between landing and merge.
 	files := []FileSpec{{RelPath: "m.bin", Bytes: 2048}}
-	man, err := w.mover.store().load("merge-demote-test", files, 1024, false)
+	ms := w.mover.store(moveConfig{manifestDir: w.mover.ManifestDir})
+	man, err := ms.load("merge-demote-test", files, 1024, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	spans := man.spans()
-	w.mover.store().mark(man, spans[0], sums[0], true)
+	ms.mark(man, spans[0], sums[0], true)
 	wrong := strings.Repeat("ab", 32)
-	w.mover.store().mark(man, spans[1], wrong, true)
+	ms.mark(man, spans[1], wrong, true)
 
-	_, err = w.mover.mergeRemote(cl, man, 0)
+	_, err = merge(moveConfig{checksum: true}, w.mover.sink(w.addr), ms, man, 0)
 	if err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
 		t.Fatalf("merge err = %v, want checksum mismatch", err)
 	}
-	if _, done := w.mover.store().done(man, spans[1]); done {
+	if _, done := ms.done(man, spans[1]); done {
 		t.Fatal("mismatched chunk not demoted")
 	}
-	if _, done := w.mover.store().done(man, spans[0]); !done {
+	if _, done := ms.done(man, spans[0]); !done {
 		t.Fatal("intact chunk demoted too")
 	}
 }
@@ -340,35 +239,6 @@ func TestWireMoverDaemonRestartMidTransfer(t *testing.T) {
 	}
 	if !bytes.Equal(got, data) {
 		t.Fatal("file corrupted across the restart")
-	}
-}
-
-// TestWireMoverChecksumOffSkipsMerge: without checksumming the mover
-// still moves bytes correctly, resumes on the size bound alone, and
-// reports no checksums (the live mover's contract).
-func TestWireMoverChecksumOffSkipsMerge(t *testing.T) {
-	w := newWireWorld(t, func(m *WireMover) { m.Checksum = false }, Options{})
-	data := w.stage(t, "nc.bin", 3000, 8)
-	id, err := w.svc.Submit(w.tok, "src", "dst", []FileSpec{{RelPath: "nc.bin"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	view := waitFor(t, w.svc, w.tok, id, StatusSucceeded)
-	if len(view.Checksums) != 0 {
-		// Checksums map may exist with empty entries; what must not
-		// appear is a fabricated digest.
-		for rel, sum := range view.Checksums {
-			if sum != "" {
-				t.Errorf("checksum-off transfer fabricated digest %s for %s", sum, rel)
-			}
-		}
-	}
-	got, err := os.ReadFile(filepath.Join(w.dstRoot, "nc.bin"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("content mismatch")
 	}
 }
 

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
@@ -9,12 +10,12 @@ import (
 	"net"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"picoprobe/internal/compute"
+	"picoprobe/internal/landing"
 )
 
 // maxStatusFill bounds the opaque fill a Status request may ask for —
@@ -323,27 +324,18 @@ func (s *Server) handle(c net.Conn, typ byte, head, body []byte) bool {
 			werr = &ErrFrame{Code: CodeBadRequest, Msg: err.Error()}
 			break
 		}
-		sizes := make([]int64, len(req.Rels))
-		for i, rel := range req.Rels {
-			path, err := s.resolve(rel)
-			if err != nil {
-				werr = &ErrFrame{Code: CodeBadRequest, Msg: err.Error()}
-				break
-			}
-			sizes[i] = -1
-			if st, err := os.Stat(path); err == nil && !st.IsDir() {
-				sizes[i] = st.Size()
-			}
+		sizes, err := s.store().Stat(req.Rels)
+		if err != nil {
+			werr = classify(err)
+			break
 		}
-		if werr == nil {
-			respTyp, respHead = MsgStatOK, StatOK{Sizes: sizes}
-		}
+		respTyp, respHead = MsgStatOK, StatOK{Sizes: sizes}
 
 	case MsgPrepare:
 		var req Prepare
 		err := DecodeHead(head, &req)
 		if err == nil {
-			err = s.prepare(req)
+			err = s.store().Prepare(req.Rel, req.Size)
 		}
 		if err != nil {
 			werr = classify(err)
@@ -354,8 +346,17 @@ func (s *Server) handle(c net.Conn, typ byte, head, body []byte) bool {
 	case MsgWrite:
 		var req Write
 		err := DecodeHead(head, &req)
+		if err == nil && req.SHA256 != "" {
+			// Verify at the door: a chunk whose declared digest does not
+			// match the received bytes never touches the destination file.
+			sum := sha256.Sum256(body)
+			if got := hex.EncodeToString(sum[:]); got != req.SHA256 {
+				err = &RemoteError{Code: CodeChecksum,
+					Msg: fmt.Sprintf("chunk @%d of %s: declared digest %s, received bytes hash to %s", req.Off, req.Rel, req.SHA256, got)}
+			}
+		}
 		if err == nil {
-			err = s.writeChunk(req, body)
+			_, err = s.store().Write(req.Rel, req.Off, bytes.NewReader(body))
 		}
 		if err != nil {
 			werr = classify(err)
@@ -367,8 +368,11 @@ func (s *Server) handle(c net.Conn, typ byte, head, body []byte) bool {
 		var req Read
 		err := DecodeHead(head, &req)
 		var data []byte
+		if err == nil && req.N > int64(maxFrameBody(s.MaxFrame)) {
+			err = &RemoteError{Code: CodeBadRequest, Msg: fmt.Sprintf("read range @%d+%d exceeds the frame limit", req.Off, req.N)}
+		}
 		if err == nil {
-			data, err = s.readRange(req.Rel, req.Off, req.N)
+			data, err = s.store().Read(req.Rel, req.Off, req.N)
 		}
 		if err != nil {
 			werr = classify(err)
@@ -383,7 +387,7 @@ func (s *Server) handle(c net.Conn, typ byte, head, body []byte) bool {
 			werr = &ErrFrame{Code: CodeBadRequest, Msg: err.Error()}
 			break
 		}
-		ok, sum, err := s.hashRange(req.Rel, req.Off, req.N)
+		sum, ok, err := s.store().Hash(req.Rel, req.Off, req.N)
 		if err != nil {
 			werr = classify(err)
 			break
@@ -396,7 +400,7 @@ func (s *Server) handle(c net.Conn, typ byte, head, body []byte) bool {
 			werr = &ErrFrame{Code: CodeBadRequest, Msg: err.Error()}
 			break
 		}
-		sum, badChunk, err := s.merge(req)
+		sum, badChunk, err := s.store().Merge(req.Rel, req.Chunks)
 		switch {
 		case badChunk >= 0:
 			werr = &ErrFrame{Code: CodeChunkMismatch,
@@ -482,18 +486,10 @@ func (s *Server) handle(c net.Conn, typ byte, head, body []byte) bool {
 	return WriteFrame(c, respTyp, respHead, respBody) == nil
 }
 
-// resolve confines rel under Root; path escapes are a bad request, not
-// an os error — a daemon must never serve outside its root.
-func (s *Server) resolve(rel string) (string, error) {
-	if rel == "" || filepath.IsAbs(rel) {
-		return "", fmt.Errorf("wire: bad relative path %q", rel)
-	}
-	clean := filepath.Clean(filepath.FromSlash(rel))
-	if clean == ".." || strings.HasPrefix(clean, ".."+string(filepath.Separator)) {
-		return "", fmt.Errorf("wire: path %q escapes the facility root", rel)
-	}
-	return filepath.Join(s.Root, clean), nil
-}
+// store is the landing store every file op goes through: path
+// confinement under Root and the disk half of the chunk discipline live
+// there, shared with the in-process mover (DESIGN.md §8).
+func (s *Server) store() landing.Store { return landing.Store{Root: s.Root} }
 
 // resolveArgs rewrites a relative "path" argument under Root so
 // dispatched functions see daemon-local absolute paths.
@@ -503,151 +499,11 @@ func (s *Server) resolveArgs(args map[string]any) compute.Args {
 		out[k] = v
 	}
 	if p, ok := out["path"].(string); ok && p != "" && !filepath.IsAbs(p) {
-		if full, err := s.resolve(p); err == nil {
+		if full, err := s.store().Resolve(p); err == nil {
 			out["path"] = full
 		}
 	}
 	return out
-}
-
-func (s *Server) prepare(req Prepare) error {
-	if req.Size < 0 {
-		return fmt.Errorf("wire: bad prepare size %d", req.Size)
-	}
-	path, err := s.resolve(req.Rel)
-	if err != nil {
-		return err
-	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return f.Truncate(req.Size)
-}
-
-func (s *Server) writeChunk(req Write, body []byte) error {
-	if req.Off < 0 {
-		return fmt.Errorf("wire: bad write offset %d", req.Off)
-	}
-	if req.SHA256 != "" {
-		sum := sha256.Sum256(body)
-		if got := hex.EncodeToString(sum[:]); got != req.SHA256 {
-			return &RemoteError{Code: CodeChecksum,
-				Msg: fmt.Sprintf("chunk @%d of %s: declared digest %s, received bytes hash to %s", req.Off, req.Rel, req.SHA256, got)}
-		}
-	}
-	path, err := s.resolve(req.Rel)
-	if err != nil {
-		return err
-	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	_, err = f.WriteAt(body, req.Off)
-	return err
-}
-
-func (s *Server) readRange(rel string, off, n int64) ([]byte, error) {
-	if off < 0 || n < 0 || n > int64(maxFrameBody(s.MaxFrame)) {
-		return nil, fmt.Errorf("wire: bad read range @%d+%d", off, n)
-	}
-	path, err := s.resolve(rel)
-	if err != nil {
-		return nil, err
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(io.NewSectionReader(f, off, n), buf); err != nil {
-		return nil, fmt.Errorf("wire: read %s @%d+%d: %w", rel, off, n, err)
-	}
-	return buf, nil
-}
-
-func (s *Server) hashRange(rel string, off, n int64) (bool, string, error) {
-	if off < 0 || n < 0 {
-		return false, "", fmt.Errorf("wire: bad hash range @%d+%d", off, n)
-	}
-	path, err := s.resolve(rel)
-	if err != nil {
-		return false, "", err
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return false, "", nil
-		}
-		return false, "", err
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return false, "", err
-	}
-	if st.Size() < off+n {
-		return false, "", nil
-	}
-	h := sha256.New()
-	if _, err := io.Copy(h, io.NewSectionReader(f, off, n)); err != nil {
-		return false, "", err
-	}
-	return true, hex.EncodeToString(h.Sum(nil)), nil
-}
-
-// merge is the server half of the verified merge: a single sequential
-// pass over the landed file computing the whole-file digest while
-// checking each chunk of the recorded plan. It returns badChunk >= 0
-// (and no digest) on the first mismatch; the plan must tile the file
-// exactly.
-func (s *Server) merge(req Merge) (sum string, badChunk int, err error) {
-	path, rerr := s.resolve(req.Rel)
-	if rerr != nil {
-		return "", -1, rerr
-	}
-	f, oerr := os.Open(path)
-	if oerr != nil {
-		return "", -1, oerr
-	}
-	defer f.Close()
-	st, serr := f.Stat()
-	if serr != nil {
-		return "", -1, serr
-	}
-	var expectOff int64
-	for _, c := range req.Chunks {
-		if c.Off != expectOff || c.N < 0 {
-			return "", -1, fmt.Errorf("wire: bad merge plan for %s: not contiguous at @%d", req.Rel, c.Off)
-		}
-		expectOff += c.N
-	}
-	if expectOff != st.Size() {
-		return "", -1, fmt.Errorf("wire: bad merge plan: covers %d bytes, file %s has %d", expectOff, req.Rel, st.Size())
-	}
-	whole := sha256.New()
-	buf := make([]byte, 256<<10)
-	for i, c := range req.Chunks {
-		chunk := sha256.New()
-		r := io.NewSectionReader(f, c.Off, c.N)
-		if _, err := io.CopyBuffer(io.MultiWriter(whole, chunk), r, buf); err != nil {
-			return "", -1, fmt.Errorf("wire: merge read %s @%d: %w", req.Rel, c.Off, err)
-		}
-		if c.SHA256 != "" && hex.EncodeToString(chunk.Sum(nil)) != c.SHA256 {
-			return "", i, nil
-		}
-	}
-	return hex.EncodeToString(whole.Sum(nil)), -1, nil
 }
 
 // classify maps a handler error onto a wire error frame, preserving an
@@ -661,7 +517,7 @@ func classify(err error) *ErrFrame {
 	switch {
 	case errors.Is(err, os.ErrNotExist):
 		code = CodeNotFound
-	case strings.HasPrefix(err.Error(), "wire: bad"), strings.Contains(err.Error(), "escapes the facility root"):
+	case errors.Is(err, landing.ErrInvalid):
 		code = CodeBadRequest
 	}
 	return &ErrFrame{Code: code, Msg: err.Error()}

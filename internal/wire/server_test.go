@@ -217,6 +217,15 @@ func TestPathConfinement(t *testing.T) {
 		if _, _, err := cl.ReadChunk(rel, 0, 4); !IsRemoteCode(err, CodeBadRequest) {
 			t.Fatalf("read %q: err = %v, want CodeBadRequest", rel, err)
 		}
+		if err := cl.WriteChunk(rel, 0, []byte("data"), ""); !IsRemoteCode(err, CodeBadRequest) {
+			t.Fatalf("write %q: err = %v, want CodeBadRequest", rel, err)
+		}
+		if _, _, err := cl.HashChunk(rel, 0, 4); !IsRemoteCode(err, CodeBadRequest) {
+			t.Fatalf("hash %q: err = %v, want CodeBadRequest", rel, err)
+		}
+		if _, err := cl.Merge(rel, []MergeChunk{{Off: 0, N: 4}}); !IsRemoteCode(err, CodeBadRequest) {
+			t.Fatalf("merge %q: err = %v, want CodeBadRequest", rel, err)
+		}
 	}
 }
 

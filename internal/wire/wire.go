@@ -29,6 +29,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+
+	"picoprobe/internal/landing"
 )
 
 // ProtocolVersion gates sessions: a Hello carrying a different version
@@ -169,12 +171,9 @@ type HashOK struct {
 	SHA256  string `json:"sha256,omitempty"`
 }
 
-// MergeChunk is one chunk of a Merge request's recorded plan.
-type MergeChunk struct {
-	Off    int64  `json:"off"`
-	N      int64  `json:"n"`
-	SHA256 string `json:"sha256,omitempty"`
-}
+// MergeChunk is one chunk of a Merge request's recorded plan — the
+// landing store's own plan entry, whose JSON tags are this wire format.
+type MergeChunk = landing.Chunk
 
 // Merge runs the verified merge server-side: one sequential pass over
 // the landed file computing the whole-file digest while re-checking
