@@ -129,7 +129,6 @@ func TestChaosSoak(t *testing.T) {
 		Timeout:          2 * time.Second,
 		BreakerThreshold: 4,
 		BreakerCooldown:  150 * time.Millisecond,
-		Backoff:          &wire.Backoff{Base: 10 * time.Millisecond, Max: 100 * time.Millisecond},
 	}
 	defer mover.Close()
 	svc := transfer.NewService(iss, mover, time.Now, transfer.Options{

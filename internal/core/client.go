@@ -10,6 +10,7 @@ import (
 	"picoprobe/internal/compute"
 	"picoprobe/internal/detect"
 	"picoprobe/internal/durable"
+	"picoprobe/internal/facility"
 	"picoprobe/internal/flows"
 	"picoprobe/internal/search"
 	"picoprobe/internal/sim"
@@ -137,8 +138,75 @@ func NewLiveDeployment(opts LiveOptions) (*LiveDeployment, error) {
 		params = *opts.DetectorParams
 	}
 
+	var csvc *compute.Service
+	dep, err := assemble(assembly{
+		secret:  "picoprobe-live",
+		options: opts,
+		mover: func(string) transfer.Mover {
+			return &transfer.LiveMover{
+				Checksum:   true,
+				ChunkBytes: opts.TransferChunkBytes,
+				Streams:    opts.TransferStreams,
+				// Manifests live beside the destination root so a redeployed
+				// service resumes partial transfers.
+				ManifestDir: filepath.Join(opts.EagleRoot, ".picoprobe-manifests"),
+			}
+		},
+		sites: []site{{
+			endpoint: transfer.Endpoint{ID: EndpointEagle, Name: "ALCF Eagle", Root: opts.EagleRoot},
+			backend: func(issuer *auth.Issuer, _ string) ComputeBackend {
+				registry := compute.NewRegistry()
+				RegisterAnalysisFunctions(registry, opts.OutDir, params)
+				csvc = compute.NewService(issuer, registry, compute.NewLocalExecutor(opts.Workers, nil), time.Now)
+				return csvc
+			},
+		}},
+	})
+	if err != nil {
+		return nil, err
+	}
+	dep.Compute = csvc
+	return dep, nil
+}
+
+// site is one facility as a deployment reaches it: the transfer endpoint
+// its data lands on (Root is a directory under an in-process mover, a
+// daemon's host:port under the wire mover) and the backend its compute
+// runs on. The endpoint ID doubles as the facility ID.
+type site struct {
+	endpoint transfer.Endpoint
+	backend  func(issuer *auth.Issuer, token string) ComputeBackend
+}
+
+// assembly is everything that differs between deployments; assemble
+// supplies the rest. mover and each site's backend are built from the
+// operator credentials because the wire mover and the wire clients
+// authenticate with the token.
+type assembly struct {
+	// secret keys the token issuer (a daemon verifies with the same one).
+	secret string
+	// options is kept on the deployment; InstrumentRoot, Policy and the
+	// Durable* fields are read here.
+	options LiveOptions
+	mover   func(token string) transfer.Mover
+	sites   []site
+	// registry places every transfer and compute state across sites; nil
+	// — the one-facility deployments — registers the plain providers, and
+	// Registry.sticky/landed, which never forget a run, stay off the
+	// long-running watcher's path.
+	registry *facility.Registry
+	// wirePaths: see LiveDeployment.wirePaths.
+	wirePaths bool
+}
+
+// assemble is the one place a live pipeline is wired: operator token,
+// transfer service over the instrument and facility endpoints, one
+// compute backend per facility, catalog, and an engine driving the
+// transfer, compute and search providers.
+func assemble(a assembly) (*LiveDeployment, error) {
+	opts := a.options
 	rt := sim.NewLiveRuntime(1)
-	issuer := auth.NewIssuer([]byte("picoprobe-live"), nil)
+	issuer := auth.NewIssuer([]byte(a.secret), nil)
 	token, err := issuer.Issue("operator@picoprobe", []string{
 		auth.ScopeTransfer, auth.ScopeCompute, auth.ScopeSearchIngest,
 		auth.ScopeSearchQuery, auth.ScopeFlowsRun, auth.ScopePortal,
@@ -147,32 +215,25 @@ func NewLiveDeployment(opts LiveOptions) (*LiveDeployment, error) {
 		return nil, err
 	}
 
-	tsvc := transfer.NewService(issuer, &transfer.LiveMover{
-		Checksum:   true,
-		ChunkBytes: opts.TransferChunkBytes,
-		Streams:    opts.TransferStreams,
-		// Manifests live beside the destination root so a redeployed
-		// service resumes partial transfers.
-		ManifestDir: filepath.Join(opts.EagleRoot, ".picoprobe-manifests"),
-	}, time.Now, transfer.Options{})
+	tsvc := transfer.NewService(issuer, a.mover(token), time.Now, transfer.Options{})
 	if err := tsvc.RegisterEndpoint(transfer.Endpoint{ID: EndpointInstrument, Name: "PicoProbe user machine", Root: opts.InstrumentRoot}); err != nil {
 		return nil, err
 	}
-	if err := tsvc.RegisterEndpoint(transfer.Endpoint{ID: EndpointEagle, Name: "ALCF Eagle", Root: opts.EagleRoot}); err != nil {
-		return nil, err
+	backends := make(map[string]ComputeBackend, len(a.sites))
+	for _, s := range a.sites {
+		if err := tsvc.RegisterEndpoint(s.endpoint); err != nil {
+			return nil, err
+		}
+		backends[s.endpoint.ID] = s.backend(issuer, token)
 	}
 
-	registry := compute.NewRegistry()
-	RegisterAnalysisFunctions(registry, opts.OutDir, params)
-	csvc := compute.NewService(issuer, registry, compute.NewLocalExecutor(opts.Workers, nil), time.Now)
-
 	dep := &LiveDeployment{
-		Runtime:  rt,
-		Issuer:   issuer,
-		Token:    token,
-		Transfer: tsvc,
-		Compute:  csvc,
-		Options:  opts,
+		Runtime:   rt,
+		Issuer:    issuer,
+		Token:     token,
+		Transfer:  tsvc,
+		Options:   opts,
+		wirePaths: a.wirePaths,
 	}
 
 	// The catalog the publication provider writes through: plain index in
@@ -203,15 +264,18 @@ func NewLiveDeployment(opts LiveOptions) (*LiveDeployment, error) {
 		engineOpts.RunLog = runlog
 		dep.restoredRuns = recs
 	}
-	sprov := NewSearchProvider(rt, issuer, catalog, 0)
 
+	tprov := NewTransferProvider(tsvc)
+	cprov := NewComputeProvider(backends[a.sites[0].endpoint.ID])
+	if a.registry != nil {
+		tprov, cprov = placedProviders(tprov, backends, a.registry)
+	}
 	engine := flows.NewEngine(rt, engineOpts)
 	engine.Restore(dep.restoredRuns)
-	engine.RegisterProvider(NewTransferProvider(tsvc))
-	engine.RegisterProvider(NewComputeProvider(csvc))
-	engine.RegisterProvider(sprov)
+	engine.RegisterProvider(tprov)
+	engine.RegisterProvider(cprov)
+	engine.RegisterProvider(NewSearchProvider(rt, issuer, catalog, 0))
 	dep.Engine = engine
-
 	return dep, nil
 }
 
@@ -275,14 +339,19 @@ func analysisResult(out *AnalysisOutput) (compute.Result, error) {
 }
 
 // liveTransferState moves the input file from the instrument root to the
-// Eagle root.
+// Eagle root (under a registry: to wherever placement sends the run).
 func liveTransferState() flows.StateDef {
 	return flows.StateDef{
 		Name:     "Transfer",
 		Provider: "transfer",
 		Params: func(input map[string]any, _ flows.Results) map[string]any {
 			rel, _ := input["rel_path"].(string)
-			return flows.Pack(TransferParams{Src: EndpointInstrument, Dst: EndpointEagle, RelPath: rel})
+			// bytes, when the input sizes the file, feeds the placement
+			// estimate and the simulated mover; live movers stat the file.
+			bytes, _ := input["bytes"].(float64)
+			return withPlacement(flows.Pack(TransferParams{
+				Src: EndpointInstrument, Dst: EndpointEagle, RelPath: rel, Bytes: int64(bytes),
+			}), input)
 		},
 	}
 }
@@ -295,10 +364,12 @@ func (d *LiveDeployment) liveComputeState(name, fn string, after ...string) flow
 		After:    after,
 		Params: func(input map[string]any, _ flows.Results) map[string]any {
 			rel, _ := input["rel_path"].(string)
-			return flows.Pack(ComputeParams{
-				Function: fn,
-				Args:     compute.Args{"path": d.computePath(rel)},
-			})
+			args := compute.Args{"path": d.computePath(rel)}
+			if staged, ok := input["bytes"]; ok {
+				// What a re-stage would copy, should placement move the run.
+				args["staged_bytes"] = staged
+			}
+			return withPlacement(flows.Pack(ComputeParams{Function: fn, Args: args}), input)
 		},
 	}
 }
@@ -387,8 +458,8 @@ func (d *LiveDeployment) BatchDefinition(kind string, relPaths []string) flows.D
 	states := []flows.StateDef{{
 		Name:     "Transfer",
 		Provider: "transfer",
-		Params: func(_ map[string]any, _ flows.Results) map[string]any {
-			return flows.Pack(TransferParams{Src: EndpointInstrument, Dst: EndpointEagle, RelPaths: rels})
+		Params: func(input map[string]any, _ flows.Results) map[string]any {
+			return withPlacement(flows.Pack(TransferParams{Src: EndpointInstrument, Dst: EndpointEagle, RelPaths: rels}), input)
 		},
 	}}
 	analyses := make([]string, len(rels))
@@ -400,8 +471,8 @@ func (d *LiveDeployment) BatchDefinition(kind string, relPaths []string) flows.D
 			Name:     stateName,
 			Provider: "compute",
 			After:    []string{"Transfer"},
-			Params: func(_ map[string]any, _ flows.Results) map[string]any {
-				return flows.Pack(ComputeParams{Function: fn, Args: compute.Args{"path": path}})
+			Params: func(input map[string]any, _ flows.Results) map[string]any {
+				return withPlacement(flows.Pack(ComputeParams{Function: fn, Args: compute.Args{"path": path}}), input)
 			},
 		})
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
-	"sync"
 	"text/tabwriter"
 	"time"
 
@@ -233,248 +232,15 @@ type FederatedResult struct {
 	Registry *facility.Registry
 }
 
-// --- federated action providers -------------------------------------
-
-// FedTransferParams are the typed parameters of the federated "transfer"
-// action: the destination is not an endpoint but a placement decision.
-type FedTransferParams struct {
-	// Run is the placement key shared by all states of one flow run.
-	Run string `json:"run"`
-	// Facility optionally pins the transfer to a facility (normally
-	// injected from StateDef.Facility).
-	Facility string `json:"facility,omitempty"`
-	// Src is the source endpoint (default: the instrument).
-	Src string `json:"src,omitempty"`
-	// RelPath/Bytes describe the staged file.
-	RelPath string `json:"rel_path"`
-	Bytes   int64  `json:"bytes,omitempty"`
-}
-
-// FedTransferResult reports where the bytes actually went.
-type FedTransferResult struct {
-	TaskID     string `json:"task_id"`
-	BytesMoved int64  `json:"bytes_moved"`
-	// Facility is the placement actually used; Placement is the decision
-	// reason; FailedOverFrom names the abandoned target on failover.
-	Facility       string `json:"facility"`
-	Placement      string `json:"placement"`
-	FailedOverFrom string `json:"failed_over_from,omitempty"`
-}
-
-// NewFederatedTransferProvider adapts the transfer service to the flows
-// engine with registry-driven placement: each invocation asks the
-// registry where the run belongs (sticky, constrained, or least-ECT) and
-// submits toward that facility's endpoint, recording the landing for
-// later re-stage accounting.
-func NewFederatedTransferProvider(svc *transfer.Service, reg *facility.Registry) flows.ActionProvider {
-	var mu sync.Mutex
-	decisions := map[string]facility.Decision{}
-	return flows.NewTypedProvider("transfer",
-		func(token string, p FedTransferParams) (string, error) {
-			if p.Run == "" || p.RelPath == "" {
-				return "", fmt.Errorf("core: federated transfer params need run and rel_path")
-			}
-			src := p.Src
-			if src == "" {
-				src = EndpointInstrument
-			}
-			dec, err := reg.Place(p.Run, p.Facility, p.Bytes)
-			if err != nil {
-				return "", err
-			}
-			id, err := svc.Submit(token, src, dec.Facility.Endpoint(),
-				[]transfer.FileSpec{{RelPath: p.RelPath, Bytes: p.Bytes}})
-			if err != nil {
-				return "", err
-			}
-			reg.RecordLanding(p.Run, dec.Facility.ID())
-			mu.Lock()
-			decisions[id] = dec
-			mu.Unlock()
-			return id, nil
-		},
-		func(token, actionID string) (flows.TypedStatus[FedTransferResult], error) {
-			view, err := svc.Status(token, actionID)
-			if err != nil {
-				return flows.TypedStatus[FedTransferResult]{}, err
-			}
-			mu.Lock()
-			dec, known := decisions[actionID]
-			mu.Unlock()
-			st := flows.TypedStatus[FedTransferResult]{
-				Started:   view.Started,
-				Completed: view.Completed,
-				Error:     view.Error,
-				Result: FedTransferResult{
-					TaskID:     view.ID,
-					BytesMoved: view.BytesMoved,
-				},
-			}
-			// A resumed run polls through a freshly built provider whose
-			// decision map does not know the action; the task is still
-			// valid, only the placement annotation is unavailable.
-			if known {
-				st.Result.Facility = dec.Facility.ID()
-				st.Result.Placement = string(dec.Reason)
-				st.Result.FailedOverFrom = dec.From
-			}
-			switch view.Status {
-			case transfer.StatusSucceeded:
-				st.State = flows.StateSucceeded
-			case transfer.StatusFailed:
-				st.State = flows.StateFailed
-			default:
-				st.State = flows.StateActive
-			}
-			return st, nil
-		})
-}
-
-// FedComputeParams are the typed parameters of the federated "compute"
-// action.
-type FedComputeParams struct {
-	Run      string       `json:"run"`
-	Facility string       `json:"facility,omitempty"`
-	Function string       `json:"function"`
-	Args     compute.Args `json:"args,omitempty"`
-}
-
-// FedComputeResult is the compute result plus placement accounting.
-type FedComputeResult struct {
-	NodeID      int  `json:"node_id"`
-	Provisioned bool `json:"provisioned"`
-	Warmed      bool `json:"warmed"`
-	// Facility/Placement/FailedOverFrom mirror FedTransferResult.
-	Facility       string `json:"facility"`
-	Placement      string `json:"placement"`
-	FailedOverFrom string `json:"failed_over_from,omitempty"`
-	// RestagedBytes is the data volume re-staged from the facility the
-	// transfer landed on, when the run failed over in between.
-	RestagedBytes int64 `json:"restaged_bytes,omitempty"`
-	// Output carries the function's own result entries at the top level.
-	Output map[string]any `json:",inline"`
-}
-
-type fedComputeMeta struct {
-	dec      facility.Decision
-	restaged int64
-}
-
-// NewFederatedComputeProvider adapts the per-facility compute services to
-// the flows engine. Placement follows the registry (normally sticky with
-// the run's transfer); when the placed facility differs from where the
-// data landed, the job's args gain a "restage_bytes" entry so the cost
-// model charges the cross-facility copy, and the landing moves with it.
-func NewFederatedComputeProvider(svcs map[string]ComputeBackend, reg *facility.Registry) flows.ActionProvider {
-	var mu sync.Mutex
-	metas := map[string]fedComputeMeta{}
-	return flows.NewTypedProvider("compute",
-		func(token string, p FedComputeParams) (string, error) {
-			if p.Run == "" || p.Function == "" {
-				return "", fmt.Errorf("core: federated compute params need run and function")
-			}
-			dec, err := reg.Place(p.Run, p.Facility, 0)
-			if err != nil {
-				return "", err
-			}
-			svc, ok := svcs[dec.Facility.ID()]
-			if !ok {
-				return "", fmt.Errorf("core: no compute service for facility %q", dec.Facility.ID())
-			}
-			args := make(compute.Args, len(p.Args)+1)
-			for k, v := range p.Args {
-				args[k] = v
-			}
-			var restaged int64
-			// Atomic move: concurrent sibling states (fan-out branches)
-			// charge at most one re-stage per physical relocation. The
-			// re-staged volume is what actually landed (the wire bytes,
-			// post-compression), not the uncompressed analysis size.
-			if _, moved := reg.MoveLanding(p.Run, dec.Facility.ID()); moved {
-				b, _ := args["staged_bytes"].(float64)
-				if b <= 0 {
-					b, _ = args["bytes"].(float64)
-				}
-				if b > 0 {
-					args["restage_bytes"] = b
-					restaged = int64(b)
-				}
-			}
-			id, err := svc.Submit(token, p.Function, args)
-			if err != nil {
-				return "", err
-			}
-			actionID := dec.Facility.ID() + "/" + id
-			mu.Lock()
-			metas[actionID] = fedComputeMeta{dec: dec, restaged: restaged}
-			mu.Unlock()
-			return actionID, nil
-		},
-		func(token, actionID string) (flows.TypedStatus[FedComputeResult], error) {
-			facID, rest, ok := strings.Cut(actionID, "/")
-			if !ok {
-				return flows.TypedStatus[FedComputeResult]{}, fmt.Errorf("core: malformed federated action %q", actionID)
-			}
-			svc, okSvc := svcs[facID]
-			if !okSvc {
-				return flows.TypedStatus[FedComputeResult]{}, fmt.Errorf("core: unknown facility %q in action %q", facID, actionID)
-			}
-			view, err := svc.Status(token, rest)
-			if err != nil {
-				return flows.TypedStatus[FedComputeResult]{}, err
-			}
-			mu.Lock()
-			meta := metas[actionID]
-			mu.Unlock()
-			st := flows.TypedStatus[FedComputeResult]{
-				Started:   view.Started,
-				Completed: view.Completed,
-				Error:     view.Error,
-				Result: FedComputeResult{
-					NodeID:         view.NodeID,
-					Provisioned:    view.Provisioned,
-					Warmed:         view.Warmed,
-					Facility:       facID,
-					Placement:      string(meta.dec.Reason),
-					FailedOverFrom: meta.dec.From,
-					RestagedBytes:  meta.restaged,
-					Output:         view.Result,
-				},
-			}
-			switch view.Status {
-			case compute.StatusSucceeded:
-				st.State = flows.StateSucceeded
-			case compute.StatusFailed:
-				st.State = flows.StateFailed
-			default:
-				st.State = flows.StateActive
-			}
-			return st, nil
-		})
-}
-
 // --- federated flow definitions --------------------------------------
 
 // fedTransferState is the Data Transfer step with registry placement; pin
 // optionally constrains it to one facility, timeout bounds one attempt
 // and retries overrides the engine's retry budget (0 inherits).
 func fedTransferState(pin string, timeout time.Duration, retries int) flows.StateDef {
-	return flows.StateDef{
-		Name:     "Transfer",
-		Provider: "transfer",
-		Facility: pin,
-		Timeout:  timeout,
-		Retries:  retries,
-		Params: func(input map[string]any, _ flows.Results) map[string]any {
-			rel, _ := input["rel_path"].(string)
-			bytes, _ := input["bytes"].(float64)
-			return flows.Pack(FedTransferParams{
-				Run:     rel,
-				RelPath: rel,
-				Bytes:   int64(bytes),
-			})
-		},
-	}
+	st := liveTransferState()
+	st.Facility, st.Timeout, st.Retries = pin, timeout, retries
+	return st
 }
 
 // fedComputeState builds one placed compute step invoking fn on the
@@ -493,11 +259,10 @@ func fedComputeState(name, fn, pin string, after ...string) flows.StateDef {
 			}
 			// staged_bytes is what the transfer actually moved (wire
 			// bytes, post-compression) — the volume a re-stage would copy.
-			return flows.Pack(FedComputeParams{
-				Run:      rel,
+			return withPlacement(flows.Pack(ComputeParams{
 				Function: fn,
 				Args:     compute.Args{"bytes": bytes, "rel_path": rel, "staged_bytes": input["bytes"]},
-			})
+			}), input)
 		},
 	}
 }
@@ -730,8 +495,9 @@ func RunFederatedExperiment(cfg FederatedConfig) (*FederatedResult, error) {
 		StatusLatency:   p.StatusLatency,
 		MaxStateRetries: 2,
 	})
-	engine.RegisterProvider(NewFederatedTransferProvider(tsvc, reg))
-	engine.RegisterProvider(NewFederatedComputeProvider(csvcs, reg))
+	tprov, cprov := placedProviders(NewTransferProvider(tsvc), csvcs, reg)
+	engine.RegisterProvider(tprov)
+	engine.RegisterProvider(cprov)
 	engine.RegisterProvider(sprov)
 
 	def := fedDefinition(cfg)

@@ -309,6 +309,10 @@ func (s *searchService) flush() {
 	if len(batch) > 0 {
 		ingestErr = s.index.IngestBatch(batch)
 	}
+	// Stamp after the ingest so a durable catalog's fsync falls inside the
+	// Publication state's active window. The sim kernel's clock cannot
+	// advance inside a callback, so simulated timelines are unchanged.
+	done := s.rt.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(batch) > 0 {
@@ -319,7 +323,7 @@ func (s *searchService) flush() {
 		}
 	}
 	for _, p := range due {
-		p.act.Completed = now
+		p.act.Completed = done
 		if ingestErr != nil {
 			p.act.State = flows.StateFailed
 			p.act.Error = ingestErr.Error()

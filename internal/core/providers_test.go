@@ -179,3 +179,41 @@ func TestSearchProviderIngestAndACL(t *testing.T) {
 		t.Error("unknown action accepted")
 	}
 }
+
+// slowCatalog stands in for a durable catalog whose ingest fsyncs.
+type slowCatalog struct{ delay time.Duration }
+
+func (c slowCatalog) IngestBatch([]search.Entry) error {
+	time.Sleep(c.delay)
+	return nil
+}
+
+// TestPublicationActiveWindowCoversIngest: on a live runtime the ingest
+// itself takes wall time, and that time belongs inside the Publication
+// state's active window, not after its Completed stamp.
+func TestPublicationActiveWindowCoversIngest(t *testing.T) {
+	const delay = 30 * time.Millisecond
+	rt := sim.NewLiveRuntime(1)
+	issuer := auth.NewIssuer([]byte("providers-test"), nil)
+	token, err := issuer.Issue("t", []string{auth.ScopeSearchIngest}, time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := NewSearchProvider(rt, issuer, slowCatalog{delay}, 0)
+	raw, _ := json.Marshal(search.Entry{ID: "rec-1", Text: "slow ingest", Date: time.Now()})
+	id, err := p.Invoke(token, map[string]any{"entry_json": string(raw)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.Wait() // the publication's AfterFunc callback has run
+	st, err := p.Status(token, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != flows.StateSucceeded {
+		t.Fatalf("publication did not succeed: %s (%s)", st.State, st.Error)
+	}
+	if got := st.Completed.Sub(st.Started); got < delay {
+		t.Errorf("publication active = %v, want >= %v (the ingest)", got, delay)
+	}
+}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"path/filepath"
@@ -9,9 +10,8 @@ import (
 
 	"picoprobe/internal/auth"
 	"picoprobe/internal/compute"
+	"picoprobe/internal/facility"
 	"picoprobe/internal/flows"
-	"picoprobe/internal/search"
-	"picoprobe/internal/sim"
 	"picoprobe/internal/transfer"
 	"picoprobe/internal/wire"
 )
@@ -49,20 +49,32 @@ type WireOptions struct {
 const WireSecretDefault = "picoprobe-wire"
 
 // NewWireDeployment wires the acquisition side against a facility
-// daemon. The returned deployment runs the same flow definitions as an
-// in-process one — RunFile, RunBatch, FanOutDefinition all carry over —
-// with two substitutions underneath: the transfer provider's mover is a
-// transfer.WireMover shipping chunks over the wire, and the compute
-// provider's backend dispatches to the daemon's pool instead of a local
-// executor. The catalog stays local: analysis entries come back in the
-// compute results and are published into the acquisition-side index,
-// so downstream search is identical across paths.
+// daemon. It is the same assembly as an in-process deployment and runs
+// the same flow definitions — RunFile, RunBatch, FanOutDefinition all
+// carry over — with two substitutions underneath: the transfer
+// provider's mover is a transfer.WireMover shipping chunks over the wire,
+// and the compute provider's backend dispatches to the daemon's pool
+// instead of a local executor. The catalog stays local: analysis entries
+// come back in the compute results and are published into the
+// acquisition-side index, so downstream search is identical across paths.
 func NewWireDeployment(opts WireOptions) (*LiveDeployment, error) {
 	if opts.InstrumentRoot == "" || opts.DaemonAddr == "" {
 		return nil, fmt.Errorf("core: wire deployment needs InstrumentRoot and DaemonAddr")
 	}
+	// The destination endpoint's Root carries the daemon address — the
+	// wire mover's one deviation from the live mover's filesystem view.
+	daemon := transfer.Endpoint{ID: EndpointEagle, Name: "Facility daemon", Root: opts.DaemonAddr}
+	dep, _, err := newWireDeployment(opts, []transfer.Endpoint{daemon}, nil)
+	return dep, err
+}
+
+// newWireDeployment assembles the acquisition side against one daemon
+// per endpoint (Root = host:port; opts.DaemonAddr is not read). With
+// more than one, reg places each state among them. The returned func
+// closes the mover's and the compute backends' pooled connections.
+func newWireDeployment(opts WireOptions, daemons []transfer.Endpoint, reg *facility.Registry) (*LiveDeployment, func(), error) {
 	if err := os.MkdirAll(opts.InstrumentRoot, 0o755); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
+		return nil, nil, fmt.Errorf("core: %w", err)
 	}
 	if opts.Policy == nil {
 		opts.Policy = flows.Push{Latency: 20 * time.Millisecond}
@@ -72,64 +84,42 @@ func NewWireDeployment(opts WireOptions) (*LiveDeployment, error) {
 		secret = WireSecretDefault
 	}
 
-	rt := sim.NewLiveRuntime(1)
-	issuer := auth.NewIssuer([]byte(secret), nil)
-	token, err := issuer.Issue("operator@picoprobe", []string{
-		auth.ScopeTransfer, auth.ScopeCompute, auth.ScopeSearchIngest,
-		auth.ScopeSearchQuery, auth.ScopeFlowsRun, auth.ScopePortal,
-	}, 24*time.Hour)
-	if err != nil {
-		return nil, err
-	}
-
-	mover := &transfer.WireMover{
-		Checksum:   true,
-		ChunkBytes: opts.TransferChunkBytes,
-		Streams:    opts.TransferStreams,
-		// Resume state is client-side by design: manifests live beside
-		// the SOURCE root, so a daemon lost and restarted changes
-		// nothing about what the client knows it still owes.
-		ManifestDir: filepath.Join(opts.InstrumentRoot, ".picoprobe-manifests"),
-		Token:       token,
-		Dial:        opts.Dial,
-		Timeout:     opts.Timeout,
-	}
-	tsvc := transfer.NewService(issuer, mover, time.Now, transfer.Options{})
-	if err := tsvc.RegisterEndpoint(transfer.Endpoint{ID: EndpointInstrument, Name: "PicoProbe user machine", Root: opts.InstrumentRoot}); err != nil {
-		return nil, err
-	}
-	// The destination endpoint's Root carries the daemon address — the
-	// wire mover's one deviation from the live mover's filesystem view.
-	if err := tsvc.RegisterEndpoint(transfer.Endpoint{ID: EndpointEagle, Name: "Facility daemon", Root: opts.DaemonAddr}); err != nil {
-		return nil, err
-	}
-
-	backend := &WireComputeBackend{
-		Issuer: issuer,
-		Client: &wire.Client{Addr: opts.DaemonAddr, Token: token, Dial: opts.Dial, Timeout: opts.Timeout},
-	}
-
-	dep := &LiveDeployment{
-		Runtime:  rt,
-		Issuer:   issuer,
-		Token:    token,
-		Transfer: tsvc,
-		Options: LiveOptions{
-			InstrumentRoot: opts.InstrumentRoot,
-			Policy:         opts.Policy,
-		},
+	var conns []io.Closer
+	a := assembly{
+		secret:    secret,
+		options:   LiveOptions{InstrumentRoot: opts.InstrumentRoot, Policy: opts.Policy},
+		registry:  reg,
 		wirePaths: true,
+		mover: func(token string) transfer.Mover {
+			m := &transfer.WireMover{
+				Checksum:   true,
+				ChunkBytes: opts.TransferChunkBytes,
+				Streams:    opts.TransferStreams,
+				// Resume state is client-side by design: manifests live beside
+				// the SOURCE root, so a daemon lost and restarted changes
+				// nothing about what the client knows it still owes.
+				ManifestDir: filepath.Join(opts.InstrumentRoot, ".picoprobe-manifests"),
+				Token:       token,
+				Dial:        opts.Dial,
+				Timeout:     opts.Timeout,
+			}
+			conns = append(conns, m)
+			return m
+		},
 	}
-	dep.Index = search.NewIndex()
-	sprov := NewSearchProvider(rt, issuer, dep.Index, 0)
-
-	engine := flows.NewEngine(rt, flows.Options{Policy: opts.Policy, MaxStateRetries: 2})
-	engine.RegisterProvider(NewTransferProvider(tsvc))
-	engine.RegisterProvider(NewComputeProvider(backend))
-	engine.RegisterProvider(sprov)
-	dep.Engine = engine
-
-	return dep, nil
+	for _, d := range daemons {
+		a.sites = append(a.sites, site{endpoint: d, backend: func(issuer *auth.Issuer, token string) ComputeBackend {
+			cl := &wire.Client{Addr: d.Root, Token: token, Dial: opts.Dial, Timeout: opts.Timeout}
+			conns = append(conns, cl)
+			return &WireComputeBackend{Issuer: issuer, Client: cl}
+		}})
+	}
+	dep, err := assemble(a)
+	return dep, func() {
+		for _, c := range conns {
+			c.Close()
+		}
+	}, err
 }
 
 // WireComputeBackend adapts a facility daemon's dispatch service to the

@@ -19,7 +19,6 @@ import (
 	"picoprobe/internal/netfault"
 	"picoprobe/internal/netprobe"
 	"picoprobe/internal/scheduler"
-	"picoprobe/internal/search"
 	"picoprobe/internal/sim"
 	"picoprobe/internal/synth"
 	"picoprobe/internal/transfer"
@@ -119,31 +118,18 @@ func RunWireCampaign(cfg WireCampaignConfig) (*WireCampaignResult, error) {
 		}
 	}
 	instrument := filepath.Join(dir, "instrument")
-	if err := os.MkdirAll(instrument, 0o755); err != nil {
-		return nil, err
-	}
-
-	rt := sim.NewLiveRuntime(1)
-	issuer := auth.NewIssuer([]byte(WireSecretDefault), nil)
-	token, err := issuer.Issue("operator@picoprobe", []string{
-		auth.ScopeTransfer, auth.ScopeCompute, auth.ScopeSearchIngest, auth.ScopeFlowsRun,
-	}, 24*time.Hour)
-	if err != nil {
-		return nil, err
-	}
 
 	// Spawn the facility daemons: in-process wire.Servers on real
 	// loopback sockets (the separate-process discipline is exercised by
 	// the SIGKILL end-to-end test; here the point is the wire itself).
+	// They share only the secret with the acquisition side, as separate
+	// processes would. rt is the federation's clock: registry, heartbeat
+	// monitor and prober read it.
+	rt := sim.NewLiveRuntime(1)
 	reg := facility.NewRegistry(rt, 0)
-	var servers []*wire.Server
+	issuer := auth.NewIssuer([]byte(WireSecretDefault), nil)
+	var daemons []transfer.Endpoint
 	var faults *netfault.Faults
-	addrs := map[string]string{}
-	defer func() {
-		for _, s := range servers {
-			s.Close()
-		}
-	}()
 	for i := 0; i < cfg.Facilities; i++ {
 		id := fmt.Sprintf("facility-%02d", i)
 		root := filepath.Join(dir, id)
@@ -177,14 +163,10 @@ func RunWireCampaign(cfg WireCampaignConfig) (*WireCampaignResult, error) {
 			ln = faults.Listener(ln)
 		}
 		go srv.Serve(ln)
-		servers = append(servers, srv)
-		addrs[id] = ln.Addr().String()
+		defer srv.Close()
+		daemons = append(daemons, transfer.Endpoint{ID: id, Name: id, Root: ln.Addr().String()})
 
-		fac, err := facility.New(rt, facility.Config{
-			ID:    id,
-			Name:  id,
-			Sched: scheduler.Config{Nodes: 2},
-		})
+		fac, err := facility.New(rt, facility.Config{ID: id, Sched: scheduler.Config{Nodes: 2}})
 		if err != nil {
 			return nil, err
 		}
@@ -193,34 +175,19 @@ func RunWireCampaign(cfg WireCampaignConfig) (*WireCampaignResult, error) {
 		}
 	}
 
-	mover := &transfer.WireMover{
-		Checksum:    true,
-		ChunkBytes:  cfg.ChunkBytes,
-		Streams:     cfg.Streams,
-		ManifestDir: filepath.Join(instrument, ".picoprobe-manifests"),
-		Token:       token,
-	}
-	defer mover.Close()
-	tsvc := transfer.NewService(issuer, mover, time.Now, transfer.Options{})
-	if err := tsvc.RegisterEndpoint(transfer.Endpoint{ID: EndpointInstrument, Name: "PicoProbe user machine", Root: instrument}); err != nil {
+	// The acquisition side: a wire deployment over every daemon, with the
+	// registry placing each transfer and compute state.
+	dep, closeWire, err := newWireDeployment(WireOptions{
+		InstrumentRoot:     instrument,
+		Policy:             flows.Push{Latency: 5 * time.Millisecond},
+		TransferChunkBytes: cfg.ChunkBytes,
+		TransferStreams:    cfg.Streams,
+	}, daemons, reg)
+	if err != nil {
 		return nil, err
 	}
-	backends := map[string]ComputeBackend{}
-	for _, fac := range reg.Facilities() {
-		addr := addrs[fac.ID()]
-		if err := tsvc.RegisterEndpoint(transfer.Endpoint{ID: fac.Endpoint(), Name: fac.Name(), Root: addr}); err != nil {
-			return nil, err
-		}
-		cl := &wire.Client{Addr: addr, Token: token}
-		defer cl.Close()
-		backends[fac.ID()] = &WireComputeBackend{Issuer: issuer, Client: cl}
-	}
-
-	index := search.NewIndex()
-	engine := flows.NewEngine(rt, flows.Options{Policy: flows.Push{Latency: 5 * time.Millisecond}, MaxStateRetries: 2})
-	engine.RegisterProvider(NewFederatedTransferProvider(tsvc, reg))
-	engine.RegisterProvider(NewFederatedComputeProvider(backends, reg))
-	engine.RegisterProvider(NewSearchProvider(rt, issuer, index, 0))
+	defer closeWire()
+	token := dep.Token
 
 	res := &WireCampaignResult{Dir: dir}
 
@@ -232,24 +199,16 @@ func RunWireCampaign(cfg WireCampaignConfig) (*WireCampaignResult, error) {
 	var mon *health.Monitor
 	if cfg.Health {
 		mon = health.NewMonitor(rt, health.Config{Interval: 100 * time.Millisecond})
-		for _, fac := range reg.Facilities() {
-			ht := wire.NewHealthTarget(addrs[fac.ID()], token)
+		for _, d := range daemons {
+			ht := wire.NewHealthTarget(d.Root, token)
 			defer ht.Close()
-			if err := mon.Register(fac.PathID(), ht); err != nil {
+			if err := mon.Register(d.ID, ht); err != nil {
 				return nil, err
 			}
 		}
 		reg.AttachHealth(mon)
 		mon.Start(time.Time{})
 		defer mon.Stop()
-		defer func() {
-			res.HealthChecks = map[string]uint64{}
-			for _, fac := range reg.Facilities() {
-				if st, ok := mon.Health(fac.PathID()); ok {
-					res.HealthChecks[fac.ID()] = st.Checks
-				}
-			}
-		}()
 	}
 
 	// Link-quality probing against the daemons' real status endpoints,
@@ -258,8 +217,8 @@ func RunWireCampaign(cfg WireCampaignConfig) (*WireCampaignResult, error) {
 	var prober *netprobe.Prober
 	if cfg.Probe {
 		prober = netprobe.New(rt, netprobe.Config{Interval: 100 * time.Millisecond, WindowSamples: 3})
-		for _, fac := range reg.Facilities() {
-			if _, err := prober.Register(fac.PathID(), wire.NewProbeTarget(addrs[fac.ID()], token)); err != nil {
+		for _, d := range daemons {
+			if _, err := prober.Register(d.ID, wire.NewProbeTarget(d.Root, token)); err != nil {
 				return nil, err
 			}
 		}
@@ -269,10 +228,9 @@ func RunWireCampaign(cfg WireCampaignConfig) (*WireCampaignResult, error) {
 
 		if cfg.Degrade > 0 && faults != nil {
 			demo := &WireProbeDemo{}
-			path0 := reg.Facilities()[0].PathID()
 			settle := func() float64 {
 				time.Sleep(12 * 100 * time.Millisecond)
-				q, _ := prober.Quality(path0)
+				q, _ := prober.Quality(daemons[0].ID)
 				return q.Score
 			}
 			demo.Baseline = settle()
@@ -284,14 +242,12 @@ func RunWireCampaign(cfg WireCampaignConfig) (*WireCampaignResult, error) {
 		}
 	}
 
-	// Stage the synthetic campaign: distinct sample per file so every
-	// record is distinguishable in the catalog.
-	type staged struct {
-		rel   string
-		bytes int64
-	}
-	files := make([]staged, cfg.Files)
-	for i := range files {
+	// Stage the synthetic campaign — a distinct sample per file, so every
+	// record is distinguishable in the catalog — starting each file's flow
+	// as soon as it is staged.
+	def := dep.LiveDefinition(cfg.Kind)
+	done := make(chan flows.RunRecord, cfg.Files)
+	for i := range cfg.Files {
 		rel := fmt.Sprintf("%s-%04d.emdg", cfg.Kind, i)
 		if err := WriteSyntheticAcquisition(filepath.Join(instrument, rel), cfg.Kind, i); err != nil {
 			return nil, err
@@ -300,125 +256,69 @@ func RunWireCampaign(cfg WireCampaignConfig) (*WireCampaignResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		files[i] = staged{rel: rel, bytes: st.Size()}
-	}
-
-	def := wireFedDefinition(cfg.Kind)
-	facs := reg.Facilities()
-	done := make(chan flows.RunRecord, cfg.Files)
-	for i, f := range files {
-		input := map[string]any{"rel_path": f.rel, "bytes": float64(f.bytes)}
+		res.BytesMoved += st.Size()
+		input := map[string]any{"rel_path": rel, "bytes": float64(st.Size())}
 		if !cfg.NoSpread {
-			input["facility"] = facs[i%len(facs)].ID()
+			input["facility"] = daemons[i%len(daemons)].ID
 		}
-		if _, err := engine.Run(token, def, input, func(r flows.RunRecord) { done <- r }); err != nil {
+		if _, err := dep.Engine.Run(token, def, input, func(r flows.RunRecord) { done <- r }); err != nil {
 			return nil, err
 		}
 	}
-	for range files {
+	for range cfg.Files {
 		rec := <-done
 		if rec.Status != flows.StateSucceeded {
 			return nil, fmt.Errorf("core: wire run %s failed: %s", rec.RunID, rec.Error)
 		}
 		res.Runs = append(res.Runs, rec)
 	}
-	for _, f := range files {
-		res.BytesMoved += f.bytes
-	}
 
-	// Same discipline for the heartbeat monitor: a short campaign can
-	// outrun the first probe interval, which would report "up" off zero
-	// completed checks; wait for every target to finish at least one
-	// real check so the verdicts in the report are measured.
-	if mon != nil {
-		deadline := time.Now().Add(3 * time.Second)
-		for _, fac := range reg.Facilities() {
-			for {
-				st, ok := mon.Health(fac.PathID())
-				if (ok && st.Checks > 0) || time.Now().After(deadline) {
-					break
-				}
-				time.Sleep(20 * time.Millisecond)
-			}
-		}
-	}
-
-	// A short campaign can finish before the prober's first window
-	// closes (interval × WindowSamples), which would snapshot the
+	// A short campaign can outrun the first heartbeat interval, which
+	// would report "up" off zero completed checks, and the prober's first
+	// window (interval × WindowSamples), which would snapshot the
 	// optimistic score-100 default with zeroed dimensions; wait for every
-	// path to fold at least one window so the report carries measured
-	// link numbers.
-	if prober != nil {
+	// daemon to complete one of each so the report carries measurements.
+	awaitEach := func(measured func(pathID string) bool) {
 		deadline := time.Now().Add(3 * time.Second)
-		for _, fac := range reg.Facilities() {
-			for {
-				q, ok := prober.Quality(fac.PathID())
-				if (ok && q.Windows > 0) || time.Now().After(deadline) {
-					break
-				}
+		for _, d := range daemons {
+			for !measured(d.ID) && time.Now().Before(deadline) {
 				time.Sleep(20 * time.Millisecond)
 			}
 		}
 	}
+	if mon != nil {
+		awaitEach(func(id string) bool {
+			st, ok := mon.Health(id)
+			return ok && st.Checks > 0
+		})
+		res.HealthChecks = map[string]uint64{}
+		for _, d := range daemons {
+			if st, ok := mon.Health(d.ID); ok {
+				res.HealthChecks[d.ID] = st.Checks
+			}
+		}
+	}
+	if prober != nil {
+		awaitEach(func(id string) bool {
+			q, ok := prober.Quality(id)
+			return ok && q.Windows > 0
+		})
+	}
 
-	res.IndexedRecords = index.Count()
+	res.IndexedRecords = dep.Index.Count()
 	res.Facilities = reg.Snapshot()
 	res.Placement = reg.Stats()
 	// The registry's scheduler never ran a job — compute happened on the
 	// daemons — so ask each daemon how many dispatches it served.
 	res.Jobs = map[string]int{}
-	for _, fac := range reg.Facilities() {
-		cl := &wire.Client{Addr: addrs[fac.ID()], Token: token, Timeout: 5 * time.Second}
+	for _, d := range daemons {
+		cl := &wire.Client{Addr: d.Root, Token: token, Timeout: 5 * time.Second}
 		if st, _, err := cl.Status(0); err == nil {
-			res.Jobs[fac.ID()] = st.Jobs
+			res.Jobs[d.ID] = st.Jobs
 		}
 		cl.Close()
 	}
 	return res, nil
-}
-
-// wireFedDefinition is the placed three-state flow of a wire campaign:
-// federated transfer, compute dispatched over the wire (the daemon
-// resolves the relative path under its own root), local publication.
-func wireFedDefinition(kind string) flows.Definition {
-	name, fn := simFlowName(kind)
-	return flows.Definition{
-		Name: name + "-wire",
-		States: []flows.StateDef{
-			{
-				Name:     "Transfer",
-				Provider: "transfer",
-				Params: func(input map[string]any, _ flows.Results) map[string]any {
-					rel, _ := input["rel_path"].(string)
-					bytes, _ := input["bytes"].(float64)
-					pin, _ := input["facility"].(string)
-					return flows.Pack(FedTransferParams{Run: rel, Facility: pin, RelPath: rel, Bytes: int64(bytes)})
-				},
-			},
-			{
-				Name:     "Analysis",
-				Provider: "compute",
-				Params: func(input map[string]any, _ flows.Results) map[string]any {
-					rel, _ := input["rel_path"].(string)
-					pin, _ := input["facility"].(string)
-					return flows.Pack(FedComputeParams{
-						Run:      rel,
-						Facility: pin,
-						Function: fn,
-						Args:     compute.Args{"path": rel, "staged_bytes": input["bytes"]},
-					})
-				},
-			},
-			{
-				Name:     "Publication",
-				Provider: "search",
-				Params: func(_ map[string]any, results flows.Results) map[string]any {
-					entry, _ := results["Analysis"]["entry_json"].(string)
-					return flows.Pack(SearchParams{EntryJSON: entry})
-				},
-			},
-		},
-	}
 }
 
 // WriteSyntheticAcquisition stages one synthetic acquisition file of the

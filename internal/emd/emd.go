@@ -92,16 +92,6 @@ func (g *Group) AttrInt(key string) (int64, bool) {
 	return 0, false
 }
 
-// AttrKeys returns the attribute names in sorted order.
-func (g *Group) AttrKeys() []string {
-	keys := make([]string, 0, len(g.attrs))
-	for k := range g.attrs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
 // CreateGroup creates (or returns an existing) child group.
 func (g *Group) CreateGroup(name string) *Group {
 	if strings.Contains(name, "/") || name == "" {

@@ -43,12 +43,12 @@ func (r *Registry) applyLocked(op journalOp) {
 		r.stats.Decisions++
 	case opFailover:
 		r.stats.Failovers++
-		switch op.Why {
-		case "budget":
+		switch cause(op.Why) {
+		case causeBudget:
 			r.stats.BudgetFailovers++
-		case "degraded":
+		case causeDegraded:
 			r.stats.DegradedFailovers++
-		case "unhealthy":
+		case causeUnhealthy:
 			r.stats.UnhealthyFailovers++
 		default:
 			r.stats.OutageFailovers++

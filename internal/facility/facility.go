@@ -119,18 +119,6 @@ func (f *Facility) Up(t time.Time) bool {
 	return true
 }
 
-// EstimateTransfer returns the uncontended lower bound for moving bytes to
-// this facility: the fixed setup cost plus the stream-cap-limited wire
-// time. The placement policy uses it as the transfer half of the
-// estimated completion time.
-func (f *Facility) EstimateTransfer(bytes int64) time.Duration {
-	d := f.cfg.TransferSetup
-	if bytes > 0 && f.cfg.StreamCapBps > 0 {
-		d += time.Duration(float64(bytes) * 8 / f.cfg.StreamCapBps * float64(time.Second))
-	}
-	return d
-}
-
 // Status is a point-in-time snapshot of one facility, as served by the
 // portal's /facilities view.
 type Status struct {

@@ -8,6 +8,7 @@ import (
 
 	"picoprobe/internal/durable"
 	"picoprobe/internal/health"
+	"picoprobe/internal/scheduler"
 	"picoprobe/internal/sim"
 )
 
@@ -163,35 +164,95 @@ func TestAllDownError(t *testing.T) {
 	}
 }
 
-// TestDownOutranksDegraded: a facility both Down by heartbeat and
-// degraded by link score fails over with the unhealthy cause — liveness
-// is the stronger verdict.
-func TestDownOutranksDegraded(t *testing.T) {
-	k := sim.NewKernel()
-	r := NewRegistry(k, 0)
-	r.Add(testFacility(t, k, "a", 1, 80e6))
-	r.Add(testFacility(t, k, "b", 1, 20e6))
-	q := newStubQuality()
-	r.AttachQuality(q, 50)
-	h := newStubHealth()
-	r.AttachHealth(h)
+// TestCausePrecedence: when several signals condemn a sticky run's
+// facility at once, the failover carries the strongest cause — outage >
+// unhealthy > degraded > budget — and only that cause's counter moves.
+// Suspect alone moves nothing; it only diverts fresh placements.
+func TestCausePrecedence(t *testing.T) {
+	cases := []struct {
+		name                                    string
+		outage, down, degraded, budget, suspect bool
+		want                                    Reason
+	}{
+		{name: "everything at once", outage: true, down: true, degraded: true, budget: true, want: ReasonFailoverOutage},
+		{name: "down outranks degraded and budget", down: true, degraded: true, budget: true, want: ReasonFailoverUnhealthy},
+		{name: "down outranks degraded", down: true, degraded: true, want: ReasonFailoverUnhealthy},
+		{name: "degraded outranks budget", degraded: true, budget: true, want: ReasonFailoverDegraded},
+		{name: "degraded outranks suspect", degraded: true, suspect: true, want: ReasonFailoverDegraded},
+		{name: "budget alone", budget: true, want: ReasonFailoverBudget},
+		{name: "suspect does not hide an over-budget queue", budget: true, suspect: true, want: ReasonFailoverBudget},
+		{name: "suspect alone stays put", suspect: true, want: ReasonSticky},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			k := sim.NewKernel()
+			epoch := k.Now()
+			r := NewRegistry(k, time.Minute)
+			a := testFacility(t, k, "a", 1, 80e6, Window{Start: epoch.Add(10 * time.Minute), End: epoch.Add(20 * time.Minute)})
+			r.Add(a)
+			r.Add(testFacility(t, k, "b", 1, 20e6))
+			q := newStubQuality()
+			r.AttachQuality(q, 50)
+			h := newStubHealth()
+			r.AttachHealth(h)
+			if dec, _ := r.Place("run-1", "", 91_000_000); dec.Facility.ID() != "a" {
+				t.Fatal("seed placement not at a")
+			}
 
-	if dec, _ := r.Place("run-1", "", 91_000_000); dec.Facility.ID() != "a" {
-		t.Fatal("seed placement not at a")
+			if tc.outage {
+				k.RunFor(15 * time.Minute)
+			}
+			switch {
+			case tc.down:
+				h.set("a", health.Down)
+			case tc.suspect:
+				h.set("a", health.Suspect)
+			}
+			if tc.degraded {
+				q.set("a", 5, 1e6)
+			}
+			if tc.budget {
+				for i := 0; i < 3; i++ {
+					a.Sched.Submit("e", 10*time.Minute, func(scheduler.JobReport) {})
+				}
+			}
+
+			dec, err := r.Place("run-1", "", 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if dec.Reason != tc.want {
+				t.Errorf("sticky run: reason = %s, want %s", dec.Reason, tc.want)
+			}
+			st := r.Stats()
+			got := map[Reason]int{
+				ReasonFailoverOutage:    st.OutageFailovers,
+				ReasonFailoverUnhealthy: st.UnhealthyFailovers,
+				ReasonFailoverDegraded:  st.DegradedFailovers,
+				ReasonFailoverBudget:    st.BudgetFailovers,
+			}
+			for reason, n := range got {
+				if want := btoi(reason == tc.want); n != want {
+					t.Errorf("%s counter = %d, want %d (stats %+v)", reason, n, want, st)
+				}
+			}
+			if st.Failovers != btoi(tc.want != ReasonSticky) {
+				t.Errorf("failovers = %d (stats %+v)", st.Failovers, st)
+			}
+			// Every one of these signals diverts a fresh run.
+			if dec, err := r.Place("run-2", "", 91_000_000); err != nil || dec.Facility.ID() != "b" {
+				t.Errorf("fresh run = %+v err=%v, want b", dec, err)
+			}
+			k.Run()
+		})
 	}
-	q.set("a", 5, 1e6) // degraded...
-	h.set("a", health.Down)
-	dec, err := r.Place("run-1", "", 0)
-	if err != nil {
-		t.Fatal(err)
+}
+
+func btoi(b bool) int {
+	if b {
+		return 1
 	}
-	if dec.Reason != ReasonFailoverUnhealthy {
-		t.Errorf("reason = %s, want failover-unhealthy (Down outranks degraded)", dec.Reason)
-	}
-	st := r.Stats()
-	if st.UnhealthyFailovers != 1 || st.DegradedFailovers != 0 {
-		t.Errorf("stats = %+v, want the unhealthy counter only", st)
-	}
+	return 0
 }
 
 // TestHealthDisabledIdenticalDecisions is the degeneracy contract: no

@@ -188,36 +188,63 @@ func (r *Registry) AttachHealth(h health.Provider) {
 	r.health = h
 }
 
-// unhealthyLocked reports whether the heartbeat monitor declared f
-// Down. Unwatched facilities are never unhealthy (healthy until proven
-// otherwise, like unmeasured paths).
-func (r *Registry) unhealthyLocked(f *Facility) bool {
-	if r.health == nil {
-		return false
-	}
-	st, ok := r.health.Health(f.PathID())
-	return ok && st.State == health.Down
+// cause is why a facility should not be handed a run right now. The
+// failover Reason is "failover-"+cause and the journal records the cause
+// itself, so the vocabulary below is also the on-disk one.
+type cause string
+
+const (
+	causeNone      cause = ""
+	causeOutage    cause = "outage"    // inside a planned outage window
+	causeUnhealthy cause = "unhealthy" // the heartbeat monitor declared it Down
+	causeDegraded  cause = "degraded"  // path score below the low-water mark
+	causeSuspect   cause = "suspect"   // the heartbeat monitor holds it Suspect
+	// causeBudget is Place's own check on a sticky or constrained target
+	// (queue-wait estimate over the budget), never an availability verdict.
+	causeBudget cause = "budget"
+)
+
+// hard reports whether the facility is unreachable — skipped outright and
+// never stayed on — rather than merely worse than a healthy alternative.
+func (c cause) hard() bool { return c == causeOutage || c == causeUnhealthy }
+
+// belowLowWater reports whether a measured path scores under the mark.
+// Unmeasured paths never do (healthy until proven otherwise — shedding on
+// ignorance would strand a cold-started federation), and lowWater <= 0 is
+// observe-only.
+func belowLowWater(q netprobe.Quality, lowWater float64) bool {
+	return lowWater > 0 && q.Windows > 0 && q.Score < lowWater
 }
 
-// suspectLocked reports whether the heartbeat monitor holds f Suspect.
-func (r *Registry) suspectLocked(f *Facility) bool {
-	if r.health == nil {
-		return false
+// availabilityLocked is the one availability verdict: it folds the three
+// signal sources — outage windows, the heartbeat provider and the quality
+// provider, each read once — into the strongest cause that applies, in
+// the precedence outage > unhealthy > degraded > suspect (an outage is
+// absolute, a detected outage just as absolute, a measured bad link
+// outranks one lost heartbeat). Unwatched and unmeasured facilities are
+// available.
+func (r *Registry) availabilityLocked(f *Facility, now time.Time) cause {
+	if !f.Up(now) {
+		return causeOutage
 	}
-	st, ok := r.health.Health(f.PathID())
-	return ok && st.State == health.Suspect
-}
-
-// degradedLocked reports whether f's path score is below the low-water
-// mark. Unmeasured paths are never degraded (healthy until proven
-// otherwise — shedding on ignorance would strand a cold-started
-// federation).
-func (r *Registry) degradedLocked(f *Facility) bool {
-	if r.quality == nil || r.lowWater <= 0 {
-		return false
+	var hb health.State
+	if r.health != nil {
+		if st, ok := r.health.Health(f.PathID()); ok {
+			hb = st.State
+		}
 	}
-	q, ok := r.quality.Quality(f.PathID())
-	return ok && q.Windows > 0 && q.Score < r.lowWater
+	if hb == health.Down {
+		return causeUnhealthy
+	}
+	if r.quality != nil {
+		if q, ok := r.quality.Quality(f.PathID()); ok && belowLowWater(q, r.lowWater) {
+			return causeDegraded
+		}
+	}
+	if hb == health.Suspect {
+		return causeSuspect
+	}
+	return causeNone
 }
 
 // estimateTransferLocked returns the transfer half of f's completion-time
@@ -287,30 +314,22 @@ func (r *Registry) Place(runKey, constraint string, bytes int64) (Decision, erro
 			return Decision{}, fmt.Errorf("facility: unknown facility %q", want)
 		}
 		wait := f.Sched.EstimateWait()
-		degraded := r.degradedLocked(f)
-		unhealthy := r.unhealthyLocked(f)
-		if f.Up(now) && !unhealthy && !degraded && (r.budget <= 0 || wait <= r.budget) {
+		why := r.availabilityLocked(f, now)
+		if why == causeSuspect {
+			// Suspect diverts fresh placements only: one lost heartbeat is
+			// usually a blip, and moving a placed run costs a re-stage.
+			why = causeNone
+		}
+		if why == causeNone && r.budget > 0 && wait > r.budget {
+			why = causeBudget
+		}
+		if why == causeNone {
 			r.commitLocked(runKey, f)
 			return Decision{Facility: f, Reason: reason, Wait: wait}, nil
 		}
-		// Failover: the target is down (planned or heartbeat-detected),
-		// its path is degraded, or it is over budget — in that precedence
-		// (an outage is absolute, a detected outage is just as absolute, a
-		// degraded link outranks a long queue).
-		why := ReasonFailoverOutage
-		switch {
-		case !f.Up(now):
-			why = ReasonFailoverOutage
-		case unhealthy:
-			why = ReasonFailoverUnhealthy
-		case degraded:
-			why = ReasonFailoverDegraded
-		default:
-			why = ReasonFailoverBudget
-		}
-		best, bestWait, bestDegraded := r.bestLocked(now, bytes, want)
+		best, bestWait, bestSoft := r.bestLocked(now, bytes, want)
 		switch why {
-		case ReasonFailoverBudget:
+		case causeBudget:
 			// A budget violation only justifies moving when the
 			// destination is actually better: under the budget itself and
 			// waiting less than the over-budget target. Re-routing to a
@@ -319,17 +338,17 @@ func (r *Registry) Place(runKey, constraint string, bytes int64) (Decision, erro
 			if best != nil && (bestWait > r.budget || bestWait >= wait) {
 				best = nil
 			}
-		case ReasonFailoverDegraded:
+		case causeDegraded:
 			// A degraded link is soft — the facility still works, just
 			// badly. Shed only onto a healthy path; when every alternative
 			// is down or equally degraded, staying put beats paying a
 			// re-stage for no improvement.
-			if bestDegraded {
+			if bestSoft {
 				best = nil
 			}
 		}
 		if best == nil {
-			if why != ReasonFailoverOutage && why != ReasonFailoverUnhealthy && f.Up(now) {
+			if !why.hard() {
 				// Nowhere better to go: stay put rather than stall the run.
 				// (Never for an outage or a Down heartbeat verdict — staying
 				// on an unreachable facility stalls the run by definition.)
@@ -338,18 +357,9 @@ func (r *Registry) Place(runKey, constraint string, bytes int64) (Decision, erro
 			}
 			return Decision{}, fmt.Errorf("facility: all facilities down at %v", now)
 		}
-		cause := "outage"
-		switch why {
-		case ReasonFailoverBudget:
-			cause = "budget"
-		case ReasonFailoverDegraded:
-			cause = "degraded"
-		case ReasonFailoverUnhealthy:
-			cause = "unhealthy"
-		}
-		r.noteLocked(journalOp{Op: opFailover, Fac: want, Why: cause})
+		r.noteLocked(journalOp{Op: opFailover, Fac: want, Why: string(why)})
 		r.commitLocked(runKey, best)
-		return Decision{Facility: best, Reason: why, Wait: bestWait, From: want}, nil
+		return Decision{Facility: best, Reason: Reason("failover-" + why), Wait: bestWait, From: want}, nil
 	}
 
 	best, bestWait, _ := r.bestLocked(now, bytes, "")
@@ -360,30 +370,29 @@ func (r *Registry) Place(runKey, constraint string, bytes int64) (Decision, erro
 	return Decision{Facility: best, Reason: ReasonLeastECT, Wait: bestWait}, nil
 }
 
-// bestLocked returns the up facility (excluding exclude) with the least
-// estimated completion time and its queue-wait component, or nil when
-// none is up. A facility the heartbeat monitor holds Down is skipped
-// outright, exactly like one inside an outage window. Facilities whose
-// path is degraded (below the quality low-water mark) or whose
-// heartbeat verdict is Suspect are passed over while any healthy
-// facility is up; when every up facility is degraded or suspect the
-// least-ECT one of them is returned with degraded=true — a slow link
-// still beats no link. Ties go to registration order. EstimateWait is
-// an O(queue × nodes) replay, so the wait is computed once per
-// candidate and returned for reuse.
-func (r *Registry) bestLocked(now time.Time, bytes int64, exclude string) (best *Facility, bestWait time.Duration, degraded bool) {
+// bestLocked returns the reachable facility (excluding exclude) with the
+// least estimated completion time and its queue-wait component, or nil
+// when none is reachable. A facility whose verdict is hard (outage, Down)
+// is skipped outright. Facilities with a soft verdict (degraded path,
+// Suspect heartbeat) are passed over while any fully available facility
+// exists; when there is none the least-ECT soft one is returned with
+// soft=true — a slow link still beats no link. Ties go to registration
+// order. EstimateWait is an O(queue × nodes) replay, so the wait is
+// computed once per candidate and returned for reuse.
+func (r *Registry) bestLocked(now time.Time, bytes int64, exclude string) (best *Facility, bestWait time.Duration, soft bool) {
 	var bestECT time.Duration
-	var degBest *Facility
-	var degECT, degWait time.Duration
+	var softBest *Facility
+	var softECT, softWait time.Duration
 	for _, f := range r.order {
-		if f.ID() == exclude || !f.Up(now) || r.unhealthyLocked(f) {
+		why := r.availabilityLocked(f, now)
+		if f.ID() == exclude || why.hard() {
 			continue
 		}
 		wait := f.Sched.EstimateWait()
 		ect := r.estimateTransferLocked(f, bytes) + wait
-		if r.degradedLocked(f) || r.suspectLocked(f) {
-			if degBest == nil || ect < degECT {
-				degBest, degECT, degWait = f, ect, wait
+		if why != causeNone {
+			if softBest == nil || ect < softECT {
+				softBest, softECT, softWait = f, ect, wait
 			}
 			continue
 		}
@@ -391,8 +400,8 @@ func (r *Registry) bestLocked(now time.Time, bytes int64, exclude string) (best 
 			best, bestECT, bestWait = f, ect, wait
 		}
 	}
-	if best == nil && degBest != nil {
-		return degBest, degWait, true
+	if best == nil && softBest != nil {
+		return softBest, softWait, true
 	}
 	return best, bestWait, false
 }
@@ -480,7 +489,7 @@ func (r *Registry) Snapshot() []Status {
 					JitterMs:   q.Jitter.Seconds() * 1e3,
 					Loss:       q.Loss,
 					GoodputBps: q.GoodputBps,
-					Degraded:   lowWater > 0 && q.Windows > 0 && q.Score < lowWater,
+					Degraded:   belowLowWater(q, lowWater),
 				}
 				if !q.LastSample.IsZero() {
 					qs.AgeS = now.Sub(q.LastSample).Seconds()

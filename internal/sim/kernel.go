@@ -93,11 +93,6 @@ func NewKernel() *Kernel {
 	return &Kernel{now: DefaultEpoch, parked: make(chan struct{})}
 }
 
-// NewKernelAt returns a kernel whose clock starts at the given instant.
-func NewKernelAt(epoch time.Time) *Kernel {
-	return &Kernel{now: epoch, parked: make(chan struct{})}
-}
-
 // Now returns the current virtual time.
 func (k *Kernel) Now() time.Time { return k.now }
 

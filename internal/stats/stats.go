@@ -162,81 +162,6 @@ func secsToDur(s float64) time.Duration {
 	return time.Duration(s * float64(time.Second))
 }
 
-// Histogram counts samples into equal-width bins over [min, max); samples
-// outside the range are clamped into the edge bins.
-type Histogram struct {
-	Min, Max float64
-	Bins     []int
-}
-
-// NewHistogram returns a histogram with n bins spanning [min, max).
-func NewHistogram(min, max float64, n int) *Histogram {
-	if n <= 0 || max <= min {
-		panic("stats: invalid histogram configuration")
-	}
-	return &Histogram{Min: min, Max: max, Bins: make([]int, n)}
-}
-
-// Add records one sample.
-func (h *Histogram) Add(x float64) {
-	n := len(h.Bins)
-	idx := int((x - h.Min) / (h.Max - h.Min) * float64(n))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= n {
-		idx = n - 1
-	}
-	h.Bins[idx]++
-}
-
-// Total returns the number of recorded samples.
-func (h *Histogram) Total() int {
-	t := 0
-	for _, b := range h.Bins {
-		t += b
-	}
-	return t
-}
-
-// Bar renders a single-line ASCII bar chart of the histogram, width chars
-// for the fullest bin.
-func (h *Histogram) Bar(width int) string {
-	max := 0
-	for _, b := range h.Bins {
-		if b > max {
-			max = b
-		}
-	}
-	if max == 0 {
-		return ""
-	}
-	out := ""
-	for _, b := range h.Bins {
-		n := b * width / max
-		for i := 0; i < n; i++ {
-			out += "#"
-		}
-		out += "|"
-	}
-	return out
-}
-
-// FormatBytes renders a byte count in binary units ("1.2 GiB") below 1 KB it
-// uses plain bytes.
-func FormatBytes(n int64) string {
-	const unit = 1024
-	if n < unit {
-		return fmt.Sprintf("%d B", n)
-	}
-	div, exp := int64(unit), 0
-	for v := n / unit; v >= unit; v /= unit {
-		div *= unit
-		exp++
-	}
-	return fmt.Sprintf("%.2f %ciB", float64(n)/float64(div), "KMGTPE"[exp])
-}
-
 // FormatRate renders a data rate in decimal bits per second ("940 Mbit/s").
 func FormatRate(bitsPerSec float64) string {
 	switch {

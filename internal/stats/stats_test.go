@@ -130,49 +130,6 @@ func TestDurationStats(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, v := range []float64{0, 1, 2.5, 9.99, 15, -3} {
-		h.Add(v)
-	}
-	if h.Total() != 6 {
-		t.Errorf("Total = %d", h.Total())
-	}
-	if h.Bins[0] != 3 { // 0, 1, and clamped -3
-		t.Errorf("Bins[0] = %d, want 3", h.Bins[0])
-	}
-	if h.Bins[4] != 2 { // 9.99 and clamped 15
-		t.Errorf("Bins[4] = %d, want 2", h.Bins[4])
-	}
-	if h.Bar(10) == "" {
-		t.Error("Bar returned empty for non-empty histogram")
-	}
-}
-
-func TestHistogramInvalidConfig(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("NewHistogram with max<=min should panic")
-		}
-	}()
-	NewHistogram(5, 5, 3)
-}
-
-func TestFormatBytes(t *testing.T) {
-	cases := map[int64]string{
-		0:                "0 B",
-		512:              "512 B",
-		1024:             "1.00 KiB",
-		91 * 1000 * 1000: "86.78 MiB",
-		1 << 30:          "1.00 GiB",
-	}
-	for in, want := range cases {
-		if got := FormatBytes(in); got != want {
-			t.Errorf("FormatBytes(%d) = %q, want %q", in, got, want)
-		}
-	}
-}
-
 func TestFormatRate(t *testing.T) {
 	cases := map[float64]string{
 		500:    "500 bit/s",

@@ -88,11 +88,6 @@ type HyperspectralSample struct {
 	Particles []PlacedParticle
 }
 
-// ChannelEnergy returns the center energy of spectral channel c.
-func (s *HyperspectralSample) ChannelEnergy(c int) float64 {
-	return (float64(c) + 0.5) * s.Config.MaxEnergyKeV / float64(s.Config.Channels)
-}
-
 // GenerateHyperspectral builds a deterministic synthetic cube. Per-element
 // spectral templates are precomputed once; per-pixel spectra are a weighted
 // sum of templates plus a bremsstrahlung continuum and approximately

@@ -52,13 +52,13 @@ type WireMover struct {
 	// re-shipping one chunk costs one chunk; burning a whole
 	// service-attempt retry costs a full resume pass.
 	ChunkRetries int
-	// BreakerThreshold, BreakerCooldown and Backoff are handed to every
-	// wire client (see wire.Client); all zero values preserve the
-	// historical behavior: no circuit breaker, and Backoff only spaces
-	// the client's busy retries, which this mover leaves at zero.
+	// BreakerThreshold and BreakerCooldown are handed to every wire
+	// client (see wire.Client); zero values mean no circuit breaker.
+	// Retry spacing is the transfer service's (Options.RetryBackoff):
+	// the clients' own Backoff only spaces busy retries, which this
+	// mover leaves at zero.
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
-	Backoff          *wire.Backoff
 
 	engine
 
@@ -79,7 +79,7 @@ func (m *WireMover) client(addr string) *wire.Client {
 	if !ok {
 		c = &wire.Client{
 			Addr: addr, Token: m.Token, Dial: m.Dial, Timeout: m.Timeout,
-			BreakerThreshold: m.BreakerThreshold, BreakerCooldown: m.BreakerCooldown, Backoff: m.Backoff,
+			BreakerThreshold: m.BreakerThreshold, BreakerCooldown: m.BreakerCooldown,
 		}
 		m.clients[addr] = c
 	}

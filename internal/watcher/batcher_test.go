@@ -118,6 +118,12 @@ func TestBatcherBackpressure(t *testing.T) {
 		t.Fatalf("second batch = %+v", second)
 	}
 	b.Done(second)
+	// The batcher counts a batch after the send that recvBatch just
+	// observed; the source is closed, so the batch channel closing means
+	// that accounting is done.
+	if _, ok := <-b.Batches(); ok {
+		t.Error("batches channel not closed after the source drained")
+	}
 	if st := b.Stats(); st.Batches != 2 || st.Files != 2 || st.MaxInFlightBytes != 800 {
 		t.Errorf("stats = %+v", st)
 	}
