@@ -1,11 +1,15 @@
 GO ?= go
 
-.PHONY: all build vet test race race-fed chaos-smoke load-smoke bench-smoke bench bench-portal bench-portal-load bench-recovery bench-netprobe bench-wire fuzz-wire linkcheck ci
+.PHONY: all build fmt-check vet test race race-fed chaos-smoke load-smoke bench-smoke bench bench-portal bench-portal-load bench-recovery bench-netprobe bench-wire fuzz-wire linkcheck ci
 
 all: ci
 
 build:
 	$(GO) build ./...
+
+# The workflow's gofmt step, so the local gate and CI agree.
+fmt-check:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed on:" >&2; echo "$$out" >&2; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -95,4 +99,4 @@ bench:
 linkcheck:
 	$(GO) run ./tools/linkcheck
 
-ci: build vet test race-fed chaos-smoke load-smoke bench-smoke fuzz-wire linkcheck
+ci: build fmt-check vet test race-fed chaos-smoke load-smoke bench-smoke fuzz-wire linkcheck

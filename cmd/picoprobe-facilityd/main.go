@@ -23,12 +23,15 @@
 //	picoprobe-facilityd -root /data/eagle [-addr 127.0.0.1:7421]
 //	    [-id alcf-eagle] [-secret ...] [-workers 2] [-out DIR]
 //	    [-max-sessions 64] [-idle-timeout 2m] [-drain 30s]
+//	    [-pprof localhost:6061]
 package main
 
 import (
 	"flag"
 	"fmt"
 	"log"
+	"net/http"
+	_ "net/http/pprof" // registered on the DefaultServeMux, served only on -pprof
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -52,7 +55,17 @@ func main() {
 	maxSessions := flag.Int("max-sessions", 64, "max concurrent wire sessions; excess connections get a typed busy error (0 = unlimited)")
 	idleTimeout := flag.Duration("idle-timeout", 2*time.Minute, "drop sessions idle longer than this (0 = never)")
 	drain := flag.Duration("drain", 30*time.Second, "SIGTERM grace: finish in-flight requests for up to this long before exiting (0 = wait indefinitely)")
+	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this side address (e.g. localhost:6061); empty disables")
 	flag.Parse()
+
+	if *pprofAddr != "" {
+		// The profiler rides the DefaultServeMux on its own listener; the
+		// wire port speaks only the wire protocol. Bind it to localhost.
+		go func() {
+			log.Printf("pprof: %v", http.ListenAndServe(*pprofAddr, nil))
+		}()
+		fmt.Printf("pprof on http://%s/debug/pprof/\n", *pprofAddr)
+	}
 
 	if *root == "" {
 		log.Fatal("picoprobe-facilityd: -root is required")

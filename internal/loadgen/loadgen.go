@@ -72,17 +72,17 @@ type Config struct {
 
 // Result is the aggregate outcome of one run.
 type Result struct {
-	Requests   uint64 // completed round trips in the measured window
-	Errors     uint64 // transport failures (dial, timeout, parse)
-	Status2xx  uint64
-	Status304  uint64
-	Status429  uint64
-	Status503  uint64
+	Requests    uint64 // completed round trips in the measured window
+	Errors      uint64 // transport failures (dial, timeout, parse)
+	Status2xx   uint64
+	Status304   uint64
+	Status429   uint64
+	Status503   uint64
 	StatusOther uint64
-	CacheHits  uint64 // responses served without a render (hit/revalidated)
-	Conns      int    // connections actually established
-	Elapsed    time.Duration
-	Hist       *obs.Histogram // latency, seconds
+	CacheHits   uint64 // responses served without a render (hit/revalidated)
+	Conns       int    // connections actually established
+	Elapsed     time.Duration
+	Hist        *obs.Histogram // latency, seconds
 }
 
 // P50 returns the median latency.

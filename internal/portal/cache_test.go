@@ -37,23 +37,23 @@ func TestETagMatch(t *testing.T) {
 		header, etag string
 		want         bool
 	}{
-		{``, `"pp-1"`, false},                            // missing header
-		{`"pp-1"`, `"pp-1"`, true},                       // exact
-		{`"pp-2"`, `"pp-1"`, false},                      // different tag
-		{`"a", "pp-1"`, `"pp-1"`, true},                  // list, later element
-		{`"a","b" , "c"`, `"pp-1"`, false},               // list, no match
-		{`W/"pp-1"`, `"pp-1"`, true},                     // weak request tag
-		{`"pp-1"`, `W/"pp-1"`, true},                     // weak current tag
-		{`W/"pp-1"`, `W/"pp-1"`, true},                   // both weak
-		{`*`, `"anything"`, true},                        // wildcard
-		{`"x,y", "pp-1"`, `"pp-1"`, true},                // comma inside opaque-tag
-		{`"x,y"`, `"pp-1"`, false},                       // comma tag alone, no match
-		{`pp-1`, `"pp-1"`, false},                        // unquoted = malformed
-		{`"unterminated`, `"pp-1"`, false},               // unterminated
-		{`"ok" garbage "pp-1"`, `"pp-1"`, false},         // malformed after valid tag
-		{`W/`, `"pp-1"`, false},                          // bare weak prefix
-		{`  ,, "pp-1"`, `"pp-1"`, true},                  // leading list noise
-		{`"pp-10"`, `"pp-1"`, false},                     // prefix must not match
+		{``, `"pp-1"`, false},                    // missing header
+		{`"pp-1"`, `"pp-1"`, true},               // exact
+		{`"pp-2"`, `"pp-1"`, false},              // different tag
+		{`"a", "pp-1"`, `"pp-1"`, true},          // list, later element
+		{`"a","b" , "c"`, `"pp-1"`, false},       // list, no match
+		{`W/"pp-1"`, `"pp-1"`, true},             // weak request tag
+		{`"pp-1"`, `W/"pp-1"`, true},             // weak current tag
+		{`W/"pp-1"`, `W/"pp-1"`, true},           // both weak
+		{`*`, `"anything"`, true},                // wildcard
+		{`"x,y", "pp-1"`, `"pp-1"`, true},        // comma inside opaque-tag
+		{`"x,y"`, `"pp-1"`, false},               // comma tag alone, no match
+		{`pp-1`, `"pp-1"`, false},                // unquoted = malformed
+		{`"unterminated`, `"pp-1"`, false},       // unterminated
+		{`"ok" garbage "pp-1"`, `"pp-1"`, false}, // malformed after valid tag
+		{`W/`, `"pp-1"`, false},                  // bare weak prefix
+		{`  ,, "pp-1"`, `"pp-1"`, true},          // leading list noise
+		{`"pp-10"`, `"pp-1"`, false},             // prefix must not match
 	} {
 		if got := etagMatch(tc.header, tc.etag); got != tc.want {
 			t.Errorf("etagMatch(%q, %q) = %v, want %v", tc.header, tc.etag, got, tc.want)
@@ -240,10 +240,10 @@ func TestCacheChurnHammer(t *testing.T) {
 			default:
 			}
 			batch := []search.Entry{{
-				ID:   fmt.Sprintf("churn-%d", rng.Intn(8)),
-				Text: fmt.Sprintf("film churn record %d", i),
+				ID:     fmt.Sprintf("churn-%d", rng.Intn(8)),
+				Text:   fmt.Sprintf("film churn record %d", i),
 				Fields: map[string]string{"kind": "hyperspectral"},
-				Date:  time.Date(2023, 6, 10, 0, 0, i%60, 0, time.UTC),
+				Date:   time.Date(2023, 6, 10, 0, 0, i%60, 0, time.UTC),
 			}}
 			if err := ix.IngestBatch(batch); err != nil {
 				t.Error(err)

@@ -30,7 +30,8 @@ type sink interface {
 	Hash(rel string, off, n int64) (sum string, present bool, err error)
 	// Merge is the sequential verified pass over a landed file: the
 	// whole-file digest, or the index of the first chunk that no longer
-	// matches its recorded digest (badChunk, -1 when none).
+	// matches its recorded digest (badChunk, -1 when none). The engine
+	// merges different rels concurrently, each after its last Write.
 	Merge(rel string, chunks []landing.Chunk) (sum string, badChunk int, err error)
 }
 
@@ -77,8 +78,9 @@ func tunedStreams(cfg moveConfig, pool int) int {
 }
 
 // run is one move attempt: plan → fingerprint → manifest resume → bounded
-// worker pool → verified merge. The partial Report of a failed attempt
-// still counts every chunk that landed.
+// worker pool landing chunks in stripes and merging each file, verified,
+// as its last chunk lands. The partial Report of a failed attempt still
+// counts every chunk that landed.
 func (e *engine) run(cfg moveConfig, task *Task, src, dst *Endpoint, sk sink) (Report, error) {
 	var rep Report
 	ms := e.store(cfg)
@@ -150,7 +152,7 @@ func (e *engine) run(cfg moveConfig, task *Task, src, dst *Endpoint, sk sink) (R
 	// Resume: a chunk the manifest marks done is skipped only if it
 	// survived at the destination; any that did not are demoted and
 	// re-moved.
-	var todo []chunkSpan
+	pending := make([][]chunkSpan, len(files))
 	for _, sp := range spans {
 		sum, ok := ms.done(man, sp)
 		if ok && survived(cfg, sk, files[sp.File].RelPath, sp, sum, preSizes[sp.File]) {
@@ -160,7 +162,7 @@ func (e *engine) run(cfg moveConfig, task *Task, src, dst *Endpoint, sk sink) (R
 		if ok {
 			ms.mark(man, sp, "", false)
 		}
-		todo = append(todo, sp)
+		pending[sp.File] = append(pending[sp.File], sp)
 	}
 
 	// The bounded worker pool. With a tuner the pool is sized to the
@@ -171,55 +173,88 @@ func (e *engine) run(cfg moveConfig, task *Task, src, dst *Endpoint, sk sink) (R
 	if adaptive {
 		pool = adaptiveWorkerCap
 	}
-	if len(todo) > 0 {
-		pool = min(pool, len(todo))
-	}
+	todo := striped(pending, tunedStreams(cfg, pool))
+	pool = min(pool, len(todo))
 	var (
-		work      = make(chan chunkSpan)
-		chunkDone = make(chan struct{}, len(todo)) // one send per dispatched chunk: workers never block on it
+		work      = make(chan job)
+		chunkDone = make(chan struct{}, len(todo)) // one send per dispatched job: workers never block on it
 		wg        sync.WaitGroup
 		errOnce   sync.Once
 		firstErr  error
 		aborted   atomic.Bool
 		completed atomic.Int64
 		copied    atomic.Int64
+		remaining = make([]atomic.Int64, len(files)) // chunks of each file still to land
+		mergedMu  sync.Mutex                         // guards sums and rep.BytesMoved
+		sums      = map[string]string{}
 	)
+	for fi, spans := range pending {
+		remaining[fi].Store(int64(len(spans)))
+	}
 	fail := func(err error) {
 		errOnce.Do(func() { firstErr = err })
 		aborted.Store(true)
+	}
+	// mergeFile is the verified merge of one fully landed file, run on the
+	// pool by whichever worker landed its last chunk: a damaged chunk is
+	// never folded into a "completed" file, and no merge starts once the
+	// attempt is aborted.
+	mergeFile := func(fi int) {
+		if aborted.Load() {
+			return
+		}
+		sum, err := merge(cfg, sk, ms, man, fi)
+		if err != nil {
+			fail(err)
+			return
+		}
+		mergedMu.Lock()
+		sums[files[fi].RelPath] = sum
+		rep.BytesMoved += files[fi].Bytes
+		mergedMu.Unlock()
+	}
+	land := func(sp chunkSpan) {
+		sum, err := sk.Write(files[sp.File].RelPath, sp, srcs[sp.File])
+		if err != nil {
+			fail(err)
+			return
+		}
+		ms.mark(man, sp, sum, true)
+		copied.Add(sp.N)
+		n := completed.Add(1)
+		if cfg.killAfterChunks > 0 && n >= int64(cfg.killAfterChunks) && e.killed.CompareAndSwap(false, true) {
+			fail(fmt.Errorf("transfer: killed after %d chunks (injected fault)", n))
+		}
+		if remaining[sp.File].Add(-1) == 0 {
+			mergeFile(sp.File)
+		}
 	}
 	for w := 0; w < pool; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for sp := range work {
-				if !aborted.Load() {
-					sum, err := sk.Write(files[sp.File].RelPath, sp, srcs[sp.File])
-					if err != nil {
-						fail(err)
-					} else {
-						ms.mark(man, sp, sum, true)
-						copied.Add(sp.N)
-						n := completed.Add(1)
-						if cfg.killAfterChunks > 0 && n >= int64(cfg.killAfterChunks) && e.killed.CompareAndSwap(false, true) {
-							fail(fmt.Errorf("transfer: killed after %d chunks (injected fault)", n))
-						}
-					}
+			for j := range work {
+				switch {
+				case aborted.Load():
+				case j.mergeOnly:
+					mergeFile(j.sp.File)
+				default:
+					land(j.sp)
 				}
 				chunkDone <- struct{}{}
 			}
 		}()
 	}
-	// Dispatch: keep at most the admission window of chunks in flight,
+	// Dispatch: keep at most the admission window of jobs in flight,
 	// re-reading it between dispatches so the stream count tracks the
 	// measured path mid-task (without a tuner the window is the pool).
 	inFlight := 0
-	for _, sp := range todo {
+	for _, j := range todo {
 		for inFlight >= tunedStreams(cfg, pool) {
 			<-chunkDone
 			inFlight--
 		}
-		work <- sp
+		work <- j
 		inFlight++
 	}
 	close(work)
@@ -230,21 +265,46 @@ func (e *engine) run(cfg moveConfig, task *Task, src, dst *Endpoint, sk sink) (R
 	if firstErr != nil {
 		return rep, firstErr
 	}
-
-	// Verified merge, file by file: a damaged chunk is never folded into
-	// a "completed" file.
-	sums := map[string]string{}
-	for fi, f := range files {
-		sum, err := merge(cfg, sk, ms, man, fi)
-		if err != nil {
-			return rep, err
-		}
-		sums[f.RelPath] = sum
-		rep.BytesMoved += f.Bytes
-	}
 	rep.Checksums = sums
 	ms.forget(key)
 	return rep, nil
+}
+
+// job is one unit of pool work: land chunk sp, or (mergeOnly) merge file
+// sp.File, every chunk of which survived a resume.
+type job struct {
+	sp        chunkSpan
+	mergeOnly bool
+}
+
+// striped orders one attempt's work. Files are taken width at a time and
+// each stripe's pending chunks go out round-robin across its files
+// (f0c0 f1c0 f2c0 f3c0 f0c1 …), so width concurrent writes land in width
+// different files: a buffered pwrite holds the file's inode lock for the
+// whole copy, and chunks of one file only queue behind each other
+// (DESIGN.md §8). A file with nothing pending still needs its merge; that
+// goes at the head of its stripe. One file, or width 1, is file-major
+// order.
+func striped(pending [][]chunkSpan, width int) []job {
+	var out []job
+	for lo := 0; lo < len(pending); lo += width {
+		stripe := pending[lo:min(lo+width, len(pending))]
+		rounds := 0
+		for i, spans := range stripe {
+			if len(spans) == 0 {
+				out = append(out, job{sp: chunkSpan{File: lo + i}, mergeOnly: true})
+			}
+			rounds = max(rounds, len(spans))
+		}
+		for r := 0; r < rounds; r++ {
+			for _, spans := range stripe {
+				if r < len(spans) {
+					out = append(out, job{sp: spans[r]})
+				}
+			}
+		}
+	}
+	return out
 }
 
 // survived decides whether a manifest-done chunk can be skipped. preSize

@@ -22,12 +22,30 @@ type memSink struct {
 	mu     sync.Mutex
 	files  map[string][]byte
 	writes []chunkSpan // completed writes, in completion order
+	// events interleaves completed writes ("w <rel>") and started merges
+	// ("m <rel>") in the order the sink saw them.
+	events []string
 
 	// before, when set, runs at the top of every Write outside the lock; a
 	// non-nil error fails that write before anything lands.
 	before func(sp chunkSpan) error
-	// badMerge, when >= 0, is reported by the next Merge, once.
-	badMerge int
+	// badMerge, when >= 0, is reported by the next Merge (of badMergeRel,
+	// when that is set), once.
+	badMerge    int
+	badMergeRel string
+}
+
+// count returns how many times event e was logged.
+func (s *memSink) count(e string) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := 0
+	for _, got := range s.events {
+		if got == e {
+			n++
+		}
+	}
+	return n
 }
 
 func newMemSink() *memSink { return &memSink{files: map[string][]byte{}, badMerge: -1} }
@@ -68,6 +86,7 @@ func (s *memSink) Write(rel string, sp chunkSpan, src io.ReaderAt) (string, erro
 	defer s.mu.Unlock()
 	copy(s.files[rel][sp.Off:], buf)
 	s.writes = append(s.writes, sp)
+	s.events = append(s.events, "w "+rel)
 	return hexSum(buf), nil
 }
 
@@ -84,7 +103,8 @@ func (s *memSink) Hash(rel string, off, n int64) (string, bool, error) {
 func (s *memSink) Merge(rel string, chunks []landing.Chunk) (string, int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if bad := s.badMerge; bad >= 0 {
+	s.events = append(s.events, "m "+rel)
+	if bad := s.badMerge; bad >= 0 && (s.badMergeRel == "" || s.badMergeRel == rel) {
 		s.badMerge = -1
 		return "", bad, nil
 	}
@@ -109,6 +129,23 @@ func newEngineFixture(t *testing.T, size int) *engineFixture {
 	}
 }
 
+// newEngineBatch is a task of n source files f0.bin … of size bytes each.
+func newEngineBatch(t *testing.T, n, size int) (*engineFixture, [][]byte) {
+	t.Helper()
+	fx := &engineFixture{
+		task: &Task{ID: "t"},
+		src:  &Endpoint{ID: "src", Root: t.TempDir()},
+		dst:  &Endpoint{ID: "dst"},
+	}
+	payloads := make([][]byte, n)
+	for i := range payloads {
+		rel := fmt.Sprintf("f%d.bin", i)
+		payloads[i] = writeRandom(t, filepath.Join(fx.src.Root, rel), size, int64(40+i))
+		fx.task.Files = append(fx.task.Files, FileSpec{RelPath: rel})
+	}
+	return fx, payloads
+}
+
 // doneChunks counts the chunks the engine's only manifest records done.
 func doneChunks(t *testing.T, e *engine) int {
 	t.Helper()
@@ -119,9 +156,11 @@ func doneChunks(t *testing.T, e *engine) int {
 	}
 	n := 0
 	for _, m := range e.manifests.mem {
-		for _, c := range m.Files[0].Chunks {
-			if c.Done {
-				n++
+		for _, f := range m.Files {
+			for _, c := range f.Chunks {
+				if c.Done {
+					n++
+				}
 			}
 		}
 	}
@@ -317,6 +356,304 @@ func TestEngineDemotedChunkOnlyOneResent(t *testing.T) {
 	}
 	if rep.Checksums["f.bin"] != hexSum(fx.payload) {
 		t.Error("whole-file checksum wrong after the re-send")
+	}
+}
+
+// TestStripedDispatchOrder pins the dispatch order: stripes of width files,
+// round-robin inside a stripe, so a file's next chunk never goes out while
+// another file of that stripe is still waiting for its turn. One file is
+// file-major order, as before.
+func TestStripedDispatchOrder(t *testing.T) {
+	plan := func(chunks ...int) [][]chunkSpan {
+		out := make([][]chunkSpan, len(chunks))
+		for fi, n := range chunks {
+			for ci := 0; ci < n; ci++ {
+				out[fi] = append(out[fi], chunkSpan{File: fi, Index: ci})
+			}
+		}
+		return out
+	}
+	render := func(jobs []job) string {
+		var b strings.Builder
+		for _, j := range jobs {
+			if j.mergeOnly {
+				fmt.Fprintf(&b, "m%d ", j.sp.File)
+			} else {
+				fmt.Fprintf(&b, "f%dc%d ", j.sp.File, j.sp.Index)
+			}
+		}
+		return strings.TrimSpace(b.String())
+	}
+	for _, tc := range []struct {
+		name    string
+		pending [][]chunkSpan
+		width   int
+		want    string // "" = only the window property is checked
+	}{
+		{"one file is file-major", plan(4), 4, "f0c0 f0c1 f0c2 f0c3"},
+		{"width one is file-major", plan(2, 2), 1, "f0c0 f0c1 f1c0 f1c1"},
+		{"two files four streams alternate", plan(4, 4), 4, "f0c0 f1c0 f0c1 f1c1 f0c2 f1c2 f0c3 f1c3"},
+		{"second stripe follows the first", plan(2, 2, 2, 2), 2, "f0c0 f1c0 f0c1 f1c1 f2c0 f3c0 f2c1 f3c1"},
+		{"a skipped file merges at the head of its stripe", plan(2, 0, 1, 0), 2, "m1 f0c0 f0c1 m3 f2c0"},
+		{"burst-large batch", plan(4, 4, 4, 4, 4, 4, 4, 4), 4, ""},
+		{"uneven files", plan(4, 1, 1, 1, 3, 2), 4, ""},
+	} {
+		jobs := striped(tc.pending, tc.width)
+		if tc.want != "" && render(jobs) != tc.want {
+			t.Errorf("%s: order %s, want %s", tc.name, render(jobs), tc.want)
+		}
+		left := make([]int, len(tc.pending))
+		total := 0
+		for fi, spans := range tc.pending {
+			left[fi] = len(spans)
+			total += len(spans)
+		}
+		var chunks []chunkSpan
+		for _, j := range jobs {
+			if !j.mergeOnly {
+				chunks = append(chunks, j.sp)
+			}
+		}
+		if len(chunks) != total {
+			t.Errorf("%s: %d chunks dispatched, want %d", tc.name, len(chunks), total)
+		}
+		last := make([]int, len(tc.pending)) // 1-based position of each file's latest chunk
+		for i, sp := range chunks {
+			// Round-robin: since sp's file last went, every other file of
+			// its stripe that still has chunks has gone too.
+			lo := sp.File / tc.width * tc.width
+			for fi := lo; fi < min(lo+tc.width, len(left)); fi++ {
+				if fi != sp.File && last[sp.File] > 0 && left[fi] > 0 && last[fi] < last[sp.File] {
+					t.Errorf("%s: f%dc%d dispatched again before f%d, which still has %d pending (%s)",
+						tc.name, sp.File, sp.Index, fi, left[fi], render(jobs))
+				}
+			}
+			last[sp.File] = i + 1
+			left[sp.File]--
+		}
+	}
+}
+
+// TestEngineFirstWindowSpansDistinctFiles: with S streams and at least S
+// files, the first S chunks in flight together belong to S different
+// files — S writers on S inodes, not S writers queued on one.
+func TestEngineFirstWindowSpansDistinctFiles(t *testing.T) {
+	const chunk, streams = 1024, 4
+	fx, _ := newEngineBatch(t, 8, 2*chunk)
+	e, sk := &engine{}, newMemSink()
+	var (
+		mu       sync.Mutex
+		first    []int
+		together = make(chan struct{})
+	)
+	sk.before = func(sp chunkSpan) error {
+		mu.Lock()
+		wait := len(first) < streams
+		if wait {
+			first = append(first, sp.File)
+			if len(first) == streams {
+				close(together)
+			}
+		}
+		mu.Unlock()
+		if wait {
+			select {
+			case <-together:
+			case <-time.After(5 * time.Second):
+				return errors.New("the first window never filled")
+			}
+		}
+		return nil
+	}
+	if _, err := e.run(moveConfig{checksum: true, chunkBytes: chunk, streams: streams}, fx.task, fx.src, fx.dst, sk); err != nil {
+		t.Fatal(err)
+	}
+	seen := map[int]bool{}
+	for _, f := range first {
+		seen[f] = true
+	}
+	if len(seen) != streams {
+		t.Errorf("first %d chunks in flight target files %v, want %d distinct files", streams, first, streams)
+	}
+}
+
+// TestEngineMergesEachFileAsItsLastChunkLands: every file is merged
+// exactly once and only after all of its writes; merges do not wait for
+// the whole task — a file of the first stripe is being merged before the
+// second stripe has finished landing.
+func TestEngineMergesEachFileAsItsLastChunkLands(t *testing.T) {
+	const chunk, streams = 1024, 2
+	fx, payloads := newEngineBatch(t, 2*streams, 2*chunk)
+	e, sk := &engine{}, newMemSink()
+	rep, err := e.run(moveConfig{checksum: true, chunkBytes: chunk, streams: streams}, fx.task, fx.src, fx.dst, sk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.ChunksMoved != 8 || rep.BytesMoved != int64(4*2*chunk) {
+		t.Errorf("moved/bytes = %d/%d, want 8/%d", rep.ChunksMoved, rep.BytesMoved, 4*2*chunk)
+	}
+	firstMerge, lastWriteOfStripe2 := -1, -1
+	for fi, f := range fx.task.Files {
+		if rep.Checksums[f.RelPath] != hexSum(payloads[fi]) {
+			t.Errorf("%s: whole-file checksum wrong", f.RelPath)
+		}
+		merged := -1
+		for i, ev := range sk.events {
+			switch ev {
+			case "m " + f.RelPath:
+				if merged >= 0 {
+					t.Errorf("%s merged twice", f.RelPath)
+				}
+				merged = i
+			case "w " + f.RelPath:
+				if merged >= 0 {
+					t.Errorf("%s: a write landed after its merge started", f.RelPath)
+				}
+				if fi >= streams {
+					lastWriteOfStripe2 = max(lastWriteOfStripe2, i)
+				}
+			}
+		}
+		if merged < 0 {
+			t.Errorf("%s never merged", f.RelPath)
+		} else if fi < streams && (firstMerge < 0 || merged < firstMerge) {
+			firstMerge = merged
+		}
+	}
+	if firstMerge > lastWriteOfStripe2 {
+		t.Errorf("no merge of the first stripe started before the second stripe finished landing: %v", sk.events)
+	}
+}
+
+// TestEngineSkippedFileStillMergedAndAbortStopsMerges: a file whose
+// chunks all survived a resume is merged all the same (as a job of its
+// own), and once a write has failed no further merge starts — not even
+// such a job already queued behind the failure.
+func TestEngineSkippedFileStillMergedAndAbortStopsMerges(t *testing.T) {
+	fx, payloads := newEngineBatch(t, 3, 1024) // one chunk each
+	e, sk := &engine{}, newMemSink()
+	failF1 := func(sp chunkSpan) error {
+		if sp.File == 1 {
+			return errors.New("disk on fire")
+		}
+		return nil
+	}
+
+	// f0 and f2 land, f1 fails — once the other two writes are under way,
+	// so the abort cannot pre-empt them.
+	var others sync.WaitGroup
+	others.Add(2)
+	sk.before = func(sp chunkSpan) error {
+		if sp.File == 1 {
+			others.Wait()
+		} else {
+			others.Done()
+		}
+		return failF1(sp)
+	}
+	if _, err := e.run(moveConfig{checksum: true, streams: 3}, fx.task, fx.src, fx.dst, sk); err == nil {
+		t.Fatal("attempt with a failing write succeeded")
+	}
+	if n := doneChunks(t, e); n != 2 {
+		t.Fatalf("manifest records %d chunks done, want 2", n)
+	}
+
+	// One stream: merge f0, write f1 (fails again), merge f2 — which must
+	// not start.
+	sk.before, sk.events = failF1, nil
+	cfg := moveConfig{checksum: true, streams: 1}
+	rep, err := e.run(cfg, fx.task, fx.src, fx.dst, sk)
+	if err == nil || rep.Checksums != nil {
+		t.Fatalf("err = %v sums = %v, want the write error and no checksums", err, rep.Checksums)
+	}
+	if got := strings.Join(sk.events, ","); got != "m f0.bin" {
+		t.Errorf("events after the second failure = %q, want only f0's merge", got)
+	}
+
+	sk.before, sk.events = nil, nil
+	rep, err = e.run(cfg, fx.task, fx.src, fx.dst, sk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.ChunksSkipped != 2 || rep.ChunksMoved != 1 || rep.BytesMoved != 3*1024 {
+		t.Errorf("skipped/moved/bytes = %d/%d/%d, want 2/1/%d", rep.ChunksSkipped, rep.ChunksMoved, rep.BytesMoved, 3*1024)
+	}
+	for fi, f := range fx.task.Files {
+		if sk.count("m "+f.RelPath) != 1 {
+			t.Errorf("%s merged %d times on the resumed attempt, want once", f.RelPath, sk.count("m "+f.RelPath))
+		}
+		if rep.Checksums[f.RelPath] != hexSum(payloads[fi]) {
+			t.Errorf("%s: whole-file checksum wrong", f.RelPath)
+		}
+	}
+}
+
+// TestEngineKillOnLastChunkStartsNoMerge: the chunk whose completion trips
+// the kill latch is also its file's last — the file is fully landed, but
+// the attempt is dead and must not merge it.
+func TestEngineKillOnLastChunkStartsNoMerge(t *testing.T) {
+	const chunk = 1024
+	fx, _ := newEngineBatch(t, 2, 2*chunk)
+	e, sk := &engine{}, newMemSink()
+	cfg := moveConfig{checksum: true, chunkBytes: chunk, streams: 1, killAfterChunks: 2}
+	if _, err := e.run(cfg, fx.task, fx.src, fx.dst, sk); err == nil || !strings.Contains(err.Error(), "killed after 2 chunks") {
+		t.Fatalf("err = %v, want the injected kill", err)
+	}
+	if got := strings.Join(sk.events, ","); got != "w f0.bin,w f0.bin" {
+		t.Errorf("events = %q, want f0's two writes and no merge", got)
+	}
+}
+
+// TestEngineBadMergeFailsWholeAttempt: with several files merging
+// concurrently, one file's merge names a bad chunk. Exactly that chunk is
+// demoted, the attempt fails, and no file's checksum is reported — the
+// files that did merge are not a partial success.
+func TestEngineBadMergeFailsWholeAttempt(t *testing.T) {
+	const chunk = 1024
+	fx, payloads := newEngineBatch(t, 4, 2*chunk)
+	e, sk := &engine{}, newMemSink()
+	sk.badMerge, sk.badMergeRel = 1, "f2.bin"
+	cfg := moveConfig{checksum: true, chunkBytes: chunk, streams: 2}
+
+	rep, err := e.run(cfg, fx.task, fx.src, fx.dst, sk)
+	if err == nil || !strings.Contains(err.Error(), "checksum mismatch on f2.bin") {
+		t.Fatalf("err = %v, want f2's checksum mismatch", err)
+	}
+	if rep.Checksums != nil {
+		t.Errorf("failed attempt reported checksums %v", rep.Checksums)
+	}
+	// Everything dispatched before f2's last chunk has landed and stays
+	// done; of f2, only the named chunk is demoted.
+	e.manifests.mu.Lock()
+	for _, m := range e.manifests.mem {
+		for fi, want := range [][]bool{{true, true}, {true, true}, {true, false}} {
+			for ci, c := range m.Files[fi].Chunks {
+				if c.Done != want[ci] {
+					t.Errorf("f%dc%d done=%v after f2c1 was demoted, want %v", fi, ci, c.Done, want[ci])
+				}
+			}
+		}
+	}
+	e.manifests.mu.Unlock()
+
+	sk.writes = nil
+	rep, err = e.run(cfg, fx.task, fx.src, fx.dst, sk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resent := 0
+	for _, sp := range sk.writes {
+		if sp.File == 2 && sp.Index == 1 {
+			resent++
+		}
+	}
+	if resent != 1 || rep.ChunksSkipped+rep.ChunksMoved != 8 {
+		t.Errorf("retry re-sent f2c1 %d times and skipped+moved %d+%d, want once and 8 in all", resent, rep.ChunksSkipped, rep.ChunksMoved)
+	}
+	for fi, f := range fx.task.Files {
+		if rep.Checksums[f.RelPath] != hexSum(payloads[fi]) {
+			t.Errorf("%s: whole-file checksum wrong after the re-send", f.RelPath)
+		}
 	}
 }
 

@@ -65,7 +65,13 @@ func (w *benchWorld) stage(b *testing.B, rel string, data []byte) {
 
 func (w *benchWorld) move(b *testing.B, rel string, want TaskStatus) TaskView {
 	b.Helper()
-	id, err := w.svc.Submit(w.tok, "src", "dst", []FileSpec{{RelPath: rel}})
+	return w.moveAll(b, []FileSpec{{RelPath: rel}}, want)
+}
+
+// moveAll submits one task of several files and waits for it to reach want.
+func (w *benchWorld) moveAll(b *testing.B, files []FileSpec, want TaskStatus) TaskView {
+	b.Helper()
+	id, err := w.svc.Submit(w.tok, "src", "dst", files)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -105,6 +111,31 @@ func BenchmarkWireThroughput(b *testing.B) {
 		w.stage(b, rel, data)
 		b.StartTimer()
 		w.move(b, rel, StatusSucceeded)
+	}
+}
+
+// BenchmarkWireBatch moves one task of 8 files × 4 MiB per iteration
+// (1 MiB chunks, so 4 chunks a file; 4 streams; per-chunk SHA-256 plus
+// verified merge) — the burst-large batch shape at a size bench-smoke can
+// afford. Unlike the one-file benchmark above it sees the dispatch order
+// across files and the overlap of merges with chunks still shipping.
+func BenchmarkWireBatch(b *testing.B) {
+	const files, size = 8, 4 << 20
+	w := newBenchWorld(b, 1<<20, 4, Options{})
+	data := make([]byte, size)
+	rand.New(rand.NewSource(3)).Read(data)
+
+	b.SetBytes(files * size)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		specs := make([]FileSpec, files)
+		for f := range specs {
+			specs[f].RelPath = fmt.Sprintf("batch/%d/%d.bin", i, f)
+			w.stage(b, specs[f].RelPath, data)
+		}
+		b.StartTimer()
+		w.moveAll(b, specs, StatusSucceeded)
 	}
 }
 

@@ -131,6 +131,12 @@ type wireSink struct {
 	retries  int
 }
 
+// chunkPool recycles the buffers wireSink.Write reads source ranges into:
+// a buffer goes back once WriteChunk has returned, when the bytes are on
+// the socket or the send has failed. One too small for the chunk at hand
+// is dropped.
+var chunkPool sync.Pool
+
 // Write reads one source range, hashes it, and lands it on the daemon as
 // a ranged write; the daemon re-hashes the received bytes and refuses a
 // mismatch, so a chunk corrupted past the frame CRC still never reaches
@@ -138,8 +144,14 @@ type wireSink struct {
 // fresh hash) up to retries times: one damaged chunk costs one chunk
 // re-ship, not a whole service-attempt resume pass.
 func (s wireSink) Write(rel string, sp chunkSpan, src io.ReaderAt) (string, error) {
+	bufp, _ := chunkPool.Get().(*[]byte)
+	if bufp == nil || int64(cap(*bufp)) < sp.N {
+		b := make([]byte, sp.N)
+		bufp = &b
+	}
+	defer chunkPool.Put(bufp)
+	buf := (*bufp)[:sp.N]
 	for resend := 0; ; resend++ {
-		buf := make([]byte, sp.N)
 		if _, err := io.ReadFull(io.NewSectionReader(src, sp.Off, sp.N), buf); err != nil {
 			return "", fmt.Errorf("transfer: read chunk @%d: %w", sp.Off, err)
 		}

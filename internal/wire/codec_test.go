@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"hash/crc32"
 	"io"
@@ -94,6 +95,43 @@ func TestCodecRoundTripEveryMessageType(t *testing.T) {
 	}
 	if _, _, _, err := ReadFrame(&buf, 0); !errors.Is(err, io.EOF) {
 		t.Fatalf("after last frame: %v, want io.EOF", err)
+	}
+}
+
+// TestWriteFrameGoldenBytes pins the bytes on the wire, one frame of each
+// shape (no header, header only, header and body), against what the
+// encoder produced before its assembly buffer was recycled — and a
+// chunk-sized frame assembled in a dirty recycled buffer against an
+// independent encoding, so nothing of the buffer's previous tenant leaks.
+func TestWriteFrameGoldenBytes(t *testing.T) {
+	for _, g := range []struct {
+		typ  byte
+		head any
+		body []byte
+		want string
+	}{
+		{MsgPrepareOK, nil, nil, "05000000717804ed0700000000"},
+		{MsgStat, Stat{Rels: []string{"a/b.emdg"}}, nil,
+			"1a000000b06caeef04150000007b2272656c73223a5b22612f622e656d6467225d7d"},
+		{MsgWrite, Write{Rel: "x", Off: 8, SHA256: "ab"}, []byte("chunk bytes"),
+			"31000000983fe33308210000007b2272656c223a2278222c226f6666223a382c22736861323536223a226162227d6368756e6b206279746573"},
+	} {
+		if got := hex.EncodeToString(frameBytes(t, g.typ, g.head, g.body)); got != g.want {
+			t.Errorf("type %d frame:\n got %s\nwant %s", g.typ, got, g.want)
+		}
+	}
+
+	dirty := bytes.Repeat([]byte{0xFF}, 2*pooledFrameMin)
+	frameBytes(t, MsgWrite, Write{Rel: "dirty"}, dirty) // leaves a buffer of 0xFF in the pool
+	body := bytes.Repeat([]byte{0x00, 0x5A}, pooledFrameMin/2)
+	head := []byte(`{"rel":"x","off":0}`)
+	payload := append([]byte{MsgWrite}, binary.LittleEndian.AppendUint32(nil, uint32(len(head)))...)
+	payload = append(append(payload, head...), body...)
+	want := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	want = binary.LittleEndian.AppendUint32(want, crc32.Checksum(payload, castagnoli))
+	want = append(want, payload...)
+	if got := frameBytes(t, MsgWrite, Write{Rel: "x"}, body); !bytes.Equal(got, want) {
+		t.Error("chunk-sized frame assembled in a recycled buffer differs from its independent encoding")
 	}
 }
 

@@ -246,7 +246,13 @@ func (s *Server) session(c net.Conn) {
 
 	for {
 		s.armIdle(c)
-		typ, head, body, err := ReadFrame(c, s.MaxFrame)
+		// The request payload is recycled: a session is strict
+		// request/response, so nothing references it once handle returns.
+		var payload *[]byte
+		typ, head, body, err := readFrame(c, s.MaxFrame, func(n int) []byte {
+			payload = getFrameBuf(n)
+			return *payload
+		})
 		if err != nil {
 			if isTimeout(err) {
 				// Idle deadline: the peer went quiet past IdleTimeout. Drop
@@ -275,6 +281,7 @@ func (s *Server) session(c net.Conn) {
 		s.conns[c] = true
 		s.mu.Unlock()
 		ok := s.handle(c, typ, head, body)
+		putFrameBuf(payload)
 		s.mu.Lock()
 		s.conns[c] = false
 		draining := s.draining
@@ -333,11 +340,11 @@ func (s *Server) handle(c net.Conn, typ byte, head, body []byte) bool {
 
 	case MsgPrepare:
 		var req Prepare
-		err := DecodeHead(head, &req)
-		if err == nil {
-			err = s.store().Prepare(req.Rel, req.Size)
+		if err := DecodeHead(head, &req); err != nil {
+			werr = &ErrFrame{Code: CodeBadRequest, Msg: err.Error()}
+			break
 		}
-		if err != nil {
+		if err := s.store().Prepare(req.Rel, req.Size); err != nil {
 			werr = classify(err)
 			break
 		}
@@ -345,8 +352,12 @@ func (s *Server) handle(c net.Conn, typ byte, head, body []byte) bool {
 
 	case MsgWrite:
 		var req Write
-		err := DecodeHead(head, &req)
-		if err == nil && req.SHA256 != "" {
+		if err := DecodeHead(head, &req); err != nil {
+			werr = &ErrFrame{Code: CodeBadRequest, Msg: err.Error()}
+			break
+		}
+		var err error
+		if req.SHA256 != "" {
 			// Verify at the door: a chunk whose declared digest does not
 			// match the received bytes never touches the destination file.
 			sum := sha256.Sum256(body)
@@ -366,9 +377,13 @@ func (s *Server) handle(c net.Conn, typ byte, head, body []byte) bool {
 
 	case MsgRead:
 		var req Read
-		err := DecodeHead(head, &req)
+		if err := DecodeHead(head, &req); err != nil {
+			werr = &ErrFrame{Code: CodeBadRequest, Msg: err.Error()}
+			break
+		}
 		var data []byte
-		if err == nil && req.N > int64(maxFrameBody(s.MaxFrame)) {
+		var err error
+		if req.N > int64(maxFrameBody(s.MaxFrame)) {
 			err = &RemoteError{Code: CodeBadRequest, Msg: fmt.Sprintf("read range @%d+%d exceeds the frame limit", req.Off, req.N)}
 		}
 		if err == nil {

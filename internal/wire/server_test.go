@@ -4,9 +4,14 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
+	"fmt"
 	"net"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/debug"
+	"sync"
 	"testing"
 	"time"
 
@@ -226,6 +231,145 @@ func TestPathConfinement(t *testing.T) {
 		if _, err := cl.Merge(rel, []MergeChunk{{Off: 0, N: 4}}); !IsRemoteCode(err, CodeBadRequest) {
 			t.Fatalf("merge %q: err = %v, want CodeBadRequest", rel, err)
 		}
+	}
+}
+
+// TestMalformedHeaderIsBadRequest: every request of the conformance corpus
+// (codec_test.go), sent with a header that is JSON of the wrong shape, is
+// answered bad-request — which no retry can fix (Permanent) — and the
+// session survives to serve the next op.
+func TestMalformedHeaderIsBadRequest(t *testing.T) {
+	_, cl, _ := startServer(t, nil)
+	for _, m := range everyMessage() {
+		if m.typ < MsgStat || m.typ%2 != 0 {
+			continue // a response, or the Hello handshake
+		}
+		for _, head := range []string{
+			`{"rel":5,"rels":5,"off":"y","task":5,"function":5,"fill":"y"}`, // fields of the wrong type
+			`[1]`, // not an object at all
+		} {
+			_, err := cl.do(m.typ, json.RawMessage(head), m.body, m.typ+1, nil)
+			if !IsRemoteCode(err, CodeBadRequest) || !Permanent(err) {
+				t.Errorf("type %d with header %s: err = %v, want CodeBadRequest", m.typ, head, err)
+			}
+		}
+	}
+	if _, _, err := cl.Status(0); err != nil {
+		t.Fatalf("session did not survive the malformed requests: %v", err)
+	}
+}
+
+// TestConcurrentSessionsLandOwnBytes hammers the recycled request
+// payloads: many sessions write chunk-sized bodies of distinct byte
+// patterns through one server at once, and every file must hold exactly
+// its own pattern — a payload is never handed to another session while a
+// handler still reads it. Run under -race.
+func TestConcurrentSessionsLandOwnBytes(t *testing.T) {
+	srv, cl, token := startServer(t, nil)
+	const sessions, rounds, size = 8, 6, 2 * pooledFrameMin
+	var wg sync.WaitGroup
+	for i := 0; i < sessions; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// A client of its own, so every writer holds a session of its own.
+			c := &Client{Addr: cl.Addr, Token: token, Timeout: 10 * time.Second}
+			defer c.Close()
+			rel := fmt.Sprintf("hammer/%d.bin", i)
+			if err := c.Prepare(rel, rounds*size); err != nil {
+				t.Error(err)
+				return
+			}
+			for r := 0; r < rounds; r++ {
+				body := bytes.Repeat([]byte{byte(i*rounds + r + 1)}, size)
+				sum := sha256.Sum256(body)
+				if err := c.WriteChunk(rel, int64(r*size), body, hex.EncodeToString(sum[:])); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for i := 0; i < sessions; i++ {
+		got, err := os.ReadFile(filepath.Join(srv.Root, "hammer", fmt.Sprintf("%d.bin", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < rounds; r++ {
+			if want := bytes.Repeat([]byte{byte(i*rounds + r + 1)}, size); !bytes.Equal(got[r*size:(r+1)*size], want) {
+				t.Errorf("session %d round %d landed bytes that are not its own", i, r)
+			}
+		}
+	}
+}
+
+// TestReadChunkBodyIsCallerOwned: a body handed to the caller is never
+// recycled — it is intact after 100 further exchanges, chunk-sized writes
+// included, on the same client.
+func TestReadChunkBodyIsCallerOwned(t *testing.T) {
+	_, cl, _ := startServer(t, nil)
+	const size = 2 * pooledFrameMin
+	want := bytes.Repeat([]byte{0xA5}, size)
+	if err := cl.Prepare("own.bin", size); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.WriteChunk("own.bin", 0, want, ""); err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := cl.ReadChunk("own.bin", 0, size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := bytes.Repeat([]byte{0x3C}, size)
+	for i := 0; i < 100; i++ {
+		if err := cl.WriteChunk("other.bin", 0, other, ""); err != nil {
+			t.Fatal(err)
+		}
+		if _, n, err := cl.Status(size); err != nil || n != size {
+			t.Fatalf("status fill: n=%d err=%v", n, err)
+		}
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("a ReadChunk body changed under its caller")
+	}
+}
+
+// TestWriteChunkSteadyStateAllocs is the allocation gate of the chunk
+// path: after a warm-up call, shipping a 1 MiB chunk allocates under
+// 64 KiB on both sides of the socket together (this process holds the
+// daemon too) — no chunk-sized buffer is made per chunk.
+func TestWriteChunkSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a quarter of its Puts under the race detector")
+	}
+	_, cl, _ := startServer(t, nil)
+	body := bytes.Repeat([]byte{7}, 1<<20)
+	sum := sha256.Sum256(body)
+	digest := hex.EncodeToString(sum[:])
+	if err := cl.Prepare("gate.bin", int64(len(body))); err != nil {
+		t.Fatal(err)
+	}
+	write := func() {
+		if err := cl.WriteChunk("gate.bin", 0, body, digest); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// As testing.AllocsPerRun does: one P, or a buffer parked in another
+	// P's private pool slot reads as a miss; and no collection, which
+	// would empty the pools.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	write()
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		write()
+	}
+	runtime.ReadMemStats(&after)
+	if perCall := (after.TotalAlloc - before.TotalAlloc) / runs; perCall >= 64<<10 {
+		t.Errorf("WriteChunk of 1 MiB allocates %d KiB per call in steady state, want < 64 KiB", perCall>>10)
 	}
 }
 

@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"sync"
 
 	"picoprobe/internal/landing"
 )
@@ -258,10 +259,48 @@ func (e *RemoteError) Error() string {
 	return fmt.Sprintf("wire: remote %s: %s", e.Code, e.Msg)
 }
 
+// framePool recycles the chunk-sized buffers of the byte path: the frame
+// WriteFrame assembles and the payload a server session reads a request
+// into (DESIGN.md §11, buffer ownership). Frames under pooledFrameMin are
+// plainly allocated — they cost nothing to make and would only seed the
+// pool with buffers too small for a chunk. Pooled capacities are rounded
+// up to frameBufQuantum, so frames of one chunk size whose JSON headers
+// differ by a digit (and a frame and its payload, 8 bytes apart) fit each
+// other's buffers.
+var framePool sync.Pool
+
+const (
+	pooledFrameMin  = 64 << 10
+	frameBufQuantum = 4 << 10
+)
+
+// getFrameBuf returns an n-byte buffer with arbitrary contents; the
+// caller overwrites all of it and hands it back to putFrameBuf once no
+// byte of it is referenced. A pooled buffer too small for n is dropped.
+func getFrameBuf(n int) *[]byte {
+	if n < pooledFrameMin {
+		b := make([]byte, n)
+		return &b
+	}
+	if p, _ := framePool.Get().(*[]byte); p != nil && cap(*p) >= n {
+		*p = (*p)[:n]
+		return p
+	}
+	b := make([]byte, n, (n+frameBufQuantum-1)/frameBufQuantum*frameBufQuantum)
+	return &b
+}
+
+func putFrameBuf(p *[]byte) {
+	if cap(*p) >= pooledFrameMin {
+		framePool.Put(p)
+	}
+}
+
 // WriteFrame encodes and writes one frame. head is marshaled to JSON
 // (nil means an empty header); body may be nil. The frame is assembled
-// in one buffer and written with a single Write, so a wrapped conn's
-// per-write fault injection sees whole frames.
+// in one (recycled) buffer and written with a single Write, so a wrapped
+// conn's per-write fault injection sees whole frames; w must not keep
+// the slice past Write, the io.Writer contract.
 func WriteFrame(w io.Writer, typ byte, head any, body []byte) error {
 	var hj []byte
 	if head != nil {
@@ -271,7 +310,9 @@ func WriteFrame(w io.Writer, typ byte, head any, body []byte) error {
 		}
 	}
 	payloadLen := 1 + 4 + len(hj) + len(body)
-	buf := make([]byte, frameHead+payloadLen)
+	bufp := getFrameBuf(frameHead + payloadLen)
+	defer putFrameBuf(bufp)
+	buf := *bufp
 	binary.LittleEndian.PutUint32(buf[0:4], uint32(payloadLen))
 	buf[8] = typ
 	binary.LittleEndian.PutUint32(buf[9:13], uint32(len(hj)))
@@ -285,8 +326,15 @@ func WriteFrame(w io.Writer, typ byte, head any, body []byte) error {
 // ReadFrame reads one frame, returning its type, raw header JSON and
 // body. maxFrame bounds the payload (0 = DefaultMaxFrame). A clean EOF
 // at a frame boundary is io.EOF; a stream cut mid-frame is
-// io.ErrUnexpectedEOF; CRC or structural damage is ErrCorrupt.
+// io.ErrUnexpectedEOF; CRC or structural damage is ErrCorrupt. head and
+// body alias one freshly allocated payload the caller owns.
 func ReadFrame(r io.Reader, maxFrame uint32) (typ byte, head, body []byte, err error) {
+	return readFrame(r, maxFrame, func(n int) []byte { return make([]byte, n) })
+}
+
+// readFrame is ReadFrame with the payload buffer supplied by alloc, which
+// is called at most once, after the length prefix has passed its bound.
+func readFrame(r io.Reader, maxFrame uint32, alloc func(n int) []byte) (typ byte, head, body []byte, err error) {
 	if maxFrame == 0 {
 		maxFrame = DefaultMaxFrame
 	}
@@ -302,7 +350,7 @@ func ReadFrame(r io.Reader, maxFrame uint32) (typ byte, head, body []byte, err e
 	if payloadLen < 5 || payloadLen > maxFrame {
 		return 0, nil, nil, fmt.Errorf("%w: implausible payload length %d", ErrCorrupt, payloadLen)
 	}
-	payload := make([]byte, payloadLen)
+	payload := alloc(int(payloadLen))
 	if _, err = io.ReadFull(r, payload); err != nil {
 		if errors.Is(err, io.EOF) {
 			err = io.ErrUnexpectedEOF
