@@ -769,7 +769,7 @@ func BenchmarkIngestKillResume(b *testing.B) {
 					b.Fatal(err)
 				}
 				svc1 := transfer.NewService(iss, &transfer.LiveMover{
-					Checksum: true, ChunkBytes: chunk, Streams: 1,
+					ChunkBytes: chunk, Streams: 1,
 					ManifestDir: manDir, KillAfterChunks: kill,
 				}, time.Now, transfer.Options{MaxAttempts: 1})
 				svc1.RegisterEndpoint(transfer.Endpoint{ID: "src", Root: srcRoot})
@@ -784,7 +784,7 @@ func BenchmarkIngestKillResume(b *testing.B) {
 				// "Reboot": a fresh service and mover; only the manifest
 				// directory (when enabled) survives.
 				svc2 := transfer.NewService(iss, &transfer.LiveMover{
-					Checksum: true, ChunkBytes: chunk, Streams: 1, ManifestDir: manDir,
+					ChunkBytes: chunk, Streams: 1, ManifestDir: manDir,
 				}, time.Now, transfer.Options{})
 				svc2.RegisterEndpoint(transfer.Endpoint{ID: "src", Root: srcRoot})
 				svc2.RegisterEndpoint(transfer.Endpoint{ID: "dst", Root: dstRoot})
@@ -799,59 +799,6 @@ func BenchmarkIngestKillResume(b *testing.B) {
 				reMoved = v2.BytesCopied
 			}
 			b.ReportMetric(float64(reMoved)/1e6, "re_moved_mb")
-		})
-	}
-}
-
-// BenchmarkIngestChecksumAblation measures what per-chunk SHA-256 plus
-// the verified merge cost on the real copy path: a 32 MB file in 1 MB
-// chunks over 4 streams, with integrity verification on and off (the
-// Globus Transfer checksum toggle). Metric: end-to-end copy throughput.
-func BenchmarkIngestChecksumAblation(b *testing.B) {
-	iss := auth.NewIssuer([]byte("bench"), nil)
-	tok, err := iss.Issue("bench", []string{auth.ScopeTransfer}, 24*time.Hour)
-	if err != nil {
-		b.Fatal(err)
-	}
-	const size = 32 << 20
-	payload := make([]byte, size)
-	rand.New(rand.NewSource(9)).Read(payload)
-	for _, checksum := range []bool{true, false} {
-		name := "checksum-on"
-		if !checksum {
-			name = "checksum-off"
-		}
-		b.Run(name, func(b *testing.B) {
-			srcRoot := b.TempDir()
-			if err := os.WriteFile(filepath.Join(srcRoot, "f.emdg"), payload, 0o644); err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(size)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				svc := transfer.NewService(iss, &transfer.LiveMover{
-					Checksum: checksum, ChunkBytes: 1 << 20, Streams: 4,
-				}, time.Now, transfer.Options{})
-				svc.RegisterEndpoint(transfer.Endpoint{ID: "src", Root: srcRoot})
-				svc.RegisterEndpoint(transfer.Endpoint{ID: "dst", Root: b.TempDir()})
-				id, err := svc.Submit(tok, "src", "dst", []transfer.FileSpec{{RelPath: "f.emdg"}})
-				if err != nil {
-					b.Fatal(err)
-				}
-				for {
-					view, err := svc.Status(tok, id)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if view.Status == transfer.StatusSucceeded {
-						break
-					}
-					if view.Status == transfer.StatusFailed {
-						b.Fatal(view.Error)
-					}
-					time.Sleep(time.Millisecond)
-				}
-			}
 		})
 	}
 }
@@ -885,57 +832,47 @@ func (p *benchFlowProvider) Status(token, actionID string) (flows.ActionStatus, 
 
 // BenchmarkFlowEngineThroughput drives thousands of concurrent simulated
 // flow runs through the engine and reports the completion-detection
-// effort. The batched poller services every action due at an instant in
-// one sweep, so timer wake-ups stay near the per-run poll-schedule length
-// (sub-linear in runs); the per-run-timer baseline (v1's model: each
-// run's poll is its own timer) pays one wake-up per status call. Poll
-// instants and all recorded timings are identical in both modes.
+// effort. The poller services every action due at an instant in one
+// sweep, so timer wake-ups stay near the per-run poll-schedule length
+// (sub-linear in runs) while status calls follow each run's own schedule.
 func BenchmarkFlowEngineThroughput(b *testing.B) {
-	for _, mode := range []struct {
-		name     string
-		perState bool
-	}{{"batched", false}, {"per-run-timer-baseline", true}} {
-		for _, runs := range []int{100, 1000} {
-			b.Run(fmt.Sprintf("%s-runs-%d", mode.name, runs), func(b *testing.B) {
-				var stats flows.PollStats
-				for i := 0; i < b.N; i++ {
-					k := sim.NewKernel()
-					e := flows.NewEngine(k, flows.Options{
-						Policy:         flows.DefaultExponential(),
-						PerStateTimers: mode.perState,
-					})
-					for name, dur := range map[string]time.Duration{
-						"transfer": 11 * time.Second,
-						"compute":  7 * time.Second,
-						"search":   time.Second,
-					} {
-						e.RegisterProvider(&benchFlowProvider{name: name, k: k, dur: dur, done: map[string]time.Time{}})
-					}
-					def := flows.Definition{Name: "bench", States: []flows.StateDef{
-						{Name: "Transfer", Provider: "transfer"},
-						{Name: "Analysis", Provider: "compute"},
-						{Name: "Publication", Provider: "search"},
-					}}
-					completed := 0
-					for r := 0; r < runs; r++ {
-						if _, err := e.Run("tok", def, nil, func(flows.RunRecord) { completed++ }); err != nil {
-							b.Fatal(err)
-						}
-					}
-					k.Run()
-					if err := k.Err(); err != nil {
+	for _, runs := range []int{100, 1000} {
+		b.Run(fmt.Sprintf("batched-runs-%d", runs), func(b *testing.B) {
+			var stats flows.PollStats
+			for i := 0; i < b.N; i++ {
+				k := sim.NewKernel()
+				e := flows.NewEngine(k, flows.Options{Policy: flows.DefaultExponential()})
+				for name, dur := range map[string]time.Duration{
+					"transfer": 11 * time.Second,
+					"compute":  7 * time.Second,
+					"search":   time.Second,
+				} {
+					e.RegisterProvider(&benchFlowProvider{name: name, k: k, dur: dur, done: map[string]time.Time{}})
+				}
+				def := flows.Definition{Name: "bench", States: []flows.StateDef{
+					{Name: "Transfer", Provider: "transfer"},
+					{Name: "Analysis", Provider: "compute"},
+					{Name: "Publication", Provider: "search"},
+				}}
+				completed := 0
+				for r := 0; r < runs; r++ {
+					if _, err := e.Run("tok", def, nil, func(flows.RunRecord) { completed++ }); err != nil {
 						b.Fatal(err)
 					}
-					if completed != runs {
-						b.Fatalf("completed %d of %d runs", completed, runs)
-					}
-					stats = e.PollStats()
 				}
-				b.ReportMetric(float64(stats.Wakeups), "wakeups")
-				b.ReportMetric(float64(stats.StatusCalls), "status_calls")
-				b.ReportMetric(float64(stats.Wakeups)/float64(runs), "wakeups_per_run")
-			})
-		}
+				k.Run()
+				if err := k.Err(); err != nil {
+					b.Fatal(err)
+				}
+				if completed != runs {
+					b.Fatalf("completed %d of %d runs", completed, runs)
+				}
+				stats = e.PollStats()
+			}
+			b.ReportMetric(float64(stats.Wakeups), "wakeups")
+			b.ReportMetric(float64(stats.StatusCalls), "status_calls")
+			b.ReportMetric(float64(stats.Wakeups)/float64(runs), "wakeups_per_run")
+		})
 	}
 }
 

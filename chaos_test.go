@@ -120,7 +120,6 @@ func TestChaosSoak(t *testing.T) {
 
 	srcRoot := t.TempDir()
 	mover := &transfer.WireMover{
-		Checksum:         true,
 		ChunkBytes:       chunkBytes,
 		Streams:          2,
 		ManifestDir:      filepath.Join(srcRoot, ".manifests"),

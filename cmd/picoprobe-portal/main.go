@@ -17,12 +17,14 @@
 // (it is deterministic), not restored; live embedders journal their
 // registry with facility.Registry.OpenJournal.
 //
-// The production serving layer (DESIGN.md §13) is opt-in: -cache turns
-// on epoch-keyed response caching (strong ETags, 304 revalidation,
-// bounded memoization), -events serves live run/flow/facility
-// transitions over SSE at /api/events, -metrics serves Prometheus text
-// at /metrics, and -limit-rps/-max-inflight enable admission control
-// (429 + Retry-After per principal, 503 shed past the in-flight cap).
+// The production serving layer (DESIGN.md §13) is on by default — the
+// configuration the benchmark measures: -cache is epoch-keyed response
+// caching (strong ETags, 304 revalidation, bounded memoization), -events
+// serves live run/flow/facility transitions over SSE at /api/events,
+// -metrics serves Prometheus text at /metrics; each turns off with
+// -cache=false and so on. Admission control stays opt-in:
+// -limit-rps/-max-inflight (429 + Retry-After per principal, 503 shed
+// past the in-flight cap).
 //
 // Usage:
 //
@@ -31,7 +33,8 @@
 //	picoprobe-portal -demo -durable ./picoprobe-work/durable
 //	picoprobe-portal -durable ./picoprobe-work/durable   # recover and serve
 //	picoprobe-portal -demo -pprof localhost:6060
-//	picoprobe-portal -demo -cache -events -metrics -limit-rps 50 -max-inflight 256
+//	picoprobe-portal -demo -limit-rps 50 -max-inflight 256
+//	picoprobe-portal -demo -cache=false -events=false -metrics=false   # the bare seed portal
 package main
 
 import (
@@ -74,9 +77,9 @@ func main() {
 	federation := flag.Bool("federation", false, "run the simulated federated scenario and serve /facilities")
 	durableDir := flag.String("durable", "", "journal the catalog and run records under this directory and recover them at boot")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this side address (e.g. localhost:6060); empty disables")
-	cache := flag.Bool("cache", false, "enable epoch-keyed response caching (ETag/304 + memoization) on the catalog routes")
-	events := flag.Bool("events", false, "serve live run/flow/facility transitions over SSE at /api/events")
-	metrics := flag.Bool("metrics", false, "serve Prometheus text metrics at /metrics")
+	cache := flag.Bool("cache", true, "epoch-keyed response caching (ETag/304 + memoization) on the catalog routes")
+	events := flag.Bool("events", true, "serve live run/flow/facility transitions over SSE at /api/events")
+	metrics := flag.Bool("metrics", true, "serve Prometheus text metrics at /metrics")
 	limitRPS := flag.Float64("limit-rps", 0, "per-principal admission rate in requests/sec (0 disables rate limiting)")
 	limitBurst := flag.Float64("limit-burst", 0, "admission burst capacity (default: rate)")
 	maxInFlight := flag.Int("max-inflight", 0, "global in-flight request cap; excess sheds with 503 (0 disables)")

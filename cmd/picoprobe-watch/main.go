@@ -15,10 +15,10 @@
 // into one flow (at most -batch-files files / -batch-bytes bytes per
 // batch), and new batches are withheld while more than -inflight bytes
 // are still being processed. Transfers move in -chunk-sized chunks over
-// -streams concurrent streams with manifest-based resume; -chunk 0
-// restores whole-file single-stream framing. With -count N the command
-// exits after N files (useful for scripted demos); 0 means run until
-// interrupted.
+// -streams concurrent streams with manifest-based resume (a file no bigger
+// than one chunk moves as one); 0 for either means the default. With
+// -count N the command exits after N files (useful for scripted demos); 0
+// means run until interrupted.
 package main
 
 import (
@@ -43,8 +43,8 @@ func main() {
 	batchBytes := flag.Int64("batch-bytes", 2<<30, "max bytes per batch (0 = uncapped)")
 	linger := flag.Duration("linger", 500*time.Millisecond, "quiet period before a below-threshold batch flushes")
 	inflight := flag.Int64("inflight", 4<<30, "bytes-in-flight backpressure budget (0 = unlimited)")
-	chunk := flag.Int64("chunk", 64<<20, "transfer chunk size in bytes (0 = whole-file framing)")
-	streams := flag.Int("streams", 4, "concurrent transfer streams per task")
+	chunk := flag.Int64("chunk", core.DefaultTransferChunkBytes, "transfer chunk size in bytes (0 = the default)")
+	streams := flag.Int("streams", core.DefaultTransferStreams, "concurrent transfer streams per task (0 = the default)")
 	flag.Parse()
 	if *dir == "" {
 		log.Fatal("-dir is required")
@@ -78,7 +78,7 @@ func main() {
 	})
 
 	fmt.Printf("watching %s for %s files (checkpointed; batches of ≤%d files, %d-byte chunks × %d streams)\n",
-		*dir, *pattern, *batchFiles, *chunk, *streams)
+		*dir, *pattern, *batchFiles, dep.Options.TransferChunkBytes, dep.Options.TransferStreams)
 	ran := 0
 	for batch := range batcher.Batches() {
 		rels := make([]string, 0, len(batch.Files))

@@ -92,7 +92,6 @@ func main() {
 	killAt := totalChunks / 3
 
 	svc1 := transfer.NewService(issuer, &transfer.LiveMover{
-		Checksum:        true,
 		ChunkBytes:      chunkBytes,
 		Streams:         streams,
 		ManifestDir:     manifests,
@@ -115,7 +114,6 @@ func main() {
 	// --- 3. reboot, resubmit, resume ------------------------------------
 	fmt.Println("\"rebooting\" the transfer service (fresh mover, same manifest directory)...")
 	svc2 := transfer.NewService(issuer, &transfer.LiveMover{
-		Checksum:    true,
 		ChunkBytes:  chunkBytes,
 		Streams:     streams,
 		ManifestDir: manifests,

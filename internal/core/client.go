@@ -29,21 +29,14 @@ type LiveOptions struct {
 	EagleRoot string
 	// OutDir receives analysis artifacts (plots, annotated video).
 	OutDir string
-	// Policy is the engine's polling policy (default: idealized push with
-	// 20 ms latency, so live flows finish promptly).
-	Policy flows.Policy
-	// DetectorParams configures nanoYOLO for the spatiotemporal function
-	// (default: detect.DefaultParams, or a calibrated model's params).
-	DetectorParams *detect.Params
-	// Workers bounds concurrent compute tasks (default 2).
-	Workers int
 	// TransferChunkBytes splits each transfer into fixed-size chunks moved
 	// over TransferStreams concurrent streams with per-chunk verification
-	// and manifest-based resume (DESIGN.md §8). 0 keeps whole-file framing
-	// — the degenerate single-chunk plan.
+	// and manifest-based resume (DESIGN.md §8). <= 0 means
+	// DefaultTransferChunkBytes; a file no bigger than one chunk moves as
+	// one.
 	TransferChunkBytes int64
 	// TransferStreams bounds the concurrent chunk-copy workers per
-	// transfer task (default 1).
+	// transfer task (<= 0 means DefaultTransferStreams).
 	TransferStreams int
 	// DurableDir, when set, journals the catalog and run records under
 	// this directory (DESIGN.md §9): every publication is WAL-journaled
@@ -51,9 +44,25 @@ type LiveOptions struct {
 	// run log, and a deployment reopened on the same directory recovers
 	// both. Empty keeps the original memory-only behavior, bit for bit.
 	DurableDir string
-	// DurableSync selects the journal fsync policy (default
-	// durable.SyncEveryAppend). Only meaningful with DurableDir.
-	DurableSync durable.SyncPolicy
+}
+
+// DefaultTransferChunkBytes and DefaultTransferStreams are the framing a
+// live or wire deployment uses when its options name none — what
+// picoprobe-watch ships.
+const (
+	DefaultTransferChunkBytes int64 = 64 << 20
+	DefaultTransferStreams          = 4
+)
+
+// framing resolves a deployment's framing options against the defaults.
+func framing(chunkBytes int64, streams int) (int64, int) {
+	if chunkBytes <= 0 {
+		chunkBytes = DefaultTransferChunkBytes
+	}
+	if streams <= 0 {
+		streams = DefaultTransferStreams
+	}
+	return chunkBytes, streams
 }
 
 // LiveDeployment is a fully wired in-process deployment of the PicoProbe
@@ -127,16 +136,7 @@ func NewLiveDeployment(opts LiveOptions) (*LiveDeployment, error) {
 			return nil, fmt.Errorf("core: %w", err)
 		}
 	}
-	if opts.Policy == nil {
-		opts.Policy = flows.Push{Latency: 20 * time.Millisecond}
-	}
-	if opts.Workers <= 0 {
-		opts.Workers = 2
-	}
-	params := detect.DefaultParams()
-	if opts.DetectorParams != nil {
-		params = *opts.DetectorParams
-	}
+	opts.TransferChunkBytes, opts.TransferStreams = framing(opts.TransferChunkBytes, opts.TransferStreams)
 
 	var csvc *compute.Service
 	dep, err := assemble(assembly{
@@ -144,7 +144,6 @@ func NewLiveDeployment(opts LiveOptions) (*LiveDeployment, error) {
 		options: opts,
 		mover: func(string) transfer.Mover {
 			return &transfer.LiveMover{
-				Checksum:   true,
 				ChunkBytes: opts.TransferChunkBytes,
 				Streams:    opts.TransferStreams,
 				// Manifests live beside the destination root so a redeployed
@@ -156,8 +155,8 @@ func NewLiveDeployment(opts LiveOptions) (*LiveDeployment, error) {
 			endpoint: transfer.Endpoint{ID: EndpointEagle, Name: "ALCF Eagle", Root: opts.EagleRoot},
 			backend: func(issuer *auth.Issuer, _ string) ComputeBackend {
 				registry := compute.NewRegistry()
-				RegisterAnalysisFunctions(registry, opts.OutDir, params)
-				csvc = compute.NewService(issuer, registry, compute.NewLocalExecutor(opts.Workers, nil), time.Now)
+				RegisterAnalysisFunctions(registry, opts.OutDir, detect.DefaultParams())
+				csvc = compute.NewService(issuer, registry, compute.NewLocalExecutor(2, nil), time.Now)
 				return csvc
 			},
 		}},
@@ -185,11 +184,13 @@ type site struct {
 type assembly struct {
 	// secret keys the token issuer (a daemon verifies with the same one).
 	secret string
-	// options is kept on the deployment; InstrumentRoot, Policy and the
-	// Durable* fields are read here.
+	// options is kept on the deployment; InstrumentRoot and DurableDir are
+	// read here.
 	options LiveOptions
-	mover   func(token string) transfer.Mover
-	sites   []site
+	// policy is the engine's polling policy (nil = 20 ms push).
+	policy flows.Policy
+	mover  func(token string) transfer.Mover
+	sites  []site
 	// registry places every transfer and compute state across sites; nil
 	// — the one-facility deployments — registers the plain providers, and
 	// Registry.sticky/landed, which never forget a run, stay off the
@@ -240,12 +241,16 @@ func assemble(a assembly) (*LiveDeployment, error) {
 	// memory-only mode, journaled DurableIndex otherwise. Recovery folds
 	// the whole journal into one IngestBatch (one publish per shard).
 	var catalog Catalog
-	engineOpts := flows.Options{Policy: opts.Policy, MaxStateRetries: 2}
+	engineOpts := flows.Options{Policy: a.policy, MaxStateRetries: 2}
+	if engineOpts.Policy == nil {
+		// Idealized push: live flows finish promptly.
+		engineOpts.Policy = flows.Push{Latency: 20 * time.Millisecond}
+	}
 	if opts.DurableDir == "" {
 		dep.Index = search.NewIndex()
 		catalog = dep.Index
 	} else {
-		durOpts := durable.Options{Sync: opts.DurableSync}
+		durOpts := durable.Options{Sync: durable.SyncEveryAppend}
 		dix, cstats, err := search.OpenDurable(filepath.Join(opts.DurableDir, "catalog"),
 			search.DurableOptions{Durable: durOpts})
 		if err != nil {

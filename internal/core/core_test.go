@@ -12,6 +12,7 @@ import (
 	"picoprobe/internal/metadata"
 	"picoprobe/internal/search"
 	"picoprobe/internal/synth"
+	"picoprobe/internal/transfer"
 	"picoprobe/internal/video"
 )
 
@@ -170,6 +171,56 @@ func TestLiveEndToEndFlows(t *testing.T) {
 func TestLiveDeploymentValidation(t *testing.T) {
 	if _, err := NewLiveDeployment(LiveOptions{}); err == nil {
 		t.Error("empty options accepted")
+	}
+}
+
+// TestDefaultLiveFraming: a deployment that names no framing gets the
+// shipped default (DefaultTransferChunkBytes × DefaultTransferStreams), not
+// one frame per file — a sparse 65 MiB file moves as two chunks.
+func TestDefaultLiveFraming(t *testing.T) {
+	instrument := t.TempDir()
+	f, err := os.Create(filepath.Join(instrument, "big.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Truncate(65 << 20); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	dep, err := NewLiveDeployment(LiveOptions{InstrumentRoot: instrument, EagleRoot: t.TempDir(), OutDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := dep.Transfer.Submit(dep.Token, EndpointInstrument, EndpointEagle, []transfer.FileSpec{{RelPath: "big.bin"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		view, err := dep.Transfer.Status(dep.Token, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if view.Status == transfer.StatusSucceeded {
+			if view.ChunksTotal != 2 {
+				t.Errorf("65 MiB under the default framing moved as %d chunk(s), want 2", view.ChunksTotal)
+			}
+			return
+		}
+		if view.Status == transfer.StatusFailed || time.Now().After(deadline) {
+			t.Fatalf("transfer %s: %s", view.Status, view.Error)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestWireDeploymentRefusesOversizedChunk: one chunk rides in one frame, so
+// a chunk size no frame can carry is refused when the deployment is built
+// — not discovered as a dropped session on the first big file.
+func TestWireDeploymentRefusesOversizedChunk(t *testing.T) {
+	_, err := NewWireDeployment(WireOptions{InstrumentRoot: t.TempDir(), DaemonAddr: "127.0.0.1:1", TransferChunkBytes: 512 << 20})
+	if err == nil || !strings.Contains(err.Error(), "frame limit") {
+		t.Fatalf("512 MiB wire chunk: err = %v, want a refusal naming the frame limit", err)
 	}
 }
 

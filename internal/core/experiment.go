@@ -52,8 +52,6 @@ type ExperimentConfig struct {
 	// bytes*ratio on the wire at the cost of a compression pass on the
 	// user machine. 0 disables compression.
 	CompressionRatio float64
-	// CompressionBps is the user machine's compression throughput.
-	CompressionBps float64
 	// ParallelStreams splits each transfer across this many GridFTP-style
 	// streams (the paper's future-work item 3). 0 means 1.
 	ParallelStreams int

@@ -313,6 +313,11 @@ func fedDefinition(cfg FederatedConfig) flows.Definition {
 
 // --- harness ----------------------------------------------------------
 
+// compressionBps is the user machine's compression throughput when
+// CompressionRatio turns on-instrument compression on: a typical
+// single-core lz-class compressor.
+const compressionBps = 60e6
+
 // RunFederatedExperiment executes one simulated federated evaluation run.
 // With a single facility and no pin it is exactly the paper's deployment
 // (RunExperiment delegates here); with several it exercises the placement
@@ -509,11 +514,7 @@ func RunFederatedExperiment(cfg FederatedConfig) (*FederatedResult, error) {
 	var compressTime time.Duration
 	if cfg.CompressionRatio > 0 {
 		wireBytes *= cfg.CompressionRatio
-		bps := cfg.CompressionBps
-		if bps <= 0 {
-			bps = 60e6 // a typical single-core lz-class compressor
-		}
-		compressTime = time.Duration(float64(cfg.FileBytes) / bps * float64(time.Second))
+		compressTime = time.Duration(float64(cfg.FileBytes) / compressionBps * float64(time.Second))
 	}
 
 	// The periodic copy application (paper Sec 3.3): each cycle stages a

@@ -20,15 +20,6 @@ import (
 // quality provider, and every placement and timeline is bit-identical to
 // a build without the subsystem.
 type ProbeConfig struct {
-	// Interval, WindowSamples, Alpha and HistoryLen parameterize the
-	// prober (zero values inherit netprobe's defaults: 2 s, 5, 0.4, 128).
-	Interval      time.Duration
-	WindowSamples int
-	Alpha         float64
-	HistoryLen    int
-	// Weights parameterizes the path score (zero value = netprobe
-	// defaults).
-	Weights netprobe.Weights
 	// LowWater is the score below which a facility sheds new runs
 	// (Registry.AttachQuality); <= 0 keeps probing observe-only — scores
 	// appear in snapshots and portals but placement is untouched.
@@ -38,11 +29,6 @@ type ProbeConfig struct {
 	// ParallelStreams/TransferChunkBytes flags, re-evaluated between
 	// chunks mid-task.
 	AdaptiveTransfer bool
-	// MaxStreams bounds the adaptive stream fan-out (0 = netprobe's
-	// default of 8).
-	MaxStreams int
-	// Seed drives the probe jitter draws (0 = 1).
-	Seed int64
 }
 
 // SquallSpec describes one time-varying degradation episode on a
@@ -106,22 +92,14 @@ func (t *simProbeTarget) Measure(now time.Time) netprobe.Measurement {
 }
 
 // buildProber constructs and registers the per-facility probe targets
-// plus (when AdaptiveTransfer) one tuner per facility endpoint.
+// (netprobe's default cadence and score weights; facility i's jitter draws
+// are seeded 1+i) plus, when AdaptiveTransfer, one tuner per facility
+// endpoint.
 func (pc *ProbeConfig) buildProber(rt sim.Runtime, facs []probedFacility) (*netprobe.Prober, map[string]*netprobe.Tuner, error) {
-	seed := pc.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	prober := netprobe.New(rt, netprobe.Config{
-		Interval:      pc.Interval,
-		WindowSamples: pc.WindowSamples,
-		Alpha:         pc.Alpha,
-		Weights:       pc.Weights,
-		HistoryLen:    pc.HistoryLen,
-	})
+	prober := netprobe.New(rt, netprobe.Config{})
 	tuners := map[string]*netprobe.Tuner{}
 	for i, f := range facs {
-		target := &simProbeTarget{path: f.path, rng: rand.New(rand.NewSource(seed + int64(i)))}
+		target := &simProbeTarget{path: f.path, rng: rand.New(rand.NewSource(1 + int64(i)))}
 		if _, err := prober.Register(f.pathID, target); err != nil {
 			return nil, nil, err
 		}
@@ -130,7 +108,6 @@ func (pc *ProbeConfig) buildProber(rt sim.Runtime, facs []probedFacility) (*netp
 				Quality:            prober,
 				PathID:             f.pathID,
 				StreamCapBps:       f.streamCap,
-				MaxStreams:         pc.MaxStreams,
 				FallbackStreams:    f.fallbackStreams,
 				FallbackChunkBytes: f.fallbackChunk,
 			}

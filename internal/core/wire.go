@@ -33,7 +33,8 @@ type WireOptions struct {
 	// Policy is the engine's polling policy (default: 20 ms push).
 	Policy flows.Policy
 	// TransferChunkBytes / TransferStreams frame the wire transfers as
-	// in LiveOptions (0 = whole-file framing / single stream).
+	// in LiveOptions (<= 0 = the same defaults). One chunk rides in one
+	// frame, so a chunk over wire.MaxChunkBytes is refused.
 	TransferChunkBytes int64
 	TransferStreams    int
 	// Timeout is the per-op wire deadline (0 = wire.DefaultTimeout).
@@ -76,8 +77,10 @@ func newWireDeployment(opts WireOptions, daemons []transfer.Endpoint, reg *facil
 	if err := os.MkdirAll(opts.InstrumentRoot, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("core: %w", err)
 	}
-	if opts.Policy == nil {
-		opts.Policy = flows.Push{Latency: 20 * time.Millisecond}
+	chunkBytes, streams := framing(opts.TransferChunkBytes, opts.TransferStreams)
+	if chunkBytes > wire.MaxChunkBytes {
+		return nil, nil, fmt.Errorf("core: wire transfer chunk of %d bytes does not fit one frame (frame limit %d bytes, largest chunk %d)",
+			chunkBytes, wire.DefaultMaxFrame, wire.MaxChunkBytes)
 	}
 	secret := opts.Secret
 	if secret == "" {
@@ -87,14 +90,14 @@ func newWireDeployment(opts WireOptions, daemons []transfer.Endpoint, reg *facil
 	var conns []io.Closer
 	a := assembly{
 		secret:    secret,
-		options:   LiveOptions{InstrumentRoot: opts.InstrumentRoot, Policy: opts.Policy},
+		options:   LiveOptions{InstrumentRoot: opts.InstrumentRoot},
+		policy:    opts.Policy,
 		registry:  reg,
 		wirePaths: true,
 		mover: func(token string) transfer.Mover {
 			m := &transfer.WireMover{
-				Checksum:   true,
-				ChunkBytes: opts.TransferChunkBytes,
-				Streams:    opts.TransferStreams,
+				ChunkBytes: chunkBytes,
+				Streams:    streams,
 				// Resume state is client-side by design: manifests live beside
 				// the SOURCE root, so a daemon lost and restarted changes
 				// nothing about what the client knows it still owes.

@@ -37,9 +37,6 @@ type WireCampaignConfig struct {
 	Files int
 	// Kind selects the analysis ("hyperspectral" default).
 	Kind string
-	// ChunkBytes/Streams frame the wire transfers (defaults 256 KiB / 2).
-	ChunkBytes int64
-	Streams    int
 	// Probe attaches a link-quality prober to every daemon's status
 	// endpoint (observe-only: scores are reported, placement unchanged).
 	Probe bool
@@ -48,12 +45,6 @@ type WireCampaignConfig struct {
 	// daemon declared Down sheds fresh placements and fails over sticky
 	// runs exactly like a planned outage window.
 	Health bool
-	// NoSpread disables the default round-robin facility pinning. The
-	// campaign's facilities are identical and idle, so unconstrained
-	// least-ECT placement degenerates to the first one; pinning run i to
-	// facility i mod N keeps every daemon exercised. Set NoSpread to let
-	// the registry place freely anyway.
-	NoSpread bool
 	// Degrade, with Probe, injects this read delay into facility 0's
 	// listener before the campaign and records the probe-visible
 	// baseline → degraded → recovered scores.
@@ -103,12 +94,6 @@ func RunWireCampaign(cfg WireCampaignConfig) (*WireCampaignResult, error) {
 	}
 	if cfg.Kind == "" {
 		cfg.Kind = "hyperspectral"
-	}
-	if cfg.ChunkBytes <= 0 {
-		cfg.ChunkBytes = 256 << 10
-	}
-	if cfg.Streams <= 0 {
-		cfg.Streams = 2
 	}
 	dir := cfg.Dir
 	if dir == "" {
@@ -176,12 +161,14 @@ func RunWireCampaign(cfg WireCampaignConfig) (*WireCampaignResult, error) {
 	}
 
 	// The acquisition side: a wire deployment over every daemon, with the
-	// registry placing each transfer and compute state.
+	// registry placing each transfer and compute state. The synthetic
+	// acquisitions are small, so the campaign frames them small too: a
+	// file still crosses the wire as several chunks over two sessions.
 	dep, closeWire, err := newWireDeployment(WireOptions{
 		InstrumentRoot:     instrument,
 		Policy:             flows.Push{Latency: 5 * time.Millisecond},
-		TransferChunkBytes: cfg.ChunkBytes,
-		TransferStreams:    cfg.Streams,
+		TransferChunkBytes: 256 << 10,
+		TransferStreams:    2,
 	}, daemons, reg)
 	if err != nil {
 		return nil, err
@@ -257,10 +244,10 @@ func RunWireCampaign(cfg WireCampaignConfig) (*WireCampaignResult, error) {
 			return nil, err
 		}
 		res.BytesMoved += st.Size()
-		input := map[string]any{"rel_path": rel, "bytes": float64(st.Size())}
-		if !cfg.NoSpread {
-			input["facility"] = daemons[i%len(daemons)].ID
-		}
+		// The campaign's facilities are identical and idle, so unconstrained
+		// least-ECT placement degenerates to the first one; pinning run i to
+		// facility i mod N keeps every daemon exercised.
+		input := map[string]any{"rel_path": rel, "bytes": float64(st.Size()), "facility": daemons[i%len(daemons)].ID}
 		if _, err := dep.Engine.Run(token, def, input, func(r flows.RunRecord) { done <- r }); err != nil {
 			return nil, err
 		}

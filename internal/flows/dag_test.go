@@ -238,46 +238,43 @@ func TestPerStateRetriesOverride(t *testing.T) {
 }
 
 // TestBatchedSweepsServiceManyRuns is the scaling claim behind the
-// batched poller: with many concurrent runs polling on the same policy,
-// wake-ups track distinct poll instants (sub-linear in runs) while the
-// per-run-timer baseline pays one wake-up per status call.
+// poller: with many concurrent runs polling on the same policy, status
+// calls follow each run's own schedule while wake-ups track distinct poll
+// instants (sub-linear in runs). The schedule is analytic: a 9 s action
+// under DefaultExponential is polled at 1, 3, 7 and 15 s — 4 polls a run.
 func TestBatchedSweepsServiceManyRuns(t *testing.T) {
-	const runs = 200
-	launch := func(perState bool) (PollStats, int) {
-		k := sim.NewKernel()
-		e := NewEngine(k, Options{Policy: DefaultExponential(), PerStateTimers: perState})
-		e.RegisterProvider(newFake("transfer", k, 9*time.Second))
-		def := Definition{Name: "f", States: []StateDef{{Name: "T", Provider: "transfer"}}}
-		completed := 0
-		for i := 0; i < runs; i++ {
-			if _, err := e.Run("tok", def, nil, func(RunRecord) { completed++ }); err != nil {
-				t.Fatal(err)
+	const runs, pollsPerRun = 200, 4
+	k := sim.NewKernel()
+	e := NewEngine(k, Options{Policy: DefaultExponential()})
+	e.RegisterProvider(newFake("transfer", k, 9*time.Second))
+	def := Definition{Name: "f", States: []StateDef{{Name: "T", Provider: "transfer"}}}
+	completed := 0
+	for i := 0; i < runs; i++ {
+		if _, err := e.Run("tok", def, nil, func(r RunRecord) {
+			completed++
+			if r.States[0].Polls != pollsPerRun {
+				t.Errorf("run %s polled %d times, want %d", r.RunID, r.States[0].Polls, pollsPerRun)
 			}
-		}
-		k.Run()
-		if err := k.Err(); err != nil {
+		}); err != nil {
 			t.Fatal(err)
 		}
-		return e.PollStats(), completed
 	}
-
-	batched, doneB := launch(false)
-	baseline, doneP := launch(true)
-	if doneB != runs || doneP != runs {
-		t.Fatalf("completed %d/%d runs", doneB, doneP)
+	k.Run()
+	if err := k.Err(); err != nil {
+		t.Fatal(err)
 	}
-	// Identical poll schedules → identical status-call counts.
-	if batched.StatusCalls != baseline.StatusCalls {
-		t.Errorf("status calls differ: batched %d vs per-state %d", batched.StatusCalls, baseline.StatusCalls)
+	if completed != runs {
+		t.Fatalf("completed %d/%d runs", completed, runs)
+	}
+	st := e.PollStats()
+	if st.StatusCalls != runs*pollsPerRun {
+		t.Errorf("status calls = %d, want %d (the per-run schedule)", st.StatusCalls, runs*pollsPerRun)
 	}
 	// All runs start at the same instant with the same backoff, so every
-	// sweep services all of them: wake-ups stay at the per-run schedule
-	// length (4 polls) instead of runs×4.
-	if baseline.Wakeups != baseline.StatusCalls {
-		t.Errorf("per-state baseline wakeups %d != status calls %d", baseline.Wakeups, baseline.StatusCalls)
-	}
-	if batched.Wakeups > baseline.Wakeups/10 {
-		t.Errorf("batched wakeups %d not sub-linear vs baseline %d", batched.Wakeups, baseline.Wakeups)
+	// sweep services all of them: wake-ups stay near the per-run schedule
+	// length instead of runs×4.
+	if st.Wakeups > runs*pollsPerRun/10 {
+		t.Errorf("wakeups = %d, not sub-linear in %d runs (%d status calls)", st.Wakeups, runs, st.StatusCalls)
 	}
 }
 

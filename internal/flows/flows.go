@@ -17,10 +17,7 @@
 // completion-detection lag). Policies, timeouts and retry budgets can be
 // overridden per state. Detection itself is batched: the engine keeps one
 // deadline queue across all runs and one sweep services every action that
-// is due at a tick, instead of dedicating a timer to every run
-// (Options.PerStateTimers restores the v1 timer-per-action baseline for
-// comparison). Poll instants are identical in both modes; only the number
-// of timer wake-ups changes.
+// is due at a tick, instead of dedicating a timer to every run.
 //
 // Engines run identically under the simulation kernel and the live
 // runtime; all execution is event-driven through sim.Runtime.AfterFunc,
@@ -315,11 +312,6 @@ type Options struct {
 	// Journaling is best-effort: a persistence failure surfaces through
 	// RunLog.Err, never fails the run.
 	RunLog *RunLog
-	// PerStateTimers disables batched completion detection and dedicates
-	// a timer to every active action — the v1 baseline the batched
-	// sweeper is benchmarked against. Poll instants are identical; only
-	// timer wake-up counts differ.
-	PerStateTimers bool
 }
 
 // Engine runs flows against registered action providers.

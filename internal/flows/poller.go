@@ -18,16 +18,14 @@ type PollStats struct {
 	// Sweeps counts wake-ups that serviced at least one due action.
 	Sweeps int64
 	// StatusCalls counts provider status round trips (one per poll of one
-	// action; identical in batched and per-state-timer modes).
+	// action).
 	StatusCalls int64
 }
 
 // poller is the engine's completion detector: a single deadline queue
-// over every active action of every run. In batched mode (the default)
-// one timer is outstanding for the earliest deadline and each firing
-// sweeps all actions due at that instant; in PerStateTimers mode every
-// action gets its own timer (the v1 baseline). Poll instants — and hence
-// every recorded timing — are identical in both modes.
+// over every active action of every run. One timer is outstanding for the
+// earliest deadline and each firing sweeps all actions due at that
+// instant.
 //
 // All fields are guarded by the owning engine's mutex. Status round
 // trips run outside the lock; a stateRun is owned either by the queue or
@@ -36,10 +34,10 @@ type poller struct {
 	e     *Engine
 	queue pollQueue
 	seq   uint64
-	// wakes tracks outstanding batched-mode timer targets so a new
-	// earliest deadline schedules a timer only when no timer already
-	// fires early enough (AfterFunc timers cannot be cancelled; stale
-	// ones fire as empty wake-ups).
+	// wakes tracks outstanding timer targets so a new earliest deadline
+	// schedules a timer only when no timer already fires early enough
+	// (AfterFunc timers cannot be cancelled; stale ones fire as empty
+	// wake-ups).
 	wakes timeMinHeap
 	stats PollStats
 }
@@ -51,11 +49,6 @@ func (p *poller) add(s *stateRun, at time.Time) {
 	e.mu.Lock()
 	if s.x.finished {
 		e.mu.Unlock()
-		return
-	}
-	if e.opts.PerStateTimers {
-		e.mu.Unlock()
-		e.rt.AfterFunc(at.Sub(e.rt.Now()), func() { p.fireOne(s) })
 		return
 	}
 	p.seq++
@@ -110,24 +103,6 @@ func (p *poller) sweep(target time.Time) {
 	e.mu.Lock()
 	p.ensureTimerLocked(e.rt.Now())
 	e.mu.Unlock()
-}
-
-// fireOne is the PerStateTimers path: the dedicated timer of one action.
-func (p *poller) fireOne(s *stateRun) {
-	e := p.e
-	e.mu.Lock()
-	if s.x.finished {
-		e.mu.Unlock()
-		return
-	}
-	p.stats.Wakeups++
-	p.stats.Sweeps++
-	p.stats.StatusCalls++
-	e.mu.Unlock()
-
-	status, err := e.provider(s.sd.Provider).Status(s.x.token, s.sr.ActionID)
-	s.sr.Polls++
-	s.handleStatus(status, err)
 }
 
 // pollQueue is a min-heap of queued states ordered by (deadline, seq) so

@@ -21,8 +21,9 @@ import (
 
 // ErrInvalid marks a request the store refuses on its arguments alone — a
 // path that is not local to the root, a negative offset or size, a merge
-// plan that does not tile the file — as opposed to an I/O failure. The
-// daemon maps it to a bad-request answer.
+// plan that does not tile the file or leaves a chunk without a digest —
+// as opposed to an I/O failure. The daemon maps it to a bad-request
+// answer.
 var ErrInvalid = errors.New("invalid landing request")
 
 // bufPool supplies the scratch buffers chunks are copied and hashed
@@ -37,8 +38,8 @@ type Store struct {
 }
 
 // Chunk is one entry of a merge plan: the byte range [Off, Off+N) and the
-// hex SHA-256 recorded when the chunk was written ("" = unchecked). The
-// JSON form is the wire protocol's (wire.MergeChunk is this type).
+// hex SHA-256 recorded when the chunk was written. The JSON form is the
+// wire protocol's (wire.MergeChunk is this type).
 type Chunk struct {
 	Off    int64  `json:"off"`
 	N      int64  `json:"n"`
@@ -176,9 +177,10 @@ func (s Store) openRange(rel string, off, n int64) (*os.File, error) {
 
 // Merge is the verified merge: one sequential pass over the landed file
 // computing the whole-file digest while checking each chunk of the plan
-// against its recorded digest. The plan must tile the file exactly
-// (ErrInvalid otherwise). On the first mismatch it returns that chunk's
-// index as badChunk (>= 0) and no digest; badChunk is -1 otherwise.
+// against its recorded digest. The plan must tile the file exactly and
+// give every chunk a digest (ErrInvalid otherwise): no unverified byte is
+// merged. On the first mismatch it returns that chunk's index as badChunk
+// (>= 0) and no digest; badChunk is -1 otherwise.
 func (s Store) Merge(rel string, chunks []Chunk) (sum string, badChunk int, err error) {
 	f, err := s.openRange(rel, 0, 0)
 	if err != nil {
@@ -190,9 +192,12 @@ func (s Store) Merge(rel string, chunks []Chunk) (sum string, badChunk int, err 
 		return "", -1, err
 	}
 	var end int64
-	for _, c := range chunks {
+	for i, c := range chunks {
 		if c.Off != end || c.N < 0 {
 			return "", -1, fmt.Errorf("landing: merge plan for %s not contiguous at @%d: %w", rel, c.Off, ErrInvalid)
+		}
+		if c.SHA256 == "" {
+			return "", -1, fmt.Errorf("landing: merge plan for %s has no digest for chunk %d: %w", rel, i, ErrInvalid)
 		}
 		end += c.N
 	}
@@ -208,7 +213,7 @@ func (s Store) Merge(rel string, chunks []Chunk) (sum string, badChunk int, err 
 		if _, err := io.CopyBuffer(io.MultiWriter(whole, chunk), r, *bufp); err != nil {
 			return "", -1, fmt.Errorf("landing: merge read %s @%d: %w", rel, c.Off, err)
 		}
-		if c.SHA256 != "" && hex.EncodeToString(chunk.Sum(nil)) != c.SHA256 {
+		if hex.EncodeToString(chunk.Sum(nil)) != c.SHA256 {
 			return "", i, nil
 		}
 	}

@@ -2,6 +2,8 @@ package landing
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"os"
 	"path/filepath"
@@ -40,15 +42,20 @@ func TestInvalidRequestsRefused(t *testing.T) {
 		t.Errorf("refused requests left %d entries behind (err=%v)", len(entries), err)
 	}
 
-	// A merge plan must tile the file exactly.
+	// A merge plan must tile the file exactly and give every chunk a
+	// digest (d is the right one for 256 zero bytes: only the shape, or the
+	// missing digest, is wrong with each plan).
 	if err := s.Prepare("f.bin", 512); err != nil {
 		t.Fatal(err)
 	}
+	sum := sha256.Sum256(make([]byte, 256))
+	d := hex.EncodeToString(sum[:])
 	for name, plan := range map[string][]Chunk{
-		"gapped":  {{Off: 0, N: 256}, {Off: 300, N: 212}},
-		"short":   {{Off: 0, N: 256}},
-		"long":    {{Off: 0, N: 256}, {Off: 256, N: 512}},
-		"shifted": {{Off: 1, N: 511}},
+		"gapped":     {{Off: 0, N: 256, SHA256: d}, {Off: 300, N: 212, SHA256: d}},
+		"short":      {{Off: 0, N: 256, SHA256: d}},
+		"long":       {{Off: 0, N: 256, SHA256: d}, {Off: 256, N: 512, SHA256: d}},
+		"shifted":    {{Off: 1, N: 511, SHA256: d}},
+		"undigested": {{Off: 0, N: 256, SHA256: d}, {Off: 256, N: 256}},
 	} {
 		if _, bad, err := s.Merge("f.bin", plan); !errors.Is(err, ErrInvalid) || bad != -1 {
 			t.Errorf("%s plan: bad=%d err=%v, want ErrInvalid", name, bad, err)

@@ -133,7 +133,7 @@ func TestLiveAdaptiveResumeAcrossTunedChunkSize(t *testing.T) {
 	payload := writeRandom(t, filepath.Join(srcRoot, "f.emdg"), 8*chunk, 11)
 
 	svc1 := NewService(iss, &LiveMover{
-		Checksum: true, Tuner: &testTuner{streams: 1, chunk: chunk},
+		Tuner:       &testTuner{streams: 1, chunk: chunk},
 		ManifestDir: manDir, KillAfterChunks: 3,
 	}, time.Now, Options{MaxAttempts: 1})
 	svc1.RegisterEndpoint(Endpoint{ID: "src", Root: srcRoot})
@@ -150,7 +150,7 @@ func TestLiveAdaptiveResumeAcrossTunedChunkSize(t *testing.T) {
 	// New service, new tuner opinion: the fingerprint pins the adaptive
 	// MODE, so the 8 KiB manifest still matches and its plan wins.
 	svc2 := NewService(iss, &LiveMover{
-		Checksum: true, Tuner: &testTuner{streams: 2, chunk: 4 * chunk},
+		Tuner:       &testTuner{streams: 2, chunk: 4 * chunk},
 		ManifestDir: manDir,
 	}, time.Now, Options{})
 	svc2.RegisterEndpoint(Endpoint{ID: "src", Root: srcRoot})
@@ -192,7 +192,7 @@ func TestLiveAdaptiveDispatchUnderChurn(t *testing.T) {
 		return int(n%8) + 1, chunk
 	})
 	svc := NewService(iss, &LiveMover{
-		Checksum: true, Tuner: churn,
+		Tuner: churn,
 	}, time.Now, Options{})
 	svc.RegisterEndpoint(Endpoint{ID: "src", Root: srcRoot})
 	svc.RegisterEndpoint(Endpoint{ID: "dst", Root: dstRoot})

@@ -59,10 +59,10 @@ type manifestChunk struct {
 	Off int64 `json:"off"`
 	N   int64 `json:"n"`
 	// SHA256 is the hex digest of the chunk's source bytes, recorded when
-	// the chunk was copied with checksumming enabled.
+	// the chunk landed. A done chunk without one (an older binary's
+	// unverified copy) is re-moved on resume.
 	SHA256 string `json:"sha256,omitempty"`
-	// Done marks the chunk as written to the destination (and, with
-	// checksumming, read back and verified).
+	// Done marks the chunk as landed at the destination under that digest.
 	Done bool `json:"done"`
 }
 

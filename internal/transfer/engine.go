@@ -23,7 +23,7 @@ type sink interface {
 	// Prepare creates rel at exactly size bytes.
 	Prepare(rel string, size int64) error
 	// Write lands src's bytes at sp in the same range of rel and returns
-	// their hex SHA-256 ("" when not checksumming).
+	// their hex SHA-256.
 	Write(rel string, sp chunkSpan, src io.ReaderAt) (sum string, err error)
 	// Hash digests what rel holds at [off, off+n) now; present is false
 	// when the destination does not extend past the range.
@@ -38,7 +38,6 @@ type sink interface {
 // moveConfig is the framing and fault-injection configuration both real
 // movers expose as fields, gathered per attempt.
 type moveConfig struct {
-	checksum        bool
 	chunkBytes      int64
 	streams         int
 	tuner           RouteTuner
@@ -155,7 +154,7 @@ func (e *engine) run(cfg moveConfig, task *Task, src, dst *Endpoint, sk sink) (R
 	pending := make([][]chunkSpan, len(files))
 	for _, sp := range spans {
 		sum, ok := ms.done(man, sp)
-		if ok && survived(cfg, sk, files[sp.File].RelPath, sp, sum, preSizes[sp.File]) {
+		if ok && survived(sk, files[sp.File].RelPath, sp, sum, preSizes[sp.File]) {
 			rep.ChunksSkipped++
 			continue
 		}
@@ -203,7 +202,7 @@ func (e *engine) run(cfg moveConfig, task *Task, src, dst *Endpoint, sk sink) (R
 		if aborted.Load() {
 			return
 		}
-		sum, err := merge(cfg, sk, ms, man, fi)
+		sum, err := merge(sk, ms, man, fi)
 		if err != nil {
 			fail(err)
 			return
@@ -311,19 +310,13 @@ func striped(pending [][]chunkSpan, width int) []job {
 // is the destination file's size before this attempt touched it: a chunk
 // can only have survived if the file already extended past it (the
 // current size is useless — the attempt prepares the file to full
-// length). With checksumming the range is re-hashed in place (a cheap
-// read, 32 bytes on the wire, not a copy) and must match the recorded
-// digest; without it the preSize bound is the only check — the manifest
-// then records written, unverified chunks, the ablation's trade.
-func survived(cfg moveConfig, sk sink, rel string, sp chunkSpan, sum string, preSize int64) bool {
-	if preSize < sp.Off+sp.N {
+// length). The range is then re-hashed in place (a cheap read, 32 bytes
+// on the wire, not a copy) and must match the recorded digest. A done
+// chunk with no digest — a manifest an older binary wrote with
+// verification off — cannot be verified now and is re-moved.
+func survived(sk sink, rel string, sp chunkSpan, sum string, preSize int64) bool {
+	if preSize < sp.Off+sp.N || sum == "" {
 		return false
-	}
-	if !cfg.checksum {
-		return true
-	}
-	if sum == "" {
-		return false // copied under Checksum=false; cannot verify now
 	}
 	got, present, err := sk.Hash(rel, sp.Off, sp.N)
 	return err == nil && present && got == sum
@@ -332,10 +325,7 @@ func survived(cfg moveConfig, sk sink, rel string, sp chunkSpan, sum string, pre
 // merge runs the verified merge for one file. A mismatched chunk is
 // demoted in the manifest (so the retry re-moves exactly it) and the
 // merge fails.
-func merge(cfg moveConfig, sk sink, ms *manifestStore, man *manifest, fi int) (string, error) {
-	if !cfg.checksum {
-		return "", nil
-	}
+func merge(sk sink, ms *manifestStore, man *manifest, fi int) (string, error) {
 	mf := man.Files[fi]
 	plan := make([]landing.Chunk, len(mf.Chunks))
 	for i, c := range mf.Chunks {

@@ -174,7 +174,7 @@ func TestEngineKillIsOneShot(t *testing.T) {
 	const chunk = 1024
 	fx := newEngineFixture(t, 8*chunk)
 	e, sk := &engine{}, newMemSink()
-	cfg := moveConfig{checksum: true, chunkBytes: chunk, streams: 1, killAfterChunks: 3}
+	cfg := moveConfig{chunkBytes: chunk, streams: 1, killAfterChunks: 3}
 
 	rep, err := e.run(cfg, fx.task, fx.src, fx.dst, sk)
 	if err == nil || !strings.Contains(err.Error(), "killed after 3 chunks") {
@@ -228,7 +228,7 @@ func TestEngineAbortAccountingExact(t *testing.T) {
 		<-failed
 		return nil
 	}
-	cfg := moveConfig{checksum: true, chunkBytes: chunk, streams: 4}
+	cfg := moveConfig{chunkBytes: chunk, streams: 4}
 
 	rep, err := e.run(cfg, fx.task, fx.src, fx.dst, sk)
 	if err == nil || !strings.Contains(err.Error(), "disk on fire") {
@@ -304,7 +304,7 @@ func TestEngineAdaptiveWindowRereadBetweenDispatches(t *testing.T) {
 		}
 		return nil
 	}
-	cfg := moveConfig{checksum: true, tuner: tuner}
+	cfg := moveConfig{tuner: tuner}
 
 	rep, err := e.run(cfg, fx.task, fx.src, fx.dst, sk)
 	if err != nil {
@@ -333,7 +333,7 @@ func TestEngineDemotedChunkOnlyOneResent(t *testing.T) {
 	fx := newEngineFixture(t, 6*chunk)
 	e, sk := &engine{}, newMemSink()
 	sk.badMerge = 2
-	cfg := moveConfig{checksum: true, chunkBytes: chunk, streams: 2}
+	cfg := moveConfig{chunkBytes: chunk, streams: 2}
 
 	rep, err := e.run(cfg, fx.task, fx.src, fx.dst, sk)
 	if err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
@@ -465,7 +465,7 @@ func TestEngineFirstWindowSpansDistinctFiles(t *testing.T) {
 		}
 		return nil
 	}
-	if _, err := e.run(moveConfig{checksum: true, chunkBytes: chunk, streams: streams}, fx.task, fx.src, fx.dst, sk); err != nil {
+	if _, err := e.run(moveConfig{chunkBytes: chunk, streams: streams}, fx.task, fx.src, fx.dst, sk); err != nil {
 		t.Fatal(err)
 	}
 	seen := map[int]bool{}
@@ -485,7 +485,7 @@ func TestEngineMergesEachFileAsItsLastChunkLands(t *testing.T) {
 	const chunk, streams = 1024, 2
 	fx, payloads := newEngineBatch(t, 2*streams, 2*chunk)
 	e, sk := &engine{}, newMemSink()
-	rep, err := e.run(moveConfig{checksum: true, chunkBytes: chunk, streams: streams}, fx.task, fx.src, fx.dst, sk)
+	rep, err := e.run(moveConfig{chunkBytes: chunk, streams: streams}, fx.task, fx.src, fx.dst, sk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -551,7 +551,7 @@ func TestEngineSkippedFileStillMergedAndAbortStopsMerges(t *testing.T) {
 		}
 		return failF1(sp)
 	}
-	if _, err := e.run(moveConfig{checksum: true, streams: 3}, fx.task, fx.src, fx.dst, sk); err == nil {
+	if _, err := e.run(moveConfig{streams: 3}, fx.task, fx.src, fx.dst, sk); err == nil {
 		t.Fatal("attempt with a failing write succeeded")
 	}
 	if n := doneChunks(t, e); n != 2 {
@@ -561,7 +561,7 @@ func TestEngineSkippedFileStillMergedAndAbortStopsMerges(t *testing.T) {
 	// One stream: merge f0, write f1 (fails again), merge f2 — which must
 	// not start.
 	sk.before, sk.events = failF1, nil
-	cfg := moveConfig{checksum: true, streams: 1}
+	cfg := moveConfig{streams: 1}
 	rep, err := e.run(cfg, fx.task, fx.src, fx.dst, sk)
 	if err == nil || rep.Checksums != nil {
 		t.Fatalf("err = %v sums = %v, want the write error and no checksums", err, rep.Checksums)
@@ -595,7 +595,7 @@ func TestEngineKillOnLastChunkStartsNoMerge(t *testing.T) {
 	const chunk = 1024
 	fx, _ := newEngineBatch(t, 2, 2*chunk)
 	e, sk := &engine{}, newMemSink()
-	cfg := moveConfig{checksum: true, chunkBytes: chunk, streams: 1, killAfterChunks: 2}
+	cfg := moveConfig{chunkBytes: chunk, streams: 1, killAfterChunks: 2}
 	if _, err := e.run(cfg, fx.task, fx.src, fx.dst, sk); err == nil || !strings.Contains(err.Error(), "killed after 2 chunks") {
 		t.Fatalf("err = %v, want the injected kill", err)
 	}
@@ -613,7 +613,7 @@ func TestEngineBadMergeFailsWholeAttempt(t *testing.T) {
 	fx, payloads := newEngineBatch(t, 4, 2*chunk)
 	e, sk := &engine{}, newMemSink()
 	sk.badMerge, sk.badMergeRel = 1, "f2.bin"
-	cfg := moveConfig{checksum: true, chunkBytes: chunk, streams: 2}
+	cfg := moveConfig{chunkBytes: chunk, streams: 2}
 
 	rep, err := e.run(cfg, fx.task, fx.src, fx.dst, sk)
 	if err == nil || !strings.Contains(err.Error(), "checksum mismatch on f2.bin") {

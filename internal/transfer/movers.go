@@ -22,13 +22,11 @@ import (
 // (the role checksums play in Globus Transfer). Progress is recorded in a
 // per-task chunk manifest — in memory always, mirrored under ManifestDir
 // when set — so an interrupted or failed transfer resumes from the last
-// verified chunk instead of restarting. With ChunkBytes 0 and Streams 1
-// the engine degenerates exactly to a single whole-file copy-and-verify
-// per file, the pre-chunking behavior.
+// verified chunk instead of restarting. Verification is not optional: the
+// zero-value mover moves verified. With ChunkBytes 0 and Streams 1 the
+// engine degenerates exactly to a single whole-file copy-and-verify per
+// file, the pre-chunking behavior.
 type LiveMover struct {
-	// Checksum disables integrity verification when false (an ablation the
-	// benchmarks exercise): no per-chunk digests, no verified merge.
-	Checksum bool
 	// ChunkBytes is the chunk size; <= 0 means one chunk per file
 	// (whole-file framing).
 	ChunkBytes int64
@@ -62,10 +60,10 @@ type LiveMover struct {
 // Move implements Mover. The copy runs on its own goroutines; done is
 // called exactly once.
 func (m *LiveMover) Move(task *Task, src, dst *Endpoint, done func(Report, error)) {
-	cfg := moveConfig{checksum: m.Checksum, chunkBytes: m.ChunkBytes, streams: m.Streams, tuner: m.Tuner,
+	cfg := moveConfig{chunkBytes: m.ChunkBytes, streams: m.Streams, tuner: m.Tuner,
 		manifestDir: m.ManifestDir, killAfterChunks: m.KillAfterChunks, fs: m.FS}
 	go func() {
-		done(m.run(cfg, task, src, dst, localSink{landing.Store{Root: dst.Root}, m.Checksum}))
+		done(m.run(cfg, task, src, dst, localSink{landing.Store{Root: dst.Root}}))
 	}()
 }
 
@@ -75,26 +73,18 @@ func (m *LiveMover) Move(task *Task, src, dst *Endpoint, done func(Report, error
 // store's own.
 type localSink struct {
 	landing.Store
-	checksum bool
 }
 
 // Write streams one ranged slice from src into the store, hashing the
-// source bytes in-flight when checksumming is enabled.
+// source bytes in-flight.
 func (s localSink) Write(rel string, sp chunkSpan, src io.ReaderAt) (string, error) {
-	var r io.Reader = io.NewSectionReader(src, sp.Off, sp.N)
 	h := sha256.New()
-	if s.checksum {
-		r = io.TeeReader(r, h)
-	}
-	n, err := s.Store.Write(rel, sp.Off, r)
+	n, err := s.Store.Write(rel, sp.Off, io.TeeReader(io.NewSectionReader(src, sp.Off, sp.N), h))
 	if err != nil {
 		return "", fmt.Errorf("transfer: copy chunk @%d: %w", sp.Off, err)
 	}
 	if n != sp.N {
 		return "", fmt.Errorf("transfer: chunk @%d short copy: %d of %d bytes", sp.Off, n, sp.N)
-	}
-	if !s.checksum {
-		return "", nil
 	}
 	return hex.EncodeToString(h.Sum(nil)), nil
 }

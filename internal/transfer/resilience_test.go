@@ -152,49 +152,34 @@ func shipOneChunk(t *testing.T, m *WireMover, addr string) error {
 }
 
 // TestShipChunkResendsOnChecksumReject: a daemon-side checksum rejection
-// re-ships the chunk within the same attempt — up to ChunkRetries extra
-// sends — instead of failing the whole attempt.
+// re-ships the chunk within the same attempt — up to DefaultChunkRetries
+// extra sends — instead of failing the whole attempt.
 func TestShipChunkResendsOnChecksumReject(t *testing.T) {
-	addr, writes := chunkRejectServer(t, wire.CodeChecksum, 2)
-	m := &WireMover{Checksum: true, ChunkBytes: 1024, Timeout: 5 * time.Second,
+	addr, writes := chunkRejectServer(t, wire.CodeChecksum, DefaultChunkRetries)
+	m := &WireMover{ChunkBytes: 1024, Timeout: 5 * time.Second,
 		ManifestDir: t.TempDir()}
 	defer m.Close()
 	if err := shipOneChunk(t, m, addr); err != nil {
 		t.Fatalf("chunk not re-sent through checksum rejects: %v", err)
 	}
-	if n := writes.Load(); n != 3 {
-		t.Fatalf("server saw %d writes, want 3 (2 rejects + 1 OK)", n)
+	if n := writes.Load(); n != DefaultChunkRetries+1 {
+		t.Fatalf("server saw %d writes, want %d rejects + 1 OK", n, DefaultChunkRetries)
 	}
 }
 
-// TestShipChunkResendBudgetExhausted: more rejects than ChunkRetries
-// fails the attempt with the checksum error.
+// TestShipChunkResendBudgetExhausted: more rejects than
+// DefaultChunkRetries fails the attempt with the checksum error.
 func TestShipChunkResendBudgetExhausted(t *testing.T) {
 	addr, writes := chunkRejectServer(t, wire.CodeChecksum, 100)
-	m := &WireMover{Checksum: true, ChunkBytes: 1024, Timeout: 5 * time.Second,
-		ManifestDir: t.TempDir(), ChunkRetries: 1}
+	m := &WireMover{ChunkBytes: 1024, Timeout: 5 * time.Second,
+		ManifestDir: t.TempDir()}
 	defer m.Close()
 	err := shipOneChunk(t, m, addr)
 	if !wire.IsRemoteCode(err, wire.CodeChecksum) {
 		t.Fatalf("err = %v, want the surfaced checksum rejection", err)
 	}
-	if n := writes.Load(); n != 2 {
-		t.Fatalf("server saw %d writes, want 2 (1 + ChunkRetries)", n)
-	}
-}
-
-// TestShipChunkNegativeRetriesDisables: ChunkRetries < 0 restores the
-// no-resend behavior.
-func TestShipChunkNegativeRetriesDisables(t *testing.T) {
-	addr, writes := chunkRejectServer(t, wire.CodeChecksum, 1)
-	m := &WireMover{Checksum: true, ChunkBytes: 1024, Timeout: 5 * time.Second,
-		ManifestDir: t.TempDir(), ChunkRetries: -1}
-	defer m.Close()
-	if err := shipOneChunk(t, m, addr); !wire.IsRemoteCode(err, wire.CodeChecksum) {
-		t.Fatalf("err = %v, want immediate checksum failure", err)
-	}
-	if n := writes.Load(); n != 1 {
-		t.Fatalf("server saw %d writes, want 1 (resend disabled)", n)
+	if n := writes.Load(); n != 1+DefaultChunkRetries {
+		t.Fatalf("server saw %d writes, want 1 + %d re-sends", n, DefaultChunkRetries)
 	}
 }
 
@@ -204,7 +189,7 @@ func TestShipChunkNegativeRetriesDisables(t *testing.T) {
 // test), so the sink must not absorb it.
 func TestShipChunkDoesNotResendOnCorrupt(t *testing.T) {
 	addr, writes := chunkRejectServer(t, wire.CodeCorrupt, 1)
-	m := &WireMover{Checksum: true, ChunkBytes: 1024, Timeout: 5 * time.Second,
+	m := &WireMover{ChunkBytes: 1024, Timeout: 5 * time.Second,
 		ManifestDir: t.TempDir()}
 	defer m.Close()
 	if err := shipOneChunk(t, m, addr); !wire.IsRemoteCode(err, wire.CodeCorrupt) {

@@ -20,7 +20,7 @@ import (
 func forBothSinks(t *testing.T, fn func(t *testing.T, sk sink, root string)) {
 	t.Run("local", func(t *testing.T) {
 		root := filepath.Join(t.TempDir(), "root")
-		fn(t, localSink{landing.Store{Root: root}, true}, root)
+		fn(t, localSink{landing.Store{Root: root}}, root)
 	})
 	t.Run("wire", func(t *testing.T) {
 		root := filepath.Join(t.TempDir(), "root")
@@ -32,7 +32,7 @@ func forBothSinks(t *testing.T, fn func(t *testing.T, sk sink, root string)) {
 		t.Cleanup(func() { srv.Close() })
 		cl := &wire.Client{Addr: addr, Timeout: 10 * time.Second}
 		t.Cleanup(func() { cl.Close() })
-		fn(t, wireSink{Client: cl, checksum: true}, root)
+		fn(t, wireSink{Client: cl}, root)
 	})
 }
 
@@ -56,7 +56,6 @@ func TestSinkConformance(t *testing.T) {
 		defer src.Close()
 		spans := planFile(0, int64(len(data)), chunk)
 		const rel = "runs/f.bin"
-		cfg := moveConfig{checksum: true}
 
 		// Absent files size as -1, nested or not.
 		sizes, err := sk.Stat([]string{rel, "missing.bin"})
@@ -98,18 +97,20 @@ func TestSinkConformance(t *testing.T) {
 		if got, present, err := sk.Hash(rel, spans[1].Off, spans[1].N); err != nil || !present || got != zeros {
 			t.Fatalf("prepared range: present=%v sum=%s err=%v, want zeros", present, got, err)
 		}
-		if survived(cfg, sk, rel, spans[1], zeros, pre[0]) {
+		if survived(sk, rel, spans[1], zeros, pre[0]) {
 			t.Error("chunk past the pre-attempt size counted as survived")
 		}
-		if !survived(cfg, sk, rel, spans[0], sum0, pre[0]) {
+		if !survived(sk, rel, spans[0], sum0, pre[0]) {
 			t.Error("intact chunk inside the pre-attempt size not counted as survived")
 		}
-		// A wrong recorded digest (or none) is never verified.
-		if survived(cfg, sk, rel, spans[0], strings.Repeat("ab", 32), pre[0]) {
+		// A wrong recorded digest is never verified, and a done chunk with
+		// none — what a parent-format manifest written with verification off
+		// holds — cannot be.
+		if survived(sk, rel, spans[0], strings.Repeat("ab", 32), pre[0]) {
 			t.Error("chunk with a wrong recorded digest counted as survived")
 		}
-		if survived(cfg, sk, rel, spans[0], "", pre[0]) {
-			t.Error("chunk with no recorded digest counted as survived under checksumming")
+		if survived(sk, rel, spans[0], "", pre[0]) {
+			t.Error("chunk with no recorded digest counted as survived")
 		}
 
 		// Land the rest; the happy-path merge yields the whole-file digest
@@ -129,6 +130,13 @@ func TestSinkConformance(t *testing.T) {
 		landed, err := os.ReadFile(filepath.Join(root, rel))
 		if err != nil || !bytes.Equal(landed, data) {
 			t.Fatalf("landed bytes differ from the source (err=%v)", err)
+		}
+		// A plan that leaves one chunk without a digest is refused outright:
+		// no sink merges bytes it cannot verify.
+		undigested := append([]landing.Chunk(nil), plan...)
+		undigested[1].SHA256 = ""
+		if whole, _, err := sk.Merge(rel, undigested); err == nil {
+			t.Fatalf("merge accepted a plan with an empty chunk digest (digest %q)", whole)
 		}
 
 		// Corrupt one byte of chunk 1 behind the sink's back: the merge
@@ -156,7 +164,7 @@ func TestPathConfinement(t *testing.T) {
 	escapes := []string{"../escape.bin", "a/../../escape.bin", filepath.Join(t.TempDir(), "abs-escape.bin"), ""}
 
 	forBothMovers(t, func(t *testing.T, w *world) {
-		svc := w.service(t, moveConfig{checksum: true}, Options{MaxAttempts: 1})
+		svc := w.service(t, moveConfig{}, Options{MaxAttempts: 1})
 		for _, rel := range escapes {
 			if id, err := svc.Submit(w.tok, "src", "dst", []FileSpec{{RelPath: "ok.bin"}, {RelPath: rel}}); err == nil {
 				t.Errorf("Submit accepted RelPath %q as task %s", rel, id)

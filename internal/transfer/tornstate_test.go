@@ -45,7 +45,7 @@ func TestTornManifestQuarantinedAndFailsLoudly(t *testing.T) {
 	payload := writeRandom(t, filepath.Join(srcRoot, "f.emdg"), 8*chunk, 11)
 
 	svc1 := NewService(iss, &LiveMover{
-		Checksum: true, ChunkBytes: chunk, Streams: 1,
+		ChunkBytes: chunk, Streams: 1,
 		ManifestDir: manDir, KillAfterChunks: 3,
 	}, time.Now, Options{MaxAttempts: 1})
 	svc1.RegisterEndpoint(Endpoint{ID: "src", Root: srcRoot})
@@ -69,7 +69,7 @@ func TestTornManifestQuarantinedAndFailsLoudly(t *testing.T) {
 	// A new service over the torn manifest must refuse loudly, not resume
 	// from zero over an unaccounted-for destination.
 	svc2 := NewService(iss, &LiveMover{
-		Checksum: true, ChunkBytes: chunk, Streams: 1, ManifestDir: manDir,
+		ChunkBytes: chunk, Streams: 1, ManifestDir: manDir,
 	}, time.Now, Options{MaxAttempts: 1})
 	svc2.RegisterEndpoint(Endpoint{ID: "src", Root: srcRoot})
 	svc2.RegisterEndpoint(Endpoint{ID: "dst", Root: dstRoot})
@@ -91,7 +91,7 @@ func TestTornManifestQuarantinedAndFailsLoudly(t *testing.T) {
 	// With the quarantine done, a third service starts from a fresh
 	// manifest and completes correctly.
 	svc3 := NewService(iss, &LiveMover{
-		Checksum: true, ChunkBytes: chunk, Streams: 1, ManifestDir: manDir,
+		ChunkBytes: chunk, Streams: 1, ManifestDir: manDir,
 	}, time.Now, Options{})
 	svc3.RegisterEndpoint(Endpoint{ID: "src", Root: srcRoot})
 	svc3.RegisterEndpoint(Endpoint{ID: "dst", Root: dstRoot})
@@ -123,7 +123,7 @@ func TestManifestCrashMidPersistNeverTorn(t *testing.T) {
 
 		fs := &fsutil.FaultFS{CrashAtWrite: crashAt}
 		svc := NewService(iss, &LiveMover{
-			Checksum: true, ChunkBytes: chunk, Streams: 1,
+			ChunkBytes: chunk, Streams: 1,
 			ManifestDir: manDir, FS: fs,
 		}, time.Now, Options{})
 		svc.RegisterEndpoint(Endpoint{ID: "src", Root: srcRoot})

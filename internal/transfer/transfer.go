@@ -10,7 +10,9 @@
 // engine (engine.go) and differ only in the sink a chunk lands through:
 // LiveMover really copies chunks as parallel ranged writes between
 // endpoint roots on disk, WireMover ships them to a facility daemon over
-// TCP, both with per-chunk SHA-256 and a verified merge. A simulated
+// TCP, both always with per-chunk SHA-256 and a verified merge — there is
+// no unverified transfer, and the daemon refuses a chunk or a merge plan
+// that declares no digest (DESIGN.md §11). A simulated
 // mover drives the same framing over the netsim fluid-flow network so
 // 1-hour facility experiments run in milliseconds of virtual time.
 // Failed moves are retried with bounded attempts, mirroring the
@@ -98,8 +100,8 @@ type TaskView struct {
 	BytesCopied   int64
 
 	// Checksums maps each file's RelPath to the whole-file digest the
-	// mover's verified merge produced (nil until the task succeeds,
-	// empty entries when checksumming is disabled).
+	// mover's verified merge produced: nil until the task succeeds, one
+	// entry per file after.
 	Checksums map[string]string
 }
 
@@ -113,8 +115,8 @@ type Report struct {
 	// BytesCopied is the wire volume this attempt actually copied — the
 	// retry-cost metric resume minimizes.
 	BytesCopied int64
-	// Checksums maps each file's RelPath to its whole-file digest (empty
-	// entries when checksumming is disabled).
+	// Checksums maps each file's RelPath to its whole-file digest, one
+	// entry per file of a successful attempt.
 	Checksums map[string]string
 	// ChunksTotal/ChunksMoved/ChunksSkipped count the task's chunk plan,
 	// the chunks this attempt copied, and the chunks it skipped because

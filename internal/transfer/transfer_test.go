@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"os"
@@ -54,7 +55,7 @@ func TestMoversCopyAndVerify(t *testing.T) {
 		os.MkdirAll(filepath.Join(w.srcRoot, "runs"), 0o755)
 		a := writeRandom(t, filepath.Join(w.srcRoot, "runs/a.emdg"), 4096+100, 1) // 5 chunks, last partial
 		b := writeRandom(t, filepath.Join(w.srcRoot, "b.emdg"), 2048, 2)          // 2 chunks exactly
-		svc := w.service(t, moveConfig{checksum: true, chunkBytes: 1024, streams: 1}, Options{})
+		svc := w.service(t, moveConfig{chunkBytes: 1024, streams: 1}, Options{})
 		id, err := svc.Submit(w.tok, "src", "dst", []FileSpec{{RelPath: "runs/a.emdg"}, {RelPath: "b.emdg"}})
 		if err != nil {
 			t.Fatal(err)
@@ -88,7 +89,7 @@ func TestMoversCopyAndVerify(t *testing.T) {
 
 func TestMissingFileFailsAfterRetries(t *testing.T) {
 	forBothMovers(t, func(t *testing.T, w *world) {
-		svc := w.service(t, moveConfig{checksum: true}, Options{MaxAttempts: 2})
+		svc := w.service(t, moveConfig{}, Options{MaxAttempts: 2})
 		id, err := svc.Submit(w.tok, "src", "dst", []FileSpec{{RelPath: "missing.emdg"}})
 		if err != nil {
 			t.Fatal(err)
@@ -247,15 +248,21 @@ func TestSimMoverExhaustsRetries(t *testing.T) {
 	}
 }
 
-func TestChecksumDisabled(t *testing.T) {
+// TestZeroValueMoverVerifies: verification is not a setting. A mover
+// nobody configured still hashes every chunk and runs the verified merge,
+// so the task carries the file's real whole-file digest.
+func TestZeroValueMoverVerifies(t *testing.T) {
 	iss, tok := issuerAndToken(t)
 	srcRoot, dstRoot := t.TempDir(), t.TempDir()
 	os.WriteFile(filepath.Join(srcRoot, "f"), []byte("data"), 0o644)
-	svc := NewService(iss, &LiveMover{Checksum: false}, time.Now, Options{})
+	svc := NewService(iss, &LiveMover{}, time.Now, Options{})
 	svc.RegisterEndpoint(Endpoint{ID: "src", Root: srcRoot})
 	svc.RegisterEndpoint(Endpoint{ID: "dst", Root: dstRoot})
 	id, _ := svc.Submit(tok, "src", "dst", []FileSpec{{RelPath: "f"}})
-	waitFor(t, svc, tok, id, StatusSucceeded)
+	view := waitFor(t, svc, tok, id, StatusSucceeded)
+	if want := hexSum([]byte("data")); view.Checksums["f"] != want {
+		t.Errorf("zero-value mover reported digest %q, want sha256(file) %s", view.Checksums["f"], want)
+	}
 }
 
 func TestTasksSnapshot(t *testing.T) {
@@ -306,10 +313,10 @@ func TestChunkedCopyMatchesWholeFile(t *testing.T) {
 	want := wholeSHA256(t, filepath.Join(srcRoot, "burst.emdg"))
 
 	configs := []LiveMover{
-		{Checksum: true}, // degenerate: whole file, single stream
-		{Checksum: true, ChunkBytes: 4 << 10, Streams: 1},
-		{Checksum: true, ChunkBytes: 4 << 10, Streams: 4},
-		{Checksum: true, ChunkBytes: 1 << 20, Streams: 3}, // chunk > file: single chunk again
+		{}, // degenerate: whole file, single stream
+		{ChunkBytes: 4 << 10, Streams: 1},
+		{ChunkBytes: 4 << 10, Streams: 4},
+		{ChunkBytes: 1 << 20, Streams: 3}, // chunk > file: single chunk again
 	}
 	for i := range configs {
 		dstRoot := t.TempDir()
@@ -353,7 +360,7 @@ func TestMultiFileChunkedTask(t *testing.T) {
 		specs = append(specs, FileSpec{RelPath: rel})
 		total += int64(n)
 	}
-	svc := NewService(iss, &LiveMover{Checksum: true, ChunkBytes: 8 << 10, Streams: 3}, time.Now, Options{})
+	svc := NewService(iss, &LiveMover{ChunkBytes: 8 << 10, Streams: 3}, time.Now, Options{})
 	svc.RegisterEndpoint(Endpoint{ID: "src", Root: srcRoot})
 	svc.RegisterEndpoint(Endpoint{ID: "dst", Root: dstRoot})
 	id, err := svc.Submit(tok, "src", "dst", specs)
@@ -380,7 +387,7 @@ func TestKillMidTransferResumesInService(t *testing.T) {
 	forBothMovers(t, func(t *testing.T, w *world) {
 		const chunk = 8 << 10
 		payload := writeRandom(t, filepath.Join(w.srcRoot, "f.emdg"), 8*chunk, 2)
-		svc := w.service(t, moveConfig{checksum: true, chunkBytes: chunk, streams: 1, killAfterChunks: 3}, Options{MaxAttempts: 2})
+		svc := w.service(t, moveConfig{chunkBytes: chunk, streams: 1, killAfterChunks: 3}, Options{MaxAttempts: 2})
 		id, err := svc.Submit(w.tok, "src", "dst", []FileSpec{{RelPath: "f.emdg"}})
 		if err != nil {
 			t.Fatal(err)
@@ -414,7 +421,7 @@ func TestManifestResumesAcrossServices(t *testing.T) {
 		payload := writeRandom(t, filepath.Join(w.srcRoot, "f.emdg"), 8*chunk, 3)
 
 		svc1 := w.service(t, moveConfig{
-			checksum: true, chunkBytes: chunk, streams: 1,
+			chunkBytes: chunk, streams: 1,
 			manifestDir: w.manDir, killAfterChunks: 3,
 		}, Options{MaxAttempts: 1})
 		id1, err := svc1.Submit(w.tok, "src", "dst", []FileSpec{{RelPath: "f.emdg"}})
@@ -429,7 +436,7 @@ func TestManifestResumesAcrossServices(t *testing.T) {
 		// "Reboot": everything about the first service is gone except the
 		// manifest directory and the partially landed destination file.
 		svc2 := w.service(t, moveConfig{
-			checksum: true, chunkBytes: chunk, streams: 1, manifestDir: w.manDir,
+			chunkBytes: chunk, streams: 1, manifestDir: w.manDir,
 		}, Options{})
 		id2, err := svc2.Submit(w.tok, "src", "dst", []FileSpec{{RelPath: "f.emdg"}})
 		if err != nil {
@@ -461,7 +468,7 @@ func TestResumeRecopiesCorruptedChunk(t *testing.T) {
 		payload := writeRandom(t, filepath.Join(w.srcRoot, "f.emdg"), 4*chunk, 4)
 
 		svc1 := w.service(t, moveConfig{
-			checksum: true, chunkBytes: chunk, streams: 1,
+			chunkBytes: chunk, streams: 1,
 			manifestDir: w.manDir, killAfterChunks: 3,
 		}, Options{MaxAttempts: 1})
 		id1, _ := svc1.Submit(w.tok, "src", "dst", []FileSpec{{RelPath: "f.emdg"}})
@@ -478,7 +485,7 @@ func TestResumeRecopiesCorruptedChunk(t *testing.T) {
 		f.Close()
 
 		svc2 := w.service(t, moveConfig{
-			checksum: true, chunkBytes: chunk, streams: 1, manifestDir: w.manDir,
+			chunkBytes: chunk, streams: 1, manifestDir: w.manDir,
 		}, Options{})
 		id2, _ := svc2.Submit(w.tok, "src", "dst", []FileSpec{{RelPath: "f.emdg"}})
 		v2 := waitFor(t, svc2, w.tok, id2, StatusSucceeded)
@@ -493,23 +500,63 @@ func TestResumeRecopiesCorruptedChunk(t *testing.T) {
 	})
 }
 
-// TestChunkedWithoutChecksum exercises the ablation on both movers: no
-// digests, no merge pass, no fabricated checksums — still chunked,
-// parallel and correct.
-func TestChunkedWithoutChecksum(t *testing.T) {
+// TestResumeRemovesUndigestedDoneChunks: a manifest on disk is input from
+// outside the program. One written by an older binary with verification
+// off marks chunks done with no digest; the resume cannot verify those, so
+// it re-moves exactly them and keeps the digested ones.
+func TestResumeRemovesUndigestedDoneChunks(t *testing.T) {
 	forBothMovers(t, func(t *testing.T, w *world) {
-		payload := writeRandom(t, filepath.Join(w.srcRoot, "f.emdg"), 50_000, 5)
-		svc := w.service(t, moveConfig{chunkBytes: 4 << 10, streams: 4}, Options{})
-		id, _ := svc.Submit(w.tok, "src", "dst", []FileSpec{{RelPath: "f.emdg"}})
-		view := waitFor(t, svc, w.tok, id, StatusSucceeded)
-		for rel, sum := range view.Checksums {
-			if sum != "" {
-				t.Errorf("checksum-off transfer fabricated digest %s for %s", sum, rel)
-			}
+		const chunk = 8 << 10
+		payload := writeRandom(t, filepath.Join(w.srcRoot, "f.emdg"), 8*chunk, 8)
+
+		svc1 := w.service(t, moveConfig{
+			chunkBytes: chunk, streams: 1,
+			manifestDir: w.manDir, killAfterChunks: 3,
+		}, Options{MaxAttempts: 1})
+		id1, _ := svc1.Submit(w.tok, "src", "dst", []FileSpec{{RelPath: "f.emdg"}})
+		waitFor(t, svc1, w.tok, id1, StatusFailed)
+
+		// Rewrite the persisted manifest the way the parent's Checksum=false
+		// mover left it: chunk 1 done, no digest.
+		entries, err := os.ReadDir(w.manDir)
+		if err != nil || len(entries) != 1 {
+			t.Fatalf("manifest dir holds %d files (err=%v), want 1", len(entries), err)
+		}
+		manPath := filepath.Join(w.manDir, entries[0].Name())
+		raw, err := os.ReadFile(manPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var man manifest
+		if err := json.Unmarshal(raw, &man); err != nil {
+			t.Fatal(err)
+		}
+		if c := man.Files[0].Chunks[1]; !c.Done || c.SHA256 == "" {
+			t.Fatalf("chunk 1 before the rewrite = %+v, want done with a digest", c)
+		}
+		man.Files[0].Chunks[1].SHA256 = ""
+		if raw, err = json.Marshal(&man); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(manPath, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+
+		svc2 := w.service(t, moveConfig{
+			chunkBytes: chunk, streams: 1, manifestDir: w.manDir,
+		}, Options{})
+		id2, _ := svc2.Submit(w.tok, "src", "dst", []FileSpec{{RelPath: "f.emdg"}})
+		v2 := waitFor(t, svc2, w.tok, id2, StatusSucceeded)
+		if v2.ChunksSkipped != 2 || v2.ChunksMoved != 6 {
+			t.Errorf("skipped/moved = %d/%d, want 2/6 (the undigested chunk must be re-moved)",
+				v2.ChunksSkipped, v2.ChunksMoved)
+		}
+		if want := hexSum(payload); v2.Checksums["f.emdg"] != want {
+			t.Errorf("resumed digest %q, want %s", v2.Checksums["f.emdg"], want)
 		}
 		got, err := os.ReadFile(filepath.Join(w.dstRoot, "f.emdg"))
 		if err != nil || !bytes.Equal(got, payload) {
-			t.Errorf("content mismatch (err=%v)", err)
+			t.Errorf("content mismatch after the resume (err=%v)", err)
 		}
 	})
 }
@@ -519,7 +566,7 @@ func TestChunkedWithoutChecksum(t *testing.T) {
 func TestChunkPoolConcurrentTasks(t *testing.T) {
 	iss, tok := issuerAndToken(t)
 	srcRoot, dstRoot := t.TempDir(), t.TempDir()
-	mover := &LiveMover{Checksum: true, ChunkBytes: 4 << 10, Streams: 4, ManifestDir: t.TempDir()}
+	mover := &LiveMover{ChunkBytes: 4 << 10, Streams: 4, ManifestDir: t.TempDir()}
 	svc := NewService(iss, mover, time.Now, Options{})
 	svc.RegisterEndpoint(Endpoint{ID: "src", Root: srcRoot})
 	svc.RegisterEndpoint(Endpoint{ID: "dst", Root: dstRoot})
@@ -652,12 +699,10 @@ func TestSimChunkKillResume(t *testing.T) {
 	}
 }
 
-// TestNoChecksumResumeDetectsLostDestination: with checksumming off the
-// manifest records written-but-unverified chunks; if the destination
-// file vanishes between attempts, resume must NOT trust the manifest
-// (the full-size file the new attempt creates is all zeros) — every
-// chunk is re-copied.
-func TestNoChecksumResumeDetectsLostDestination(t *testing.T) {
+// TestResumeDetectsLostDestination: if the destination file vanishes
+// between attempts, resume must NOT trust the manifest (the full-size
+// file the new attempt creates is all zeros) — every chunk is re-copied.
+func TestResumeDetectsLostDestination(t *testing.T) {
 	forBothMovers(t, func(t *testing.T, w *world) {
 		const chunk = 8 << 10
 		payload := writeRandom(t, filepath.Join(w.srcRoot, "f.emdg"), 4*chunk, 6)
@@ -702,7 +747,7 @@ func TestRewrittenSourceInvalidatesManifest(t *testing.T) {
 	os.Chtimes(srcPath, time.Unix(1000, 0), time.Unix(1000, 0))
 
 	svc1 := NewService(iss, &LiveMover{
-		Checksum: true, ChunkBytes: chunk, Streams: 1,
+		ChunkBytes: chunk, Streams: 1,
 		ManifestDir: manDir, KillAfterChunks: 2,
 	}, time.Now, Options{MaxAttempts: 1})
 	svc1.RegisterEndpoint(Endpoint{ID: "src", Root: srcRoot})
@@ -715,7 +760,7 @@ func TestRewrittenSourceInvalidatesManifest(t *testing.T) {
 	os.Chtimes(srcPath, time.Unix(2000, 0), time.Unix(2000, 0))
 
 	svc2 := NewService(iss, &LiveMover{
-		Checksum: true, ChunkBytes: chunk, Streams: 1, ManifestDir: manDir,
+		ChunkBytes: chunk, Streams: 1, ManifestDir: manDir,
 	}, time.Now, Options{})
 	svc2.RegisterEndpoint(Endpoint{ID: "src", Root: srcRoot})
 	svc2.RegisterEndpoint(Endpoint{ID: "dst", Root: dstRoot})

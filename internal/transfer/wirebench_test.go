@@ -38,7 +38,6 @@ func newBenchWorld(b *testing.B, chunkBytes int64, streams int, opts Options) *b
 	b.Cleanup(func() { srv.Close() })
 
 	w.mover = &WireMover{
-		Checksum:    true,
 		ChunkBytes:  chunkBytes,
 		Streams:     streams,
 		ManifestDir: filepath.Join(w.srcRoot, ".manifests"),

@@ -29,9 +29,8 @@ import (
 // the manifest plus remote range hashes reconstruct exactly which chunks
 // survived.
 type WireMover struct {
-	// Checksum, ChunkBytes, Streams, Tuner, ManifestDir, KillAfterChunks
-	// and FS mean exactly what they mean on LiveMover.
-	Checksum        bool
+	// ChunkBytes, Streams, Tuner, ManifestDir, KillAfterChunks and FS mean
+	// exactly what they mean on LiveMover.
 	ChunkBytes      int64
 	Streams         int
 	Tuner           RouteTuner
@@ -46,12 +45,6 @@ type WireMover struct {
 	Dial func(addr string) (net.Conn, error)
 	// Timeout is the per-op wire deadline (0 = wire.DefaultTimeout).
 	Timeout time.Duration
-	// ChunkRetries re-sends a chunk the daemon rejected with a checksum
-	// mismatch up to this many extra times before failing the attempt
-	// (0 = DefaultChunkRetries, negative = no re-sends). Re-reading and
-	// re-shipping one chunk costs one chunk; burning a whole
-	// service-attempt retry costs a full resume pass.
-	ChunkRetries int
 	// BreakerThreshold and BreakerCooldown are handed to every wire
 	// client (see wire.Client); zero values mean no circuit breaker.
 	// Retry spacing is the transfer service's (Options.RetryBackoff):
@@ -99,7 +92,7 @@ func (m *WireMover) Close() error {
 
 // Move implements Mover.
 func (m *WireMover) Move(task *Task, src, dst *Endpoint, done func(Report, error)) {
-	cfg := moveConfig{checksum: m.Checksum, chunkBytes: m.ChunkBytes, streams: m.Streams, tuner: m.Tuner,
+	cfg := moveConfig{chunkBytes: m.ChunkBytes, streams: m.Streams, tuner: m.Tuner,
 		manifestDir: m.ManifestDir, killAfterChunks: m.KillAfterChunks, fs: m.FS}
 	go func() {
 		done(m.run(cfg, task, src, dst, m.sink(dst.Root)))
@@ -108,18 +101,13 @@ func (m *WireMover) Move(task *Task, src, dst *Endpoint, done func(Report, error
 
 // DefaultChunkRetries is how many times one chunk rejected by the
 // daemon's checksum check is re-sent before the attempt fails.
+// Re-reading and re-shipping one chunk costs one chunk; burning a whole
+// service-attempt retry costs a full resume pass.
 const DefaultChunkRetries = 2
 
 // sink returns the wire sink for one daemon address.
 func (m *WireMover) sink(addr string) wireSink {
-	retries := DefaultChunkRetries
-	switch {
-	case m.ChunkRetries > 0:
-		retries = m.ChunkRetries
-	case m.ChunkRetries < 0:
-		retries = 0
-	}
-	return wireSink{Client: m.client(addr), checksum: m.Checksum, retries: retries}
+	return wireSink{m.client(addr)}
 }
 
 // wireSink lands chunks on a facility daemon, which serves each request
@@ -127,8 +115,6 @@ func (m *WireMover) sink(addr string) wireSink {
 // directly. Stat and Prepare are the client's own.
 type wireSink struct {
 	*wire.Client
-	checksum bool
-	retries  int
 }
 
 // chunkPool recycles the buffers wireSink.Write reads source ranges into:
@@ -141,8 +127,7 @@ var chunkPool sync.Pool
 // a ranged write; the daemon re-hashes the received bytes and refuses a
 // mismatch, so a chunk corrupted past the frame CRC still never reaches
 // the destination file. A checksum rejection is re-sent (fresh read,
-// fresh hash) up to retries times: one damaged chunk costs one chunk
-// re-ship, not a whole service-attempt resume pass.
+// fresh hash) up to DefaultChunkRetries times.
 func (s wireSink) Write(rel string, sp chunkSpan, src io.ReaderAt) (string, error) {
 	bufp, _ := chunkPool.Get().(*[]byte)
 	if bufp == nil || int64(cap(*bufp)) < sp.N {
@@ -155,16 +140,13 @@ func (s wireSink) Write(rel string, sp chunkSpan, src io.ReaderAt) (string, erro
 		if _, err := io.ReadFull(io.NewSectionReader(src, sp.Off, sp.N), buf); err != nil {
 			return "", fmt.Errorf("transfer: read chunk @%d: %w", sp.Off, err)
 		}
-		var sum string
-		if s.checksum {
-			h := sha256.Sum256(buf)
-			sum = hex.EncodeToString(h[:])
-		}
+		h := sha256.Sum256(buf)
+		sum := hex.EncodeToString(h[:])
 		err := s.WriteChunk(rel, sp.Off, buf, sum)
 		if err == nil {
 			return sum, nil
 		}
-		if resend < s.retries && wire.IsRemoteCode(err, wire.CodeChecksum) {
+		if resend < DefaultChunkRetries && wire.IsRemoteCode(err, wire.CodeChecksum) {
 			continue
 		}
 		return "", fmt.Errorf("transfer: wire chunk %s @%d: %w", rel, sp.Off, err)

@@ -32,7 +32,6 @@ func newWireWorld(t *testing.T, mutate func(*WireMover), opts Options) *wireWorl
 	w := &wireWorld{world: newWorld(t, "wire")}
 	w.addr = w.dstAddr
 	w.mover = &WireMover{
-		Checksum:    true,
 		ChunkBytes:  1024,
 		Streams:     1,
 		ManifestDir: filepath.Join(w.srcRoot, ".manifests"),
@@ -176,7 +175,7 @@ func TestWireMoverMergeDemotesMismatchedChunk(t *testing.T) {
 	wrong := strings.Repeat("ab", 32)
 	ms.mark(man, spans[1], wrong, true)
 
-	_, err = merge(moveConfig{checksum: true}, w.mover.sink(w.addr), ms, man, 0)
+	_, err = merge(w.mover.sink(w.addr), ms, man, 0)
 	if err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
 		t.Fatalf("merge err = %v, want checksum mismatch", err)
 	}

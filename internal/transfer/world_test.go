@@ -63,7 +63,7 @@ func (w *world) service(t *testing.T, cfg moveConfig, opts Options) *Service {
 	t.Helper()
 	if w.kind == "wire" {
 		m := &WireMover{
-			Checksum: cfg.checksum, ChunkBytes: cfg.chunkBytes, Streams: cfg.streams, Tuner: cfg.tuner,
+			ChunkBytes: cfg.chunkBytes, Streams: cfg.streams, Tuner: cfg.tuner,
 			ManifestDir: cfg.manifestDir, KillAfterChunks: cfg.killAfterChunks, FS: cfg.fs,
 			Token: w.tok, Timeout: 10 * time.Second,
 		}
@@ -71,7 +71,7 @@ func (w *world) service(t *testing.T, cfg moveConfig, opts Options) *Service {
 		return w.serve(m, opts)
 	}
 	return w.serve(&LiveMover{
-		Checksum: cfg.checksum, ChunkBytes: cfg.chunkBytes, Streams: cfg.streams, Tuner: cfg.tuner,
+		ChunkBytes: cfg.chunkBytes, Streams: cfg.streams, Tuner: cfg.tuner,
 		ManifestDir: cfg.manifestDir, KillAfterChunks: cfg.killAfterChunks, FS: cfg.fs,
 	}, opts)
 }

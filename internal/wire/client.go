@@ -34,8 +34,6 @@ type Client struct {
 	// Timeout is the per-op deadline covering dial, request and
 	// response (0 = 30s).
 	Timeout time.Duration
-	// MaxFrame bounds one received frame (0 = DefaultMaxFrame).
-	MaxFrame uint32
 	// IdleTimeout evicts pooled sessions idle longer than this (0 =
 	// keep forever, the historical behavior). A daemon restart leaves
 	// the pool full of dead sockets; eviction turns the next op's
@@ -137,7 +135,7 @@ func (c *Client) checkout(deadline time.Time) (conn net.Conn, fromPool bool, err
 		conn.Close()
 		return nil, false, fmt.Errorf("wire: hello: %w", err)
 	}
-	typ, head, _, err := ReadFrame(conn, c.MaxFrame)
+	typ, head, _, err := ReadFrame(conn, DefaultMaxFrame)
 	if err != nil {
 		conn.Close()
 		return nil, false, fmt.Errorf("wire: hello: %w", err)
@@ -326,7 +324,7 @@ func (c *Client) exchange(conn net.Conn, reqTyp byte, reqHead any, reqBody []byt
 		conn.Close()
 		return nil, fmt.Errorf("wire: send: %w", err)
 	}
-	typ, head, body, err := ReadFrame(conn, c.MaxFrame)
+	typ, head, body, err := ReadFrame(conn, DefaultMaxFrame)
 	if err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("wire: recv: %w", err)
@@ -376,8 +374,8 @@ func (c *Client) Prepare(rel string, size int64) error {
 	return err
 }
 
-// WriteChunk lands one chunk at off; sha256hex (when non-empty) lets
-// the server verify the bytes before writing them.
+// WriteChunk lands one chunk at off. sha256hex is the digest of data the
+// server verifies before writing; it refuses a chunk without one.
 func (c *Client) WriteChunk(rel string, off int64, data []byte, sha256hex string) error {
 	_, err := c.do(MsgWrite, Write{Rel: rel, Off: off, SHA256: sha256hex}, data, MsgWriteOK, nil)
 	return err

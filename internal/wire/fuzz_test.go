@@ -34,6 +34,8 @@ func FuzzCodec(f *testing.F) {
 	}
 	seed(MsgHello, Hello{Magic: Magic, Version: ProtocolVersion, Token: "t"}, nil)
 	seed(MsgWrite, Write{Rel: "a/b", Off: 4096, SHA256: "ff"}, []byte("chunk"))
+	// A digest-less Write: the codec carries it; the server's door refuses it.
+	seed(MsgWrite, Write{Rel: "a/b", Off: 4096}, []byte("chunk"))
 	seed(MsgStatusOK, StatusOK{Facility: "alcf-eagle", Jobs: 3}, make([]byte, 128))
 	seed(MsgError, ErrFrame{Code: CodeChecksum, Msg: "m", Chunk: 1}, nil)
 	seed(MsgMerge, Merge{Rel: "a", Chunks: []MergeChunk{{Off: 0, N: 4, SHA256: "aa"}}}, nil)

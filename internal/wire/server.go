@@ -43,8 +43,6 @@ type Server struct {
 	ComputeToken string
 	// Now supplies timestamps (nil = time.Now).
 	Now func() time.Time
-	// MaxFrame bounds one frame (0 = DefaultMaxFrame).
-	MaxFrame uint32
 	// MaxSessions caps concurrent sessions (0 = unlimited). A connection
 	// over the cap is answered with a typed CodeBusy error and closed —
 	// an overloaded daemon says so instead of queueing silently.
@@ -217,7 +215,7 @@ func (s *Server) session(c net.Conn) {
 	}()
 
 	s.armIdle(c)
-	typ, head, _, err := ReadFrame(c, s.MaxFrame)
+	typ, head, _, err := ReadFrame(c, DefaultMaxFrame)
 	if err != nil {
 		return
 	}
@@ -249,7 +247,7 @@ func (s *Server) session(c net.Conn) {
 		// The request payload is recycled: a session is strict
 		// request/response, so nothing references it once handle returns.
 		var payload *[]byte
-		typ, head, body, err := readFrame(c, s.MaxFrame, func(n int) []byte {
+		typ, head, body, err := readFrame(c, DefaultMaxFrame, func(n int) []byte {
 			payload = getFrameBuf(n)
 			return *payload
 		})
@@ -356,20 +354,20 @@ func (s *Server) handle(c net.Conn, typ byte, head, body []byte) bool {
 			werr = &ErrFrame{Code: CodeBadRequest, Msg: err.Error()}
 			break
 		}
-		var err error
-		if req.SHA256 != "" {
-			// Verify at the door: a chunk whose declared digest does not
-			// match the received bytes never touches the destination file.
-			sum := sha256.Sum256(body)
-			if got := hex.EncodeToString(sum[:]); got != req.SHA256 {
-				err = &RemoteError{Code: CodeChecksum,
-					Msg: fmt.Sprintf("chunk @%d of %s: declared digest %s, received bytes hash to %s", req.Off, req.Rel, req.SHA256, got)}
-			}
+		// Verify at the door: a chunk that declares no digest, or whose
+		// declared digest does not match the received bytes, never touches
+		// the destination file.
+		if req.SHA256 == "" {
+			werr = &ErrFrame{Code: CodeBadRequest, Msg: fmt.Sprintf("chunk @%d of %s declares no digest", req.Off, req.Rel)}
+			break
 		}
-		if err == nil {
-			_, err = s.store().Write(req.Rel, req.Off, bytes.NewReader(body))
+		sum := sha256.Sum256(body)
+		if got := hex.EncodeToString(sum[:]); got != req.SHA256 {
+			werr = &ErrFrame{Code: CodeChecksum,
+				Msg: fmt.Sprintf("chunk @%d of %s: declared digest %s, received bytes hash to %s", req.Off, req.Rel, req.SHA256, got)}
+			break
 		}
-		if err != nil {
+		if _, err := s.store().Write(req.Rel, req.Off, bytes.NewReader(body)); err != nil {
 			werr = classify(err)
 			break
 		}
@@ -383,7 +381,7 @@ func (s *Server) handle(c net.Conn, typ byte, head, body []byte) bool {
 		}
 		var data []byte
 		var err error
-		if req.N > int64(maxFrameBody(s.MaxFrame)) {
+		if req.N > MaxChunkBytes {
 			err = &RemoteError{Code: CodeBadRequest, Msg: fmt.Sprintf("read range @%d+%d exceeds the frame limit", req.Off, req.N)}
 		}
 		if err == nil {
@@ -536,14 +534,6 @@ func classify(err error) *ErrFrame {
 		code = CodeBadRequest
 	}
 	return &ErrFrame{Code: code, Msg: err.Error()}
-}
-
-// maxFrameBody is the biggest body one frame can carry.
-func maxFrameBody(maxFrame uint32) uint32 {
-	if maxFrame == 0 {
-		maxFrame = DefaultMaxFrame
-	}
-	return maxFrame - 5
 }
 
 // isClosedConn reports the "use of closed network connection" family —

@@ -50,6 +50,12 @@ func startServer(t *testing.T, mutate func(*Server)) (*Server, *Client, string) 
 	return srv, cl, token
 }
 
+// hexSHA256 is the digest a Write must declare for body.
+func hexSHA256(body []byte) string {
+	sum := sha256.Sum256(body)
+	return hex.EncodeToString(sum[:])
+}
+
 // TestHelloGate: sessions without the right magic, version or token are
 // rejected before any op; a good Hello succeeds.
 func TestHelloGate(t *testing.T) {
@@ -131,7 +137,16 @@ func TestFileOps(t *testing.T) {
 	if err := cl.WriteChunk(rel, 0, chunkA, hex.EncodeToString(sumA[:])); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.WriteChunk(rel, 1024, chunkB, ""); err != nil { // unverified write is allowed too
+	// The door: a Write that declares no digest is refused and its byte
+	// range stays as Prepare left it.
+	if err := cl.WriteChunk(rel, 1024, chunkB, ""); !IsRemoteCode(err, CodeBadRequest) {
+		t.Fatalf("digest-less write: err = %v, want CodeBadRequest", err)
+	}
+	if landed, err := os.ReadFile(filepath.Join(srv.Root, rel)); err != nil || !bytes.Equal(landed[1024:], make([]byte, 512)) {
+		t.Fatalf("digest-less write touched its destination range (err=%v)", err)
+	}
+	sumB := sha256.Sum256(chunkB)
+	if err := cl.WriteChunk(rel, 1024, chunkB, hex.EncodeToString(sumB[:])); err != nil {
 		t.Fatal(err)
 	}
 
@@ -155,7 +170,6 @@ func TestFileOps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sumB := sha256.Sum256(chunkB)
 	if !present || hash != hex.EncodeToString(sumB[:]) {
 		t.Fatalf("hash present=%v %s, want %s", present, hash, hex.EncodeToString(sumB[:]))
 	}
@@ -167,6 +181,13 @@ func TestFileOps(t *testing.T) {
 		t.Fatalf("absent-file hash: present=%v err=%v", present, err)
 	}
 
+	// The door again: a merge plan with one empty digest is refused whole.
+	if sum, err := cl.Merge(rel, []MergeChunk{
+		{Off: 0, N: 1024, SHA256: hex.EncodeToString(sumA[:])},
+		{Off: 1024, N: 512},
+	}); !IsRemoteCode(err, CodeBadRequest) {
+		t.Fatalf("merge with an empty chunk digest: sum=%q err=%v, want CodeBadRequest", sum, err)
+	}
 	wholeSum := sha256.Sum256(whole)
 	mergeSum, err := cl.Merge(rel, []MergeChunk{
 		{Off: 0, N: 1024, SHA256: hex.EncodeToString(sumA[:])},
@@ -212,6 +233,7 @@ func TestWriteChecksumRejection(t *testing.T) {
 // CodeBadRequest on every file op; the daemon never serves outside Root.
 func TestPathConfinement(t *testing.T) {
 	_, cl, _ := startServer(t, nil)
+	digest := hexSHA256([]byte("data"))
 	for _, rel := range []string{"../escape.bin", "a/../../escape.bin", "/etc/passwd", ""} {
 		if err := cl.Prepare(rel, 4); !IsRemoteCode(err, CodeBadRequest) {
 			t.Fatalf("prepare %q: err = %v, want CodeBadRequest", rel, err)
@@ -222,13 +244,13 @@ func TestPathConfinement(t *testing.T) {
 		if _, _, err := cl.ReadChunk(rel, 0, 4); !IsRemoteCode(err, CodeBadRequest) {
 			t.Fatalf("read %q: err = %v, want CodeBadRequest", rel, err)
 		}
-		if err := cl.WriteChunk(rel, 0, []byte("data"), ""); !IsRemoteCode(err, CodeBadRequest) {
+		if err := cl.WriteChunk(rel, 0, []byte("data"), digest); !IsRemoteCode(err, CodeBadRequest) {
 			t.Fatalf("write %q: err = %v, want CodeBadRequest", rel, err)
 		}
 		if _, _, err := cl.HashChunk(rel, 0, 4); !IsRemoteCode(err, CodeBadRequest) {
 			t.Fatalf("hash %q: err = %v, want CodeBadRequest", rel, err)
 		}
-		if _, err := cl.Merge(rel, []MergeChunk{{Off: 0, N: 4}}); !IsRemoteCode(err, CodeBadRequest) {
+		if _, err := cl.Merge(rel, []MergeChunk{{Off: 0, N: 4, SHA256: digest}}); !IsRemoteCode(err, CodeBadRequest) {
 			t.Fatalf("merge %q: err = %v, want CodeBadRequest", rel, err)
 		}
 	}
@@ -314,7 +336,7 @@ func TestReadChunkBodyIsCallerOwned(t *testing.T) {
 	if err := cl.Prepare("own.bin", size); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.WriteChunk("own.bin", 0, want, ""); err != nil {
+	if err := cl.WriteChunk("own.bin", 0, want, hexSHA256(want)); err != nil {
 		t.Fatal(err)
 	}
 	got, _, err := cl.ReadChunk("own.bin", 0, size)
@@ -322,8 +344,9 @@ func TestReadChunkBodyIsCallerOwned(t *testing.T) {
 		t.Fatal(err)
 	}
 	other := bytes.Repeat([]byte{0x3C}, size)
+	otherSum := hexSHA256(other)
 	for i := 0; i < 100; i++ {
-		if err := cl.WriteChunk("other.bin", 0, other, ""); err != nil {
+		if err := cl.WriteChunk("other.bin", 0, other, otherSum); err != nil {
 			t.Fatal(err)
 		}
 		if _, n, err := cl.Status(size); err != nil || n != size {

@@ -48,6 +48,12 @@ const Magic = "picowire"
 // gigabytes (the durable WAL's maxRecordBytes guard, scaled to frames).
 const DefaultMaxFrame = 256 << 20
 
+// MaxChunkBytes is the largest body a Write or ReadOK frame is sure to
+// carry under DefaultMaxFrame: the payload also holds the type byte, the
+// header length and the JSON header (rel path, offset, digest), which
+// 64 KiB covers with room to spare.
+const MaxChunkBytes = DefaultMaxFrame - 64<<10
+
 // frameHead is the fixed per-frame header: u32 payload length,
 // u32 CRC32-C of the payload.
 const frameHead = 8
@@ -132,10 +138,10 @@ type Prepare struct {
 type PrepareOK struct{}
 
 // Write lands one chunk: the frame body is the chunk's bytes, written
-// at Off. SHA256, when set, is the hex digest of the body the sender
-// computed; the server re-hashes and rejects a mismatch with
-// CodeChecksum — a corrupted chunk is refused at the door, never
-// merged.
+// at Off. SHA256 is the hex digest of the body the sender computed; the
+// server re-hashes and rejects a mismatch with CodeChecksum and a Write
+// without a digest with CodeBadRequest — a corrupted or unverifiable
+// chunk is refused at the door, never merged.
 type Write struct {
 	Rel    string `json:"rel"`
 	Off    int64  `json:"off"`
@@ -180,7 +186,8 @@ type MergeChunk = landing.Chunk
 // the landed file computing the whole-file digest while re-checking
 // every chunk against the recorded plan. A mismatched chunk fails the
 // merge with CodeChunkMismatch and its index, so the client can demote
-// exactly that chunk in its manifest.
+// exactly that chunk in its manifest; a plan entry without a digest is
+// CodeBadRequest.
 type Merge struct {
 	Rel    string       `json:"rel"`
 	Chunks []MergeChunk `json:"chunks"`

@@ -8,7 +8,8 @@
 // coalescing bursts into multi-file batches under a bytes-in-flight
 // budget; a managed transfer service that moves them to a storage
 // endpoint as a chunked, resumable, multi-stream pipeline (per-chunk
-// SHA-256, manifest-based resume, O(remaining chunks) retries); a
+// SHA-256 that no option turns off and the facility daemon re-checks at
+// the door, manifest-based resume, O(remaining chunks) retries); a
 // federated compute service that runs the fused analysis+metadata
 // functions on batch-scheduled nodes; a search index and portal that make
 // the results FAIR; and a flow-orchestration engine that drives the

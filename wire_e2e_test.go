@@ -155,7 +155,6 @@ func TestWireDaemonKillNineResume(t *testing.T) {
 	faults := &netfault.Faults{}
 	faults.SetReadDelay(2 * time.Millisecond)
 	mover := &transfer.WireMover{
-		Checksum:    true,
 		ChunkBytes:  chunkBytes,
 		Streams:     2,
 		ManifestDir: filepath.Join(srcRoot, ".manifests"),
