@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt-check vet test race race-fed chaos-smoke load-smoke bench-smoke bench bench-portal bench-portal-load bench-recovery bench-netprobe bench-wire fuzz-wire linkcheck optaudit ci
+.PHONY: all build fmt-check vet test race race-fed chaos-smoke load-smoke bench-smoke bench bench-portal bench-portal-load bench-recovery bench-netprobe bench-wire bench-watch fuzz-wire linkcheck optaudit cross-watch ci
 
 all: ci
 
@@ -13,6 +13,13 @@ fmt-check:
 
 vet:
 	$(GO) vet ./...
+
+# The watcher is the one package that must keep building for the paper's
+# Windows 10 and macOS instrument PCs, and it has OS-specific files
+# (notify_linux.go and its stub): vet it and its binary for both.
+cross-watch:
+	GOOS=windows $(GO) vet ./internal/watcher ./cmd/picoprobe-watch
+	GOOS=darwin $(GO) vet ./internal/watcher ./cmd/picoprobe-watch
 
 test:
 	$(GO) test ./...
@@ -78,6 +85,12 @@ bench-netprobe:
 bench-wire:
 	$(GO) test -run NONE -bench 'BenchmarkWire' -benchtime 3x -benchmem $(BENCHFLAGS) ./internal/transfer/
 
+# Close → event (BENCHMARKS.md "Close detection"): a staged file renamed
+# in, timed to its Event, under the kernel close notification and under
+# the size-stable scan alone (≈ 0.5 s an iteration at the defaults).
+bench-watch:
+	$(GO) test -run NONE -bench 'BenchmarkWatcherCloseToEvent' -benchtime 5x $(BENCHFLAGS) ./internal/watcher/
+
 # A short coverage-guided run of the wire codec fuzzer on top of the
 # checked-in seed corpus (internal/wire/testdata/fuzz). FUZZTIME=30s to
 # dig deeper locally.
@@ -88,7 +101,7 @@ fuzz-wire:
 # Compile and execute every benchmark exactly once so perf-critical paths
 # (including the portal serving and netprobe pairs above) get exercised
 # on every PR without burning CI minutes.
-bench-smoke: bench-netprobe
+bench-smoke: bench-netprobe bench-watch
 	$(GO) test -run NONE -bench . -benchtime 1x ./...
 
 bench:
@@ -105,4 +118,4 @@ linkcheck:
 optaudit:
 	$(GO) run ./tools/optaudit
 
-ci: build fmt-check vet test race-fed chaos-smoke load-smoke bench-smoke fuzz-wire optaudit linkcheck
+ci: build fmt-check vet cross-watch test race-fed chaos-smoke load-smoke bench-smoke fuzz-wire optaudit linkcheck

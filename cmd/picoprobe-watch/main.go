@@ -1,6 +1,8 @@
 // Command picoprobe-watch is the instrument-side trigger application: it
-// watches a transfer directory (with settle detection and a restart-safe
-// checkpoint), coalesces settled files into multi-file batches under a
+// watches a transfer directory (announcing a file when the kernel reports
+// it closed or renamed in — Linux inotify — or, everywhere and as the
+// fallback, when its size has settled; with a restart-safe checkpoint),
+// coalesces complete files into multi-file batches under a
 // bytes-in-flight budget, and starts one live batch flow per batch — the
 // paper's watchdog-based application, wired to the in-process deployment
 // over the chunked resumable ingest data plane.
@@ -18,13 +20,22 @@
 // -streams concurrent streams with manifest-based resume (a file no bigger
 // than one chunk moves as one); 0 for either means the default. With
 // -count N the command exits after N files (useful for scripted demos); 0
-// means run until interrupted.
+// means run until interrupted: the first interrupt stops watching, lets
+// the batch in flight finish and prints the exit summary.
+//
+// The banner names the close signal in use ("close detection: inotify +
+// 200ms scan", or "200ms × 2 scan (inotify unavailable: …)"), the exit
+// line counts the files each signal found, and a checkpoint that cannot
+// be saved — a full or read-only disk, after which a restart re-triggers
+// every file — is logged when it starts failing and when it recovers.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"log"
+	"os"
+	"os/signal"
 	"path/filepath"
 	"strings"
 	"time"
@@ -69,7 +80,34 @@ func main() {
 		log.Fatal(err)
 	}
 	w.Start()
-	defer w.Stop()
+	// reportCheckpoint logs a failing checkpoint when it starts failing and
+	// when it recovers, not once per batch in between.
+	var checkpointErr error
+	reportCheckpoint := func() {
+		err := w.CheckpointErr()
+		switch {
+		case err != nil && checkpointErr == nil:
+			log.Printf("checkpoint is NOT being saved — files announced from now on are re-triggered after a restart: %v", err)
+		case err == nil && checkpointErr != nil:
+			log.Printf("checkpoint is being saved again")
+		}
+		checkpointErr = err
+	}
+	defer func() {
+		w.Stop()
+		reportCheckpoint()
+		st := w.Stats()
+		fmt.Printf("announced %d file(s) by close notification, %d by scan; %d checkpoint save(s)\n",
+			st.ByNotify, st.ByScan, st.CheckpointSaves)
+	}()
+	interrupted := make(chan os.Signal, 1)
+	signal.Notify(interrupted, os.Interrupt)
+	go func() {
+		<-interrupted
+		signal.Stop(interrupted) // a second interrupt quits at once
+		log.Print("interrupted: finishing the batch in flight")
+		w.Stop()
+	}()
 	batcher := watcher.NewBatcher(w.Events(), watcher.BatchOptions{
 		MaxBatchFiles: *batchFiles,
 		MaxBatchBytes: *batchBytes,
@@ -79,6 +117,7 @@ func main() {
 
 	fmt.Printf("watching %s for %s files (checkpointed; batches of ≤%d files, %d-byte chunks × %d streams)\n",
 		*dir, *pattern, *batchFiles, dep.Options.TransferChunkBytes, dep.Options.TransferStreams)
+	fmt.Printf("close detection: %s\n", w.Stats().Detection)
 	ran := 0
 	for batch := range batcher.Batches() {
 		rels := make([]string, 0, len(batch.Files))
@@ -98,6 +137,7 @@ func main() {
 			batch.Seq, len(rels), batch.Bytes, strings.Join(rels, ", "), *kind)
 		rec, err := dep.RunBatch(*kind, rels)
 		batcher.Done(batch)
+		reportCheckpoint()
 		if err != nil {
 			log.Printf("flow failed: %v", err)
 			continue

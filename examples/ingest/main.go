@@ -50,6 +50,8 @@ func main() {
 		Interval:    5 * time.Millisecond,
 		SettlePolls: 2,
 		Pattern:     "*.emdg",
+		// Restart-safe: a rebooted watcher does not re-trigger the burst.
+		CheckpointPath: filepath.Join(work, "watch-checkpoint.json"),
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -137,6 +139,12 @@ func main() {
 	saved := float64(v2.ChunksSkipped) / float64(v2.ChunksTotal) * 100
 	fmt.Printf("\nretry cost is O(remaining chunks): %.0f%% of the burst never crossed the wire twice.\n", saved)
 	fmt.Println("every file landed SHA-256-verified (per-chunk digests + whole-file verified merge).")
+	st := w.Stats()
+	fmt.Printf("watcher: close detection %s; %d file(s) by close notification, %d by scan, %d checkpoint save(s)\n",
+		st.Detection, st.ByNotify, st.ByScan, st.CheckpointSaves)
+	if err := w.CheckpointErr(); err != nil {
+		fmt.Printf("watcher: checkpoint is NOT being saved — a restart would re-trigger the burst: %v\n", err)
+	}
 }
 
 // waitDone polls a task to a terminal state.

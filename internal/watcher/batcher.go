@@ -24,8 +24,11 @@ type BatchOptions struct {
 	// cap still travels (as a batch of one). 0 means uncapped.
 	MaxBatchBytes int64
 	// Linger is the quiet period after the last pending event before a
-	// below-threshold batch is flushed anyway (default 200ms). A detector
-	// burst therefore coalesces, while a lone file is not held hostage.
+	// below-threshold batch is flushed anyway (default 200ms). Every event
+	// restarts it: a detector burst therefore coalesces and a lone file
+	// waits one Linger, but under a steady trickle spaced closer than
+	// Linger it never fires — batches then close at MaxBatchFiles or
+	// MaxBatchBytes, and a file waits up to MaxBatchFiles−1 spacings.
 	Linger time.Duration
 	// BudgetBytes is the bytes-in-flight backpressure budget: batches are
 	// cut to fit it, and the next batch is withheld while acknowledged-

@@ -1,13 +1,38 @@
 // Package watcher triggers flows when the instrument writes new files,
 // playing the role of the paper's cross-platform watchdog-based trigger
-// application. It is a polling directory watcher (stdlib-only, hence
-// trivially portable across the paper's Windows 10 / macOS / Linux user
-// machines) with two behaviors the paper calls out explicitly: files are
-// only announced once their size has been stable for several polls (the
-// instrument writes multi-hundred-megabyte files, and half-written files
-// must not start flows), and processed files are recorded in a checkpoint
-// so that restarting the watcher after a reboot or on a subsequent day
-// does not re-trigger flows for data already handled.
+// application. It is stdlib-only, and it learns that a file is complete
+// from two sources feeding one loop:
+//
+//   - the kernel's close notification (Linux inotify, notify_linux.go):
+//     IN_CLOSE_WRITE — a writer closed the file — and IN_MOVED_TO — a
+//     finished file was renamed in — the two ways an instrument PC or an
+//     export tool completes a file. Such a file is announced within
+//     milliseconds, with no settle wait, because "closed" is a fact, not
+//     an inference. IN_CREATE and IN_MODIFY are deliberately not taken: a
+//     created or growing file is not known complete;
+//   - the size-stable poll: a file is announced once its size has been
+//     unchanged for several polls (the instrument writes multi-hundred-
+//     megabyte files, and half-written files must not start flows). It is
+//     the only signal on the paper's Windows 10 / macOS user machines,
+//     the catch-up pass for files that landed while the watcher was down,
+//     and the only thing that sees what raises neither event: a hard
+//     link, a remote writer on an NFS/SMB mount, events lost to a queue
+//     overflow, a dropped watch, a machine out of inotify instances.
+//
+// Both sources apply one mark test on one goroutine — a path already
+// processed with the same size and mtime is skipped — so whichever sees
+// a file first announces it and the other finds the mark: exactly once
+// per (path, size, mtime). A changed size or mtime makes a file eligible
+// again, and on the notification path without the poll's settle grace:
+// every close of a changed file is an announcement, so an instrument that
+// appends to one file over several sessions should write to a temporary
+// name and rename it in when done.
+//
+// Processed files are recorded in a checkpoint so that restarting the
+// watcher after a reboot or on a subsequent day does not re-trigger flows
+// for data already handled. What one poll or one notification read makes
+// ready is marked and checkpointed once, as a group, before its first
+// event is sent.
 //
 // Downstream of the raw event stream sits the Batcher, the acquisition
 // side of the ingest data plane (DESIGN.md §8): settled files coalesce
@@ -28,7 +53,7 @@ import (
 	"picoprobe/internal/fsutil"
 )
 
-// Event announces one settled, unprocessed file.
+// Event announces one complete, unprocessed file.
 type Event struct {
 	Path    string
 	Size    int64
@@ -40,7 +65,8 @@ type Options struct {
 	// Interval is the poll period (default 200ms).
 	Interval time.Duration
 	// SettlePolls is how many consecutive polls a file's size must be
-	// unchanged before it is announced (default 2).
+	// unchanged before the poll announces it (default 2). Files the kernel
+	// reports closed do not wait for it.
 	SettlePolls int
 	// Pattern, when non-empty, is a filepath.Match glob applied to base
 	// names (e.g. "*.emdg").
@@ -54,6 +80,21 @@ type Options struct {
 	FS fsutil.FS
 }
 
+// Stats counts a watcher's activity since New and names its close signal.
+type Stats struct {
+	// ByNotify and ByScan count announced files by the source that saw
+	// them complete first: the kernel's close notification or the
+	// size-stable poll.
+	ByNotify, ByScan int
+	// CheckpointSaves counts checkpoint writes attempted (one per
+	// announced group, not per file).
+	CheckpointSaves int
+	// Detection describes the close signal in use, set by Start:
+	// "inotify + 200ms scan", or "200ms × 2 scan (inotify unavailable:
+	// <why>)" when the poll is the only source.
+	Detection string
+}
+
 // fileMark fingerprints a processed file; a changed size or mtime makes
 // the file eligible again (it was rewritten).
 type fileMark struct {
@@ -61,19 +102,24 @@ type fileMark struct {
 	ModTime time.Time `json:"mod_time"`
 }
 
-// Watcher polls one directory and emits events for new settled files.
+// Watcher watches one directory and emits events for new complete files.
 type Watcher struct {
 	dir  string
 	opts Options
+	// openNotifier is newCloseNotifier; tests replace it to force the
+	// poll-only fallback.
+	openNotifier func(dir string, stop <-chan struct{}) (*closeNotifier, error)
 
 	mu        sync.Mutex
 	processed map[string]fileMark
 	pending   map[string]*pendingFile
 	saveErr   error
+	stats     Stats
 
-	events chan Event
-	stop   chan struct{}
-	done   chan struct{}
+	events   chan Event
+	stop     chan struct{}
+	stopOnce sync.Once
+	done     chan struct{}
 }
 
 type pendingFile struct {
@@ -105,13 +151,14 @@ func New(dir string, opts Options) (*Watcher, error) {
 		opts.FS = fsutil.OS
 	}
 	w := &Watcher{
-		dir:       dir,
-		opts:      opts,
-		processed: map[string]fileMark{},
-		pending:   map[string]*pendingFile{},
-		events:    make(chan Event, 64),
-		stop:      make(chan struct{}),
-		done:      make(chan struct{}),
+		dir:          dir,
+		opts:         opts,
+		openNotifier: newCloseNotifier,
+		processed:    map[string]fileMark{},
+		pending:      map[string]*pendingFile{},
+		events:       make(chan Event, 64),
+		stop:         make(chan struct{}),
+		done:         make(chan struct{}),
 	}
 	if opts.CheckpointPath != "" {
 		if err := w.loadCheckpoint(); err != nil {
@@ -121,35 +168,67 @@ func New(dir string, opts Options) (*Watcher, error) {
 	return w, nil
 }
 
-// Events returns the channel on which settled files are announced. The
+// Events returns the channel on which complete files are announced. The
 // channel is closed after Stop.
 func (w *Watcher) Events() <-chan Event { return w.events }
 
-// Start begins polling on a background goroutine.
+// Start opens the kernel close notification where the OS has one and
+// begins watching on a background goroutine: one loop owns the processed
+// and pending sets and serves both sources, so a file is announced by
+// whichever sees it first and never by both. Without notification the
+// poll carries on alone, and Stats says so.
 func (w *Watcher) Start() {
+	notifier, err := w.openNotifier(w.dir, w.stop)
+	w.describeDetection(err)
+
 	go func() {
 		defer close(w.done)
 		defer close(w.events)
+		var closed <-chan []string // nil (never ready) without a notifier
+		if notifier != nil {
+			defer notifier.close()
+			closed = notifier.names
+		}
 		ticker := time.NewTicker(w.opts.Interval)
 		defer ticker.Stop()
+		// The first poll is the catch-up pass for files that landed while
+		// no watcher was running.
+		w.poll()
 		for {
-			w.poll()
 			select {
 			case <-w.stop:
 				return
 			case <-ticker.C:
+				w.poll()
+			case names, ok := <-closed:
+				if !ok {
+					closed = nil
+					w.describeDetection(notifier.err)
+					continue
+				}
+				w.closed(names)
 			}
 		}
 	}()
 }
 
-// Stop halts polling and waits for the poll loop to exit.
-func (w *Watcher) Stop() {
-	select {
-	case <-w.stop:
-	default:
-		close(w.stop)
+// describeDetection records the close signal in use: notification beside
+// the poll, or — with the reason notification is unavailable — the poll
+// alone.
+func (w *Watcher) describeDetection(unavailable error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if unavailable == nil {
+		w.stats.Detection = fmt.Sprintf("inotify + %v scan", w.opts.Interval)
+		return
 	}
+	w.stats.Detection = fmt.Sprintf("%v × %d scan (inotify unavailable: %v)", w.opts.Interval, w.opts.SettlePolls, unavailable)
+}
+
+// Stop halts watching and waits for the loop and the notification reader
+// to exit.
+func (w *Watcher) Stop() {
+	w.stopOnce.Do(func() { close(w.stop) })
 	<-w.done
 }
 
@@ -171,58 +250,127 @@ func (w *Watcher) CheckpointErr() error {
 	return w.saveErr
 }
 
+// Stats returns a snapshot of the watcher's counters and close signal.
+func (w *Watcher) Stats() Stats {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.stats
+}
+
+// matches applies Pattern to a base name.
+func (w *Watcher) matches(name string) bool {
+	if w.opts.Pattern == "" {
+		return true
+	}
+	ok, _ := filepath.Match(w.opts.Pattern, name)
+	return ok
+}
+
+// markedLocked is the one mark test both sources apply: the file at path
+// was already announced in its present size and mtime.
+func (w *Watcher) markedLocked(path string, info os.FileInfo) bool {
+	mark, ok := w.processed[path]
+	return ok && mark.Size == info.Size() && mark.ModTime.Equal(info.ModTime())
+}
+
+// markLocked records a complete file as processed, counts it for the
+// source that found it, and returns its event.
+func (w *Watcher) markLocked(path string, info os.FileInfo, by *int) Event {
+	delete(w.pending, path)
+	w.processed[path] = fileMark{Size: info.Size(), ModTime: info.ModTime()}
+	*by++
+	return Event{Path: path, Size: info.Size(), ModTime: info.ModTime()}
+}
+
+// poll is one size-stable scan of the directory: every matching file not
+// yet marked advances its settle count, and those that reach SettlePolls
+// are announced as one group, in name order.
 func (w *Watcher) poll() {
 	entries, err := os.ReadDir(w.dir)
 	if err != nil {
 		return // transient: directory may be briefly unavailable
 	}
+	var group []Event
 	for _, entry := range entries {
-		if entry.IsDir() {
+		if entry.IsDir() || !w.matches(entry.Name()) {
 			continue
-		}
-		name := entry.Name()
-		if w.opts.Pattern != "" {
-			if ok, _ := filepath.Match(w.opts.Pattern, name); !ok {
-				continue
-			}
 		}
 		info, err := entry.Info()
 		if err != nil {
 			continue
 		}
-		path := filepath.Join(w.dir, name)
+		path := filepath.Join(w.dir, entry.Name())
 
 		w.mu.Lock()
-		if mark, ok := w.processed[path]; ok && mark.Size == info.Size() && mark.ModTime.Equal(info.ModTime()) {
-			w.mu.Unlock()
-			continue
+		if ev, ok := w.settleLocked(path, info); ok {
+			group = append(group, ev)
 		}
-		p := w.pending[path]
-		if p == nil {
-			p = &pendingFile{lastSize: info.Size()}
-			w.pending[path] = p
-			w.mu.Unlock()
-			continue
-		}
-		if info.Size() != p.lastSize {
-			p.lastSize = info.Size()
-			p.stable = 0
-			w.mu.Unlock()
-			continue
-		}
-		p.stable++
-		if p.stable < w.opts.SettlePolls {
-			w.mu.Unlock()
-			continue
-		}
-		// Settled: announce and mark processed.
-		delete(w.pending, path)
-		w.processed[path] = fileMark{Size: info.Size(), ModTime: info.ModTime()}
-		w.saveCheckpointLocked()
 		w.mu.Unlock()
+	}
+	w.announce(group)
+}
 
+// settleLocked advances one file's settle count and marks it once its
+// size has been unchanged for SettlePolls polls after the one that first
+// saw it.
+func (w *Watcher) settleLocked(path string, info os.FileInfo) (Event, bool) {
+	if w.markedLocked(path, info) {
+		return Event{}, false
+	}
+	p := w.pending[path]
+	if p == nil {
+		w.pending[path] = &pendingFile{lastSize: info.Size()}
+		return Event{}, false
+	}
+	if info.Size() != p.lastSize {
+		p.lastSize = info.Size()
+		p.stable = 0
+		return Event{}, false
+	}
+	p.stable++
+	if p.stable < w.opts.SettlePolls {
+		return Event{}, false
+	}
+	return w.markLocked(path, info, &w.stats.ByScan), true
+}
+
+// closed handles the names of one notification read — files a writer
+// closed or that were renamed in — announcing the regular, matching,
+// unmarked ones as one group, in kernel order, with no settle wait. A
+// file the poll was still settling loses its pending entry.
+func (w *Watcher) closed(names []string) {
+	var group []Event
+	for _, name := range names {
+		if !w.matches(name) {
+			continue
+		}
+		path := filepath.Join(w.dir, name)
+		info, err := os.Lstat(path)
+		if err != nil || !info.Mode().IsRegular() {
+			continue // already gone, or a directory, link or device
+		}
+		w.mu.Lock()
+		if !w.markedLocked(path, info) {
+			group = append(group, w.markLocked(path, info, &w.stats.ByNotify))
+		}
+		w.mu.Unlock()
+	}
+	w.announce(group)
+}
+
+// announce checkpoints a marked group once and then emits it in order.
+// The save precedes the first emit, so a restart never re-announces a
+// file whose event was received.
+func (w *Watcher) announce(group []Event) {
+	if len(group) == 0 {
+		return
+	}
+	w.mu.Lock()
+	w.saveCheckpointLocked()
+	w.mu.Unlock()
+	for _, ev := range group {
 		select {
-		case w.events <- Event{Path: path, Size: info.Size(), ModTime: info.ModTime()}:
+		case w.events <- ev:
 		case <-w.stop:
 			return
 		}
@@ -253,6 +401,7 @@ func (w *Watcher) saveCheckpointLocked() {
 	if w.opts.CheckpointPath == "" {
 		return
 	}
+	w.stats.CheckpointSaves++
 	raw, err := json.MarshalIndent(w.processed, "", "  ")
 	if err != nil {
 		w.saveErr = fmt.Errorf("watcher: marshal checkpoint: %w", err)
