@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt-check vet test race race-fed chaos-smoke load-smoke bench-smoke bench bench-portal bench-portal-load bench-recovery bench-netprobe bench-wire bench-watch fuzz-wire linkcheck optaudit cross-watch ci
+.PHONY: all build fmt-check vet test race race-fed chaos-smoke load-smoke bench-smoke bench bench-portal bench-portal-load bench-recovery bench-netprobe bench-wire bench-watch bench-analysis fuzz-wire fuzz-jpeg linkcheck optaudit cross-watch ci
 
 all: ci
 
@@ -91,6 +91,15 @@ bench-wire:
 bench-watch:
 	$(GO) test -run NONE -bench 'BenchmarkWatcherCloseToEvent' -benchtime 5x $(BENCHFLAGS) ./internal/watcher/
 
+# The analysis kernels (BENCHMARKS.md "Analysis kernels"): one frame
+# through image/jpeg and through video.AppendJPEG, one frame's background
+# statistics by selection and by histogram, and the fused spatiotemporal
+# function they sit in. Quote pairs with BENCHFLAGS='-benchtime 2s -count 5'.
+bench-analysis:
+	$(GO) test -run NONE -bench 'BenchmarkJPEGFrame' -benchtime 1x -benchmem $(BENCHFLAGS) ./internal/video/
+	$(GO) test -run NONE -bench 'BenchmarkRobustStats' -benchtime 1x -benchmem $(BENCHFLAGS) ./internal/detect/
+	$(GO) test -run NONE -bench 'BenchmarkFig3SpatiotemporalInference' -benchtime 1x -benchmem $(BENCHFLAGS) .
+
 # A short coverage-guided run of the wire codec fuzzer on top of the
 # checked-in seed corpus (internal/wire/testdata/fuzz). FUZZTIME=30s to
 # dig deeper locally.
@@ -98,10 +107,16 @@ FUZZTIME ?= 10s
 fuzz-wire:
 	$(GO) test -run NONE -fuzz FuzzCodec -fuzztime $(FUZZTIME) ./internal/wire/
 
+# The JPEG frame encoder against its oracle: the fuzzer picks size,
+# quality, pixels and which of them are coloured, and AppendJPEG must
+# write what image/jpeg.Encode writes (DESIGN.md §14).
+fuzz-jpeg:
+	$(GO) test -run NONE -fuzz FuzzAppendJPEG -fuzztime $(FUZZTIME) ./internal/video/
+
 # Compile and execute every benchmark exactly once so perf-critical paths
 # (including the portal serving and netprobe pairs above) get exercised
 # on every PR without burning CI minutes.
-bench-smoke: bench-netprobe bench-watch
+bench-smoke: bench-netprobe bench-watch bench-analysis
 	$(GO) test -run NONE -bench . -benchtime 1x ./...
 
 bench:
@@ -118,4 +133,4 @@ linkcheck:
 optaudit:
 	$(GO) run ./tools/optaudit
 
-ci: build fmt-check vet cross-watch test race-fed chaos-smoke load-smoke bench-smoke fuzz-wire optaudit linkcheck
+ci: build fmt-check vet cross-watch test race-fed chaos-smoke load-smoke bench-smoke fuzz-wire fuzz-jpeg optaudit linkcheck

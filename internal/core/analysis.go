@@ -2,11 +2,10 @@ package core
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"image"
-	"image/jpeg"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -99,7 +98,7 @@ func AnalyzeHyperspectral(emdPath, outDir string) (*AnalysisOutput, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := imaging.SavePNG(filepath.Join(recDir, "intensity.png"), heat); err != nil {
+	if err := writePNG(filepath.Join(recDir, "intensity.png"), heat); err != nil {
 		return nil, err
 	}
 
@@ -119,7 +118,7 @@ func AnalyzeHyperspectral(emdPath, outDir string) (*AnalysisOutput, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := imaging.SavePNG(filepath.Join(recDir, "spectrum.png"), plot); err != nil {
+	if err := writePNG(filepath.Join(recDir, "spectrum.png"), plot); err != nil {
 		return nil, err
 	}
 	if err := writeSpectrumCSV(filepath.Join(recDir, "spectrum.csv"), xs, spectrum); err != nil {
@@ -335,10 +334,10 @@ func AnalyzeSpatiotemporal(emdPath, outDir string, params detect.Params) (*Analy
 	perFrame := make([][]detect.Detection, T)
 	lo, hi := math.Inf(1), math.Inf(-1)
 	buf := chunkScratch.Get().(*chunkBuf)
+	defer chunkScratch.Put(buf)
 	for _, c := range chunks {
 		data := buf.grow(c.Frames() * H * W)
 		if err := ds.ReadFramesInto(data, c.Lo, c.Hi); err != nil {
-			chunkScratch.Put(buf)
 			return nil, err
 		}
 		chunkT := tensor.FromData(data, c.Frames(), H, W)
@@ -346,7 +345,6 @@ func AnalyzeSpatiotemporal(emdPath, outDir string, params detect.Params) (*Analy
 		lo, hi = math.Min(lo, cLo), math.Max(hi, cHi)
 		dets, err := detect.DetectSeries(chunkT, params)
 		if err != nil {
-			chunkScratch.Put(buf)
 			return nil, err
 		}
 		copy(perFrame[c.Lo:c.Hi], dets)
@@ -355,68 +353,57 @@ func AnalyzeSpatiotemporal(emdPath, outDir string, params detect.Params) (*Analy
 	// Pass 2: EMD → video conversion and annotation. Each frame is cast
 	// once; the raw grayscale JPEG and the annotated JPEG are encoded
 	// back-to-back into one buffer by the pipeline workers and streamed to
-	// their containers in frame order.
-	rawPath := filepath.Join(recDir, "series.avi")
-	rawFile, err := os.Create(rawPath)
+	// their containers in frame order. The three products are renamed into
+	// place together at the end, so a failure anywhere before that leaves
+	// the record's previous artifacts as they were.
+	rawFile, err := createProduct(filepath.Join(recDir, "series.avi"))
 	if err != nil {
-		chunkScratch.Put(buf)
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	annPath := filepath.Join(recDir, "annotated.avi")
-	annFile, err := os.Create(annPath)
-	if err != nil {
-		chunkScratch.Put(buf)
-		rawFile.Close()
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	closeFiles := func() {
-		rawFile.Close()
-		annFile.Close()
-	}
-	vwRaw, err := video.NewWriter(rawFile, W, H, 25, 90)
-	if err != nil {
-		chunkScratch.Put(buf)
-		closeFiles()
 		return nil, err
 	}
-	vwAnn, err := video.NewWriter(annFile, W, H, 25, 90)
+	defer rawFile.discard()
+	annFile, err := createProduct(filepath.Join(recDir, "annotated.avi"))
 	if err != nil {
-		chunkScratch.Put(buf)
-		closeFiles()
 		return nil, err
 	}
-	opts := &jpeg.Options{Quality: 90}
+	defer annFile.discard()
+	// Quality 0 here and in render: internal/video's one frame quality.
+	vwRaw, err := video.NewWriter(rawFile, W, H, 25, 0)
+	if err != nil {
+		return nil, err
+	}
+	vwAnn, err := video.NewWriter(annFile, W, H, 25, 0)
+	if err != nil {
+		return nil, err
+	}
 	castElements := 0
 	counts := make([]int, T)
 	for _, c := range chunks {
 		data := buf.grow(c.Frames() * H * W)
 		if err := ds.ReadFramesInto(data, c.Lo, c.Hi); err != nil {
-			chunkScratch.Put(buf)
-			closeFiles()
 			return nil, err
 		}
 		chunkT := tensor.FromData(data, c.Frames(), H, W)
 		splits := make([]int, c.Frames())
-		render := func(i int, out *bytes.Buffer) error {
+		render := func(i int, out []byte) ([]byte, error) {
 			t := c.Lo + i
 			sc := annotateScratch.Get().(*annotateBufs)
 			defer annotateScratch.Put(sc)
 			sc.pix = chunkT.Frame(i).ToUint8Into(sc.pix, lo, hi) // the fp64→uint8 cast
 			gray, err := imaging.GrayFrameInto(sc.gray, sc.pix, W, H)
 			if err != nil {
-				return err
+				return out, err
 			}
 			sc.gray = gray
-			if err := jpeg.Encode(out, gray, opts); err != nil {
-				return err
+			if out, err = video.AppendJPEG(out, gray, 0); err != nil {
+				return out, err
 			}
-			splits[i] = out.Len()
+			splits[i] = len(out)
 			rgba := imaging.ToRGBAInto(sc.rgba, gray)
 			sc.rgba = rgba
 			for _, d := range perFrame[t] {
 				imaging.DrawLabeledBox(rgba, d.Box, fmt.Sprintf("AU %.2f", d.Score), imaging.Orange)
 			}
-			return jpeg.Encode(out, rgba, opts)
+			return video.AppendJPEG(out, rgba, 0)
 		}
 		emit := func(i int, data []byte) error {
 			t := c.Lo + i
@@ -431,29 +418,27 @@ func AnalyzeSpatiotemporal(emdPath, outDir string, params detect.Params) (*Analy
 			return nil
 		}
 		if err := video.EncodeFrames(c.Frames(), render, emit); err != nil {
-			chunkScratch.Put(buf)
-			closeFiles()
 			return nil, err
 		}
 	}
-	chunkScratch.Put(buf)
 	if err := vwRaw.Close(); err != nil {
-		closeFiles()
 		return nil, err
 	}
 	if err := vwAnn.Close(); err != nil {
-		closeFiles()
 		return nil, err
 	}
-	if err := rawFile.Close(); err != nil {
-		annFile.Close()
+	countsFile, err := createProduct(filepath.Join(recDir, "counts.csv"))
+	if err != nil {
 		return nil, err
 	}
-	if err := annFile.Close(); err != nil {
+	defer countsFile.discard()
+	if err := writeCountsCSV(countsFile, counts); err != nil {
 		return nil, err
 	}
-	if err := writeCountsCSV(filepath.Join(recDir, "counts.csv"), counts); err != nil {
-		return nil, err
+	for _, p := range []*product{rawFile, annFile, countsFile} {
+		if err := p.commit(); err != nil {
+			return nil, err
+		}
 	}
 
 	exp.Products = []metadata.Product{
@@ -472,36 +457,35 @@ func AnalyzeSpatiotemporal(emdPath, outDir string, params detect.Params) (*Analy
 	}, nil
 }
 
+// writePNG writes img as one PNG artifact.
+func writePNG(path string, img image.Image) error {
+	return writeProduct(path, func(w *bufio.Writer) error {
+		if err := imaging.EncodePNG(w, img); err != nil {
+			return fmt.Errorf("core: encode png: %w", err)
+		}
+		return nil
+	})
+}
+
 // writeSpectrumCSV emits the same bytes encoding/csv would (the values
 // never need quoting), but append-formats each row into one reused buffer
 // instead of allocating per-field strings and per-row slices.
 func writeSpectrumCSV(path string, xs, ys []float64) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("core: %w", err)
-	}
-	w := bufio.NewWriter(f)
-	w.WriteString("energy_kev,counts\n")
-	var row []byte
-	for i := range xs {
-		row = strconv.AppendFloat(row[:0], xs[i], 'g', 8, 64)
-		row = append(row, ',')
-		row = strconv.AppendFloat(row, ys[i], 'g', 8, 64)
-		row = append(row, '\n')
-		w.Write(row)
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return fmt.Errorf("core: %w", err)
-	}
-	return f.Close()
+	return writeProduct(path, func(w *bufio.Writer) error {
+		w.WriteString("energy_kev,counts\n")
+		var row []byte
+		for i := range xs {
+			row = strconv.AppendFloat(row[:0], xs[i], 'g', 8, 64)
+			row = append(row, ',')
+			row = strconv.AppendFloat(row, ys[i], 'g', 8, 64)
+			row = append(row, '\n')
+			w.Write(row) // a failed write is reported by writeProduct's Flush
+		}
+		return nil
+	})
 }
 
-func writeCountsCSV(path string, counts []int) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("core: %w", err)
-	}
+func writeCountsCSV(f io.Writer, counts []int) error {
 	w := bufio.NewWriter(f)
 	w.WriteString("frame,particles\n")
 	var row []byte
@@ -510,13 +494,12 @@ func writeCountsCSV(path string, counts []int) error {
 		row = append(row, ',')
 		row = strconv.AppendInt(row, int64(c), 10)
 		row = append(row, '\n')
-		w.Write(row)
+		w.Write(row) // a failed write is reported by Flush
 	}
 	if err := w.Flush(); err != nil {
-		f.Close()
 		return fmt.Errorf("core: %w", err)
 	}
-	return f.Close()
+	return nil
 }
 
 // SearchEntry converts the experiment record into its search-index form:

@@ -63,7 +63,7 @@ func RenderThumbnail(emdPath, outDir string) (string, error) {
 	if err := os.MkdirAll(filepath.Dir(full), 0o755); err != nil {
 		return "", fmt.Errorf("core: %w", err)
 	}
-	if err := imaging.SavePNG(full, img); err != nil {
+	if err := writePNG(full, img); err != nil {
 		return "", err
 	}
 	return rel, nil

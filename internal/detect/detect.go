@@ -6,6 +6,12 @@
 // paper uses: hand-labeled frames (every 50th of 600), flip/crop
 // augmentation, calibration ("fine-tuning") against mAP50-95, and per-frame
 // inference inside the spatiotemporal data flow.
+//
+// The background statistics (median and MAD) are exact order statistics
+// found by value histogram, with selection over a copy as the fallback for
+// samples that cannot be bucketed and as the test oracle (robustStats,
+// DESIGN.md §14): per-frame inference allocates nothing after warm-up and
+// returns the same float64s as a full sort would.
 package detect
 
 import (
@@ -60,7 +66,8 @@ func DefaultParams() Params {
 }
 
 // scratch holds the per-call working buffers (blur ping-pong, component
-// labels, BFS queue, robust-statistics samples). Instances are recycled
+// labels, BFS queue, robust-statistics samples and histogram bucket
+// indices). Instances are recycled
 // through scratchPool so per-frame inference in a long series allocates
 // nothing after warm-up; the pool is safe for concurrent DetectSeries
 // workers.
@@ -69,6 +76,7 @@ type scratch struct {
 	labels       []int32
 	queue        []int
 	sample, devs []float64
+	bucket       []uint16
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -269,15 +277,44 @@ func NMS(dets []Detection, iou float64) []Detection {
 
 // robustStats estimates background mean and sigma with the median and the
 // median absolute deviation (scaled for a normal distribution). For frames
-// above 64k pixels a strided subsample keeps it cheap. Medians come from a
-// linear-time quickselect over pooled buffers rather than a full sort —
-// order statistics are exact, so the result is bit-identical to the sorted
-// implementation.
+// above 64k pixels a strided subsample keeps it cheap. Both medians are
+// exact order statistics — located by value histogram where the sample's
+// range allows it, by selection over a copy otherwise — so the result is
+// bit-identical to the sorted implementation either way.
 func robustStats(pixels []float64, sc *scratch) (mean, sigma float64) {
 	stride := 1
 	if len(pixels) > 1<<16 {
 		stride = len(pixels) / (1 << 16)
 	}
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for i := 0; i < len(pixels); i += stride {
+		v := pixels[i]
+		if v < lo {
+			lo = v
+		}
+		if v > hi {
+			hi = v
+		}
+		if v != v { // a NaN compares false both times and would be bucketed nowhere
+			return robustStatsSelection(pixels, stride, sc)
+		}
+	}
+	med, ok := histogramMedian(pixels, stride, 0, false, lo, hi, sc)
+	if !ok {
+		return robustStatsSelection(pixels, stride, sc)
+	}
+	// |v − med| lies in [0, max(med − lo, hi − med)]: subtraction is monotone.
+	mad, ok := histogramMedian(pixels, stride, med, true, 0, math.Max(med-lo, hi-med), sc)
+	if !ok {
+		return robustStatsSelection(pixels, stride, sc)
+	}
+	return med, 1.4826 * mad
+}
+
+// robustStatsSelection is robustStats by two quickselects, one over a copy
+// of the sample and one over its absolute deviations: the path for samples
+// the histogram cannot bucket, and the oracle its tests compare against.
+func robustStatsSelection(pixels []float64, stride int, sc *scratch) (mean, sigma float64) {
 	sample := sc.sample[:0]
 	for i := 0; i < len(pixels); i += stride {
 		sample = append(sample, pixels[i])
@@ -291,6 +328,97 @@ func robustStats(pixels []float64, sc *scratch) (mean, sigma float64) {
 	}
 	mad := quantileSelect(devs, 0.5)
 	return med, 1.4826 * mad
+}
+
+// histBuckets is the histogram's resolution. On a frame of background noise
+// plus a few bright blobs a bucket near the median holds a few dozen of
+// 16k samples, so the selection that finishes the job is over almost
+// nothing.
+const histBuckets = 1024
+
+// histogramMedian returns quantileSelect(x, 0.5) over the strided sample
+// x = pixels[0], pixels[stride], … — or over |x − centre| when dev is set —
+// without copying or reordering it. Every x must lie in [lo, hi]. One pass
+// counts the samples into histBuckets equal-width buckets and remembers
+// each sample's bucket; the counts locate the bucket holding the median
+// rank; a second pass collects only that bucket's samples for selectKth.
+// x ↦ int((x − lo)·scale) is monotone (float subtraction, multiplication by
+// a positive constant and truncation all are), so every sample in a lower
+// bucket is ≤ every sample in a higher one and the order statistics found
+// this way are the exact ones. ok is false, and nothing is computed, when
+// the range gives no finite positive scale: an infinite bound, a constant
+// sample, or a span so small that histBuckets/span overflows.
+func histogramMedian(pixels []float64, stride int, centre float64, dev bool, lo, hi float64, sc *scratch) (median float64, ok bool) {
+	span := hi - lo
+	scale := histBuckets / span
+	if !(span > 0) || math.IsInf(span, 0) || math.IsInf(scale, 0) {
+		return 0, false
+	}
+	n := (len(pixels) + stride - 1) / stride
+	if cap(sc.bucket) < n {
+		sc.bucket = make([]uint16, n)
+	}
+	bucket := sc.bucket[:n]
+	var counts [histBuckets]int
+	for j := range bucket {
+		x := pixels[j*stride]
+		if dev {
+			x = math.Abs(x - centre)
+		}
+		b := min(int((x-lo)*scale), histBuckets-1)
+		bucket[j] = uint16(b)
+		counts[b]++
+	}
+
+	// The ranks quantileSelect interpolates between, as it computes them.
+	pos := 0.5 * float64(n-1)
+	k := int(pos)
+	frac := pos - float64(k)
+	holder, below := 0, 0 // the bucket holding rank k, and the samples before it
+	for below+counts[holder] <= k {
+		below += counts[holder]
+		holder++
+	}
+	// Rank k+1 is in the same bucket or it is the minimum of the next
+	// non-empty one; histBuckets is no bucket's index.
+	next := histBuckets
+	if k+1 < n && k+1 >= below+counts[holder] {
+		for next = holder + 1; counts[next] == 0; next++ {
+		}
+	}
+
+	held := sc.sample[:0]
+	nextMin := math.Inf(1)
+	for j, b := range bucket {
+		if int(b) != holder && int(b) != next {
+			continue
+		}
+		x := pixels[j*stride]
+		if dev {
+			x = math.Abs(x - centre)
+		}
+		if int(b) == holder {
+			held = append(held, x)
+		} else if x < nextMin {
+			nextMin = x
+		}
+	}
+	sc.sample = held
+	vLo := selectKth(held, k-below)
+	if k+1 >= n {
+		return vLo, true
+	}
+	vHi := nextMin
+	if next == histBuckets {
+		// selectKth left everything right of k−below ≥ vLo.
+		vHi = held[k-below+1]
+		for _, v := range held[k-below+2:] {
+			if v < vHi {
+				vHi = v
+			}
+		}
+	}
+	return vLo*(1-frac) + vHi*frac, true
 }
 
 // quantileSelect returns the q-quantile with the same linear interpolation

@@ -1,9 +1,10 @@
 package imaging
 
 import (
+	"bytes"
 	"image"
-	"os"
-	"path/filepath"
+	"image/color"
+	"image/png"
 	"testing"
 
 	"picoprobe/internal/geom"
@@ -160,21 +161,28 @@ func TestLinePlotErrors(t *testing.T) {
 	}
 }
 
-func TestSavePNG(t *testing.T) {
+func TestEncodePNG(t *testing.T) {
 	img := image.NewRGBA(image.Rect(0, 0, 8, 8))
-	path := filepath.Join(t.TempDir(), "out.png")
-	if err := SavePNG(path, img); err != nil {
+	img.SetRGBA(3, 4, color.RGBA{R: 200, G: 10, B: 30, A: 255})
+	var buf bytes.Buffer
+	if err := EncodePNG(&buf, img); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := os.ReadFile(path)
+	raw := buf.Bytes()
+	if len(raw) < 8 || string(raw[1:4]) != "PNG" {
+		t.Fatal("output is not a PNG")
+	}
+	// Two colours: the palettized form is what was written, and it decodes
+	// to the same pixels.
+	got, err := png.Decode(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(raw) < 8 || string(raw[1:4]) != "PNG" {
-		t.Error("output is not a PNG")
+	if _, ok := got.(*image.Paletted); !ok {
+		t.Errorf("decoded %T, want a paletted image", got)
 	}
-	if err := SavePNG(filepath.Join(t.TempDir(), "missing", "x.png"), img); err == nil {
-		t.Error("bad path should error")
+	if r, g, b, a := got.At(3, 4).RGBA(); r>>8 != 200 || g>>8 != 10 || b>>8 != 30 || a>>8 != 255 {
+		t.Errorf("pixel (3,4) = %d,%d,%d,%d", r>>8, g>>8, b>>8, a>>8)
 	}
 }
 

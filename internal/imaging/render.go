@@ -6,14 +6,12 @@
 package imaging
 
 import (
-	"bufio"
 	"fmt"
 	"image"
 	"image/color"
 	"image/png"
 	"io"
 	"math"
-	"os"
 	"sync"
 
 	"picoprobe/internal/geom"
@@ -239,24 +237,6 @@ func palettize(img *image.RGBA) *image.Paletted {
 	}
 	out.Palette = pal
 	return out
-}
-
-// SavePNG writes img to path.
-func SavePNG(path string, img image.Image) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("imaging: %w", err)
-	}
-	bw := bufio.NewWriter(f)
-	if err := EncodePNG(bw, img); err != nil {
-		f.Close()
-		return fmt.Errorf("imaging: encode png: %w", err)
-	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		return fmt.Errorf("imaging: %w", err)
-	}
-	return f.Close()
 }
 
 func clamp01(v float64) float64 {

@@ -6,6 +6,15 @@
 // header, '00dc' JPEG chunks and an 'idx1' index), which common players
 // accept, plus a matching reader used by the tests and the annotation
 // pass.
+//
+// Every frame is encoded by AppendJPEG (jpeg.go): byte for byte what
+// image/jpeg.Encode writes, at about a third of its CPU for the grey and
+// annotated frames the pipeline produces. Its header and tables are read
+// out of the standard library's own output rather than copied here, its
+// forward DCT (fdct.go) is the standard library's with the Go and IJG
+// notices, and image/jpeg.Encode stays as the fallback for other image
+// types and as the oracle every encoder test compares against (DESIGN.md
+// §14). The reader decodes with image/jpeg.
 package video
 
 import (
@@ -43,7 +52,7 @@ type Writer struct {
 	count   int
 	maxSize uint32 // largest encoded frame
 	moviLen uint32 // bytes inside the movi LIST (including "movi" tag)
-	encBuf  bytes.Buffer
+	encBuf  []byte
 	closed  bool
 }
 
@@ -59,7 +68,7 @@ func NewWriter(w io.Writer, width, height, fps, quality int) (*Writer, error) {
 		fps = 25
 	}
 	if quality <= 0 || quality > 100 {
-		quality = 90
+		quality = frameQuality
 	}
 	vw := &Writer{w: w, width: width, height: height, fps: fps, quality: quality}
 	if ws, ok := w.(io.WriteSeeker); ok {
@@ -91,11 +100,11 @@ func (w *Writer) AddFrame(img image.Image) error {
 	if b.Dx() != w.width || b.Dy() != w.height {
 		return fmt.Errorf("video: frame is %dx%d, want %dx%d", b.Dx(), b.Dy(), w.width, w.height)
 	}
-	w.encBuf.Reset()
-	if err := jpeg.Encode(&w.encBuf, img, &jpeg.Options{Quality: w.quality}); err != nil {
+	var err error
+	if w.encBuf, err = AppendJPEG(w.encBuf[:0], img, w.quality); err != nil {
 		return fmt.Errorf("video: jpeg encode: %w", err)
 	}
-	return w.AddEncodedFrame(w.encBuf.Bytes())
+	return w.AddEncodedFrame(w.encBuf)
 }
 
 // AddEncodedFrame appends an already-JPEG-encoded frame. The caller keeps

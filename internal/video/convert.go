@@ -1,10 +1,8 @@
 package video
 
 import (
-	"bytes"
 	"fmt"
 	"image"
-	"image/jpeg"
 	"io"
 	"runtime"
 	"sync"
@@ -70,16 +68,15 @@ func Convert(w io.Writer, src FrameSource, lo, hi float64, fps int) (ConvertStat
 		return ConvertStats{}, fmt.Errorf("video: frames must be rank 2, got %v", first.Shape())
 	}
 	height, width := first.Shape()[0], first.Shape()[1]
-	vw, err := NewWriter(w, width, height, fps, 90)
+	vw, err := NewWriter(w, width, height, fps, frameQuality)
 	if err != nil {
 		return ConvertStats{}, err
 	}
-	opts := &jpeg.Options{Quality: 90}
 	var cast atomic.Int64
-	render := func(i int, buf *bytes.Buffer) error {
+	render := func(i int, dst []byte) ([]byte, error) {
 		fr, err := src.Frame(i)
 		if err != nil {
-			return err
+			return dst, err
 		}
 		sc := castScratch.Get().(*castBufs)
 		defer castScratch.Put(sc)
@@ -87,10 +84,10 @@ func Convert(w io.Writer, src FrameSource, lo, hi float64, fps int) (ConvertStat
 		cast.Add(int64(len(sc.pix)))
 		img, err := imaging.GrayFrameInto(sc.gray, sc.pix, width, height)
 		if err != nil {
-			return err
+			return dst, err
 		}
 		sc.gray = img
-		return jpeg.Encode(buf, img, opts)
+		return AppendJPEG(dst, img, frameQuality)
 	}
 	stats := ConvertStats{}
 	err = EncodeFrames(n, render, func(i int, data []byte) error {
@@ -108,29 +105,29 @@ func Convert(w io.Writer, src FrameSource, lo, hi float64, fps int) (ConvertStat
 }
 
 // encodeBufs recycles the pipeline's per-frame JPEG buffers.
-var encodeBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+var encodeBufs = sync.Pool{New: func() any { return new([]byte) }}
 
-// EncodeFrames renders frames 0..n-1 into JPEG buffers on up to
-// GOMAXPROCS workers and calls emit strictly in frame order. render must be
-// safe for concurrent calls with distinct indices; emit runs on the calling
-// goroutine and the data it receives is only valid for the duration of the
-// call. At most ~2×workers frames are in flight, so memory stays bounded
-// regardless of n. The first error is returned after the in-flight work
-// drains.
-func EncodeFrames(n int, render func(i int, buf *bytes.Buffer) error, emit func(i int, data []byte) error) error {
+// EncodeFrames renders frames 0..n-1 on up to GOMAXPROCS workers and calls
+// emit strictly in frame order. render appends frame i's encoded bytes to
+// dst (AppendJPEG's shape) and must be safe for concurrent calls with
+// distinct indices; emit runs on the calling goroutine and the data it
+// receives is only valid for the duration of the call. At most ~2×workers
+// frames are in flight, so memory stays bounded regardless of n. The first
+// error is returned after the in-flight work drains.
+func EncodeFrames(n int, render func(i int, dst []byte) ([]byte, error), emit func(i int, data []byte) error) error {
 	workers := runtime.GOMAXPROCS(0)
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
-		buf := encodeBufs.Get().(*bytes.Buffer)
+		buf := encodeBufs.Get().(*[]byte)
 		defer encodeBufs.Put(buf)
 		for i := 0; i < n; i++ {
-			buf.Reset()
-			if err := render(i, buf); err != nil {
+			var err error
+			if *buf, err = render(i, (*buf)[:0]); err != nil {
 				return err
 			}
-			if err := emit(i, buf.Bytes()); err != nil {
+			if err := emit(i, *buf); err != nil {
 				return err
 			}
 		}
@@ -138,7 +135,7 @@ func EncodeFrames(n int, render func(i int, buf *bytes.Buffer) error, emit func(
 	}
 
 	type result struct {
-		buf *bytes.Buffer
+		buf *[]byte
 		err error
 	}
 	window := workers * 2
@@ -165,9 +162,9 @@ func EncodeFrames(n int, render func(i int, buf *bytes.Buffer) error, emit func(
 				break
 			}
 			go func(i int) {
-				buf := encodeBufs.Get().(*bytes.Buffer)
-				buf.Reset()
-				err := render(i, buf)
+				buf := encodeBufs.Get().(*[]byte)
+				var err error
+				*buf, err = render(i, (*buf)[:0])
 				slots[i%window] <- result{buf: buf, err: err}
 			}(i)
 			i++
@@ -184,7 +181,7 @@ func EncodeFrames(n int, render func(i int, buf *bytes.Buffer) error, emit func(
 			if firstErr == nil {
 				if r.err != nil {
 					firstErr = r.err
-				} else if err := emit(consumed, r.buf.Bytes()); err != nil {
+				} else if err := emit(consumed, *r.buf); err != nil {
 					firstErr = err
 				}
 				if firstErr != nil {
