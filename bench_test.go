@@ -853,7 +853,7 @@ func BenchmarkFlowEngineThroughput(b *testing.B) {
 					{Name: "Transfer", Provider: "transfer"},
 					{Name: "Analysis", Provider: "compute"},
 					{Name: "Publication", Provider: "search"},
-				}}
+				}}.Linear()
 				completed := 0
 				for r := 0; r < runs; r++ {
 					if _, err := e.Run("tok", def, nil, func(flows.RunRecord) { completed++ }); err != nil {

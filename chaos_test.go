@@ -120,20 +120,17 @@ func TestChaosSoak(t *testing.T) {
 
 	srcRoot := t.TempDir()
 	mover := &transfer.WireMover{
-		ChunkBytes:       chunkBytes,
-		Streams:          2,
-		ManifestDir:      filepath.Join(srcRoot, ".manifests"),
-		Token:            token,
-		Dial:             routedDial,
-		Timeout:          2 * time.Second,
-		BreakerThreshold: 4,
-		BreakerCooldown:  150 * time.Millisecond,
+		ChunkBytes:      chunkBytes,
+		Streams:         2,
+		ManifestDir:     filepath.Join(srcRoot, ".manifests"),
+		Token:           token,
+		Dial:            routedDial,
+		Timeout:         2 * time.Second,
+		BreakerCooldown: 150 * time.Millisecond,
+		RetryBackoff:    &wire.Backoff{Base: 15 * time.Millisecond, Max: 250 * time.Millisecond},
 	}
 	defer mover.Close()
-	svc := transfer.NewService(iss, mover, time.Now, transfer.Options{
-		MaxAttempts:  40,
-		RetryBackoff: &wire.Backoff{Base: 15 * time.Millisecond, Max: 250 * time.Millisecond},
-	})
+	svc := transfer.NewService(iss, mover, time.Now, transfer.Options{MaxAttempts: 40})
 	if err := svc.RegisterEndpoint(transfer.Endpoint{ID: "src", Root: srcRoot}); err != nil {
 		t.Fatal(err)
 	}
@@ -319,9 +316,7 @@ func TestHeartbeatDetectsHungDaemonBeforeTimeout(t *testing.T) {
 	}
 	facs := reg.Facilities()
 
-	mon := health.NewMonitor(rt, health.Config{
-		Interval: 50 * time.Millisecond, SuspectAfter: 1, DownAfter: 3, UpAfter: 2,
-	})
+	mon := health.NewMonitor(rt, health.Config{Interval: 50 * time.Millisecond})
 	for i, fac := range facs {
 		// A check-sized timeout: the whole point is that probes are far
 		// cheaper than transfer attempts.

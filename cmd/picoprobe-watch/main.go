@@ -4,12 +4,16 @@
 // fallback, when its size has settled; with a restart-safe checkpoint),
 // coalesces complete files into multi-file batches under a
 // bytes-in-flight budget, and starts one live batch flow per batch — the
-// paper's watchdog-based application, wired to the in-process deployment
-// over the chunked resumable ingest data plane.
+// paper's watchdog-based application over the chunked resumable ingest
+// data plane. With -facility the files go to a picoprobe-facilityd daemon
+// over TCP, which lands and analyses them (the link the paper is about:
+// transfers ride out a daemon restart on spaced retries and the chunk
+// manifest); without it the facility side runs in-process under -workdir.
 //
 // Usage:
 //
 //	picoprobe-watch -dir ./instrument -kind hyperspectral [-workdir ./picoprobe-work]
+//	               [-facility host:port [-secret ...]]
 //	               [-batch-files 8] [-batch-bytes N] [-linger 500ms] [-inflight N]
 //	               [-chunk 64MB] [-streams 4] [-count 0]
 //
@@ -47,7 +51,9 @@ import (
 func main() {
 	dir := flag.String("dir", "", "directory to watch (required)")
 	kind := flag.String("kind", "hyperspectral", "hyperspectral or spatiotemporal")
-	workdir := flag.String("workdir", "picoprobe-work", "working directory for eagle/artifact roots")
+	workdir := flag.String("workdir", "picoprobe-work", "working directory: the watch checkpoint and, without -facility, the eagle/artifact roots")
+	facility := flag.String("facility", "", "host:port of a picoprobe-facilityd to transfer to and analyse on (empty = in-process)")
+	secret := flag.String("secret", core.WireSecretDefault, "shared secret of the -facility daemon (its -secret)")
 	pattern := flag.String("pattern", "*.emdg", "file glob to react to")
 	count := flag.Int("count", 0, "exit after this many files (0 = forever)")
 	batchFiles := flag.Int("batch-files", 8, "max files coalesced into one batch flow")
@@ -61,13 +67,31 @@ func main() {
 		log.Fatal("-dir is required")
 	}
 
-	dep, err := core.NewLiveDeployment(core.LiveOptions{
-		InstrumentRoot:     *dir,
-		EagleRoot:          filepath.Join(*workdir, "eagle"),
-		OutDir:             filepath.Join(*workdir, "artifacts"),
-		TransferChunkBytes: *chunk,
-		TransferStreams:    *streams,
-	})
+	// The checkpoint lives here whichever deployment runs.
+	if err := os.MkdirAll(*workdir, 0o755); err != nil {
+		log.Fatal(err)
+	}
+	var dep *core.LiveDeployment
+	var err error
+	destination := "in-process under " + *workdir
+	if *facility != "" {
+		destination = "picoprobe-facilityd at " + *facility
+		dep, err = core.NewWireDeployment(core.WireOptions{
+			InstrumentRoot:     *dir,
+			DaemonAddr:         *facility,
+			Secret:             *secret,
+			TransferChunkBytes: *chunk,
+			TransferStreams:    *streams,
+		})
+	} else {
+		dep, err = core.NewLiveDeployment(core.LiveOptions{
+			InstrumentRoot:     *dir,
+			EagleRoot:          filepath.Join(*workdir, "eagle"),
+			OutDir:             filepath.Join(*workdir, "artifacts"),
+			TransferChunkBytes: *chunk,
+			TransferStreams:    *streams,
+		})
+	}
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -115,8 +139,8 @@ func main() {
 		BudgetBytes:   *inflight,
 	})
 
-	fmt.Printf("watching %s for %s files (checkpointed; batches of ≤%d files, %d-byte chunks × %d streams)\n",
-		*dir, *pattern, *batchFiles, dep.Options.TransferChunkBytes, dep.Options.TransferStreams)
+	fmt.Printf("watching %s for %s files (checkpointed; batches of ≤%d files, %d-byte chunks × %d streams) → %s\n",
+		*dir, *pattern, *batchFiles, dep.Options.TransferChunkBytes, dep.Options.TransferStreams, destination)
 	fmt.Printf("close detection: %s\n", w.Stats().Detection)
 	ran := 0
 	for batch := range batcher.Batches() {

@@ -250,13 +250,11 @@ func assemble(a assembly) (*LiveDeployment, error) {
 		dep.Index = search.NewIndex()
 		catalog = dep.Index
 	} else {
-		durOpts := durable.Options{Sync: durable.SyncEveryAppend}
-		dix, cstats, err := search.OpenDurable(filepath.Join(opts.DurableDir, "catalog"),
-			search.DurableOptions{Durable: durOpts})
+		dix, cstats, err := search.OpenDurable(filepath.Join(opts.DurableDir, "catalog"), search.DurableOptions{})
 		if err != nil {
 			return nil, fmt.Errorf("core: open durable catalog: %w", err)
 		}
-		runlog, recs, rstats, err := flows.OpenRunLog(filepath.Join(opts.DurableDir, "runs"), durOpts)
+		runlog, recs, rstats, err := flows.OpenRunLog(filepath.Join(opts.DurableDir, "runs"), durable.Options{})
 		if err != nil {
 			dix.Close()
 			return nil, fmt.Errorf("core: open run log: %w", err)
@@ -404,7 +402,7 @@ func (d *LiveDeployment) LiveDefinition(kind string) flows.Definition {
 			d.liveComputeState("Analysis", fn),
 			livePublishState(),
 		},
-	}
+	}.Linear()
 }
 
 // FanOutDefinition builds the live DAG flow: after the transfer lands,

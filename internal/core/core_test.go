@@ -222,6 +222,17 @@ func TestWireDeploymentRefusesOversizedChunk(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "frame limit") {
 		t.Fatalf("512 MiB wire chunk: err = %v, want a refusal naming the frame limit", err)
 	}
+	// The framing a deployment resolved is the framing it reports
+	// (picoprobe-watch's banner prints it).
+	dep, err := NewWireDeployment(WireOptions{InstrumentRoot: t.TempDir(), DaemonAddr: "127.0.0.1:1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dep.Close()
+	if dep.Options.TransferChunkBytes != DefaultTransferChunkBytes || dep.Options.TransferStreams != DefaultTransferStreams {
+		t.Errorf("default wire framing recorded as %d bytes × %d streams, want %d × %d",
+			dep.Options.TransferChunkBytes, dep.Options.TransferStreams, DefaultTransferChunkBytes, DefaultTransferStreams)
+	}
 }
 
 func TestRunExperimentValidation(t *testing.T) {
@@ -585,5 +596,42 @@ func TestLiveFanOutFlow(t *testing.T) {
 	thumbRel = filepath.Join(id, "thumbnail.png")
 	if st, err := os.Stat(filepath.Join(outDir, thumbRel)); err != nil || st.Size() == 0 {
 		t.Errorf("thumbnail missing: %v", err)
+	}
+}
+
+// TestDurableRebootKeepsRunsOnTheWallClock: a live deployment stamps its
+// runs with the wall clock, so a deployment reopened on the same durable
+// directory journals runs after — never before — the previous boot's, and
+// a state's engine-side and provider-side stamps read on one clock.
+func TestDurableRebootKeepsRunsOnTheWallClock(t *testing.T) {
+	instrument, durableDir := t.TempDir(), t.TempDir()
+	writeHyperspectralFile(t, instrument, "hs.emdg")
+	boot := func() flows.RunRecord {
+		t.Helper()
+		dep, err := NewLiveDeployment(LiveOptions{
+			InstrumentRoot: instrument, EagleRoot: t.TempDir(), OutDir: t.TempDir(), DurableDir: durableDir,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer dep.Close()
+		rec, err := dep.RunFile("hyperspectral", "hs.emdg")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rec
+	}
+	first := boot()
+	second := boot()
+	if second.StartedAt.Before(first.EndedAt) {
+		t.Errorf("second boot's run started %v, before the first boot's ended %v", second.StartedAt, first.EndedAt)
+	}
+	if off := time.Since(second.StartedAt); off < 0 || off > 30*time.Second {
+		t.Errorf("run stamped %v, %v away from the wall clock", second.StartedAt, off)
+	}
+	for _, st := range second.States {
+		if d := st.Started.Sub(st.EnteredAt); d < -time.Second || d > time.Second {
+			t.Errorf("state %s: engine entered %v, provider started %v — two clocks", st.Name, st.EnteredAt, st.Started)
+		}
 	}
 }

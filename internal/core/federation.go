@@ -298,7 +298,7 @@ func fedDefinition(cfg FederatedConfig) flows.Definition {
 				fedComputeState("Analysis", imageFn, pin),
 				simPublishState(cfg.Kind),
 			},
-		}
+		}.Linear()
 	default:
 		return flows.Definition{
 			Name: flowName,
@@ -307,7 +307,7 @@ func fedDefinition(cfg FederatedConfig) flows.Definition {
 				fedComputeState("Analysis", fn, pin),
 				simPublishState(cfg.Kind),
 			},
-		}
+		}.Linear()
 	}
 }
 

@@ -90,7 +90,7 @@ func newWireDeployment(opts WireOptions, daemons []transfer.Endpoint, reg *facil
 	var conns []io.Closer
 	a := assembly{
 		secret:    secret,
-		options:   LiveOptions{InstrumentRoot: opts.InstrumentRoot},
+		options:   LiveOptions{InstrumentRoot: opts.InstrumentRoot, TransferChunkBytes: chunkBytes, TransferStreams: streams},
 		policy:    opts.Policy,
 		registry:  reg,
 		wirePaths: true,

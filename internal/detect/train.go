@@ -33,8 +33,6 @@ type TrainOptions struct {
 	CropsPerSample int
 	// Seed drives the crop randomness.
 	Seed int64
-	// Grid overrides the default parameter grid when non-empty.
-	Grid []Params
 }
 
 // DefaultGrid is the calibration search space.
@@ -163,13 +161,9 @@ func Calibrate(train []Sample, opt TrainOptions) (Model, error) {
 	if opt.Augment {
 		samples = Augment(train, opt)
 	}
-	grid := opt.Grid
-	if len(grid) == 0 {
-		grid = DefaultGrid()
-	}
 	best := Model{}
 	found := false
-	for _, p := range grid {
+	for _, p := range DefaultGrid() {
 		frames := make([]LabeledFrame, len(samples))
 		for i, s := range samples {
 			dets, err := Detect(s.Frame, p)

@@ -15,11 +15,11 @@
 // anywhere but the tail of the final segment are real corruption and
 // fail recovery loudly.
 //
-// Durability versus throughput is a policy choice (Options.Sync):
-// per-record fsync (strongest), per-append-call fsync (amortizes batch
-// appends), or a background timer (bounded loss window, cheapest). All
-// writes go through an injectable fsutil.FS so the fault-injection
-// harness can tear and crash the log at any chosen write or sync.
+// There is one fsync policy: an acknowledged append is on disk. Append
+// and AppendBatch fsync once before they return, so a batch pays one
+// fsync for all its records. All writes go through an injectable
+// fsutil.FS so the fault-injection harness can tear and crash the log at
+// any chosen write or sync.
 package durable
 
 import (
@@ -34,52 +34,18 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"picoprobe/internal/fsutil"
 )
-
-// SyncPolicy selects when appended records are fsynced to stable storage.
-type SyncPolicy int
-
-const (
-	// SyncEveryAppend fsyncs once per Append/AppendBatch call: every
-	// acknowledged append survives a crash, and a batch pays one fsync
-	// for all its records. This is the default.
-	SyncEveryAppend SyncPolicy = iota
-	// SyncEveryRecord fsyncs after every record, even inside a batch —
-	// the strongest (and slowest) policy.
-	SyncEveryRecord
-	// SyncTimer fsyncs from a background timer every Options.SyncInterval.
-	// Appends return before durability: a crash can lose up to one
-	// interval of acknowledged records (never corrupt them — the frame
-	// CRC rejects partial records).
-	SyncTimer
-)
-
-func (p SyncPolicy) String() string {
-	switch p {
-	case SyncEveryRecord:
-		return "per-record"
-	case SyncTimer:
-		return "timer"
-	default:
-		return "per-append"
-	}
-}
 
 // Options configures a Store.
 type Options struct {
 	// FS is the filesystem (nil = the real one); tests inject
 	// fsutil.FaultFS here.
 	FS fsutil.FS
-	// SegmentBytes rotates the active WAL segment once it grows past this
-	// size (default 4 MiB).
-	SegmentBytes int64
-	// Sync is the fsync policy (default SyncEveryAppend).
-	Sync SyncPolicy
-	// SyncInterval is the SyncTimer flush period (default 100ms).
-	SyncInterval time.Duration
+	// segmentBytes rotates the active WAL segment once it grows past this
+	// size (0 = 4 MiB); the package's tests shrink it to force rolls.
+	segmentBytes int64
 }
 
 // RecoveryStats describes what Open found and replayed.
@@ -143,9 +109,6 @@ type Store struct {
 	snapLSN  uint64
 	dirty    bool // unsynced bytes in the active segment
 	closed   bool
-
-	timerStop chan struct{} // SyncTimer flusher
-	timerDone chan struct{}
 }
 
 // Open opens (creating if needed) the store in dir and runs recovery:
@@ -156,11 +119,8 @@ func Open(dir string, opts Options, loadSnapshot func(r io.Reader) error, replay
 	if opts.FS == nil {
 		opts.FS = fsutil.OS
 	}
-	if opts.SegmentBytes <= 0 {
-		opts.SegmentBytes = defaultSegMax
-	}
-	if opts.SyncInterval <= 0 {
-		opts.SyncInterval = 100 * time.Millisecond
+	if opts.segmentBytes <= 0 {
+		opts.segmentBytes = defaultSegMax
 	}
 	s := &Store{dir: dir, fs: opts.FS, opts: opts, nextLSN: 1}
 	if err := s.fs.MkdirAll(dir, 0o755); err != nil {
@@ -169,11 +129,6 @@ func Open(dir string, opts Options, loadSnapshot func(r io.Reader) error, replay
 	stats, err := s.recover(loadSnapshot, replay)
 	if err != nil {
 		return nil, stats, err
-	}
-	if opts.Sync == SyncTimer {
-		s.timerStop = make(chan struct{})
-		s.timerDone = make(chan struct{})
-		go s.timerFlush()
 	}
 	return s, stats, nil
 }
@@ -360,16 +315,15 @@ func (s *Store) readSnapshot(name string) ([]byte, bool) {
 	return payload, true
 }
 
-// Append journals one record and returns its LSN. Under SyncEveryAppend
-// and SyncEveryRecord the record is on stable storage when Append
-// returns; under SyncTimer it is durable within one SyncInterval.
+// Append journals one record and returns its LSN. The record is on stable
+// storage when Append returns.
 func (s *Store) Append(payload []byte) (uint64, error) {
 	return s.append([][]byte{payload})
 }
 
-// AppendBatch journals several records with one rotation check and (under
-// SyncEveryAppend) one fsync. Records receive consecutive LSNs; the batch
-// is fully acknowledged or not at all.
+// AppendBatch journals several records with one rotation check and one
+// fsync. Records receive consecutive LSNs; the batch is fully acknowledged
+// or not at all.
 func (s *Store) AppendBatch(payloads [][]byte) (uint64, error) {
 	if len(payloads) == 0 {
 		return 0, errors.New("durable: empty batch")
@@ -405,24 +359,17 @@ func (s *Store) append(payloads [][]byte) (uint64, error) {
 		s.nextLSN++
 		s.dirty = true
 		last = lsn
-		if s.opts.Sync == SyncEveryRecord {
-			if err := s.syncLocked(); err != nil {
-				return 0, err
-			}
-		}
 	}
-	if s.opts.Sync == SyncEveryAppend {
-		if err := s.syncLocked(); err != nil {
-			return 0, err
-		}
+	if err := s.syncLocked(); err != nil {
+		return 0, err
 	}
 	return last, nil
 }
 
 // rotateLocked ensures an active segment exists, starting a new one when
-// the current one has outgrown SegmentBytes.
+// the current one has outgrown segmentBytes.
 func (s *Store) rotateLocked() error {
-	if s.seg != nil && s.segSize < s.opts.SegmentBytes {
+	if s.seg != nil && s.segSize < s.opts.segmentBytes {
 		return nil
 	}
 	if s.seg != nil {
@@ -461,35 +408,6 @@ func (s *Store) syncLocked() error {
 	}
 	s.dirty = false
 	return nil
-}
-
-// Sync forces unsynced appends to stable storage (meaningful under
-// SyncTimer).
-func (s *Store) Sync() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.syncLocked()
-}
-
-// timerFlush is the SyncTimer background flusher.
-func (s *Store) timerFlush() {
-	defer close(s.timerDone)
-	t := time.NewTicker(s.opts.SyncInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.timerStop:
-			return
-		case <-t.C:
-			s.mu.Lock()
-			if !s.closed {
-				// Best-effort: an fsync error here surfaces on the next
-				// append or Close.
-				_ = s.syncLocked()
-			}
-			s.mu.Unlock()
-		}
-	}
 }
 
 // LastLSN returns the LSN of the most recently appended record (0 when
@@ -581,8 +499,8 @@ func (s *Store) compactLocked(lsn uint64) {
 // Close flushes and closes the store. Appends after Close fail.
 func (s *Store) Close() error {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
 		return nil
 	}
 	s.closed = true
@@ -592,13 +510,6 @@ func (s *Store) Close() error {
 			err = cerr
 		}
 		s.seg = nil
-	}
-	stop := s.timerStop
-	done := s.timerDone
-	s.mu.Unlock()
-	if stop != nil {
-		close(stop)
-		<-done
 	}
 	return err
 }

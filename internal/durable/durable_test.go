@@ -9,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"picoprobe/internal/fsutil"
 )
@@ -175,7 +174,7 @@ func TestCorruptionMidSegmentFailsLoudly(t *testing.T) {
 
 func TestSegmentRotation(t *testing.T) {
 	dir := t.TempDir()
-	st, _, _, _ := collect(t, dir, Options{SegmentBytes: 128})
+	st, _, _, _ := collect(t, dir, Options{segmentBytes: 128})
 	for i := 0; i < 20; i++ {
 		if _, err := st.Append(bytes.Repeat([]byte{'x'}, 40)); err != nil {
 			t.Fatal(err)
@@ -192,7 +191,7 @@ func TestSegmentRotation(t *testing.T) {
 	if segs < 3 {
 		t.Fatalf("got %d segments, want rotation to produce several", segs)
 	}
-	st2, recs, _, stats := collect(t, dir, Options{SegmentBytes: 128})
+	st2, recs, _, stats := collect(t, dir, Options{segmentBytes: 128})
 	defer st2.Close()
 	if stats.LastLSN != 20 || len(recs) != 20 {
 		t.Fatalf("multi-segment replay: stats=%+v recs=%d", stats, len(recs))
@@ -201,7 +200,7 @@ func TestSegmentRotation(t *testing.T) {
 
 func TestSnapshotCompactionAndRecovery(t *testing.T) {
 	dir := t.TempDir()
-	st, _, _, _ := collect(t, dir, Options{SegmentBytes: 256})
+	st, _, _, _ := collect(t, dir, Options{segmentBytes: 256})
 	state := 0
 	for i := 1; i <= 30; i++ {
 		st.Append([]byte(fmt.Sprintf("add %d", i)))
@@ -227,7 +226,7 @@ func TestSnapshotCompactionAndRecovery(t *testing.T) {
 		}
 	}
 
-	st2, recs, snap, stats := collect(t, dir, Options{SegmentBytes: 256})
+	st2, recs, snap, stats := collect(t, dir, Options{segmentBytes: 256})
 	defer st2.Close()
 	if string(snap) != "sum=465" {
 		t.Fatalf("snapshot payload = %q", snap)
@@ -291,42 +290,84 @@ func TestTornSnapshotIgnored(t *testing.T) {
 	}
 }
 
+// TestSyncPolicies: the one policy. An append call — single or batch —
+// pays exactly one fsync, taken before it returns.
 func TestSyncPolicies(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		opts Options
-		// syncsAtLeast after 4 single appends + 1 batch of 3
-		atLeast int
-	}{
-		{"per-record", Options{Sync: SyncEveryRecord}, 7},
-		{"per-append", Options{Sync: SyncEveryAppend}, 5},
-		{"timer", Options{Sync: SyncTimer, SyncInterval: 10 * time.Millisecond}, 1},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			fs := &fsutil.FaultFS{}
-			st, _, err := Open(t.TempDir(), Options{FS: fs, Sync: tc.opts.Sync, SyncInterval: tc.opts.SyncInterval}, nil, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			base := fs.Syncs() // segment-creation dir sync
-			for i := 0; i < 4; i++ {
-				st.Append([]byte("r"))
-			}
-			st.AppendBatch([][]byte{[]byte("x"), []byte("y"), []byte("z")})
-			if tc.opts.Sync == SyncTimer {
-				time.Sleep(50 * time.Millisecond)
-			}
-			got := fs.Syncs() - base
-			if got < tc.atLeast {
-				t.Fatalf("%d syncs, want >= %d", got, tc.atLeast)
-			}
-			// Per-append must NOT sync per record: 5 calls plus the
-			// segment-creation dir sync, not 7+.
-			if tc.opts.Sync == SyncEveryAppend && got > 6 {
-				t.Fatalf("per-append did %d syncs for 5 calls", got)
-			}
-			st.Close()
-		})
+	t.Run("per-append", func(t *testing.T) {
+		fs := &fsutil.FaultFS{}
+		st, _, err := Open(t.TempDir(), Options{FS: fs}, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		st.Append([]byte("first")) // creates the segment: one more sync, the directory's
+		base := fs.Syncs()
+		for i := 0; i < 3; i++ {
+			st.Append([]byte("r"))
+		}
+		st.AppendBatch([][]byte{[]byte("x"), []byte("y"), []byte("z")})
+		if got := fs.Syncs() - base; got != 4 {
+			t.Fatalf("%d syncs for 3 appends + 1 batch of 3, want 4", got)
+		}
+	})
+}
+
+// lossyFS holds written bytes in memory until Sync, as a page cache does:
+// closing a file without an fsync — the crash — loses them.
+type lossyFS struct{ fsutil.FS }
+
+func (l lossyFS) OpenFile(name string, flag int, perm os.FileMode) (fsutil.File, error) {
+	f, err := l.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return &lossyFile{File: f}, nil
+}
+
+type lossyFile struct {
+	fsutil.File
+	pending []byte
+}
+
+func (f *lossyFile) Write(p []byte) (int, error) {
+	f.pending = append(f.pending, p...)
+	return len(p), nil
+}
+
+func (f *lossyFile) Sync() error {
+	if _, err := f.File.Write(f.pending); err != nil {
+		return err
+	}
+	f.pending = nil
+	return f.File.Sync()
+}
+
+// TestAckedAppendSurvivesCrash: an Append or AppendBatch that returned is
+// on disk — a crash at the very next write, on a filesystem that forgets
+// everything not fsynced, loses none of it.
+func TestAckedAppendSurvivesCrash(t *testing.T) {
+	dir := t.TempDir()
+	faults := &fsutil.FaultFS{}
+	st, _, err := Open(dir, Options{FS: lossyFS{faults}}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Append([]byte("single")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.AppendBatch([][]byte{[]byte("b1"), []byte("b2")}); err != nil {
+		t.Fatal(err)
+	}
+	faults.CrashAtWrite = faults.Writes() + 1
+	if _, err := st.Append([]byte("unacknowledged")); err == nil {
+		t.Fatal("append across the crash was acknowledged")
+	}
+	st.Close()
+
+	st2, recs, _, _ := collect(t, dir, Options{})
+	defer st2.Close()
+	if got := string(bytes.Join(recs, []byte(","))); got != "single,b1,b2" {
+		t.Fatalf("recovered %q, want every acknowledged record: single,b1,b2", got)
 	}
 }
 
@@ -456,7 +497,7 @@ func TestClosedStoreRejectsAppends(t *testing.T) {
 
 func TestConcurrentAppends(t *testing.T) {
 	dir := t.TempDir()
-	st, _, _, _ := collect(t, dir, Options{SegmentBytes: 512})
+	st, _, _, _ := collect(t, dir, Options{segmentBytes: 512})
 	done := make(chan error, 4)
 	for g := 0; g < 4; g++ {
 		go func(g int) {
@@ -475,7 +516,7 @@ func TestConcurrentAppends(t *testing.T) {
 		}
 	}
 	st.Close()
-	st2, recs, _, stats := collect(t, dir, Options{SegmentBytes: 512})
+	st2, recs, _, stats := collect(t, dir, Options{segmentBytes: 512})
 	defer st2.Close()
 	if stats.LastLSN != 200 || len(recs) != 200 {
 		t.Fatalf("stats=%+v recs=%d, want 200", stats, len(recs))

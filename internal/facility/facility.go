@@ -37,13 +37,12 @@ func (w Window) Contains(t time.Time) bool {
 
 // Config describes one facility.
 type Config struct {
-	// ID uniquely names the facility; it doubles as the default transfer
-	// endpoint ID.
+	// ID uniquely names the facility; it is also the ID of the transfer
+	// endpoint its data lands on and of its path in an attached
+	// link-quality provider.
 	ID string
 	// Name is the human-readable label.
 	Name string
-	// Endpoint is the transfer endpoint ID data lands on (default: ID).
-	Endpoint string
 	// Sched sizes the facility's compute node pool.
 	Sched scheduler.Config
 	// Path is the network route from the instrument to the facility's
@@ -56,9 +55,6 @@ type Config struct {
 	TransferSetup time.Duration
 	// Outages lists planned unavailability windows.
 	Outages []Window
-	// PathID names this facility's path in an attached link-quality
-	// provider (default: ID).
-	PathID string
 }
 
 // Facility is one member of a federation: a compute pool plus the network
@@ -75,14 +71,8 @@ func New(rt sim.Runtime, cfg Config) (*Facility, error) {
 	if cfg.ID == "" {
 		return nil, fmt.Errorf("facility: config missing ID")
 	}
-	if cfg.Endpoint == "" {
-		cfg.Endpoint = cfg.ID
-	}
 	if cfg.Name == "" {
 		cfg.Name = cfg.ID
-	}
-	if cfg.PathID == "" {
-		cfg.PathID = cfg.ID
 	}
 	return &Facility{cfg: cfg, Sched: scheduler.New(rt, cfg.Sched)}, nil
 }
@@ -94,13 +84,13 @@ func (f *Facility) ID() string { return f.cfg.ID }
 func (f *Facility) Name() string { return f.cfg.Name }
 
 // Endpoint returns the transfer endpoint ID data lands on.
-func (f *Facility) Endpoint() string { return f.cfg.Endpoint }
+func (f *Facility) Endpoint() string { return f.cfg.ID }
 
 // Path returns the network route from the instrument to the facility.
 func (f *Facility) Path() []*netsim.Link { return f.cfg.Path }
 
 // PathID returns the facility's path name in a link-quality provider.
-func (f *Facility) PathID() string { return f.cfg.PathID }
+func (f *Facility) PathID() string { return f.cfg.ID }
 
 // StreamCap returns the per-transfer stream cap in bits per second.
 func (f *Facility) StreamCap() float64 { return f.cfg.StreamCapBps }

@@ -60,20 +60,27 @@ func TestLinearShimChainsStates(t *testing.T) {
 			t.Errorf("state %d After = %v", i, after)
 		}
 	}
-	// The implicit v1 fallback produces the same execution plan.
-	norm := threeStateDef().normalized()
-	for i := range norm.States {
-		if len(norm.States[i].After) != len(lin.States[i].After) {
-			t.Errorf("normalized state %d differs from Linear()", i)
-		}
-	}
-	// An explicit DAG with no edges stays all-roots.
+	// Only Linear chains: a definition that declares no edges runs as
+	// declared, every state a root.
+	k := sim.NewKernel()
+	e := NewEngine(k, Options{Policy: Constant{Interval: time.Second}})
+	e.RegisterProvider(newFake("transfer", k, 2*time.Second))
+	var final RunRecord
 	par := Definition{Name: "p", States: []StateDef{
 		{Name: "a", Provider: "transfer"},
 		{Name: "b", Provider: "transfer"},
-	}}.DAG().normalized()
-	if len(par.States[1].After) != 0 {
-		t.Error("DAG() definition was chained")
+	}}
+	if _, err := e.Run("tok", par, nil, func(r RunRecord) { final = r }); err != nil {
+		t.Fatal(err)
+	}
+	k.Run()
+	if final.Status != StateSucceeded || len(final.States) != 2 {
+		t.Fatalf("edge-less run: status %s, %d states", final.Status, len(final.States))
+	}
+	for _, s := range final.States {
+		if len(s.After) != 0 || !s.EnteredAt.Equal(final.States[0].EnteredAt) {
+			t.Errorf("state %s: After = %v, entered %v; want a root entered with the run", s.Name, s.After, s.EnteredAt)
+		}
 	}
 }
 
@@ -370,7 +377,7 @@ func TestResumeOnSameEngineNoDuplicateRun(t *testing.T) {
 	def := Definition{Name: "retry", States: []StateDef{
 		{Name: "Transfer", Provider: "transfer"},
 		{Name: "Analysis", Provider: "compute"},
-	}}
+	}}.Linear()
 	runID, _ := e.Run("tok", def, nil, nil)
 	k.Run()
 
@@ -436,7 +443,7 @@ func TestFacilityConstraintForwardedToParams(t *testing.T) {
 				},
 			},
 		},
-	}
+	}.Linear()
 	if _, err := e.Run("tok", def, nil, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -444,8 +451,7 @@ func TestFacilityConstraintForwardedToParams(t *testing.T) {
 	if err := k.Err(); err != nil {
 		t.Fatal(err)
 	}
-	// No After edges: the definition runs as the v1 chain, so the
-	// provider sees Pinned, BarePinned, Free in order.
+	// A chain, so the provider sees Pinned, BarePinned, Free in order.
 	if len(prov.params) != 3 {
 		t.Fatalf("invocations = %d", len(prov.params))
 	}

@@ -4,9 +4,9 @@
 // Compute, Search-ingest in this repository) and the states it runs
 // After; states whose dependencies are met execute concurrently, and a
 // state with several dependencies fans their results back in. A
-// definition that declares no dependencies at all is interpreted as the
-// v1 ordered list (see Definition.Linear), so straight-line paper flows
-// keep their exact semantics.
+// definition means what it declares: states that declare no dependencies
+// are roots and run at once; Definition.Linear builds the straight-line
+// paper flows.
 //
 // The completion-detection client is deliberately faithful to the paper's
 // deployment: providers are polled with a configurable backoff policy
@@ -79,9 +79,7 @@ type StateDef struct {
 	// Provider names the registered ActionProvider to drive.
 	Provider string
 	// After lists the states that must complete before this one starts.
-	// States with no unmet dependencies run concurrently. If no state in
-	// the definition declares After, the definition is executed as an
-	// ordered list (the v1 semantics; see Definition.Linear).
+	// States with no unmet dependencies run concurrently.
 	After []string
 	// Params builds the action parameters from the flow input and the
 	// results of completed states (keyed by state name). It is called once
@@ -112,19 +110,12 @@ type StateDef struct {
 type Definition struct {
 	Name   string
 	States []StateDef
-
-	// explicit marks the dependency declarations as authoritative even
-	// when empty (set by Linear and DAG); without it, a definition with no
-	// After edges anywhere is chained into the v1 ordered list.
-	explicit bool
 }
 
 // Linear returns a copy of d in which each state depends on its
-// predecessor, reproducing the v1 ordered-list semantics regardless of
-// any After declarations. It is the migration shim for v1 flows.
+// predecessor — the ordered list — regardless of any After declarations.
 func (d Definition) Linear() Definition {
 	out := d
-	out.explicit = true
 	out.States = append([]StateDef(nil), d.States...)
 	for i := range out.States {
 		if i == 0 {
@@ -134,28 +125,6 @@ func (d Definition) Linear() Definition {
 		out.States[i].After = []string{out.States[i-1].Name}
 	}
 	return out
-}
-
-// DAG marks d's dependency declarations as authoritative even when no
-// state declares any — the one shape the implicit v1 fallback cannot
-// express (every state a root, all running concurrently).
-func (d Definition) DAG() Definition {
-	d.explicit = true
-	return d
-}
-
-// normalized returns the definition the engine executes: d itself when
-// its dependencies are authoritative, the v1 chain otherwise.
-func (d Definition) normalized() Definition {
-	if d.explicit {
-		return d
-	}
-	for _, s := range d.States {
-		if len(s.After) > 0 {
-			return d
-		}
-	}
-	return d.Linear()
 }
 
 // Validate checks structural sanity of the definition: named, non-empty,
@@ -224,7 +193,7 @@ type StateRecord struct {
 	Name     string
 	Provider string
 	ActionID string
-	// After lists the state's dependencies as executed (post v1-chaining).
+	// After lists the state's dependencies as executed.
 	After []string
 	// EnteredAt is when the engine began the state (before orchestration
 	// overhead).
@@ -420,8 +389,6 @@ func (e *Engine) start(token string, def Definition, input map[string]any, preDo
 	if err := def.Validate(); err != nil {
 		return "", err
 	}
-	def = def.normalized()
-
 	x := &runExec{
 		e:          e,
 		token:      token,

@@ -100,7 +100,7 @@ func threeStateDef() Definition {
 			{Name: "Analysis", Provider: "compute"},
 			{Name: "Publication", Provider: "search"},
 		},
-	}
+	}.Linear()
 }
 
 func TestValidateDefinition(t *testing.T) {
@@ -284,7 +284,7 @@ func TestParamsSeeResultChain(t *testing.T) {
 				return nil
 			}},
 		},
-	}
+	}.Linear()
 	e.Run("tok", def, nil, nil)
 	k.Run()
 	if !sawTransferResult {
@@ -339,7 +339,7 @@ func TestCheckpointResume(t *testing.T) {
 	def := Definition{Name: "cp-flow", States: []StateDef{
 		{Name: "Transfer", Provider: "transfer"},
 		{Name: "Analysis", Provider: "compute"},
-	}}
+	}}.Linear()
 	var final RunRecord
 	runID, _ := e.Run("tok", def, map[string]any{"file": "x"}, func(r RunRecord) { final = r })
 	k.Run()

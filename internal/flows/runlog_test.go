@@ -19,7 +19,7 @@ func runLogFlows(t *testing.T, k *sim.Kernel, log *RunLog) (good, bad RunRecord)
 	okDef := Definition{Name: "ok-flow", States: []StateDef{
 		{Name: "A", Provider: "work"},
 		{Name: "B", Provider: "work"},
-	}}
+	}}.Linear()
 	badDef := Definition{Name: "bad-flow", States: []StateDef{
 		{Name: "Only", Provider: "broken", Retries: NoRetries},
 	}}

@@ -7,10 +7,10 @@
 //
 // The state machine is deliberately small:
 //
-//	Up      --SuspectAfter consecutive failures-->  Suspect
-//	Suspect --DownAfter consecutive failures----->  Down
+//	Up      --suspectAfter consecutive failures-->  Suspect
+//	Suspect --downAfter consecutive failures----->  Down
 //	Suspect --1 success-------------------------->  Up
-//	Down    --UpAfter consecutive successes------>  Up
+//	Down    --upAfter consecutive successes------>  Up
 //
 // Suspect is the soft edge: placement stops handing a suspect facility
 // NEW work but sticky runs stay put (shedding on one lost probe would
@@ -48,7 +48,7 @@ const (
 	// work stays.
 	Suspect
 	// Down: the failure streak crossed the Down threshold. The target
-	// is treated like a planned outage until UpAfter consecutive checks
+	// is treated like a planned outage until upAfter consecutive checks
 	// succeed.
 	Down
 )
@@ -110,37 +110,27 @@ type TargetFunc func() error
 // Check implements Target.
 func (f TargetFunc) Check() error { return f() }
 
-// Config parameterizes a Monitor. The zero value gets sensible
-// defaults from withDefaults.
+// Config parameterizes a Monitor.
 type Config struct {
-	// Interval is the per-target check period.
+	// Interval is the per-target check period (0 = 1 s).
 	Interval time.Duration
-	// SuspectAfter is the consecutive-failure streak that moves Up to
-	// Suspect (default 1: the first lost probe raises suspicion).
-	SuspectAfter int
-	// DownAfter is the consecutive-failure streak that moves Suspect to
-	// Down (default 3).
-	DownAfter int
-	// UpAfter is the consecutive-success streak that moves Down back to
-	// Up (default 2: a flapping daemon must hold still to rejoin).
-	UpAfter int
 }
+
+// The verdict thresholds, as consecutive-check streaks.
+const (
+	// suspectAfter failures move Up to Suspect: the first lost probe
+	// raises suspicion.
+	suspectAfter = 1
+	// downAfter failures move Suspect to Down.
+	downAfter = 3
+	// upAfter successes move Down back to Up: a flapping daemon must hold
+	// still to rejoin.
+	upAfter = 2
+)
 
 func (c Config) withDefaults() Config {
 	if c.Interval <= 0 {
 		c.Interval = time.Second
-	}
-	if c.SuspectAfter <= 0 {
-		c.SuspectAfter = 1
-	}
-	if c.DownAfter <= 0 {
-		c.DownAfter = 3
-	}
-	if c.DownAfter < c.SuspectAfter {
-		c.DownAfter = c.SuspectAfter
-	}
-	if c.UpAfter <= 0 {
-		c.UpAfter = 2
 	}
 	return c
 }
@@ -283,9 +273,9 @@ func (m *Monitor) recordLocked(w *watched, rtt time.Duration, err error) {
 		st.LastErr = err.Error()
 		next := st.State
 		switch {
-		case st.ConsecutiveFails >= m.cfg.DownAfter:
+		case st.ConsecutiveFails >= downAfter:
 			next = Down
-		case st.ConsecutiveFails >= m.cfg.SuspectAfter && st.State == Up:
+		case st.ConsecutiveFails >= suspectAfter && st.State == Up:
 			next = Suspect
 		}
 		m.transitionLocked(st, next, now)
@@ -302,8 +292,8 @@ func (m *Monitor) recordLocked(w *watched, rtt time.Duration, err error) {
 		m.transitionLocked(st, Up, now)
 	case Down:
 		// Down clears only after a sustained streak: a flapping daemon
-		// stays shed until it holds still for UpAfter checks.
-		if st.ConsecutiveOKs >= m.cfg.UpAfter {
+		// stays shed until it holds still for upAfter checks.
+		if st.ConsecutiveOKs >= upAfter {
 			m.transitionLocked(st, Up, now)
 		}
 	}

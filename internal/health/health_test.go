@@ -54,7 +54,7 @@ func TestDuplicateRegisterRejected(t *testing.T) {
 }
 
 func TestFirstFailureRaisesSuspect(t *testing.T) {
-	m := newObserved(t, Config{SuspectAfter: 1, DownAfter: 3})
+	m := newObserved(t, Config{})
 	m.Observe("fac", 0, errProbe)
 	st := state(t, m, "fac")
 	if st.State != Suspect {
@@ -66,7 +66,7 @@ func TestFirstFailureRaisesSuspect(t *testing.T) {
 }
 
 func TestDownAfterConsecutiveFailures(t *testing.T) {
-	m := newObserved(t, Config{SuspectAfter: 1, DownAfter: 3})
+	m := newObserved(t, Config{})
 	for i := 0; i < 2; i++ {
 		m.Observe("fac", 0, errProbe)
 	}
@@ -84,7 +84,7 @@ func TestDownAfterConsecutiveFailures(t *testing.T) {
 }
 
 func TestSuspectClearsOnFirstSuccess(t *testing.T) {
-	m := newObserved(t, Config{SuspectAfter: 1, DownAfter: 3})
+	m := newObserved(t, Config{})
 	m.Observe("fac", 0, errProbe)
 	m.Observe("fac", 7*time.Millisecond, nil)
 	st := state(t, m, "fac")
@@ -100,9 +100,10 @@ func TestSuspectClearsOnFirstSuccess(t *testing.T) {
 }
 
 func TestDownNeedsUpAfterConsecutiveSuccesses(t *testing.T) {
-	m := newObserved(t, Config{SuspectAfter: 1, DownAfter: 2, UpAfter: 2})
-	m.Observe("fac", 0, errProbe)
-	m.Observe("fac", 0, errProbe)
+	m := newObserved(t, Config{})
+	for i := 0; i < downAfter; i++ {
+		m.Observe("fac", 0, errProbe)
+	}
 	if st := state(t, m, "fac"); st.State != Down {
 		t.Fatalf("setup: %v, want Down", st.State)
 	}
@@ -134,12 +135,12 @@ func TestStreaksAreExclusive(t *testing.T) {
 }
 
 func TestDefaultsClampDownAfter(t *testing.T) {
-	cfg := Config{SuspectAfter: 5, DownAfter: 2}.withDefaults()
-	if cfg.DownAfter != 5 {
-		t.Fatalf("DownAfter = %d, want clamped to SuspectAfter (5)", cfg.DownAfter)
+	// The thresholds are constants now; what the clamp guaranteed — a
+	// target is never Down before it was Suspect — is a property of them.
+	if downAfter < suspectAfter {
+		t.Fatalf("downAfter = %d below suspectAfter = %d", downAfter, suspectAfter)
 	}
-	def := Config{}.withDefaults()
-	if def.Interval != time.Second || def.SuspectAfter != 1 || def.DownAfter != 3 || def.UpAfter != 2 {
+	if def := (Config{}).withDefaults(); def.Interval != time.Second {
 		t.Fatalf("zero-value defaults = %+v", def)
 	}
 }
@@ -157,7 +158,7 @@ func TestStateStrings(t *testing.T) {
 // the fault clears, all without any Observe calls.
 func TestMonitorLiveLoop(t *testing.T) {
 	rt := sim.NewLiveRuntime(1)
-	m := NewMonitor(rt, Config{Interval: time.Millisecond, SuspectAfter: 1, DownAfter: 3, UpAfter: 2})
+	m := NewMonitor(rt, Config{Interval: time.Millisecond})
 	var failing atomic.Bool
 	if err := m.Register("fac", TargetFunc(func() error {
 		if failing.Load() {

@@ -138,11 +138,6 @@ func TestLinePlot(t *testing.T) {
 	if img.Bounds().Dx() != 640 || img.Bounds().Dy() != 360 {
 		t.Errorf("bounds = %v", img.Bounds())
 	}
-	// Log scale should also work, including zero values.
-	ys[3] = 0
-	if _, err := LinePlot(PlotConfig{LogY: true}, Series{X: xs, Y: ys, Color: Blue}); err != nil {
-		t.Error(err)
-	}
 }
 
 func TestLinePlotErrors(t *testing.T) {

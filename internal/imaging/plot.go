@@ -23,15 +23,16 @@ type Marker struct {
 
 // PlotConfig configures a line plot.
 type PlotConfig struct {
-	Width, Height int
-	Title         string
-	XLabel        string
-	YLabel        string
-	LogY          bool
-	Markers       []Marker
+	Title   string
+	XLabel  string
+	YLabel  string
+	Markers []Marker
 }
 
 const (
+	plotWidth  = 640
+	plotHeight = 360
+
 	plotMarginLeft   = 56
 	plotMarginRight  = 12
 	plotMarginTop    = 24
@@ -40,15 +41,8 @@ const (
 
 // LinePlot renders one or more series into an image with axes, tick labels
 // and optional markers. It is deliberately minimal — enough to reproduce
-// the paper's Fig 2.B spectrum plot — but handles log scaling and
-// multi-series legends.
+// the paper's Fig 2.B spectrum plot — but handles multi-series legends.
 func LinePlot(cfg PlotConfig, series ...Series) (*image.RGBA, error) {
-	if cfg.Width == 0 {
-		cfg.Width = 640
-	}
-	if cfg.Height == 0 {
-		cfg.Height = 360
-	}
 	if len(series) == 0 {
 		return nil, fmt.Errorf("imaging: LinePlot needs at least one series")
 	}
@@ -65,12 +59,8 @@ func LinePlot(cfg PlotConfig, series ...Series) (*image.RGBA, error) {
 		for i := range s.X {
 			xmin = math.Min(xmin, s.X[i])
 			xmax = math.Max(xmax, s.X[i])
-			y := s.Y[i]
-			if cfg.LogY {
-				y = math.Log10(math.Max(y, 1e-12))
-			}
-			ymin = math.Min(ymin, y)
-			ymax = math.Max(ymax, y)
+			ymin = math.Min(ymin, s.Y[i])
+			ymax = math.Max(ymax, s.Y[i])
 		}
 	}
 	if xmax == xmin {
@@ -80,18 +70,15 @@ func LinePlot(cfg PlotConfig, series ...Series) (*image.RGBA, error) {
 		ymax = ymin + 1
 	}
 
-	img := image.NewRGBA(image.Rect(0, 0, cfg.Width, cfg.Height))
-	fillRect(img, 0, 0, cfg.Width, cfg.Height, White)
+	img := image.NewRGBA(image.Rect(0, 0, plotWidth, plotHeight))
+	fillRect(img, 0, 0, plotWidth, plotHeight, White)
 
 	px0, py0 := plotMarginLeft, plotMarginTop
-	px1, py1 := cfg.Width-plotMarginRight, cfg.Height-plotMarginBottom
+	px1, py1 := plotWidth-plotMarginRight, plotHeight-plotMarginBottom
 	toPx := func(x float64) int {
 		return px0 + int((x-xmin)/(xmax-xmin)*float64(px1-px0))
 	}
 	toPy := func(y float64) int {
-		if cfg.LogY {
-			y = math.Log10(math.Max(y, 1e-12))
-		}
 		return py1 - int((y-ymin)/(ymax-ymin)*float64(py1-py0))
 	}
 
@@ -112,11 +99,7 @@ func LinePlot(cfg PlotConfig, series ...Series) (*image.RGBA, error) {
 		yv := ymin + (ymax-ymin)*float64(i)/3
 		py := py1 - int(float64(py1-py0)*float64(i)/3)
 		fillRect(img, px0-4, py, 4, 1, Black)
-		v := yv
-		if cfg.LogY {
-			v = math.Pow(10, yv)
-		}
-		lbl := fmtTick(v)
+		lbl := fmtTick(yv)
 		DrawText(img, px0-6-TextWidth(lbl, 1), py-3, lbl, Black, 1)
 	}
 
@@ -140,8 +123,8 @@ func LinePlot(cfg PlotConfig, series ...Series) (*image.RGBA, error) {
 	}
 
 	// Title, axis labels, legend.
-	DrawText(img, (cfg.Width-TextWidth(cfg.Title, 1))/2, 6, cfg.Title, Black, 1)
-	DrawText(img, (px0+px1)/2-TextWidth(cfg.XLabel, 1)/2, cfg.Height-12, cfg.XLabel, Black, 1)
+	DrawText(img, (plotWidth-TextWidth(cfg.Title, 1))/2, 6, cfg.Title, Black, 1)
+	DrawText(img, (px0+px1)/2-TextWidth(cfg.XLabel, 1)/2, plotHeight-12, cfg.XLabel, Black, 1)
 	DrawText(img, 4, py0-12, cfg.YLabel, Black, 1)
 	ly := py0 + 4
 	for _, s := range series {

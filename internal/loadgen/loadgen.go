@@ -62,12 +62,6 @@ type Config struct {
 	// connection's last-seen ETag as If-None-Match — the conditional-GET
 	// behavior of a browser or API client with a warm local cache.
 	Revalidate float64
-	// DialTimeout bounds connection establishment (default 10s).
-	DialTimeout time.Duration
-	// RequestTimeout bounds one round trip (default 30s).
-	RequestTimeout time.Duration
-	// Host is the Host header (default Addr).
-	Host string
 }
 
 // Result is the aggregate outcome of one run.
@@ -103,6 +97,13 @@ func (r *Result) Throughput() float64 {
 	return float64(r.Requests) / r.Elapsed.Seconds()
 }
 
+const (
+	// dialTimeout bounds connection establishment.
+	dialTimeout = 10 * time.Second
+	// requestTimeout bounds one round trip.
+	requestTimeout = 30 * time.Second
+)
+
 func secs(s float64) time.Duration { return time.Duration(s * float64(time.Second)) }
 
 // Run executes one load run. It dials cfg.Conns connections (staggered,
@@ -116,22 +117,13 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	if len(cfg.Targets) == 0 {
 		return nil, errors.New("loadgen: no targets")
 	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 10 * time.Second
-	}
-	if cfg.RequestTimeout <= 0 {
-		cfg.RequestTimeout = 30 * time.Second
-	}
-	if cfg.Host == "" {
-		cfg.Host = cfg.Addr
-	}
 
 	// Pre-render the request mix as a weighted ring of static byte
 	// slices shared by every worker.
 	var ring []int
 	reqs := make([][]byte, len(cfg.Targets))
 	for i, t := range cfg.Targets {
-		reqs[i] = buildRequest(t.Path, cfg.Host, nil)
+		reqs[i] = buildRequest(t.Path, cfg.Addr, nil)
 		w := max(t.Weight, 1)
 		for j := 0; j < w; j++ {
 			ring = append(ring, i)
@@ -183,7 +175,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			}()
 			connect := func() bool {
 				dialGate <- struct{}{}
-				c, err := dial(cfg.Addr, cfg.DialTimeout)
+				c, err := dial(cfg.Addr, dialTimeout)
 				<-dialGate
 				if err != nil {
 					errs.Add(1)
@@ -236,7 +228,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 				i++
 				req := reqs[ti]
 				if cfg.Revalidate > 0 && lastETag != "" && rng.Float64() < cfg.Revalidate {
-					req = buildConditional(cfg.Targets[ti].Path, cfg.Host, lastETag)
+					req = buildConditional(cfg.Targets[ti].Path, cfg.Addr, lastETag)
 				}
 				if pc == nil || pc.dead {
 					if pc != nil {
@@ -248,7 +240,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 						continue
 					}
 				}
-				ri, err := pc.roundTrip(req, time.Now().Add(cfg.RequestTimeout))
+				ri, err := pc.roundTrip(req, time.Now().Add(requestTimeout))
 				done := time.Now()
 				record := !done.Before(measureStart) && sched.Before(measureEnd)
 				if err != nil {

@@ -158,7 +158,7 @@ func (f *fakeTarget) Measure(now time.Time) Measurement {
 
 func TestProberSamplesOnKernel(t *testing.T) {
 	k := sim.NewKernel()
-	p := New(k, Config{Interval: time.Second, WindowSamples: 4, Alpha: 0.5})
+	p := New(k, Config{Interval: time.Second, WindowSamples: 4})
 	tgt := &fakeTarget{ms: []Measurement{{RTT: 30 * time.Millisecond, Loss: 0.01, GoodputBps: 5e8}}}
 	if _, err := p.Register("alcf", tgt); err != nil {
 		t.Fatal(err)
@@ -267,7 +267,7 @@ func (s *stubQuality) Quality(string) (Quality, bool) {
 // path: a probe round must not allocate, or a long-lived deployment
 // sampling every couple of seconds churns the heap forever.
 func TestObserveAllocationFree(t *testing.T) {
-	g := newGauge(DefaultWeights(), 5, 64, 0.4)
+	g := newGauge(DefaultWeights(), 5, 64, ewmaAlpha)
 	base := time.Unix(0, 0)
 	m := Measurement{RTT: 25 * time.Millisecond, Loss: 0.002, GoodputBps: 8e8}
 	i := 0
@@ -326,7 +326,7 @@ func TestConcurrentObserveAndRead(t *testing.T) {
 }
 
 func BenchmarkNetprobeSampler(b *testing.B) {
-	g := newGauge(DefaultWeights(), 5, 128, 0.4)
+	g := newGauge(DefaultWeights(), 5, historyLen, ewmaAlpha)
 	base := time.Unix(0, 0)
 	m := Measurement{RTT: 25 * time.Millisecond, Loss: 0.002, GoodputBps: 8e8}
 	b.ReportAllocs()

@@ -15,13 +15,14 @@ type Config struct {
 	Interval time.Duration
 	// WindowSamples is how many raw samples close one Welford window.
 	WindowSamples int
-	// Alpha is the EWMA smoothing factor applied per closed window.
-	Alpha float64
-	// Weights parameterizes the link score (zero value = DefaultWeights).
-	Weights Weights
-	// HistoryLen bounds each gauge's closed-window history ring.
-	HistoryLen int
 }
+
+const (
+	// ewmaAlpha is the EWMA smoothing factor applied per closed window.
+	ewmaAlpha = 0.4
+	// historyLen bounds each gauge's closed-window history ring.
+	historyLen = 128
+)
 
 func (c Config) withDefaults() Config {
 	if c.Interval <= 0 {
@@ -29,15 +30,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.WindowSamples <= 0 {
 		c.WindowSamples = 5
-	}
-	if c.Alpha <= 0 || c.Alpha > 1 {
-		c.Alpha = 0.4
-	}
-	if c.Weights == (Weights{}) {
-		c.Weights = DefaultWeights()
-	}
-	if c.HistoryLen <= 0 {
-		c.HistoryLen = 128
 	}
 	return c
 }
@@ -77,7 +69,7 @@ func (p *Prober) Register(pathID string, t Target) (*Gauge, error) {
 	if _, dup := p.paths[pathID]; dup {
 		return nil, fmt.Errorf("netprobe: duplicate path %q", pathID)
 	}
-	g := newGauge(p.cfg.Weights, p.cfg.WindowSamples, p.cfg.HistoryLen, p.cfg.Alpha)
+	g := newGauge(DefaultWeights(), p.cfg.WindowSamples, historyLen, ewmaAlpha)
 	p.paths[pathID] = &probePath{target: t, gauge: g}
 	p.order = append(p.order, pathID)
 	return g, nil

@@ -41,20 +41,18 @@ import (
 
 // CacheConfig enables the epoch-keyed response cache.
 type CacheConfig struct {
-	// MaxEntries bounds the number of memoized responses per epoch
-	// generation (default 1024). Beyond it, responses are served
-	// uncached.
-	MaxEntries int
-	// MaxBody bounds the size of a memoizable body (default 1 MiB).
-	MaxBody int
+	// maxBody bounds the size of a memoizable body (0 = 1 MiB); the
+	// package's tests shrink it to force the bypass.
+	maxBody int
 }
 
+// cacheMaxEntries bounds the number of memoized responses per epoch
+// generation. Beyond it, responses are served uncached.
+const cacheMaxEntries = 1024
+
 func (c CacheConfig) withDefaults() CacheConfig {
-	if c.MaxEntries <= 0 {
-		c.MaxEntries = 1024
-	}
-	if c.MaxBody <= 0 {
-		c.MaxBody = 1 << 20
+	if c.maxBody <= 0 {
+		c.maxBody = 1 << 20
 	}
 	return c
 }
@@ -261,8 +259,8 @@ func (s *Server) withCache(route string, h http.HandlerFunc) http.HandlerFunc {
 		// Miss: this request renders, memoizes, and serves its own copy.
 		rec := newCaptureWriter()
 		h(rec, r)
-		if rec.status == http.StatusOK && rec.body.Len() <= s.cache.cfg.MaxBody &&
-			gen.n.Add(1) <= int64(s.cache.cfg.MaxEntries) {
+		if rec.status == http.StatusOK && rec.body.Len() <= s.cache.cfg.maxBody &&
+			gen.n.Add(1) <= cacheMaxEntries {
 			e.header = rec.header
 			e.body = rec.body.Bytes()
 			e.ok = true

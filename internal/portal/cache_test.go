@@ -340,7 +340,7 @@ func TestCacheChurnHammer(t *testing.T) {
 // revalidate against bytes the cache does not hold.
 func TestCacheBypassUnvalidated(t *testing.T) {
 	ix, iss, _ := seeded(t)
-	srv, err := NewServer(Config{Index: ix, Issuer: iss, Cache: &CacheConfig{MaxBody: 8}})
+	srv, err := NewServer(Config{Index: ix, Issuer: iss, Cache: &CacheConfig{maxBody: 8}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ import (
 
 func (s *Server) handleFacilities(w http.ResponseWriter, r *http.Request) {
 	snap := s.cfg.Facilities.Snapshot()
-	data := facilitiesData{Title: s.cfg.Title, Total: len(snap)}
+	data := facilitiesData{Title: portalTitle, Total: len(snap)}
 	for _, f := range snap {
 		row := facilityRowData{
 			ID:      f.ID,

@@ -37,10 +37,11 @@ type LimitConfig struct {
 	Burst float64
 	// MaxInFlight caps concurrently served requests; 0 disables.
 	MaxInFlight int
-	// MaxBuckets bounds the principal table (default 65536). When full,
-	// idle full buckets are swept; if none are idle, new principals
-	// share a strict fallback bucket rather than growing the table.
-	MaxBuckets int
+	// maxBuckets bounds the principal table (0 = 65536; the package's
+	// tests shrink it). When full, idle full buckets are swept; if none
+	// are idle, new principals share a strict fallback bucket rather than
+	// growing the table.
+	maxBuckets int
 	// Now is the clock (tests inject a fake one; default time.Now).
 	Now func() time.Time
 }
@@ -49,8 +50,8 @@ func (c LimitConfig) withDefaults() LimitConfig {
 	if c.Burst <= 0 {
 		c.Burst = math.Max(c.RatePerSec, 1)
 	}
-	if c.MaxBuckets <= 0 {
-		c.MaxBuckets = 65536
+	if c.maxBuckets <= 0 {
+		c.maxBuckets = 65536
 	}
 	if c.Now == nil {
 		c.Now = time.Now
@@ -88,10 +89,10 @@ func (l *limiter) take(key string) (ok bool, retryAfter time.Duration) {
 	defer l.mu.Unlock()
 	b := l.buckets[key]
 	if b == nil {
-		if len(l.buckets) >= l.cfg.MaxBuckets {
+		if len(l.buckets) >= l.cfg.maxBuckets {
 			l.sweepLocked(now)
 		}
-		if len(l.buckets) >= l.cfg.MaxBuckets {
+		if len(l.buckets) >= l.cfg.maxBuckets {
 			// Table still full of active principals: new arrivals share
 			// the overflow bucket instead of evicting someone live.
 			key = ""

@@ -207,19 +207,19 @@ func TestInFlightCapSheds503(t *testing.T) {
 	close(hold)
 }
 
-// TestLimiterBucketTableBounded: past MaxBuckets, brand-new principals
+// TestLimiterBucketTableBounded: past maxBuckets, brand-new principals
 // share the overflow bucket instead of growing the table without bound.
 func TestLimiterBucketTableBounded(t *testing.T) {
 	clk := newFakeClock()
-	l := newLimiter(LimitConfig{RatePerSec: 1, Burst: 1, MaxBuckets: 8, Now: clk.Now})
+	l := newLimiter(LimitConfig{RatePerSec: 1, Burst: 1, maxBuckets: 8, Now: clk.Now})
 	for i := 0; i < 64; i++ {
 		l.take(fmt.Sprintf("p-%d", i))
 	}
 	l.mu.Lock()
 	n := len(l.buckets)
 	l.mu.Unlock()
-	if n > 9 { // MaxBuckets + the shared overflow bucket
-		t.Fatalf("bucket table grew to %d entries with MaxBuckets=8", n)
+	if n > 9 { // maxBuckets + the shared overflow bucket
+		t.Fatalf("bucket table grew to %d entries with maxBuckets=8", n)
 	}
 	// After idling long enough to refill, the sweep reclaims slots and new
 	// principals get private buckets again.

@@ -49,8 +49,6 @@ type Config struct {
 	// /facilities renders per-facility load, queue depth and placements,
 	// /api/facilities serves the JSON twin.
 	Facilities *facility.Registry
-	// Title is the portal heading.
-	Title string
 
 	// The production serving layer (DESIGN.md §13). Every knob is
 	// opt-in: with all four nil the portal serves exactly the responses
@@ -85,13 +83,13 @@ type Server struct {
 	instrument bool
 }
 
+// portalTitle is the portal heading.
+const portalTitle = "Dynamic PicoProbe Data Portal"
+
 // NewServer builds the portal.
 func NewServer(cfg Config) (*Server, error) {
 	if cfg.Index == nil {
 		return nil, fmt.Errorf("portal: nil index")
-	}
-	if cfg.Title == "" {
-		cfg.Title = "Dynamic PicoProbe Data Portal"
 	}
 	s := &Server{cfg: cfg, mux: http.NewServeMux()}
 	s.met = newPortalMetrics(cfg.Metrics)
@@ -225,7 +223,7 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	}
 	facets := s.cfg.Index.Facets(search.Query{Text: q.Text, Principal: q.Principal}, "kind")
 	data := indexData{
-		Title:  s.cfg.Title,
+		Title:  portalTitle,
 		Query:  q.Text,
 		Kind:   r.FormValue("kind"),
 		Total:  total,
@@ -260,7 +258,7 @@ func (s *Server) handleRecord(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	data := recordData{
-		Title: s.cfg.Title,
+		Title: portalTitle,
 		ID:    entry.ID,
 		Date:  entry.Date.Format(time.RFC1123),
 		Kind:  entry.Fields["kind"],

@@ -11,8 +11,8 @@ import (
 
 // DurableOptions configures a DurableIndex.
 type DurableOptions struct {
-	// Durable are the underlying WAL/snapshot options (fsync policy,
-	// segment size, injectable FS).
+	// Durable are the underlying WAL/snapshot options: the filesystem the
+	// torn-write tests substitute.
 	Durable durable.Options
 	// CompactEvery snapshots the index and reclaims WAL segments after
 	// this many journaled records (0 = only on explicit Compact calls).
@@ -151,8 +151,8 @@ func (d *DurableIndex) maybeCompactLocked(records int) error {
 	return nil
 }
 
-// Ingest journals then applies one entry; the entry is durable (per the
-// configured fsync policy) before it becomes visible to queries.
+// Ingest journals then applies one entry; the entry is on disk before it
+// becomes visible to queries.
 func (d *DurableIndex) Ingest(e Entry) error {
 	if e.ID == "" {
 		return fmt.Errorf("search: entry missing id")

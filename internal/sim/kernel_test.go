@@ -308,10 +308,14 @@ func TestPropertySleepSum(t *testing.T) {
 
 func TestLiveRuntimeScaledClock(t *testing.T) {
 	r := NewLiveRuntime(1000) // 1000 virtual seconds per real second
+	epoch := r.Now()
+	if since := time.Since(epoch); since < -time.Minute || since > time.Minute {
+		t.Errorf("live epoch %v is not the wall clock (off by %v)", epoch, since)
+	}
 	var woke time.Duration
 	r.Spawn("sleeper", func(ctx Context) {
 		ctx.Sleep(10 * time.Second) // 10ms real
-		woke = ctx.Now().Sub(DefaultEpoch)
+		woke = ctx.Now().Sub(epoch)
 	})
 	r.Wait()
 	if woke < 10*time.Second || woke > 5*time.Minute {

@@ -11,8 +11,11 @@ import (
 //
 // Scale is the number of virtual seconds that elapse per real second: with
 // Scale=60 a process sleeping one virtual minute sleeps one real second.
-// Now returns Epoch plus the scaled elapsed real time, so durations computed
-// from Context.Now are expressed in virtual time regardless of scale.
+// Now returns the epoch — the wall clock at construction — plus the scaled
+// elapsed real time, so durations computed from Context.Now are expressed
+// in virtual time regardless of scale, and at scale 1 Now is the wall
+// clock: run records stamped by a live engine and by its providers read on
+// one clock, and a later boot never stamps earlier than the one before it.
 type LiveRuntime struct {
 	epoch time.Time
 	start time.Time
@@ -20,14 +23,17 @@ type LiveRuntime struct {
 	wg    sync.WaitGroup
 }
 
-// NewLiveRuntime returns a live runtime whose virtual clock starts at
-// DefaultEpoch and advances scale times faster than real time. A scale of 1
-// is true real time; scale must be positive.
+// NewLiveRuntime returns a live runtime whose virtual clock starts at the
+// current wall-clock time and advances scale times faster than real time.
+// A scale of 1 is true real time; scale must be positive.
 func NewLiveRuntime(scale float64) *LiveRuntime {
 	if scale <= 0 {
 		panic("sim: LiveRuntime scale must be positive")
 	}
-	return &LiveRuntime{epoch: DefaultEpoch, start: time.Now(), scale: scale}
+	now := time.Now()
+	// Round(0) strips the monotonic reading: a scaled virtual time must not
+	// carry one.
+	return &LiveRuntime{epoch: now.Round(0), start: now, scale: scale}
 }
 
 // Now returns the current virtual time.

@@ -26,13 +26,17 @@ type ParticleSpec struct {
 // an (H, W, C) cube of EDS counts.
 type HyperspectralConfig struct {
 	Height, Width, Channels int
-	MaxEnergyKeV            float64            // spectral axis upper bound
-	DetectorSigmaKeV        float64            // line broadening
 	Film                    map[string]float64 // element -> fraction
 	Particles               []ParticleSpec
-	CountsScale             float64 // overall intensity
 	Seed                    int64
 }
+
+// The generator's detector physics.
+const (
+	maxEnergyKeV     = 20.0 // spectral axis upper bound
+	detectorSigmaKeV = 0.07 // line broadening
+	countsScale      = 100  // overall intensity
+)
 
 // withDefaults fills zero fields with sensible values.
 func (c HyperspectralConfig) withDefaults() HyperspectralConfig {
@@ -45,12 +49,6 @@ func (c HyperspectralConfig) withDefaults() HyperspectralConfig {
 	if c.Channels == 0 {
 		c.Channels = 256
 	}
-	if c.MaxEnergyKeV == 0 {
-		c.MaxEnergyKeV = 20
-	}
-	if c.DetectorSigmaKeV == 0 {
-		c.DetectorSigmaKeV = 0.07
-	}
 	if c.Film == nil {
 		// Polyamide-like organic film (paper Fig 2 shows a polyamide film
 		// treated to capture heavy metals from water).
@@ -61,9 +59,6 @@ func (c HyperspectralConfig) withDefaults() HyperspectralConfig {
 			{Element: "Pb", Count: 6, MinRadius: 2, MaxRadius: 6, Concentration: 3},
 			{Element: "Au", Count: 3, MinRadius: 2, MaxRadius: 5, Concentration: 3},
 		}
-	}
-	if c.CountsScale == 0 {
-		c.CountsScale = 100
 	}
 	return c
 }
@@ -116,8 +111,8 @@ func GenerateHyperspectral(cfg HyperspectralConfig) (*HyperspectralSample, error
 		tpl := make([]float64, C)
 		for _, line := range Library[sym].Lines {
 			for c := 0; c < C; c++ {
-				e := (float64(c) + 0.5) * cfg.MaxEnergyKeV / float64(C)
-				d := (e - line.KeV) / cfg.DetectorSigmaKeV
+				e := (float64(c) + 0.5) * maxEnergyKeV / float64(C)
+				d := (e - line.KeV) / detectorSigmaKeV
 				tpl[c] += line.Weight * math.Exp(-0.5*d*d)
 			}
 		}
@@ -133,8 +128,8 @@ func GenerateHyperspectral(cfg HyperspectralConfig) (*HyperspectralSample, error
 	// Continuum (bremsstrahlung-like) shared by all pixels.
 	continuum := make([]float64, C)
 	for c := 0; c < C; c++ {
-		e := (float64(c) + 0.5) * cfg.MaxEnergyKeV / float64(C)
-		continuum[c] = 0.08 * (1 - e/cfg.MaxEnergyKeV) * math.Exp(-e/6)
+		e := (float64(c) + 0.5) * maxEnergyKeV / float64(C)
+		continuum[c] = 0.08 * (1 - e/maxEnergyKeV) * math.Exp(-e/6)
 	}
 
 	// Place particles deterministically.
@@ -195,7 +190,7 @@ func GenerateHyperspectral(cfg HyperspectralConfig) (*HyperspectralSample, error
 				}
 				base := (y*W + x) * C
 				for c := 0; c < C; c++ {
-					mean := mix[c] * cfg.CountsScale
+					mean := mix[c] * countsScale
 					v := mean + math.Sqrt(math.Max(mean, 0.05))*rng.NormFloat64()
 					if v < 0 {
 						v = 0
@@ -235,7 +230,7 @@ func (s *HyperspectralSample) WriteEMD(path string, mic *metadata.Microscope, ac
 	grp := w.Root().CreateGroup("data").CreateGroup("hyperspectral")
 	grp.SetAttr("emd_group_type", int64(1))
 	grp.SetAttr("units", []string{"px", "px", "keV"})
-	grp.SetAttr("max_energy_kev", s.Config.MaxEnergyKeV)
+	grp.SetAttr("max_energy_kev", maxEnergyKeV)
 
 	ds, err := w.CreateDataset(grp, "data", tensor.Float32, s.Cube.Shape(), emd.DatasetOptions{})
 	if err != nil {

@@ -18,13 +18,16 @@ type SpatiotemporalConfig struct {
 	Frames, Height, Width int
 	Particles             int
 	MinRadius, MaxRadius  float64 // blob radius in pixels
-	StepSigma             float64 // Brownian step per frame, pixels
-	Drift                 [2]float64
-	Background            float64 // carbon film mean level
-	PeakIntensity         float64 // blob peak above background
-	NoiseSigma            float64
 	Seed                  int64
 }
+
+// The generator's image physics.
+const (
+	stepSigma     = 1.5 // Brownian step per frame, pixels
+	background    = 20  // carbon film mean level
+	peakIntensity = 120 // blob peak above background
+	noiseSigma    = 6
+)
 
 func (c SpatiotemporalConfig) withDefaults() SpatiotemporalConfig {
 	if c.Frames == 0 {
@@ -44,18 +47,6 @@ func (c SpatiotemporalConfig) withDefaults() SpatiotemporalConfig {
 	}
 	if c.MaxRadius == 0 {
 		c.MaxRadius = 7
-	}
-	if c.StepSigma == 0 {
-		c.StepSigma = 1.5
-	}
-	if c.Background == 0 {
-		c.Background = 20
-	}
-	if c.PeakIntensity == 0 {
-		c.PeakIntensity = 120
-	}
-	if c.NoiseSigma == 0 {
-		c.NoiseSigma = 6
 	}
 	return c
 }
@@ -94,8 +85,8 @@ func GenerateSpatiotemporal(cfg SpatiotemporalConfig) *SpatiotemporalSample {
 		y := cfg.MaxRadius + rng.Float64()*(float64(H)-2*cfg.MaxRadius)
 		for t := 0; t < T; t++ {
 			xs[p][t], ys[p][t] = x, y
-			x += cfg.Drift[0] + rng.NormFloat64()*cfg.StepSigma
-			y += cfg.Drift[1] + rng.NormFloat64()*cfg.StepSigma
+			x += rng.NormFloat64() * stepSigma
+			y += rng.NormFloat64() * stepSigma
 			// Reflect at the borders so particles stay in frame.
 			x = reflect(x, cfg.MaxRadius, float64(W)-cfg.MaxRadius)
 			y = reflect(y, cfg.MaxRadius, float64(H)-cfg.MaxRadius)
@@ -112,7 +103,7 @@ func GenerateSpatiotemporal(cfg SpatiotemporalConfig) *SpatiotemporalSample {
 			frameRng := rand.New(rand.NewSource(cfg.Seed*2_000_003 + int64(t)))
 			frame := series.Frame(t).Data()
 			for i := range frame {
-				frame[i] = cfg.Background + frameRng.NormFloat64()*cfg.NoiseSigma
+				frame[i] = background + frameRng.NormFloat64()*noiseSigma
 			}
 			boxes := make([]geom.Box, 0, len(parts))
 			for p, part := range parts {
@@ -125,7 +116,7 @@ func GenerateSpatiotemporal(cfg SpatiotemporalConfig) *SpatiotemporalSample {
 				for yy := y0; yy <= y1; yy++ {
 					for xx := x0; xx <= x1; xx++ {
 						dx, dy := float64(xx)-cx, float64(yy)-cy
-						frame[yy*W+xx] += cfg.PeakIntensity * math.Exp(-(dx*dx+dy*dy)/(2*sigma*sigma))
+						frame[yy*W+xx] += peakIntensity * math.Exp(-(dx*dx+dy*dy)/(2*sigma*sigma))
 					}
 				}
 				// Ground-truth box spans +/- 2 sigma (where the blob is

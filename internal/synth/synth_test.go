@@ -1,6 +1,10 @@
 package synth
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
 	"path/filepath"
 	"testing"
 	"time"
@@ -73,7 +77,7 @@ func TestHyperspectralHasElementPeaks(t *testing.T) {
 	// (0.28 keV) relative to a line-free window (e.g. ~4-5 keV).
 	spectrum := s.Cube.SumAxis(0).SumAxis(0)
 	chanOf := func(keV float64) int {
-		return int(keV / s.Config.MaxEnergyKeV * float64(s.Config.Channels))
+		return int(keV / maxEnergyKeV * float64(s.Config.Channels))
 	}
 	carbon := spectrum.At(chanOf(0.28))
 	quiet := spectrum.At(chanOf(4.6))
@@ -182,7 +186,7 @@ func TestGenerateSpatiotemporalTruth(t *testing.T) {
 	for _, b := range s.Truth[0] {
 		cx, cy := b.Center()
 		v := fr.At(int(cy), int(cx))
-		if v < s.Config.Background+s.Config.PeakIntensity/2 {
+		if v < background+peakIntensity/2 {
 			t.Errorf("particle at (%v,%v) not bright: %v", cx, cy, v)
 		}
 	}
@@ -200,7 +204,7 @@ func TestSpatiotemporalDeterministic(t *testing.T) {
 }
 
 func TestSpatiotemporalMotion(t *testing.T) {
-	cfg := SpatiotemporalConfig{Frames: 30, Height: 64, Width: 64, Particles: 4, Seed: 9, StepSigma: 2}
+	cfg := SpatiotemporalConfig{Frames: 30, Height: 64, Width: 64, Particles: 4, Seed: 9}
 	s := GenerateSpatiotemporal(cfg)
 	// Particles should move: total displacement over the series must be
 	// nonzero for most particles.
@@ -278,5 +282,34 @@ func TestReflectStaysInRange(t *testing.T) {
 		if got < 10 || got > 90 {
 			t.Errorf("reflect(%v) = %v out of [10,90]", v, got)
 		}
+	}
+}
+
+// sumOf is the SHA-256 of a tensor's values as little-endian float64 bits.
+func sumOf(data []float64) string {
+	h := sha256.New()
+	var b [8]byte
+	for _, v := range data {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+		h.Write(b[:])
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestSynthDefaultsPinned: the generator physics that used to be defaulted
+// option fields are constants; these digests were computed before they
+// became constants, from shape and seed alone, and every fixture in the
+// repository rests on them not moving.
+func TestSynthDefaultsPinned(t *testing.T) {
+	cube, err := GenerateHyperspectral(HyperspectralConfig{Height: 16, Width: 16, Channels: 64, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := sumOf(cube.Cube.Data()), "3fd5103860aabb545779346cbfcb229c02c0114e1c13a00725d2b81b1109eb48"; got != want {
+		t.Errorf("hyperspectral cube digest = %s, want %s", got, want)
+	}
+	series := GenerateSpatiotemporal(SpatiotemporalConfig{Frames: 8, Height: 32, Width: 32, Seed: 7})
+	if got, want := sumOf(series.Series.Data()), "dc97efa677d6bf0384293e6ad5a16254e46a6f1150b78198fca74f99bd8cf952"; got != want {
+		t.Errorf("spatiotemporal series digest = %s, want %s", got, want)
 	}
 }

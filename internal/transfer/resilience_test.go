@@ -70,23 +70,98 @@ func TestRetryableErrorRetriesToMaxAttempts(t *testing.T) {
 	}
 }
 
-// TestRetryBackoffSpacesAttempts: with RetryBackoff set, retries are
-// spaced; the pinned Rand makes the delays deterministic.
+// spacedMover is a countingMover that declares its retry spacing, as
+// WireMover does.
+type spacedMover struct {
+	countingMover
+	delays []time.Duration
+}
+
+func (m *spacedMover) RetryDelay(attempt int) time.Duration { return m.delays[attempt] }
+
+// inlineMover fails every attempt before Move returns and declares no
+// spacing, as SimMover and LiveMover do not.
+type inlineMover struct{ attempts int }
+
+func (m *inlineMover) Move(task *Task, src, dst *Endpoint, done func(Report, error)) {
+	m.attempts++
+	done(Report{}, errors.New("transient"))
+}
+
+// TestServiceSpacesRetriesByMover: the service waits between attempts as
+// long as the mover asks, and a mover that does not ask — the sim and
+// in-process ones, whose timelines Table 1 pins — is retried at once: all
+// of its attempts are spent by the time Submit returns.
+func TestServiceSpacesRetriesByMover(t *testing.T) {
+	iss, tok := issuerAndToken(t)
+	submit := func(mover Mover) (*Service, string) {
+		t.Helper()
+		svc := NewService(iss, mover, time.Now, Options{MaxAttempts: 3})
+		svc.RegisterEndpoint(Endpoint{ID: "src", Root: t.TempDir()})
+		svc.RegisterEndpoint(Endpoint{ID: "dst", Root: t.TempDir()})
+		id, err := svc.Submit(tok, "src", "dst", []FileSpec{{RelPath: "x"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return svc, id
+	}
+
+	spaced := &spacedMover{delays: []time.Duration{30 * time.Millisecond, 60 * time.Millisecond}}
+	spaced.err = errors.New("transient")
+	start := time.Now()
+	svc, id := submit(spaced)
+	if view := waitFor(t, svc, tok, id, StatusFailed); view.Attempts != 3 {
+		t.Errorf("attempts = %d, want 3", view.Attempts)
+	}
+	if elapsed := time.Since(start); elapsed < 90*time.Millisecond {
+		t.Errorf("3 attempts finished in %v, before the 30 ms + 60 ms the mover asked for", elapsed)
+	}
+
+	inline := &inlineMover{}
+	svc, id = submit(inline)
+	view, err := svc.Status(tok, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if view.Status != StatusFailed || view.Attempts != 3 || inline.attempts != 3 {
+		t.Errorf("after Submit: status %s, %d attempts, mover called %d times; want FAILED after 3 immediate attempts",
+			view.Status, view.Attempts, inline.attempts)
+	}
+}
+
+// TestRetryBackoffSpacesAttempts: WireMover is the mover that declares
+// spacing — its attempts against a daemon that is not there are spaced by
+// RetryBackoff; the pinned Rand makes the delays deterministic.
 func TestRetryBackoffSpacesAttempts(t *testing.T) {
-	svc, tok, _ := newFailingService(t, errors.New("transient"), Options{
-		MaxAttempts:  3,
-		RetryBackoff: &wire.Backoff{Base: 30 * time.Millisecond, Rand: func() float64 { return 1 }},
-	})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := ln.Addr().String()
+	ln.Close()
+	src := t.TempDir()
+	if err := os.WriteFile(filepath.Join(src, "x"), []byte("payload"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	iss, tok := issuerAndToken(t)
+	mover := &WireMover{ManifestDir: t.TempDir(), Timeout: time.Second,
+		RetryBackoff: &wire.Backoff{Base: 30 * time.Millisecond, Rand: func() float64 { return 1 }}}
+	defer mover.Close()
+	svc := NewService(iss, mover, time.Now, Options{MaxAttempts: 3})
+	svc.RegisterEndpoint(Endpoint{ID: "src", Root: src})
+	svc.RegisterEndpoint(Endpoint{ID: "dst", Root: dead})
 	start := time.Now()
 	id, err := svc.Submit(tok, "src", "dst", []FileSpec{{RelPath: "x"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, svc, tok, id, StatusFailed)
-	// Two retries delayed ~30ms and ~60ms: the task cannot finish faster
+	if view := waitFor(t, svc, tok, id, StatusFailed); view.Attempts != 3 {
+		t.Errorf("attempts = %d, want 3", view.Attempts)
+	}
+	// Two retries delayed 30ms and 60ms: the task cannot finish faster
 	// than the summed delays.
-	if elapsed := time.Since(start); elapsed < 80*time.Millisecond {
-		t.Errorf("3 attempts finished in %v, want >= ~90ms of backoff spacing", elapsed)
+	if elapsed := time.Since(start); elapsed < 90*time.Millisecond {
+		t.Errorf("3 attempts finished in %v, want >= 90ms of backoff spacing", elapsed)
 	}
 }
 
@@ -207,6 +282,8 @@ type slowFlakyMover struct {
 	calls int
 }
 
+func (m *slowFlakyMover) RetryDelay(int) time.Duration { return 5 * time.Millisecond }
+
 func (m *slowFlakyMover) Move(task *Task, src, dst *Endpoint, done func(Report, error)) {
 	m.mu.Lock()
 	m.calls++
@@ -224,10 +301,7 @@ func (m *slowFlakyMover) Move(task *Task, src, dst *Endpoint, done func(Report, 
 
 func TestRetryWithBackoffConcurrentStatus(t *testing.T) {
 	iss, tok := issuerAndToken(t)
-	svc := NewService(iss, &slowFlakyMover{}, time.Now, Options{
-		MaxAttempts:  3,
-		RetryBackoff: &wire.Backoff{Base: 5 * time.Millisecond},
-	})
+	svc := NewService(iss, &slowFlakyMover{}, time.Now, Options{MaxAttempts: 3})
 	svc.RegisterEndpoint(Endpoint{ID: "src", Root: t.TempDir()})
 	svc.RegisterEndpoint(Endpoint{ID: "dst", Root: t.TempDir()})
 	id, err := svc.Submit(tok, "src", "dst", []FileSpec{{RelPath: "x"}})

@@ -15,7 +15,9 @@
 // that declares no digest (DESIGN.md §11). A simulated
 // mover drives the same framing over the netsim fluid-flow network so
 // 1-hour facility experiments run in milliseconds of virtual time.
-// Failed moves are retried with bounded attempts, mirroring the
+// Failed moves are retried with bounded attempts, spaced as the mover
+// declares (the wire mover backs off for a daemon that may be restarting,
+// the in-process and simulated ones are retried at once), mirroring the
 // service-managed fault tolerance the paper delegates to Globus; with
 // chunk framing disabled and a single stream, every mover degenerates
 // exactly to the original whole-file, single-stream behavior the Table 1
@@ -141,14 +143,19 @@ type taskForgetter interface {
 	ForgetTask(taskID string)
 }
 
+// retrySpacer is an optional Mover extension: how long the service waits
+// before retry attempt (0-based) of a failed move. Spacing is a property
+// of what the mover talks to — WireMover, whose daemon may be restarting,
+// declares it; a mover without the method is retried at once, which is
+// what the sim timelines (Table 1) rest on.
+type retrySpacer interface {
+	RetryDelay(attempt int) time.Duration
+}
+
 // Options configures the service.
 type Options struct {
 	// MaxAttempts bounds move retries per task (default 3).
 	MaxAttempts int
-	// RetryBackoff spaces retry attempts with full-jitter exponential
-	// delays (nil = immediate retries, the historical behavior the sim
-	// timelines pin).
-	RetryBackoff *wire.Backoff
 }
 
 // Service manages endpoints and transfer tasks.
@@ -161,7 +168,6 @@ type Service struct {
 	tasks     map[string]*Task
 	nextID    int
 	maxTries  int
-	backoff   *wire.Backoff
 }
 
 // NewService returns a transfer service. The issuer validates bearer
@@ -178,7 +184,6 @@ func NewService(issuer *auth.Issuer, mover Mover, now func() time.Time, opts Opt
 		endpoints: map[string]*Endpoint{},
 		tasks:     map[string]*Task{},
 		maxTries:  opts.MaxAttempts,
-		backoff:   opts.RetryBackoff,
 	}
 }
 
@@ -263,11 +268,11 @@ func (s *Service) startMove(task *Task, src, dst *Endpoint) {
 			if task.Attempts < s.maxTries && !wire.Permanent(err) {
 				attempt := task.Attempts
 				s.mu.Unlock()
-				if d := s.backoff.Delay(attempt - 1); d > 0 {
-					// Space the retry with full jitter (live mode only; the
-					// nil/zero backoff of the sim paths retries immediately).
-					time.AfterFunc(d, func() { s.startMove(task, src, dst) })
-					return
+				if sp, ok := s.mover.(retrySpacer); ok {
+					if d := sp.RetryDelay(attempt - 1); d > 0 {
+						time.AfterFunc(d, func() { s.startMove(task, src, dst) })
+						return
+					}
 				}
 				s.startMove(task, src, dst) // retry resumes from the manifest
 				return

@@ -45,13 +45,14 @@ type WireMover struct {
 	Dial func(addr string) (net.Conn, error)
 	// Timeout is the per-op wire deadline (0 = wire.DefaultTimeout).
 	Timeout time.Duration
-	// BreakerThreshold and BreakerCooldown are handed to every wire
-	// client (see wire.Client); zero values mean no circuit breaker.
-	// Retry spacing is the transfer service's (Options.RetryBackoff):
-	// the clients' own Backoff only spaces busy retries, which this
-	// mover leaves at zero.
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
+	// BreakerCooldown is handed to every wire client (0 =
+	// wire.DefaultBreakerCooldown); tests shrink it.
+	BreakerCooldown time.Duration
+	// RetryBackoff spaces the transfer service's attempt retries (nil =
+	// 100 ms doubling to 5 s, full jitter): a daemon that is restarting
+	// needs time, not three attempts in a microsecond. The clients' own
+	// Backoff only spaces busy retries.
+	RetryBackoff *wire.Backoff
 
 	engine
 
@@ -72,7 +73,7 @@ func (m *WireMover) client(addr string) *wire.Client {
 	if !ok {
 		c = &wire.Client{
 			Addr: addr, Token: m.Token, Dial: m.Dial, Timeout: m.Timeout,
-			BreakerThreshold: m.BreakerThreshold, BreakerCooldown: m.BreakerCooldown,
+			BreakerCooldown: m.BreakerCooldown,
 		}
 		m.clients[addr] = c
 	}
@@ -88,6 +89,19 @@ func (m *WireMover) Close() error {
 	}
 	m.clients = nil
 	return nil
+}
+
+// defaultRetryBackoff spaces attempt retries when WireMover.RetryBackoff
+// is nil.
+var defaultRetryBackoff = &wire.Backoff{Base: 100 * time.Millisecond, Max: 5 * time.Second}
+
+// RetryDelay implements retrySpacer: the mover that talks to a daemon over
+// a network is the one whose retries need spacing.
+func (m *WireMover) RetryDelay(attempt int) time.Duration {
+	if m.RetryBackoff != nil {
+		return m.RetryBackoff.Delay(attempt)
+	}
+	return defaultRetryBackoff.Delay(attempt)
 }
 
 // Move implements Mover.

@@ -16,13 +16,15 @@ import (
 // which is the whole reconnect story: resume state lives in the chunk
 // manifest, not the socket.
 //
-// Resilience (all opt-in; the zero-value Client behaves exactly like
-// the pre-§12 one): IdleTimeout evicts pooled sessions a dead daemon
-// would otherwise leave rotting until the next exchange; the
-// BreakerThreshold circuit breaker fails ops fast while a daemon is
-// provably unreachable; BusyRetries+Backoff absorb a draining or
-// admission-capped server's typed busy answer without burning a
-// transfer attempt.
+// Resilience is what the client does, not something a caller asks for
+// (DESIGN.md §12): pooled sessions a dead daemon would otherwise leave
+// rotting until the next exchange are evicted once idle; a circuit
+// breaker fails ops fast after breakerThreshold consecutive
+// transport-level failures, while the daemon is provably unreachable; a
+// draining or admission-capped server's typed busy answer is retried
+// busyRetries times with back-off, without burning a transfer attempt.
+// The duration fields below exist for tests to shrink: zero means the
+// production value, never "off".
 type Client struct {
 	// Addr is the daemon's host:port.
 	Addr string
@@ -35,22 +37,15 @@ type Client struct {
 	// response (0 = 30s).
 	Timeout time.Duration
 	// IdleTimeout evicts pooled sessions idle longer than this (0 =
-	// keep forever, the historical behavior). A daemon restart leaves
-	// the pool full of dead sockets; eviction turns the next op's
-	// "discover staleness, retry on fresh dial" into a plain fresh dial.
+	// 1 min). A daemon restart leaves the pool full of dead
+	// sockets; eviction turns the next op's "discover staleness, retry on
+	// fresh dial" into a plain fresh dial.
 	IdleTimeout time.Duration
-	// BreakerThreshold opens the per-daemon circuit breaker after this
-	// many consecutive transport-level failures (0 = breaker disabled).
-	// A RemoteError never trips the breaker — a daemon that answers,
-	// even with an error, is alive.
-	BreakerThreshold int
 	// BreakerCooldown is how long an open breaker refuses ops before
-	// admitting one half-open probe (0 = 5s).
+	// admitting one half-open probe (0 = DefaultBreakerCooldown).
 	BreakerCooldown time.Duration
-	// BusyRetries retries an op this many extra times when the server
-	// answers CodeBusy (0 = surface busy to the caller immediately).
-	BusyRetries int
-	// Backoff spaces busy retries (nil or zero value = immediate).
+	// Backoff spaces busy retries (nil = 50 ms doubling to 2 s, full
+	// jitter).
 	Backoff *Backoff
 
 	mu     sync.Mutex
@@ -75,16 +70,40 @@ type idleSession struct {
 // DefaultTimeout is the per-op deadline when Client.Timeout is zero.
 const DefaultTimeout = 30 * time.Second
 
+// defaultIdleTimeout is the pooled-session idle bound when
+// Client.IdleTimeout is zero. It sits below picoprobe-facilityd's 2 min
+// -idle-timeout default, so the client drops a quiet session before the
+// server reaps it instead of discovering it dead on the next exchange.
+const defaultIdleTimeout = time.Minute
+
 // DefaultBreakerCooldown is the open-breaker hold when
 // Client.BreakerCooldown is zero.
 const DefaultBreakerCooldown = 5 * time.Second
 
-func (c *Client) timeout() time.Duration {
-	if c.Timeout > 0 {
-		return c.Timeout
+const (
+	// breakerThreshold consecutive transport-level failures open the
+	// per-daemon circuit breaker. A RemoteError never counts — a daemon
+	// that answers, even with an error, is alive.
+	breakerThreshold = 4
+	// busyRetries is how many extra times an op is tried when the server
+	// answers CodeBusy.
+	busyRetries = 3
+)
+
+// defaultBusyBackoff spaces busy retries when Client.Backoff is nil.
+var defaultBusyBackoff = &Backoff{Base: 50 * time.Millisecond, Max: 2 * time.Second}
+
+// orDefault is the "zero means the production value" rule of the
+// client's duration fields.
+func orDefault(d, def time.Duration) time.Duration {
+	if d > 0 {
+		return d
 	}
-	return DefaultTimeout
+	return def
 }
+
+func (c *Client) timeout() time.Duration     { return orDefault(c.Timeout, DefaultTimeout) }
+func (c *Client) idleTimeout() time.Duration { return orDefault(c.IdleTimeout, defaultIdleTimeout) }
 
 // Close drops every idle session. In-flight ops finish on their own
 // connections and find the client closed when they try to return them.
@@ -159,8 +178,8 @@ func (c *Client) checkin(conn net.Conn) {
 		return
 	}
 	c.idle = append(c.idle, idleSession{conn: conn, at: time.Now()})
-	if c.IdleTimeout > 0 && c.reaper == nil {
-		c.reaper = time.AfterFunc(c.IdleTimeout, c.reap)
+	if c.reaper == nil {
+		c.reaper = time.AfterFunc(c.idleTimeout(), c.reap)
 	}
 	c.mu.Unlock()
 }
@@ -168,10 +187,7 @@ func (c *Client) checkin(conn net.Conn) {
 // evictLocked closes pooled sessions idle past IdleTimeout. The pool is
 // LIFO, so eviction only ever eats from the head.
 func (c *Client) evictLocked(now time.Time) {
-	if c.IdleTimeout <= 0 {
-		return
-	}
-	cutoff := now.Add(-c.IdleTimeout)
+	cutoff := now.Add(-c.idleTimeout())
 	for len(c.idle) > 0 && c.idle[0].at.Before(cutoff) {
 		c.idle[0].conn.Close()
 		c.idle = c.idle[1:]
@@ -190,7 +206,7 @@ func (c *Client) reap() {
 	}
 	c.evictLocked(time.Now())
 	if len(c.idle) > 0 {
-		c.reaper = time.AfterFunc(c.IdleTimeout, c.reap)
+		c.reaper = time.AfterFunc(c.idleTimeout(), c.reap)
 	} else {
 		c.reaper = nil
 	}
@@ -200,12 +216,9 @@ func (c *Client) reap() {
 // fails fast, and an open breaker past its cooldown admits exactly one
 // half-open probe at a time.
 func (c *Client) breakerAllow() error {
-	if c.BreakerThreshold <= 0 {
-		return nil
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.brkFails < c.BreakerThreshold {
+	if c.brkFails < breakerThreshold {
 		return nil
 	}
 	if time.Now().Before(c.brkOpenUntil) {
@@ -223,9 +236,6 @@ func (c *Client) breakerAllow() error {
 // failures (dial refused, dead socket, torn stream) count toward
 // opening, and a failed half-open probe re-arms the full cooldown.
 func (c *Client) breakerRecord(err error) {
-	if c.BreakerThreshold <= 0 {
-		return
-	}
 	alive := err == nil || errors.As(err, new(*RemoteError))
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -236,12 +246,8 @@ func (c *Client) breakerRecord(err error) {
 		return
 	}
 	c.brkFails++
-	if c.brkFails >= c.BreakerThreshold {
-		cd := c.BreakerCooldown
-		if cd <= 0 {
-			cd = DefaultBreakerCooldown
-		}
-		c.brkOpenUntil = time.Now().Add(cd)
+	if c.brkFails >= breakerThreshold {
+		c.brkOpenUntil = time.Now().Add(orDefault(c.BreakerCooldown, DefaultBreakerCooldown))
 	}
 }
 
@@ -249,28 +255,27 @@ func (c *Client) breakerRecord(err error) {
 // fast (for status surfaces and tests; ops should just call and look
 // for ErrCircuitOpen).
 func (c *Client) BreakerOpen() bool {
-	if c.BreakerThreshold <= 0 {
-		return false
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.brkFails >= c.BreakerThreshold && time.Now().Before(c.brkOpenUntil)
+	return c.brkFails >= breakerThreshold && time.Now().Before(c.brkOpenUntil)
 }
 
 // do runs one exchange with the resilience wrappers applied: the
 // breaker gates entry, and a typed busy answer (admission cap, drain)
-// is retried up to BusyRetries times with Backoff spacing — busy is the
+// is retried up to busyRetries times with Backoff spacing — busy is the
 // server asking for patience, not a failure worth a transfer attempt.
 func (c *Client) do(reqTyp byte, reqHead any, reqBody []byte, wantTyp byte, respHead any) ([]byte, error) {
+	backoff := c.Backoff
+	if backoff == nil {
+		backoff = defaultBusyBackoff
+	}
 	for busy := 0; ; busy++ {
 		body, err := c.doOnce(reqTyp, reqHead, reqBody, wantTyp, respHead)
 		if err == nil {
 			return body, nil
 		}
-		if busy < c.BusyRetries && IsRemoteCode(err, CodeBusy) {
-			if d := c.Backoff.Delay(busy); d > 0 {
-				time.Sleep(d)
-			}
+		if busy < busyRetries && IsRemoteCode(err, CodeBusy) {
+			time.Sleep(backoff.Delay(busy))
 			continue
 		}
 		return nil, err

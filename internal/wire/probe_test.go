@@ -77,7 +77,6 @@ func TestProberSeesInducedDelay(t *testing.T) {
 	prober := netprobe.New(rt, netprobe.Config{
 		Interval:      20 * time.Millisecond,
 		WindowSamples: 2,
-		Alpha:         0.6,
 	})
 	target := NewProbeTarget(addr, "")
 	defer target.Client.Close()

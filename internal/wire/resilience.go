@@ -11,13 +11,14 @@ import (
 // wire consumer (DESIGN.md §12): a retryable/permanent classification
 // over the protocol's error codes, full-jitter exponential backoff, and
 // the circuit-breaker sentinel. The transfer service and the WireMover
-// both consult Permanent before burning a retry, and both space their
-// retries with a Backoff — one taxonomy, one delay policy, instead of
-// per-call-site knobs that drift apart.
+// both consult Permanent before burning a retry, and the client's busy
+// retries and the WireMover's attempt retries are both spaced with a
+// Backoff — one taxonomy, one delay policy, instead of per-call-site
+// knobs that drift apart.
 
 // ErrCircuitOpen is returned by client ops refused fail-fast because
 // the per-daemon circuit breaker is open: the daemon failed
-// BreakerThreshold consecutive transport-level exchanges, and until the
+// breakerThreshold consecutive transport-level exchanges, and until the
 // cooldown admits a half-open probe there is no point queueing more
 // work behind a dead socket. It classifies as retryable — the daemon
 // may be back any moment — but callers should space retries with a
@@ -54,8 +55,7 @@ func Retryable(err error) bool {
 // uniform[0, min(Max, Base<<k)). Full jitter (the AWS architecture-blog
 // variant) decorrelates a thundering herd of retriers better than
 // equal-jitter at the same expected delay. The zero value disables
-// delays entirely — every retry is immediate — which is what the sim
-// paths rely on for bit-identical timelines.
+// delays entirely — every retry is immediate.
 type Backoff struct {
 	// Base is the attempt-0 ceiling; 0 disables backoff.
 	Base time.Duration

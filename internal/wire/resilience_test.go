@@ -107,15 +107,14 @@ func refusingDialer(addr string) (net.Conn, error) {
 
 func TestBreakerOpensAfterThreshold(t *testing.T) {
 	cl := &Client{
-		Addr:             "198.51.100.1:1", // never dialed: Dial is injected
-		Dial:             refusingDialer,
-		Timeout:          time.Second,
-		BreakerThreshold: 3,
-		BreakerCooldown:  time.Hour, // long: the breaker must stay open for the test
+		Addr:            "198.51.100.1:1", // never dialed: Dial is injected
+		Dial:            refusingDialer,
+		Timeout:         time.Second,
+		BreakerCooldown: time.Hour, // long: the breaker must stay open for the test
 	}
 	defer cl.Close()
 
-	for i := 0; i < 3; i++ {
+	for i := 0; i < breakerThreshold; i++ {
 		if cl.BreakerOpen() {
 			t.Fatalf("breaker open after only %d failures", i)
 		}
@@ -126,7 +125,7 @@ func TestBreakerOpensAfterThreshold(t *testing.T) {
 		}
 	}
 	if !cl.BreakerOpen() {
-		t.Fatal("breaker closed after BreakerThreshold consecutive failures")
+		t.Fatal("breaker closed after breakerThreshold consecutive failures")
 	}
 	// Open breaker fails fast without dialing.
 	var dials int
@@ -142,16 +141,15 @@ func TestBreakerOpensAfterThreshold(t *testing.T) {
 func TestBreakerHalfOpenProbeRecovers(t *testing.T) {
 	_, good, token := startServer(t, nil)
 	cl := &Client{
-		Addr:             good.Addr,
-		Token:            token,
-		Dial:             refusingDialer,
-		Timeout:          time.Second,
-		BreakerThreshold: 2,
-		BreakerCooldown:  10 * time.Millisecond,
+		Addr:            good.Addr,
+		Token:           token,
+		Dial:            refusingDialer,
+		Timeout:         time.Second,
+		BreakerCooldown: 10 * time.Millisecond,
 	}
 	defer cl.Close()
 
-	for i := 0; i < 2; i++ {
+	for i := 0; i < breakerThreshold; i++ {
 		cl.Status(0)
 	}
 	if !cl.BreakerOpen() {
@@ -176,14 +174,13 @@ func TestBreakerHalfOpenProbeRecovers(t *testing.T) {
 
 func TestBreakerFailedProbeRearmsCooldown(t *testing.T) {
 	cl := &Client{
-		Addr:             "198.51.100.1:1",
-		Dial:             refusingDialer,
-		Timeout:          time.Second,
-		BreakerThreshold: 2,
-		BreakerCooldown:  15 * time.Millisecond,
+		Addr:            "198.51.100.1:1",
+		Dial:            refusingDialer,
+		Timeout:         time.Second,
+		BreakerCooldown: 15 * time.Millisecond,
 	}
 	defer cl.Close()
-	for i := 0; i < 2; i++ {
+	for i := 0; i < breakerThreshold; i++ {
 		cl.Status(0)
 	}
 	time.Sleep(25 * time.Millisecond)
@@ -202,13 +199,12 @@ func TestBreakerFailedProbeRearmsCooldown(t *testing.T) {
 func TestBreakerIgnoresRemoteErrors(t *testing.T) {
 	_, cl0, token := startServer(t, nil)
 	cl := &Client{
-		Addr:             cl0.Addr,
-		Token:            token,
-		Timeout:          time.Second,
-		BreakerThreshold: 2,
+		Addr:    cl0.Addr,
+		Token:   token,
+		Timeout: time.Second,
 	}
 	defer cl.Close()
-	for i := 0; i < 5; i++ {
+	for i := 0; i < breakerThreshold+1; i++ {
 		if _, err := cl.Stat([]string{"../escape"}); !IsRemoteCode(err, CodeBadRequest) {
 			t.Fatalf("want CodeBadRequest, got %v", err)
 		}
@@ -252,23 +248,6 @@ func TestIdleSessionEvicted(t *testing.T) {
 	}
 	if d := faults.Dials(); d != 2 {
 		t.Fatalf("dials = %d, want 2 (evicted session not reused)", d)
-	}
-}
-
-func TestIdleZeroKeepsSessionsForever(t *testing.T) {
-	_, cl0, token := startServer(t, nil)
-	faults := &netfault.Faults{}
-	cl := &Client{Addr: cl0.Addr, Token: token, Timeout: 5 * time.Second, Dial: faults.Dialer(nil)}
-	defer cl.Close()
-	if _, _, err := cl.Status(0); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(50 * time.Millisecond)
-	if _, _, err := cl.Status(0); err != nil {
-		t.Fatal(err)
-	}
-	if d := faults.Dials(); d != 1 {
-		t.Fatalf("dials = %d, want 1 (no eviction with IdleTimeout=0)", d)
 	}
 }
 
@@ -322,10 +301,9 @@ func busyThenOKServer(t *testing.T, busyAnswers int) (addr string, served *int) 
 func TestBusyRetriedWithinOneOp(t *testing.T) {
 	addr, served := busyThenOKServer(t, 2)
 	cl := &Client{
-		Addr:        addr,
-		Timeout:     5 * time.Second,
-		BusyRetries: 3,
-		Backoff:     &Backoff{Base: time.Millisecond, Rand: func() float64 { return 0.5 }},
+		Addr:    addr,
+		Timeout: 5 * time.Second,
+		Backoff: &Backoff{Base: time.Millisecond, Rand: func() float64 { return 0.5 }},
 	}
 	defer cl.Close()
 	st, _, err := cl.Status(0)
@@ -340,12 +318,66 @@ func TestBusyRetriedWithinOneOp(t *testing.T) {
 	}
 }
 
-func TestBusySurfacesWithoutRetries(t *testing.T) {
-	addr, _ := busyThenOKServer(t, 100)
-	cl := &Client{Addr: addr, Timeout: 5 * time.Second}
+// --- the zero-value client ---
+
+// TestZeroValueClientIsResilient: a bare &Client{Addr, Token} — what every
+// shipped caller builds — has the breaker, the half-open probe, the busy
+// retries and the idle reaper. The test sets durations only, to shrink
+// them; there is nothing it could switch on.
+func TestZeroValueClientIsResilient(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := ln.Addr().String()
+	ln.Close() // nothing listens here any more: every dial is refused
+	_, good, token := startServer(t, nil)
+
+	cl := &Client{Addr: dead, Token: token, BreakerCooldown: 20 * time.Millisecond, IdleTimeout: 30 * time.Millisecond}
 	defer cl.Close()
-	if _, _, err := cl.Status(0); !IsRemoteCode(err, CodeBusy) {
-		t.Fatalf("err = %v, want CodeBusy surfaced (BusyRetries=0)", err)
+	for i := 0; i < 4; i++ {
+		if _, _, err := cl.Status(0); err == nil || errors.Is(err, ErrCircuitOpen) {
+			t.Fatalf("transport failure %d: err = %v, want the dial error itself", i, err)
+		}
+	}
+	if _, _, err := cl.Status(0); !errors.Is(err, ErrCircuitOpen) {
+		t.Fatalf("after 4 consecutive transport failures err = %v, want ErrCircuitOpen", err)
+	}
+	if !cl.BreakerOpen() {
+		t.Fatal("BreakerOpen() = false behind an ErrCircuitOpen answer")
+	}
+	// The daemon comes back: past the cool-down one half-open probe goes
+	// through and closes the breaker.
+	cl.Addr = good.Addr
+	time.Sleep(30 * time.Millisecond)
+	if _, _, err := cl.Status(0); err != nil {
+		t.Fatalf("half-open probe against the recovered daemon: %v", err)
+	}
+	if cl.BreakerOpen() {
+		t.Fatal("successful probe left the breaker open")
+	}
+	// The probe's session went back to the pool; the reaper closes it.
+	pooled := func() int {
+		cl.mu.Lock()
+		defer cl.mu.Unlock()
+		return len(cl.idle)
+	}
+	for deadline := time.Now().Add(5 * time.Second); pooled() > 0; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("reaper left %d session(s) pooled past IdleTimeout", pooled())
+		}
+	}
+
+	// A server that only ever answers busy: 1 try + 3 retries, then busy
+	// surfaces.
+	addr, served := busyThenOKServer(t, 100)
+	busy := &Client{Addr: addr, Backoff: &Backoff{Base: time.Millisecond}}
+	defer busy.Close()
+	if _, _, err := busy.Status(0); !IsRemoteCode(err, CodeBusy) {
+		t.Fatalf("err = %v, want CodeBusy surfaced once the retries are spent", err)
+	}
+	if *served != 4 {
+		t.Fatalf("server saw %d requests, want 4 (1 + 3 busy retries)", *served)
 	}
 }
 

@@ -19,8 +19,8 @@
 // Flows are typed DAGs: states declare explicit After dependencies,
 // independent states run concurrently with fan-in of results, and
 // params/results move through generics-based typed providers instead of
-// hand-cast maps. The paper's straight-line flows run unchanged through
-// the v1 ordered-list shim (FlowDefinition.Linear), while DAG shapes —
+// hand-cast maps. The paper's straight-line flows are built with
+// FlowDefinition.Linear, while DAG shapes —
 // like the fan-out example's Transfer → {Analysis ∥ Thumbnail} →
 // Publication — overlap their states on the facility. Completion
 // detection is batched engine-wide: one poll sweep services every due
@@ -116,8 +116,8 @@ type (
 
 // Flow orchestration (the typed DAG API).
 type (
-	// FlowDefinition is a named DAG of action states; definitions without
-	// dependency declarations execute as v1 ordered lists.
+	// FlowDefinition is a named DAG of action states; it runs exactly the
+	// dependencies it declares (Linear chains an ordered list).
 	FlowDefinition = flows.Definition
 	// FlowState is one node of a flow definition, with per-state policy,
 	// timeout and retry overrides.

@@ -242,9 +242,7 @@ func fetch(t *testing.T, h http.Handler, path string) []byte {
 func BenchmarkCrashRecovery(b *testing.B) {
 	dir := b.TempDir()
 	const ops = 5000
-	d, _, err := search.OpenDurable(dir, search.DurableOptions{
-		Durable: durable.Options{Sync: durable.SyncTimer}, // prep speed; replay cost is identical
-	})
+	d, _, err := search.OpenDurable(dir, search.DurableOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}

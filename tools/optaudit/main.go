@@ -40,15 +40,15 @@ import (
 )
 
 // allowlist names the fields no shipped code sets that stay, one
-// "pkg.Struct.Field — reason" per line; # lines are section comments. The
-// first section is PR 16's Kept list (ROADMAP.md records it with the same
-// reasons). The second is what this tool found beyond the hand audit that
-// PR was scoped by: each is a candidate for the same treatment — constant,
-// or a shipped caller that needs it — in a change of its own.
+// "pkg.Struct.Field — reason" per line; # lines are section comments.
+// ROADMAP.md records the list with the same reasons. Nothing on it is
+// undecided: a field that is neither set by a deployment nor a seam a test
+// needs became a constant in PRs 16 and 20.
 const allowlist = `
 # Kept: fault-injection and clock seams tests substitute through
 core.WireOptions.Dial — the wire e2e and chaos tests inject netfault dialers
 durable.Options.FS — the torn-write tests substitute a failing filesystem
+search.DurableOptions.Durable — carries durable.Options.FS to the catalog's journal for the same tests
 transfer.LiveMover.FS — the torn-manifest tests substitute a failing filesystem
 transfer.WireMover.FS — as on LiveMover
 transfer.WireMover.KillAfterChunks — the resume tests kill a transfer mid-flight (examples/ingest sets LiveMover's)
@@ -57,54 +57,21 @@ transfer.SimMover.FailAfterChunks — the sim resume tests
 watcher.Options.FS — the torn-checkpoint tests
 wire.Server.Now — clock seam
 portal.LimitConfig.Now — clock seam
-# Kept: safety code only chaos_test.go turns on; whether assemble should is ROADMAP's resilience-defaults decision
-transfer.WireMover.BreakerThreshold — handed to every wire client
-transfer.WireMover.BreakerCooldown — as BreakerThreshold
-transfer.Options.RetryBackoff — spaces service-attempt retries
-wire.Client.IdleTimeout — evicts pooled sessions a dead daemon left behind
-wire.Client.BusyRetries — absorbs a draining daemon's busy answer
-wire.Client.Backoff — spaces the busy retries
+# Kept: time constants tests shrink; zero = the production value, never "off"
+wire.Client.IdleTimeout — 1 min in production; the eviction tests cannot wait that long
+wire.Client.Backoff — 50 ms doubling to 2 s in production; the busy-retry tests pin the jitter
+transfer.WireMover.BreakerCooldown — 5 s in production; the chaos soak heals in 150 ms
+transfer.WireMover.RetryBackoff — 100 ms doubling to 5 s in production; the chaos soak retries in 15–250 ms
 # Kept: recovery state, credentials and addresses, the paper's ablations
 flows.Options.Checkpoints — Engine.Resume reads what it persists
 search.DurableOptions.CompactEvery — the snapshot cadence recovery replays from
-core.WireOptions.Secret — a deployment provisions its own; the default is the demo secret
 core.WireOptions.Timeout — the per-op wire deadline of a deployment's link
 portal.Config.Issuer — an authenticated portal verifies tokens with it
 core.ExperimentConfig.CompressionRatio — the paper's future-work ablation (BenchmarkAblationCompression) sets it
-# Found by this tool, undecided: set only by tests of the declaring package (or chaos_test.go)
-durable.Options.SegmentBytes — durable_test.go forces segment rolls with it
-durable.Options.SyncInterval — durable_test.go; the cadence of the SyncInterval policy shipped callers select
-emd.DatasetOptions.Compression — emd tests write the gzip chunks the reader must accept
-facility.Config.PathID — netprobe tests and bench_test.go; defaults to the facility ID
-health.Config.SuspectAfter — health_test.go and chaos_test.go tighten the verdict thresholds
-health.Config.DownAfter — as SuspectAfter
-health.Config.UpAfter — as SuspectAfter
-imaging.PlotConfig.LogY — imaging_test.go
-netprobe.Config.Alpha — netprobe and wire probe tests pin the estimator
-portal.CacheConfig.MaxBody — cache_test.go shrinks it to force the bypass
-portal.LimitConfig.MaxBuckets — limit_test.go shrinks it to force eviction
-synth.SpatiotemporalConfig.StepSigma — synth_test.go
-transfer.LiveMover.Tuner — the adaptive live tests; the shipped adaptive path (the federated sim) tunes through Route.Tuner
+# Kept: code with tests and no shipped caller, and what would bring it one
+emd.DatasetOptions.Compression — the writer's gzip path generates the fixtures for a chunk encoding the reader must accept from files written elsewhere
+transfer.LiveMover.Tuner — the live adaptive path has tests and no benchmark; delete or wire in when ROADMAP "a link that is not loopback" (b) measures it
 transfer.WireMover.Tuner — as on LiveMover
-# Found by this tool, undecided: no setter anywhere, tests included
-detect.TrainOptions.Grid — defaults to DefaultGrid
-facility.Config.Endpoint — defaults to the facility ID
-imaging.PlotConfig.Width — defaults in LinePlot
-imaging.PlotConfig.Height — as Width
-loadgen.Config.DialTimeout — defaults in loadgen
-loadgen.Config.RequestTimeout — as DialTimeout
-loadgen.Config.Host — Host header override
-netprobe.Config.HistoryLen — defaults in netprobe
-netprobe.Config.Weights — as HistoryLen
-portal.CacheConfig.MaxEntries — defaults in the cache
-portal.Config.Title — defaults to the portal's name
-synth.HyperspectralConfig.MaxEnergyKeV — generator physics, defaulted
-synth.HyperspectralConfig.DetectorSigmaKeV — as MaxEnergyKeV
-synth.HyperspectralConfig.CountsScale — as MaxEnergyKeV
-synth.SpatiotemporalConfig.Drift — generator physics, defaulted
-synth.SpatiotemporalConfig.Background — as Drift
-synth.SpatiotemporalConfig.PeakIntensity — as Drift
-synth.SpatiotemporalConfig.NoiseSigma — as Drift
 `
 
 // audited reports whether a struct name is an option surface.
