@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt-check vet test race race-fed chaos-smoke load-smoke bench-smoke bench bench-portal bench-portal-load bench-recovery bench-netprobe bench-wire bench-watch bench-analysis fuzz-wire fuzz-jpeg linkcheck optaudit cross-watch ci
+.PHONY: all build fmt-check vet test race race-fed chaos-smoke load-smoke bench-smoke bench bench-portal bench-portal-load bench-recovery bench-netprobe bench-wire bench-watch bench-analysis fuzz-wire fuzz-jpeg linkcheck optaudit depcheck cross-watch ci
 
 all: ci
 
@@ -13,6 +13,19 @@ fmt-check:
 
 vet:
 	$(GO) vet ./...
+
+# Production and laboratory (DESIGN.md §2): the trigger application, the
+# facility daemon and the layers they are built from import nothing that
+# only the experiment harness runs. Every package those two binaries link,
+# and every production layer by its direct imports, is listed with what it
+# imports; an import of the laboratory side is printed as its edge.
+LAB_SIDE := lab|facility|health|netfault|netprobe|netsim|scheduler|stats|synth
+IMPORTS := {{.ImportPath}}{{range .Imports}} {{.}}{{end}}
+depcheck:
+	@bad="$$( { $(GO) list -deps -f '$(IMPORTS)' ./cmd/picoprobe-watch ./cmd/picoprobe-facilityd; \
+		$(GO) list -f '$(IMPORTS)' ./internal/core ./internal/transfer ./internal/compute ./internal/wire ./internal/flows ./internal/watcher ./internal/landing; } \
+		| awk '{ for (i = 2; i <= NF; i++) if ($$i ~ "^picoprobe/internal/($(LAB_SIDE))$$") print "  " $$1 " -> " $$i }' | sort -u )"; \
+	if [ -n "$$bad" ]; then echo "depcheck: production code imports the laboratory side:" >&2; echo "$$bad" >&2; exit 1; fi
 
 # The watcher is the one package that must keep building for the paper's
 # Windows 10 and macOS instrument PCs, and it has OS-specific files
@@ -133,4 +146,4 @@ linkcheck:
 optaudit:
 	$(GO) run ./tools/optaudit
 
-ci: build fmt-check vet cross-watch test race-fed chaos-smoke load-smoke bench-smoke fuzz-wire fuzz-jpeg optaudit linkcheck
+ci: build fmt-check vet depcheck cross-watch test race-fed chaos-smoke load-smoke bench-smoke fuzz-wire fuzz-jpeg optaudit linkcheck

@@ -24,6 +24,7 @@ import (
 	"picoprobe/internal/detect"
 	"picoprobe/internal/emd"
 	"picoprobe/internal/flows"
+	"picoprobe/internal/lab"
 	"picoprobe/internal/loadgen"
 	"picoprobe/internal/metadata"
 	"picoprobe/internal/netprobe"
@@ -654,11 +655,11 @@ func benchIngestCampaign(b *testing.B, chunkBytes int64, streams int) time.Durat
 	// The paper's front half: 1 Gbps user-machine switch, 80 Mbit/s
 	// effective per-stream WAN throughput.
 	link := net.AddLink("site-switch", 1e9)
-	mover := &transfer.SimMover{
+	mover := &lab.SimMover{
 		Kernel:  k,
 		Network: net,
-		RouteFor: func(src, dst *transfer.Endpoint) transfer.Route {
-			return transfer.Route{
+		RouteFor: func(src, dst *transfer.Endpoint) lab.Route {
+			return lab.Route{
 				Path:       []*netsim.Link{link},
 				StreamCap:  80e6,
 				SetupTime:  2 * time.Second,
@@ -946,7 +947,7 @@ func benchAdaptiveRampCampaign(tb testing.TB, adaptive bool) time.Duration {
 		// 1 Gbps -> 50 Mbit/s at peak, recovering over the back ramp.
 		CapacityFactor: 0.05,
 	})
-	route := transfer.Route{
+	route := lab.Route{
 		Path:       []*netsim.Link{link},
 		StreamCap:  82e6,
 		SetupTime:  2 * time.Second,
@@ -968,10 +969,10 @@ func benchAdaptiveRampCampaign(tb testing.TB, adaptive bool) time.Duration {
 			FallbackChunkBytes: 8_000_000,
 		}
 	}
-	mover := &transfer.SimMover{
+	mover := &lab.SimMover{
 		Kernel:   k,
 		Network:  net,
-		RouteFor: func(src, dst *transfer.Endpoint) transfer.Route { return route },
+		RouteFor: func(src, dst *transfer.Endpoint) lab.Route { return route },
 	}
 	svc := transfer.NewService(iss, mover, k.Now, transfer.Options{})
 	svc.RegisterEndpoint(transfer.Endpoint{ID: "instrument"})

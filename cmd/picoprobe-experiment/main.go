@@ -16,7 +16,7 @@
 // placement sheds the degraded path, -lowwater tunes the shed threshold,
 // and -adaptive derives each transfer's stream count and chunk size from
 // the measured path instead of fixed flags. -degraded runs the canned
-// WAN-squall scenario (core.FederatedDegradedScenario) in both arms and
+// WAN-squall scenario (lab.FederatedDegradedScenario) in both arms and
 // prints them side by side.
 //
 //	picoprobe-experiment [-kind both|hyperspectral|spatiotemporal]
@@ -33,8 +33,8 @@ import (
 	"os"
 	"time"
 
-	"picoprobe/internal/core"
 	"picoprobe/internal/flows"
+	"picoprobe/internal/lab"
 )
 
 func main() {
@@ -70,7 +70,7 @@ func main() {
 			log.Fatal(err)
 		}
 		defer os.RemoveAll(dir)
-		res, err := core.RunWireCampaign(core.WireCampaignConfig{
+		res, err := lab.RunWireCampaign(lab.WireCampaignConfig{
 			Facilities: *wireFacilities,
 			Files:      *wireFiles,
 			Kind:       wireKind,
@@ -82,7 +82,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Print(core.FormatWireCampaign(res))
+		fmt.Print(lab.FormatWireCampaign(res))
 		return
 	}
 
@@ -101,9 +101,11 @@ func main() {
 	}
 
 	if *degraded {
+		// The label is output a parent/change cmp pins: it keeps the scenario's
+		// pre-move name.
 		fmt.Println("WAN-squall scenario (core.FederatedDegradedScenario): static placement vs probe-aware shedding")
 		for _, arm := range []bool{false, true} {
-			res, err := core.RunFederatedExperiment(core.FederatedDegradedScenario(arm))
+			res, err := lab.RunFederatedExperiment(lab.FederatedDegradedScenario(arm))
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -112,7 +114,7 @@ func main() {
 				label = "probe-aware (lowwater 50, adaptive transfer)"
 			}
 			fmt.Printf("\n--- %s ---\n", label)
-			fmt.Println(core.FormatFacilities(res))
+			fmt.Println(lab.FormatFacilities(res))
 		}
 		os.Exit(0)
 	}
@@ -129,14 +131,14 @@ func main() {
 		log.Fatal("-pin and -budget are contradictory: budget failover re-routes pinned runs, so the numbers would no longer measure the single-backend baseline")
 	}
 	federated := *facilities > 1 || *pin || *outage || *budget > 0 || *squall || *probe
-	run := func(cfg core.ExperimentConfig) *core.FederatedResult {
+	run := func(cfg lab.ExperimentConfig) *lab.FederatedResult {
 		cfg.Duration = *duration
 		cfg.Policy = pol
 		cfg.SplitCompute = *split
 		cfg.DisableNodeReuse = *noreuse
-		fcfg := core.FederatedConfig{
+		fcfg := lab.FederatedConfig{
 			ExperimentConfig: cfg,
-			Facilities:       core.DefaultFederationSpecs(*facilities),
+			Facilities:       lab.DefaultFederationSpecs(*facilities),
 			QueueWaitBudget:  *budget,
 		}
 		if *outage {
@@ -144,40 +146,40 @@ func main() {
 			fcfg.Facilities[0].OutageEnd = 40 * time.Minute
 		}
 		if *squall {
-			fcfg.Facilities[0].Squalls = []core.SquallSpec{{
+			fcfg.Facilities[0].Squalls = []lab.SquallSpec{{
 				Start: 5 * time.Minute, End: 15 * time.Minute, Ramp: 2 * time.Minute,
 				CapacityFactor: 0.004, Loss: 0.08,
 				Jitter: 60 * time.Millisecond, ExtraRTT: 150 * time.Millisecond,
 			}}
 		}
 		if *probe {
-			fcfg.Probe = &core.ProbeConfig{LowWater: *lowWater, AdaptiveTransfer: *adaptive}
+			fcfg.Probe = &lab.ProbeConfig{LowWater: *lowWater, AdaptiveTransfer: *adaptive}
 		}
 		if *pin {
 			fcfg.PinTo = fcfg.Facilities[0].ID
 		}
-		res, err := core.RunFederatedExperiment(fcfg)
+		res, err := lab.RunFederatedExperiment(fcfg)
 		if err != nil {
 			log.Fatal(err)
 		}
 		return res
 	}
 
-	var rows []core.Table1Row
+	var rows []lab.Table1Row
 	var details, federation []string
-	collect := func(label string, cfg core.ExperimentConfig, paper core.Table1Row) {
+	collect := func(label string, cfg lab.ExperimentConfig, paper lab.Table1Row) {
 		res := run(cfg)
 		rows = append(rows, res.Table1(), paper)
-		details = append(details, core.FormatStages(label, res.Stages()))
+		details = append(details, lab.FormatStages(label, res.Stages()))
 		if federated {
-			federation = append(federation, core.FormatFacilities(res))
+			federation = append(federation, lab.FormatFacilities(res))
 		}
 	}
 	if *kind == "both" || *kind == "hyperspectral" {
-		collect("hyperspectral", core.HyperspectralExperiment(), core.PaperTable1Hyperspectral)
+		collect("hyperspectral", lab.HyperspectralExperiment(), lab.PaperTable1Hyperspectral)
 	}
 	if *kind == "both" || *kind == "spatiotemporal" {
-		collect("spatiotemporal", core.SpatiotemporalExperiment(), core.PaperTable1Spatiotemporal)
+		collect("spatiotemporal", lab.SpatiotemporalExperiment(), lab.PaperTable1Spatiotemporal)
 	}
 	if len(rows) == 0 {
 		log.Fatalf("unknown kind %q", *kind)
@@ -185,7 +187,7 @@ func main() {
 
 	fmt.Printf("Simulated %v evaluation (policy=%s split=%v noreuse=%v facilities=%d pin=%v outage=%v budget=%v squall=%v probe=%v adaptive=%v)\n\n",
 		*duration, *policy, *split, *noreuse, *facilities, *pin, *outage, *budget, *squall, *probe, *adaptive)
-	fmt.Println(core.FormatTable1(rows...))
+	fmt.Println(lab.FormatTable1(rows...))
 	if *detail {
 		for _, d := range details {
 			fmt.Println()

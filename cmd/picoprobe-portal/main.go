@@ -51,6 +51,7 @@ import (
 	"picoprobe/internal/durable"
 	"picoprobe/internal/facility"
 	"picoprobe/internal/flows"
+	"picoprobe/internal/lab"
 	"picoprobe/internal/metadata"
 	"picoprobe/internal/obs"
 	"picoprobe/internal/portal"
@@ -138,7 +139,7 @@ func main() {
 		reportRecovery(core.DurableRecovery{Catalog: cstats, Runs: rstats, RestoredRuns: len(recs)})
 	}
 	if *federation {
-		res, err := core.RunFederatedExperiment(core.FederatedScenario())
+		res, err := lab.RunFederatedExperiment(lab.FederatedScenario())
 		if err != nil {
 			log.Fatal(err)
 		}

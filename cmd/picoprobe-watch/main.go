@@ -29,8 +29,10 @@
 //
 // The banner names the close signal in use ("close detection: inotify +
 // 200ms scan", or "200ms × 2 scan (inotify unavailable: …)"), the exit
-// line counts the files each signal found, and a checkpoint that cannot
-// be saved — a full or read-only disk, after which a restart re-triggers
+// line counts the files each signal found and the files whose batch flow
+// failed (they are checkpointed already and named when they fail: rename
+// or touch one to trigger it again), and a checkpoint that cannot be
+// saved — a full or read-only disk, after which a restart re-triggers
 // every file — is logged when it starts failing and when it recovers.
 package main
 
@@ -104,6 +106,10 @@ func main() {
 		log.Fatal(err)
 	}
 	w.Start()
+	// A file is checkpointed when it is announced, before its flow runs
+	// (at-most-once triggering), so a failed batch is never re-announced:
+	// it is named when it fails and counted in the exit line.
+	var failedFiles, failedBatches int
 	// reportCheckpoint logs a failing checkpoint when it starts failing and
 	// when it recovers, not once per batch in between.
 	var checkpointErr error
@@ -121,8 +127,8 @@ func main() {
 		w.Stop()
 		reportCheckpoint()
 		st := w.Stats()
-		fmt.Printf("announced %d file(s) by close notification, %d by scan; %d checkpoint save(s)\n",
-			st.ByNotify, st.ByScan, st.CheckpointSaves)
+		fmt.Printf("announced %d file(s) by close notification, %d by scan; %d checkpoint save(s); %d file(s) in %d failed batch(es) not published\n",
+			st.ByNotify, st.ByScan, st.CheckpointSaves, failedFiles, failedBatches)
 	}()
 	interrupted := make(chan os.Signal, 1)
 	signal.Notify(interrupted, os.Interrupt)
@@ -164,6 +170,10 @@ func main() {
 		reportCheckpoint()
 		if err != nil {
 			log.Printf("flow failed: %v", err)
+			log.Printf("batch #%d not published: %s — already checkpointed — rename or touch to re-trigger",
+				batch.Seq, strings.Join(rels, ", "))
+			failedFiles += len(rels)
+			failedBatches++
 			continue
 		}
 		fmt.Printf("  %s %s in %v; %d records indexed\n",

@@ -6,10 +6,11 @@
 // fused "metadata extraction + image processing in a single function"
 // optimization is expressed as a single registered function.
 //
-// Two executors implement task execution: SchedExecutor runs tasks under
-// the scheduler with a per-function cost model (and can optionally execute
-// the real Go function body too), and LocalExecutor runs real function
-// bodies on a bounded worker pool for live end-to-end flows.
+// Two executors implement task execution: LocalExecutor, here, runs real
+// function bodies on a bounded worker pool for live end-to-end flows; the
+// simulator's SchedExecutor (internal/lab) runs tasks under the scheduler
+// with a per-function cost model (and can optionally execute the real Go
+// function body too).
 package compute
 
 import (
@@ -19,7 +20,6 @@ import (
 	"time"
 
 	"picoprobe/internal/auth"
-	"picoprobe/internal/scheduler"
 )
 
 // Args is the JSON-able argument map passed to functions.
@@ -36,7 +36,7 @@ type Function struct {
 	// scheduler's cache warm-up).
 	Env string
 	// Run is the real implementation, executed by LocalExecutor (and by
-	// SchedExecutor when RunReal is set).
+	// lab.SchedExecutor when RunReal is set).
 	Run func(args Args) (Result, error)
 	// Cost models the node-seconds the function consumes in simulation.
 	Cost func(args Args) time.Duration
@@ -127,41 +127,6 @@ type ExecReport struct {
 	NodeID      int
 	Provisioned bool
 	Warmed      bool
-}
-
-// SchedExecutor executes tasks under the batch scheduler with the
-// function's cost model. With RunReal set it also executes the real
-// function body (results become available at the simulated completion
-// instant).
-type SchedExecutor struct {
-	Sched *scheduler.Scheduler
-	// RunReal executes Function.Run in addition to modeling its cost.
-	RunReal bool
-}
-
-// Exec implements Executor.
-func (e *SchedExecutor) Exec(fn Function, args Args, done func(ExecReport)) {
-	var dur time.Duration
-	if fn.Cost != nil {
-		dur = fn.Cost(args)
-	}
-	err := e.Sched.Submit(fn.Env, dur, func(rep scheduler.JobReport) {
-		out := ExecReport{
-			Started:     rep.Started,
-			NodeID:      rep.NodeID,
-			Provisioned: rep.Provisioned,
-			Warmed:      rep.Warmed,
-		}
-		if e.RunReal && fn.Run != nil {
-			out.Result, out.Err = fn.Run(args)
-		} else {
-			out.Result = Result{}
-		}
-		done(out)
-	})
-	if err != nil {
-		done(ExecReport{Err: err, NodeID: -1})
-	}
 }
 
 // LocalExecutor runs real function bodies on a bounded worker pool. It is

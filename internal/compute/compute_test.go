@@ -7,8 +7,6 @@ import (
 	"time"
 
 	"picoprobe/internal/auth"
-	"picoprobe/internal/scheduler"
-	"picoprobe/internal/sim"
 )
 
 func setup(t *testing.T) (*auth.Issuer, string, *Registry) {
@@ -130,70 +128,6 @@ func TestLocalExecutorBoundedConcurrency(t *testing.T) {
 	}
 	if maxRunning > 2 {
 		t.Errorf("max concurrency = %d, want <= 2", maxRunning)
-	}
-}
-
-func TestSchedExecutorCostModel(t *testing.T) {
-	iss, tok, reg := setup(t)
-	reg.Register(Function{
-		Name: "analysis",
-		Env:  "picoprobe",
-		Cost: func(Args) time.Duration { return 10 * time.Second },
-	})
-	k := sim.NewKernel()
-	sched := scheduler.New(k, scheduler.Config{
-		Nodes: 1, ProvisionDelay: 60 * time.Second, CacheWarmup: 30 * time.Second, ReuseNodes: true,
-	})
-	svc := NewService(iss, reg, &SchedExecutor{Sched: sched}, k.Now)
-	var id1, id2 string
-	k.Spawn("client", func(ctx sim.Context) {
-		id1, _ = svc.Submit(tok, "analysis", nil)
-	})
-	k.Run()
-	v1, _ := svc.Status(tok, id1)
-	if v1.Status != StatusSucceeded {
-		t.Fatalf("task1 = %+v", v1)
-	}
-	if got := v1.Completed.Sub(v1.Submitted); got != 100*time.Second {
-		t.Errorf("task1 elapsed = %v, want 100s (provision+warmup+run)", got)
-	}
-	if !v1.Provisioned || !v1.Warmed || v1.NodeID != 0 {
-		t.Errorf("task1 = %+v", v1)
-	}
-	// Second task reuses the warm node.
-	k.Spawn("client2", func(ctx sim.Context) {
-		id2, _ = svc.Submit(tok, "analysis", nil)
-	})
-	k.Run()
-	v2, _ := svc.Status(tok, id2)
-	if got := v2.Completed.Sub(v2.Submitted); got != 10*time.Second {
-		t.Errorf("task2 elapsed = %v, want 10s", got)
-	}
-	if v2.Provisioned || v2.Warmed {
-		t.Errorf("task2 should reuse: %+v", v2)
-	}
-}
-
-func TestSchedExecutorRunReal(t *testing.T) {
-	iss, tok, reg := setup(t)
-	ran := false
-	reg.Register(Function{
-		Name: "real",
-		Cost: func(Args) time.Duration { return time.Second },
-		Run: func(Args) (Result, error) {
-			ran = true
-			return Result{"ok": true}, nil
-		},
-	})
-	k := sim.NewKernel()
-	sched := scheduler.New(k, scheduler.Config{Nodes: 1, ReuseNodes: true})
-	svc := NewService(iss, reg, &SchedExecutor{Sched: sched, RunReal: true}, k.Now)
-	var id string
-	k.Spawn("c", func(sim.Context) { id, _ = svc.Submit(tok, "real", nil) })
-	k.Run()
-	v, _ := svc.Status(tok, id)
-	if !ran || v.Result["ok"] != true {
-		t.Errorf("real run missing: ran=%v view=%+v", ran, v)
 	}
 }
 

@@ -19,7 +19,6 @@ import (
 	"picoprobe/internal/emd"
 	"picoprobe/internal/imaging"
 	"picoprobe/internal/metadata"
-	"picoprobe/internal/synth"
 	"picoprobe/internal/tensor"
 	"picoprobe/internal/video"
 )
@@ -141,10 +140,10 @@ func AnalyzeHyperspectral(emdPath, outDir string) (*AnalysisOutput, error) {
 	return &AnalysisOutput{Experiment: exp, OutDir: outDir, Composition: composition}, nil
 }
 
-// lineTable caches the synthetic element line-energy catalog, which is
-// static; rebuilding it for every analyzed file showed up in the
-// round-trip allocation profile.
-var lineTable = sync.OnceValue(synth.LineEnergies)
+// lineTable caches the element line-energy catalog, which is static;
+// rebuilding it for every analyzed file showed up in the round-trip
+// allocation profile.
+var lineTable = sync.OnceValue(metadata.LineEnergies)
 
 // streamHyperspectral computes the paper's two Fig 2 reductions — the
 // intensity image (sum over the spectral axis) and the aggregate spectrum

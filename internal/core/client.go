@@ -10,7 +10,6 @@ import (
 	"picoprobe/internal/compute"
 	"picoprobe/internal/detect"
 	"picoprobe/internal/durable"
-	"picoprobe/internal/facility"
 	"picoprobe/internal/flows"
 	"picoprobe/internal/search"
 	"picoprobe/internal/sim"
@@ -177,6 +176,12 @@ type site struct {
 	backend  func(issuer *auth.Issuer, token string) ComputeBackend
 }
 
+// Placement wraps the plain transfer provider and the per-facility
+// compute backends of a multi-facility deployment with providers that
+// decide where each state runs (internal/lab builds one over a facility
+// registry — DESIGN.md §6).
+type Placement func(transfer flows.ActionProvider, backends map[string]ComputeBackend) (flows.ActionProvider, flows.ActionProvider)
+
 // assembly is everything that differs between deployments; assemble
 // supplies the rest. mover and each site's backend are built from the
 // operator credentials because the wire mover and the wire clients
@@ -191,11 +196,11 @@ type assembly struct {
 	policy flows.Policy
 	mover  func(token string) transfer.Mover
 	sites  []site
-	// registry places every transfer and compute state across sites; nil
-	// — the one-facility deployments — registers the plain providers, and
-	// Registry.sticky/landed, which never forget a run, stay off the
-	// long-running watcher's path.
-	registry *facility.Registry
+	// place wraps the plain providers with placement across sites; nil —
+	// the one-facility deployments — registers the plain providers, and a
+	// facility registry's sticky/landed maps, which never forget a run,
+	// stay off the long-running watcher's path.
+	place Placement
 	// wirePaths: see LiveDeployment.wirePaths.
 	wirePaths bool
 }
@@ -270,8 +275,8 @@ func assemble(a assembly) (*LiveDeployment, error) {
 
 	tprov := NewTransferProvider(tsvc)
 	cprov := NewComputeProvider(backends[a.sites[0].endpoint.ID])
-	if a.registry != nil {
-		tprov, cprov = placedProviders(tprov, backends, a.registry)
+	if a.place != nil {
+		tprov, cprov = a.place(tprov, backends)
 	}
 	engine := flows.NewEngine(rt, engineOpts)
 	engine.Restore(dep.restoredRuns)
@@ -341,9 +346,21 @@ func analysisResult(out *AnalysisOutput) (compute.Result, error) {
 	}, nil
 }
 
-// liveTransferState moves the input file from the instrument root to the
+// WithPlacement adds the keys a placement wrapper reads to a state's
+// params: run — the placement key, the run's file — and the input's
+// optional facility pin. The plain providers ignore both, so every flow
+// definition emits them whether or not a registry is underneath.
+func WithPlacement(params, input map[string]any) map[string]any {
+	params["run"] = input["rel_path"]
+	if pin, _ := input["facility"].(string); pin != "" {
+		params["facility"] = pin
+	}
+	return params
+}
+
+// TransferState moves the input file from the instrument root to the
 // Eagle root (under a registry: to wherever placement sends the run).
-func liveTransferState() flows.StateDef {
+func TransferState() flows.StateDef {
 	return flows.StateDef{
 		Name:     "Transfer",
 		Provider: "transfer",
@@ -352,7 +369,7 @@ func liveTransferState() flows.StateDef {
 			// bytes, when the input sizes the file, feeds the placement
 			// estimate and the simulated mover; live movers stat the file.
 			bytes, _ := input["bytes"].(float64)
-			return withPlacement(flows.Pack(TransferParams{
+			return WithPlacement(flows.Pack(TransferParams{
 				Src: EndpointInstrument, Dst: EndpointEagle, RelPath: rel, Bytes: int64(bytes),
 			}), input)
 		},
@@ -372,7 +389,7 @@ func (d *LiveDeployment) liveComputeState(name, fn string, after ...string) flow
 				// What a re-stage would copy, should placement move the run.
 				args["staged_bytes"] = staged
 			}
-			return withPlacement(flows.Pack(ComputeParams{Function: fn, Args: args}), input)
+			return WithPlacement(flows.Pack(ComputeParams{Function: fn, Args: args}), input)
 		},
 	}
 }
@@ -394,11 +411,11 @@ func livePublishState(after ...string) flows.StateDef {
 // from the instrument root to the Eagle root, run the fused analysis
 // function on the landed file, publish the resulting record.
 func (d *LiveDeployment) LiveDefinition(kind string) flows.Definition {
-	name, fn := simFlowName(kind)
+	name, fn := FlowName(kind)
 	return flows.Definition{
 		Name: name,
 		States: []flows.StateDef{
-			liveTransferState(),
+			TransferState(),
 			d.liveComputeState("Analysis", fn),
 			livePublishState(),
 		},
@@ -411,11 +428,11 @@ func (d *LiveDeployment) LiveDefinition(kind string) flows.Definition {
 //
 //	Transfer → {Analysis ∥ Thumbnail} → Publication
 func (d *LiveDeployment) FanOutDefinition(kind string) flows.Definition {
-	name, fn := simFlowName(kind)
+	name, fn := FlowName(kind)
 	return flows.Definition{
 		Name: name + "-fanout",
 		States: []flows.StateDef{
-			liveTransferState(),
+			TransferState(),
 			d.liveComputeState("Analysis", fn, "Transfer"),
 			d.liveComputeState("Thumbnail", FnThumbnail, "Transfer"),
 			livePublishState("Analysis", "Thumbnail"),
@@ -455,14 +472,14 @@ func (d *LiveDeployment) RunFile(kind, relPath string) (flows.RunRecord, error) 
 //
 //	Transfer(all files) → {Analysis-00 ∥ Analysis-01 ∥ …} → Publication
 func (d *LiveDeployment) BatchDefinition(kind string, relPaths []string) flows.Definition {
-	name, fn := simFlowName(kind)
+	name, fn := FlowName(kind)
 	rels := append([]string(nil), relPaths...)
 
 	states := []flows.StateDef{{
 		Name:     "Transfer",
 		Provider: "transfer",
 		Params: func(input map[string]any, _ flows.Results) map[string]any {
-			return withPlacement(flows.Pack(TransferParams{Src: EndpointInstrument, Dst: EndpointEagle, RelPaths: rels}), input)
+			return WithPlacement(flows.Pack(TransferParams{Src: EndpointInstrument, Dst: EndpointEagle, RelPaths: rels}), input)
 		},
 	}}
 	analyses := make([]string, len(rels))
@@ -475,7 +492,7 @@ func (d *LiveDeployment) BatchDefinition(kind string, relPaths []string) flows.D
 			Provider: "compute",
 			After:    []string{"Transfer"},
 			Params: func(input map[string]any, _ flows.Results) map[string]any {
-				return withPlacement(flows.Pack(ComputeParams{Function: fn, Args: compute.Args{"path": path}}), input)
+				return WithPlacement(flows.Pack(ComputeParams{Function: fn, Args: compute.Args{"path": path}}), input)
 			},
 		})
 	}

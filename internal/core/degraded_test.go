@@ -1,9 +1,11 @@
-package core
+package core_test
 
 import (
 	"testing"
 
+	"picoprobe/internal/core"
 	"picoprobe/internal/flows"
+	"picoprobe/internal/lab"
 )
 
 // TestFederatedDegradedSheddingBeatsStatic drives the WAN-squall
@@ -13,16 +15,16 @@ import (
 // probe arm sheds the degraded path: every run completes with zero
 // transfer timeouts and a far lower p95 queue wait.
 func TestFederatedDegradedSheddingBeatsStatic(t *testing.T) {
-	static, err := RunFederatedExperiment(FederatedDegradedScenario(false))
+	static, err := lab.RunFederatedExperiment(lab.FederatedDegradedScenario(false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	probe, err := RunFederatedExperiment(FederatedDegradedScenario(true))
+	probe, err := lab.RunFederatedExperiment(lab.FederatedDegradedScenario(true))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	countFailed := func(res *FederatedResult) int {
+	countFailed := func(res *lab.FederatedResult) int {
 		n := 0
 		for _, r := range res.Runs {
 			if r.Status != flows.StateSucceeded {
@@ -67,9 +69,9 @@ func TestFederatedDegradedSheddingBeatsStatic(t *testing.T) {
 			probe.QueueWaitP95, static.QueueWaitP95)
 	}
 	// Fewer runs land on the squalled primary when its path is scored.
-	if probe.Placement.RunsByFacility[EndpointEagle] >= static.Placement.RunsByFacility[EndpointEagle] {
+	if probe.Placement.RunsByFacility[core.EndpointEagle] >= static.Placement.RunsByFacility[core.EndpointEagle] {
 		t.Errorf("primary placements: probe %d vs static %d — shedding should reduce them",
-			probe.Placement.RunsByFacility[EndpointEagle], static.Placement.RunsByFacility[EndpointEagle])
+			probe.Placement.RunsByFacility[core.EndpointEagle], static.Placement.RunsByFacility[core.EndpointEagle])
 	}
 
 	// Quality blocks surface in the probe arm's snapshots and stay nil in
@@ -90,11 +92,11 @@ func TestFederatedDegradedSheddingBeatsStatic(t *testing.T) {
 // degradation, probe, shedding and adaptive-transfer machinery: two
 // identical probe-arm runs produce identical timelines.
 func TestFederatedDegradedDeterministic(t *testing.T) {
-	a, err := RunFederatedExperiment(FederatedDegradedScenario(true))
+	a, err := lab.RunFederatedExperiment(lab.FederatedDegradedScenario(true))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunFederatedExperiment(FederatedDegradedScenario(true))
+	b, err := lab.RunFederatedExperiment(lab.FederatedDegradedScenario(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,13 +121,13 @@ func TestFederatedDegradedDeterministic(t *testing.T) {
 // kernel events and measured-goodput ECT refinement (goodput capped by
 // the stream cap on a healthy path) must be invisible.
 func TestFederatedObserveOnlyProbingKeepsTimelines(t *testing.T) {
-	cfg := FederationContentionScenario(false)
-	base, err := RunFederatedExperiment(cfg)
+	cfg := lab.FederationContentionScenario(false)
+	base, err := lab.RunFederatedExperiment(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Probe = &ProbeConfig{} // observe-only: LowWater 0, no tuners
-	probed, err := RunFederatedExperiment(cfg)
+	cfg.Probe = &lab.ProbeConfig{} // observe-only: LowWater 0, no tuners
+	probed, err := lab.RunFederatedExperiment(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +178,7 @@ func TestFederatedObserveOnlyProbingKeepsTimelines(t *testing.T) {
 // probe arm's END-of-run snapshot (post-squall) must show the primary
 // recovered — degradation must not leak past its window.
 func TestDegradedScenarioSquallIsProbeVisible(t *testing.T) {
-	res, err := RunFederatedExperiment(FederatedDegradedScenario(true))
+	res, err := lab.RunFederatedExperiment(lab.FederatedDegradedScenario(true))
 	if err != nil {
 		t.Fatal(err)
 	}

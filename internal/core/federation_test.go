@@ -1,10 +1,12 @@
-package core
+package core_test
 
 import (
 	"testing"
 	"time"
 
+	"picoprobe/internal/core"
 	"picoprobe/internal/flows"
+	"picoprobe/internal/lab"
 )
 
 // TestFederatedDegeneracyN1 is the federation layer's load-bearing
@@ -19,45 +21,45 @@ import (
 func TestFederatedDegeneracyN1(t *testing.T) {
 	cases := []struct {
 		name string
-		cfg  ExperimentConfig
+		cfg  lab.ExperimentConfig
 	}{
-		{"hyperspectral", shortExperiment(HyperspectralExperiment(), 15*time.Minute)},
-		{"spatiotemporal", shortExperiment(SpatiotemporalExperiment(), 15*time.Minute)},
-		{"split", func() ExperimentConfig {
-			c := shortExperiment(HyperspectralExperiment(), 15*time.Minute)
+		{"hyperspectral", shortExperiment(lab.HyperspectralExperiment(), 15*time.Minute)},
+		{"spatiotemporal", shortExperiment(lab.SpatiotemporalExperiment(), 15*time.Minute)},
+		{"split", func() lab.ExperimentConfig {
+			c := shortExperiment(lab.HyperspectralExperiment(), 15*time.Minute)
 			c.SplitCompute = true
 			return c
 		}()},
-		{"fanout", func() ExperimentConfig {
-			c := shortExperiment(HyperspectralExperiment(), 15*time.Minute)
+		{"fanout", func() lab.ExperimentConfig {
+			c := shortExperiment(lab.HyperspectralExperiment(), 15*time.Minute)
 			c.FanOut = true
 			return c
 		}()},
-		{"compressed", func() ExperimentConfig {
-			c := shortExperiment(SpatiotemporalExperiment(), 15*time.Minute)
+		{"compressed", func() lab.ExperimentConfig {
+			c := shortExperiment(lab.SpatiotemporalExperiment(), 15*time.Minute)
 			c.CompressionRatio = 0.25
 			return c
 		}()},
-		{"parallel-streams", func() ExperimentConfig {
-			c := shortExperiment(SpatiotemporalExperiment(), 15*time.Minute)
+		{"parallel-streams", func() lab.ExperimentConfig {
+			c := shortExperiment(lab.SpatiotemporalExperiment(), 15*time.Minute)
 			c.ParallelStreams = 4
 			return c
 		}()},
-		{"noreuse", func() ExperimentConfig {
-			c := shortExperiment(HyperspectralExperiment(), 15*time.Minute)
+		{"noreuse", func() lab.ExperimentConfig {
+			c := shortExperiment(lab.HyperspectralExperiment(), 15*time.Minute)
 			c.DisableNodeReuse = true
 			return c
 		}()},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			base, err := RunExperiment(tc.cfg)
+			base, err := lab.RunExperiment(tc.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			fed, err := RunFederatedExperiment(FederatedConfig{
+			fed, err := lab.RunFederatedExperiment(lab.FederatedConfig{
 				ExperimentConfig: tc.cfg,
-				Facilities:       DefaultFederationSpecs(1),
+				Facilities:       lab.DefaultFederationSpecs(1),
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -91,7 +93,7 @@ func TestFederatedDegeneracyN1(t *testing.T) {
 			if fed.Placement.Failovers != 0 {
 				t.Errorf("N=1 federation failed over %d times", fed.Placement.Failovers)
 			}
-			if got := fed.Placement.RunsByFacility[EndpointEagle]; got != len(fed.Runs) {
+			if got := fed.Placement.RunsByFacility[core.EndpointEagle]; got != len(fed.Runs) {
 				t.Errorf("placements at the lone facility = %d, runs = %d", got, len(fed.Runs))
 			}
 		})
@@ -104,14 +106,14 @@ func TestFederatedDegeneracyN1(t *testing.T) {
 // re-staging their data), every run must still succeed, and the pacing —
 // hence the Table 1 run count — must be unchanged.
 func TestFederatedScenarioFailsOver(t *testing.T) {
-	cfg := FederatedScenario()
-	res, err := RunFederatedExperiment(cfg)
+	cfg := lab.FederatedScenario()
+	res, err := lab.RunFederatedExperiment(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Pacing unchanged: the paper's 72 hyperspectral runs.
-	if got := res.Table1().TotalRuns; got != PaperTable1Hyperspectral.TotalRuns {
-		t.Errorf("total runs = %d, want %d", got, PaperTable1Hyperspectral.TotalRuns)
+	if got := res.Table1().TotalRuns; got != lab.PaperTable1Hyperspectral.TotalRuns {
+		t.Errorf("total runs = %d, want %d", got, lab.PaperTable1Hyperspectral.TotalRuns)
 	}
 	for _, run := range res.Runs {
 		if run.Status != flows.StateSucceeded {
@@ -122,7 +124,7 @@ func TestFederatedScenarioFailsOver(t *testing.T) {
 	if st.Failovers == 0 || st.OutageFailovers == 0 {
 		t.Fatalf("no outage failovers recorded: %+v", st)
 	}
-	if st.FailoversFrom[EndpointEagle] == 0 {
+	if st.FailoversFrom[core.EndpointEagle] == 0 {
 		t.Errorf("failovers should leave the primary: %+v", st.FailoversFrom)
 	}
 	used := 0
@@ -147,11 +149,11 @@ func TestFederatedScenarioFailsOver(t *testing.T) {
 // compute queue waits than pinning every flow to one facility of the same
 // total capacity.
 func TestFederatedBeatsPinnedQueueWait(t *testing.T) {
-	pinned, err := RunFederatedExperiment(FederationContentionScenario(true))
+	pinned, err := lab.RunFederatedExperiment(lab.FederationContentionScenario(true))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fed, err := RunFederatedExperiment(FederationContentionScenario(false))
+	fed, err := lab.RunFederatedExperiment(lab.FederationContentionScenario(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,10 +168,10 @@ func TestFederatedBeatsPinnedQueueWait(t *testing.T) {
 	}
 	// The pinned baseline must actually have routed everything to one
 	// facility.
-	if n := pinned.Placement.RunsByFacility[EndpointEagle]; n != len(pinned.Runs) {
+	if n := pinned.Placement.RunsByFacility[core.EndpointEagle]; n != len(pinned.Runs) {
 		t.Errorf("pinned baseline spread load: %+v", pinned.Placement.RunsByFacility)
 	}
-	if n := fed.Placement.RunsByFacility[EndpointEagle]; n == len(fed.Runs) {
+	if n := fed.Placement.RunsByFacility[core.EndpointEagle]; n == len(fed.Runs) {
 		t.Error("federated run never left the first facility")
 	}
 }

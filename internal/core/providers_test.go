@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"encoding/json"
@@ -7,7 +7,9 @@ import (
 
 	"picoprobe/internal/auth"
 	"picoprobe/internal/compute"
+	"picoprobe/internal/core"
 	"picoprobe/internal/flows"
+	"picoprobe/internal/lab"
 	"picoprobe/internal/netsim"
 	"picoprobe/internal/scheduler"
 	"picoprobe/internal/search"
@@ -29,7 +31,7 @@ func simWorld(t *testing.T) (*sim.Kernel, *auth.Issuer, string) {
 func TestTransferProviderParamValidation(t *testing.T) {
 	k, issuer, token := simWorld(t)
 	svc := transfer.NewService(issuer, &transfer.LiveMover{}, k.Now, transfer.Options{})
-	p := NewTransferProvider(svc)
+	p := core.NewTransferProvider(svc)
 	if p.Name() != "transfer" {
 		t.Error("name")
 	}
@@ -48,7 +50,7 @@ func TestTransferProviderLifecycle(t *testing.T) {
 	svc := transfer.NewService(issuer, mover, k.Now, transfer.Options{})
 	svc.RegisterEndpoint(transfer.Endpoint{ID: "src"})
 	svc.RegisterEndpoint(transfer.Endpoint{ID: "dst"})
-	p := NewTransferProvider(svc)
+	p := core.NewTransferProvider(svc)
 
 	var id string
 	k.Spawn("client", func(ctx sim.Context) {
@@ -85,14 +87,14 @@ func TestTransferProviderLifecycle(t *testing.T) {
 }
 
 // newTestMover builds a SimMover over a tiny one-link network.
-func newTestMover(k *sim.Kernel) *transfer.SimMover {
+func newTestMover(k *sim.Kernel) *lab.SimMover {
 	net := netsim.New(k)
 	link := net.AddLink("l", 1e9)
-	return &transfer.SimMover{
+	return &lab.SimMover{
 		Kernel:  k,
 		Network: net,
-		RouteFor: func(src, dst *transfer.Endpoint) transfer.Route {
-			return transfer.Route{Path: []*netsim.Link{link}}
+		RouteFor: func(src, dst *transfer.Endpoint) lab.Route {
+			return lab.Route{Path: []*netsim.Link{link}}
 		},
 	}
 }
@@ -106,8 +108,8 @@ func TestComputeProviderLifecycle(t *testing.T) {
 		Cost: func(compute.Args) time.Duration { return time.Second },
 	})
 	sched := scheduler.New(k, scheduler.Config{Nodes: 1, ReuseNodes: true})
-	svc := compute.NewService(issuer, reg, &compute.SchedExecutor{Sched: sched}, k.Now)
-	p := NewComputeProvider(svc)
+	svc := compute.NewService(issuer, reg, &lab.SchedExecutor{Sched: sched}, k.Now)
+	p := core.NewComputeProvider(svc)
 	if p.Name() != "compute" {
 		t.Error("name")
 	}
@@ -134,7 +136,7 @@ func TestComputeProviderLifecycle(t *testing.T) {
 func TestSearchProviderIngestAndACL(t *testing.T) {
 	k, issuer, token := simWorld(t)
 	index := search.NewIndex()
-	p := NewSearchProvider(k, issuer, index, 500*time.Millisecond)
+	p := core.NewSearchProvider(k, issuer, index, 500*time.Millisecond)
 	if p.Name() != "search" {
 		t.Error("name")
 	}
@@ -199,7 +201,7 @@ func TestPublicationActiveWindowCoversIngest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := NewSearchProvider(rt, issuer, slowCatalog{delay}, 0)
+	p := core.NewSearchProvider(rt, issuer, slowCatalog{delay}, 0)
 	raw, _ := json.Marshal(search.Entry{ID: "rec-1", Text: "slow ingest", Date: time.Now()})
 	id, err := p.Invoke(token, map[string]any{"entry_json": string(raw)})
 	if err != nil {

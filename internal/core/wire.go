@@ -10,7 +10,6 @@ import (
 
 	"picoprobe/internal/auth"
 	"picoprobe/internal/compute"
-	"picoprobe/internal/facility"
 	"picoprobe/internal/flows"
 	"picoprobe/internal/transfer"
 	"picoprobe/internal/wire"
@@ -65,15 +64,16 @@ func NewWireDeployment(opts WireOptions) (*LiveDeployment, error) {
 	// The destination endpoint's Root carries the daemon address — the
 	// wire mover's one deviation from the live mover's filesystem view.
 	daemon := transfer.Endpoint{ID: EndpointEagle, Name: "Facility daemon", Root: opts.DaemonAddr}
-	dep, _, err := newWireDeployment(opts, []transfer.Endpoint{daemon}, nil)
+	dep, _, err := NewWireFederation(opts, []transfer.Endpoint{daemon}, nil)
 	return dep, err
 }
 
-// newWireDeployment assembles the acquisition side against one daemon
+// NewWireFederation assembles the acquisition side against one daemon
 // per endpoint (Root = host:port; opts.DaemonAddr is not read). With
-// more than one, reg places each state among them. The returned func
-// closes the mover's and the compute backends' pooled connections.
-func newWireDeployment(opts WireOptions, daemons []transfer.Endpoint, reg *facility.Registry) (*LiveDeployment, func(), error) {
+// more than one, place decides where each state runs among them. The
+// returned func closes the mover's and the compute backends' pooled
+// connections.
+func NewWireFederation(opts WireOptions, daemons []transfer.Endpoint, place Placement) (*LiveDeployment, func(), error) {
 	if err := os.MkdirAll(opts.InstrumentRoot, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("core: %w", err)
 	}
@@ -92,7 +92,7 @@ func newWireDeployment(opts WireOptions, daemons []transfer.Endpoint, reg *facil
 		secret:    secret,
 		options:   LiveOptions{InstrumentRoot: opts.InstrumentRoot, TransferChunkBytes: chunkBytes, TransferStreams: streams},
 		policy:    opts.Policy,
-		registry:  reg,
+		place:     place,
 		wirePaths: true,
 		mover: func(token string) transfer.Mover {
 			m := &transfer.WireMover{

@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"os"
@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"picoprobe/internal/flows"
+	"picoprobe/internal/lab"
 )
 
 // TestWireCampaign drives the -wire experiment end to end: two facility
@@ -13,7 +14,7 @@ import (
 // link probing and heartbeat monitoring attached.
 func TestWireCampaign(t *testing.T) {
 	const facilities, files = 2, 4
-	res, err := RunWireCampaign(WireCampaignConfig{
+	res, err := lab.RunWireCampaign(lab.WireCampaignConfig{
 		Facilities: facilities,
 		Files:      files,
 		Probe:      true,
@@ -83,7 +84,7 @@ func TestWireCampaign(t *testing.T) {
 		t.Errorf("placement = %+v, want >= %d decisions and no failover", res.Placement, 2*files)
 	}
 
-	if FormatWireCampaign(res) == "" {
+	if lab.FormatWireCampaign(res) == "" {
 		t.Error("FormatWireCampaign rendered nothing")
 	}
 }

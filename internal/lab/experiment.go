@@ -1,19 +1,14 @@
-package core
+package lab
 
 import (
 	"fmt"
 	"math/rand"
 	"time"
 
+	"picoprobe/internal/core"
 	"picoprobe/internal/flows"
 	"picoprobe/internal/scheduler"
 	"picoprobe/internal/stats"
-)
-
-// Endpoint IDs of the simulated deployment.
-const (
-	EndpointInstrument = "picoprobe-user"
-	EndpointEagle      = "alcf-eagle"
 )
 
 // ExperimentConfig parameterizes one simulated 1-hour evaluation run (the
@@ -230,15 +225,6 @@ func RunExperiment(cfg ExperimentConfig) (*ExperimentResult, error) {
 	return &res.ExperimentResult, nil
 }
 
-// simFlowName returns the flow and fused-analysis function names for one
-// use case.
-func simFlowName(kind string) (flowName, fn string) {
-	if kind == "spatiotemporal" {
-		return FlowSpatiotemporal, FnSpatiotemporal
-	}
-	return FlowHyperspectral, FnHyperspectral
-}
-
 // simPublishState is the shared Data Publication step.
 func simPublishState(kind string, after ...string) flows.StateDef {
 	return flows.StateDef{
@@ -248,7 +234,7 @@ func simPublishState(kind string, after ...string) flows.StateDef {
 		Params: func(input map[string]any, _ flows.Results) map[string]any {
 			entry := fmt.Sprintf(`{"id":"sim-%s-%v","text":"%s simulated run","date":%q,"fields":{"kind":%q}}`,
 				kind, input["run_idx"], kind, input["started"], kind)
-			return flows.Pack(SearchParams{EntryJSON: entry})
+			return flows.Pack(core.SearchParams{EntryJSON: entry})
 		},
 	}
 }

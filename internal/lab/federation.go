@@ -1,4 +1,4 @@
-package core
+package lab
 
 import (
 	"fmt"
@@ -9,6 +9,7 @@ import (
 
 	"picoprobe/internal/auth"
 	"picoprobe/internal/compute"
+	"picoprobe/internal/core"
 	"picoprobe/internal/facility"
 	"picoprobe/internal/flows"
 	"picoprobe/internal/netprobe"
@@ -68,7 +69,7 @@ type FacilitySpec struct {
 // clamped to [1, 3].
 func DefaultFederationSpecs(n int) []FacilitySpec {
 	specs := []FacilitySpec{
-		{ID: EndpointEagle, Name: "ALCF Eagle/Polaris"},
+		{ID: core.EndpointEagle, Name: "ALCF Eagle/Polaris"},
 		{ID: "olcf-orion", Name: "OLCF Orion", WanBps: 400e6, StreamCapBps: 60e6},
 		{ID: "nersc-pscratch", Name: "NERSC Perlmutter", WanBps: 250e6, StreamCapBps: 40e6},
 	}
@@ -142,7 +143,7 @@ func FederationContentionScenario(pin bool) FederatedConfig {
 	p.CycleFixed = 2 * time.Second
 	base.Profile = p
 	specs := []FacilitySpec{
-		{ID: EndpointEagle, Name: "ALCF Eagle/Polaris", Nodes: 1},
+		{ID: core.EndpointEagle, Name: "ALCF Eagle/Polaris", Nodes: 1},
 		{ID: "olcf-orion", Name: "OLCF Orion", Nodes: 1},
 		{ID: "nersc-pscratch", Name: "NERSC Perlmutter", Nodes: 1},
 	}
@@ -191,7 +192,7 @@ func FederatedDegradedScenario(probe bool) FederatedConfig {
 		ExtraRTT:       150 * time.Millisecond,
 	}
 	specs := []FacilitySpec{
-		{ID: EndpointEagle, Name: "ALCF Eagle/Polaris", Nodes: 2, WanBps: 1e9,
+		{ID: core.EndpointEagle, Name: "ALCF Eagle/Polaris", Nodes: 2, WanBps: 1e9,
 			BaseRTT: 2 * time.Millisecond, Squalls: []SquallSpec{squall}},
 		{ID: "olcf-orion", Name: "OLCF Orion", Nodes: 2, WanBps: 1e9,
 			BaseRTT: 14 * time.Millisecond},
@@ -238,7 +239,7 @@ type FederatedResult struct {
 // optionally constrains it to one facility, timeout bounds one attempt
 // and retries overrides the engine's retry budget (0 inherits).
 func fedTransferState(pin string, timeout time.Duration, retries int) flows.StateDef {
-	st := liveTransferState()
+	st := core.TransferState()
 	st.Facility, st.Timeout, st.Retries = pin, timeout, retries
 	return st
 }
@@ -259,7 +260,7 @@ func fedComputeState(name, fn, pin string, after ...string) flows.StateDef {
 			}
 			// staged_bytes is what the transfer actually moved (wire
 			// bytes, post-compression) — the volume a re-stage would copy.
-			return withPlacement(flows.Pack(ComputeParams{
+			return core.WithPlacement(flows.Pack(core.ComputeParams{
 				Function: fn,
 				Args:     compute.Args{"bytes": bytes, "rel_path": rel, "staged_bytes": input["bytes"]},
 			}), input)
@@ -272,7 +273,7 @@ func fedComputeState(name, fn, pin string, after ...string) flows.StateDef {
 // all over placed (federated) transfer and compute states. The shapes and
 // state names match the single-facility definitions exactly.
 func fedDefinition(cfg FederatedConfig) flows.Definition {
-	flowName, fn := simFlowName(cfg.Kind)
+	flowName, fn := core.FlowName(cfg.Kind)
 	pin := cfg.PinTo
 	switch {
 	case cfg.FanOut:
@@ -281,20 +282,20 @@ func fedDefinition(cfg FederatedConfig) flows.Definition {
 			States: []flows.StateDef{
 				fedTransferState(pin, cfg.TransferTimeout, cfg.TransferRetries),
 				fedComputeState("Analysis", fn, pin, "Transfer"),
-				fedComputeState("Thumbnail", FnThumbnail, pin, "Transfer"),
+				fedComputeState("Thumbnail", core.FnThumbnail, pin, "Transfer"),
 				simPublishState(cfg.Kind, "Analysis", "Thumbnail"),
 			},
 		}
 	case cfg.SplitCompute:
-		imageFn := FnImageOnlyHS
+		imageFn := core.FnImageOnlyHS
 		if cfg.Kind == "spatiotemporal" {
-			imageFn = FnSpatiotemporal
+			imageFn = core.FnSpatiotemporal
 		}
 		return flows.Definition{
 			Name: flowName + "-split",
 			States: []flows.StateDef{
 				fedTransferState(pin, cfg.TransferTimeout, cfg.TransferRetries),
-				fedComputeState("MetadataExtraction", FnMetadataOnly, pin),
+				fedComputeState("MetadataExtraction", core.FnMetadataOnly, pin),
 				fedComputeState("Analysis", imageFn, pin),
 				simPublishState(cfg.Kind),
 			},
@@ -445,12 +446,12 @@ func RunFederatedExperiment(cfg FederatedConfig) (*FederatedResult, error) {
 	}
 
 	txJitter := &jitterSource{rng: rand.New(rand.NewSource(p.JitterSeed)), width: p.TransferJitter}
-	mover := &transfer.SimMover{
+	mover := &SimMover{
 		Kernel:  k,
 		Network: net,
-		RouteFor: func(src, dst *transfer.Endpoint) transfer.Route {
+		RouteFor: func(src, dst *transfer.Endpoint) Route {
 			fac := byEndpoint[dst.ID]
-			route := transfer.Route{
+			route := Route{
 				Path:       fac.Path(),
 				StreamCap:  fac.StreamCap() * txJitter.factor(),
 				SetupTime:  fac.TransferSetup(),
@@ -464,7 +465,7 @@ func RunFederatedExperiment(cfg FederatedConfig) (*FederatedResult, error) {
 		},
 	}
 	tsvc := transfer.NewService(issuer, mover, k.Now, transfer.Options{})
-	tsvc.RegisterEndpoint(transfer.Endpoint{ID: EndpointInstrument, Name: "PicoProbe user machine"})
+	tsvc.RegisterEndpoint(transfer.Endpoint{ID: core.EndpointInstrument, Name: "PicoProbe user machine"})
 	for _, fac := range reg.Facilities() {
 		tsvc.RegisterEndpoint(transfer.Endpoint{ID: fac.Endpoint(), Name: fac.Name()})
 	}
@@ -481,18 +482,18 @@ func RunFederatedExperiment(cfg FederatedConfig) (*FederatedResult, error) {
 			return time.Duration(float64(d) * cmpJitter.factor())
 		}
 	}
-	registry.Register(compute.Function{Name: FnHyperspectral, Env: ComputeEnv, Cost: costFor(p.HyperspectralBps)})
-	registry.Register(compute.Function{Name: FnSpatiotemporal, Env: ComputeEnv, Cost: costFor(p.SpatiotemporalBps)})
-	registry.Register(compute.Function{Name: FnMetadataOnly, Env: ComputeEnv, Cost: costFor(p.MetadataOnlyBps)})
-	registry.Register(compute.Function{Name: FnImageOnlyHS, Env: ComputeEnv, Cost: costFor(p.HyperspectralBps)})
-	registry.Register(compute.Function{Name: FnThumbnail, Env: ComputeEnv, Cost: costFor(p.ThumbnailBps)})
-	csvcs := map[string]ComputeBackend{}
+	registry.Register(compute.Function{Name: core.FnHyperspectral, Env: core.ComputeEnv, Cost: costFor(p.HyperspectralBps)})
+	registry.Register(compute.Function{Name: core.FnSpatiotemporal, Env: core.ComputeEnv, Cost: costFor(p.SpatiotemporalBps)})
+	registry.Register(compute.Function{Name: core.FnMetadataOnly, Env: core.ComputeEnv, Cost: costFor(p.MetadataOnlyBps)})
+	registry.Register(compute.Function{Name: core.FnImageOnlyHS, Env: core.ComputeEnv, Cost: costFor(p.HyperspectralBps)})
+	registry.Register(compute.Function{Name: core.FnThumbnail, Env: core.ComputeEnv, Cost: costFor(p.ThumbnailBps)})
+	csvcs := map[string]core.ComputeBackend{}
 	for _, fac := range reg.Facilities() {
-		csvcs[fac.ID()] = compute.NewService(issuer, registry, &compute.SchedExecutor{Sched: fac.Sched}, k.Now)
+		csvcs[fac.ID()] = compute.NewService(issuer, registry, &SchedExecutor{Sched: fac.Sched}, k.Now)
 	}
 
 	index := search.NewIndex()
-	sprov := NewSearchProvider(k, issuer, index, p.PublishCost)
+	sprov := core.NewSearchProvider(k, issuer, index, p.PublishCost)
 
 	engine := flows.NewEngine(k, flows.Options{
 		Policy:          cfg.Policy,
@@ -500,7 +501,7 @@ func RunFederatedExperiment(cfg FederatedConfig) (*FederatedResult, error) {
 		StatusLatency:   p.StatusLatency,
 		MaxStateRetries: 2,
 	})
-	tprov, cprov := placedProviders(NewTransferProvider(tsvc), csvcs, reg)
+	tprov, cprov := placedProviders(core.NewTransferProvider(tsvc), csvcs, reg)
 	engine.RegisterProvider(tprov)
 	engine.RegisterProvider(cprov)
 	engine.RegisterProvider(sprov)

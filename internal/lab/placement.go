@@ -1,4 +1,4 @@
-package core
+package lab
 
 import (
 	"fmt"
@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"picoprobe/internal/compute"
+	"picoprobe/internal/core"
 	"picoprobe/internal/facility"
 	"picoprobe/internal/flows"
 )
@@ -177,23 +178,11 @@ func (c *placedCompute) Status(token, actionID string) (flows.ActionStatus, erro
 
 // placedProviders wraps the plain transfer provider and one plain compute
 // provider per facility backend with placement by reg.
-func placedProviders(transfer flows.ActionProvider, backends map[string]ComputeBackend, reg *facility.Registry) (flows.ActionProvider, flows.ActionProvider) {
+func placedProviders(transfer flows.ActionProvider, backends map[string]core.ComputeBackend, reg *facility.Registry) (flows.ActionProvider, flows.ActionProvider) {
 	inner := make(map[string]flows.ActionProvider, len(backends))
 	for id, b := range backends {
-		inner[id] = NewComputeProvider(b)
+		inner[id] = core.NewComputeProvider(b)
 	}
 	return &placedTransfer{placer{reg: reg, notes: map[string]map[string]any{}}, transfer},
 		&placedCompute{placer{reg: reg, notes: map[string]map[string]any{}}, inner}
-}
-
-// withPlacement adds the keys the placement wrapper reads to a state's
-// params: run — the placement key, the run's file — and the input's
-// optional facility pin. The plain providers ignore both, so every flow
-// definition emits them whether or not a registry is underneath.
-func withPlacement(params, input map[string]any) map[string]any {
-	params["run"] = input["rel_path"]
-	if pin, _ := input["facility"].(string); pin != "" {
-		params["facility"] = pin
-	}
-	return params
 }

@@ -1,4 +1,4 @@
-package core
+package lab
 
 import (
 	"math/rand"

@@ -1,14 +1,17 @@
-// Package core is the paper's contribution: the software architecture
-// linking the Dynamic PicoProbe to supercomputers. It wires the substrate
-// services (transfer, compute, search, flows) into the two production data
-// flows — hyperspectral and spatiotemporal — provides the real analysis
-// functions those flows execute, and contains the experiment harness that
-// regenerates the paper's evaluation (Table 1 and Fig 4). The simulated
+// Package lab is the laboratory side of the tree: everything that
+// evaluates the production assembly (internal/core) instead of being it.
+// It holds the discrete-event experiment harness that regenerates the
+// paper's evaluation (Table 1 and Fig 4) with its calibrated deployment
+// profile, the simulated movers and executors it runs on (SimMover,
+// SchedExecutor), the placement wrapper only multi-facility deployments
+// construct, and the wire campaign over localhost daemons. The simulated
 // harness is federated (RunFederatedExperiment): N facilities share the
 // flow load through queue-wait-aware placement with sticky runs, failover
 // and re-stage accounting, and RunExperiment is its bit-identical N=1
-// degenerate case.
-package core
+// degenerate case. Only picoprobe-experiment and picoprobe-portal link
+// this package; picoprobe-watch and picoprobe-facilityd must not
+// (`make depcheck`).
+package lab
 
 import "time"
 
@@ -152,16 +155,3 @@ const HyperspectralFileBytes = 91_000_000
 // SpatiotemporalFileBytes is the paper's spatiotemporal EMD file size
 // (Table 1: 1200 MB).
 const SpatiotemporalFileBytes = 1_200_000_000
-
-// Flow and function names.
-const (
-	FlowHyperspectral  = "picoprobe-hyperspectral"
-	FlowSpatiotemporal = "picoprobe-spatiotemporal"
-
-	FnHyperspectral  = "picoprobe_hyperspectral_analysis"
-	FnSpatiotemporal = "picoprobe_spatiotemporal_inference"
-	FnMetadataOnly   = "picoprobe_metadata_extraction"
-	FnImageOnlyHS    = "picoprobe_hyperspectral_image_only"
-	FnThumbnail      = "picoprobe_thumbnail_render"
-	ComputeEnv       = "picoprobe-analysis"
-)

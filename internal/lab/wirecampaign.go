@@ -1,4 +1,4 @@
-package core
+package lab
 
 import (
 	"fmt"
@@ -11,6 +11,7 @@ import (
 
 	"picoprobe/internal/auth"
 	"picoprobe/internal/compute"
+	"picoprobe/internal/core"
 	"picoprobe/internal/detect"
 	"picoprobe/internal/facility"
 	"picoprobe/internal/flows"
@@ -112,7 +113,7 @@ func RunWireCampaign(cfg WireCampaignConfig) (*WireCampaignResult, error) {
 	// monitor and prober read it.
 	rt := sim.NewLiveRuntime(1)
 	reg := facility.NewRegistry(rt, 0)
-	issuer := auth.NewIssuer([]byte(WireSecretDefault), nil)
+	issuer := auth.NewIssuer([]byte(core.WireSecretDefault), nil)
 	var daemons []transfer.Endpoint
 	var faults *netfault.Faults
 	for i := 0; i < cfg.Facilities; i++ {
@@ -123,7 +124,7 @@ func RunWireCampaign(cfg WireCampaignConfig) (*WireCampaignResult, error) {
 			return nil, err
 		}
 		registry := compute.NewRegistry()
-		RegisterAnalysisFunctions(registry, outDir, detect.DefaultParams())
+		core.RegisterAnalysisFunctions(registry, outDir, detect.DefaultParams())
 		csvc := compute.NewService(issuer, registry, compute.NewLocalExecutor(2, nil), time.Now)
 		ctoken, err := issuer.Issue("facilityd@"+id, []string{auth.ScopeCompute}, 24*time.Hour)
 		if err != nil {
@@ -164,12 +165,14 @@ func RunWireCampaign(cfg WireCampaignConfig) (*WireCampaignResult, error) {
 	// registry placing each transfer and compute state. The synthetic
 	// acquisitions are small, so the campaign frames them small too: a
 	// file still crosses the wire as several chunks over two sessions.
-	dep, closeWire, err := newWireDeployment(WireOptions{
+	dep, closeWire, err := core.NewWireFederation(core.WireOptions{
 		InstrumentRoot:     instrument,
 		Policy:             flows.Push{Latency: 5 * time.Millisecond},
 		TransferChunkBytes: 256 << 10,
 		TransferStreams:    2,
-	}, daemons, reg)
+	}, daemons, func(t flows.ActionProvider, backends map[string]core.ComputeBackend) (flows.ActionProvider, flows.ActionProvider) {
+		return placedProviders(t, backends, reg)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -205,7 +208,7 @@ func RunWireCampaign(cfg WireCampaignConfig) (*WireCampaignResult, error) {
 	if cfg.Probe {
 		prober = netprobe.New(rt, netprobe.Config{Interval: 100 * time.Millisecond, WindowSamples: 3})
 		for _, d := range daemons {
-			if _, err := prober.Register(d.ID, wire.NewProbeTarget(d.Root, token)); err != nil {
+			if _, err := prober.Register(d.ID, NewProbeTarget(d.Root, token)); err != nil {
 				return nil, err
 			}
 		}

@@ -1,9 +1,10 @@
-package wire
+package lab
 
 import (
 	"time"
 
 	"picoprobe/internal/netprobe"
+	"picoprobe/internal/wire"
 )
 
 // DefaultProbeFill is the opaque payload a ProbeTarget requests per
@@ -20,7 +21,7 @@ type ProbeTarget struct {
 	// Client talks to the daemon. Give it a short Timeout (seconds, not
 	// DefaultTimeout) so a dead facility costs one probe interval, not
 	// thirty.
-	Client *Client
+	Client *wire.Client
 	// Fill is the goodput payload size (0 = DefaultProbeFill).
 	Fill int
 }
@@ -28,7 +29,7 @@ type ProbeTarget struct {
 // NewProbeTarget builds a probe target for one daemon address with a
 // probe-appropriate 2s timeout.
 func NewProbeTarget(addr, token string) *ProbeTarget {
-	return &ProbeTarget{Client: &Client{Addr: addr, Token: token, Timeout: 2 * time.Second}}
+	return &ProbeTarget{Client: &wire.Client{Addr: addr, Token: token, Timeout: 2 * time.Second}}
 }
 
 // Measure implements netprobe.Target against the daemon's status

@@ -1,10 +1,4 @@
-// Package synth is the synthetic instrument: it generates the hyperspectral
-// cubes and spatiotemporal nanoparticle series that the real Dynamic
-// PicoProbe would produce, with known ground truth, and writes them as EMD
-// containers carrying realistic microscope metadata. It substitutes for the
-// proprietary instrument and its detectors while exercising exactly the
-// data shapes, sizes and content statistics the paper's flows consume.
-package synth
+package metadata
 
 import "sort"
 
@@ -21,10 +15,10 @@ type Element struct {
 	Lines  []Line
 }
 
-// Library holds the elements the synthetic samples draw from. Line energies
-// are the textbook K/L/M values rounded to two decimals; relative weights
-// are approximate branching ratios — good enough for peak-position-based
-// composition analysis downstream.
+// Library holds the elements the analysis can name (and the synthetic
+// samples draw from). Line energies are the textbook K/L/M values rounded
+// to two decimals; relative weights are approximate branching ratios —
+// good enough for peak-position-based composition analysis downstream.
 var Library = map[string]Element{
 	"C":  {Symbol: "C", Name: "carbon", Lines: []Line{{0.28, 1.0}}},
 	"N":  {Symbol: "N", Name: "nitrogen", Lines: []Line{{0.39, 1.0}}},

@@ -183,3 +183,28 @@ func TestValidate(t *testing.T) {
 		t.Error("missing collection time accepted")
 	}
 }
+
+func TestLibraryConsistency(t *testing.T) {
+	for sym, el := range Library {
+		if el.Symbol != sym {
+			t.Errorf("element %q symbol mismatch: %q", sym, el.Symbol)
+		}
+		if len(el.Lines) == 0 {
+			t.Errorf("element %q has no lines", sym)
+		}
+		for _, l := range el.Lines {
+			if l.KeV <= 0 || l.Weight <= 0 {
+				t.Errorf("element %q has invalid line %+v", sym, l)
+			}
+		}
+	}
+	if len(Symbols()) != len(Library) {
+		t.Error("Symbols() incomplete")
+	}
+	lines := LineEnergies()
+	for i := 1; i < len(lines); i++ {
+		if lines[i].KeV < lines[i-1].KeV {
+			t.Error("LineEnergies not sorted")
+		}
+	}
+}

@@ -1,3 +1,9 @@
+// Package synth is the synthetic instrument: it generates the hyperspectral
+// cubes and spatiotemporal nanoparticle series that the real Dynamic
+// PicoProbe would produce, with known ground truth, and writes them as EMD
+// containers carrying realistic microscope metadata. It substitutes for the
+// proprietary instrument and its detectors while exercising exactly the
+// data shapes, sizes and content statistics the paper's flows consume.
 package synth
 
 import (
@@ -91,12 +97,12 @@ type HyperspectralSample struct {
 func GenerateHyperspectral(cfg HyperspectralConfig) (*HyperspectralSample, error) {
 	cfg = cfg.withDefaults()
 	for sym := range cfg.Film {
-		if _, ok := Library[sym]; !ok {
+		if _, ok := metadata.Library[sym]; !ok {
 			return nil, fmt.Errorf("synth: unknown film element %q", sym)
 		}
 	}
 	for _, p := range cfg.Particles {
-		if _, ok := Library[p.Element]; !ok {
+		if _, ok := metadata.Library[p.Element]; !ok {
 			return nil, fmt.Errorf("synth: unknown particle element %q", p.Element)
 		}
 	}
@@ -109,7 +115,7 @@ func GenerateHyperspectral(cfg HyperspectralConfig) (*HyperspectralSample, error
 			return
 		}
 		tpl := make([]float64, C)
-		for _, line := range Library[sym].Lines {
+		for _, line := range metadata.Library[sym].Lines {
 			for c := 0; c < C; c++ {
 				e := (float64(c) + 0.5) * maxEnergyKeV / float64(C)
 				d := (e - line.KeV) / detectorSigmaKeV

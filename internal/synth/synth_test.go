@@ -22,31 +22,6 @@ func testAcquisition(kind string) *metadata.Acquisition {
 	}
 }
 
-func TestLibraryConsistency(t *testing.T) {
-	for sym, el := range Library {
-		if el.Symbol != sym {
-			t.Errorf("element %q symbol mismatch: %q", sym, el.Symbol)
-		}
-		if len(el.Lines) == 0 {
-			t.Errorf("element %q has no lines", sym)
-		}
-		for _, l := range el.Lines {
-			if l.KeV <= 0 || l.Weight <= 0 {
-				t.Errorf("element %q has invalid line %+v", sym, l)
-			}
-		}
-	}
-	if len(Symbols()) != len(Library) {
-		t.Error("Symbols() incomplete")
-	}
-	lines := LineEnergies()
-	for i := 1; i < len(lines); i++ {
-		if lines[i].KeV < lines[i-1].KeV {
-			t.Error("LineEnergies not sorted")
-		}
-	}
-}
-
 func TestGenerateHyperspectralDeterministic(t *testing.T) {
 	cfg := HyperspectralConfig{Height: 16, Width: 16, Channels: 64, Seed: 7}
 	a, err := GenerateHyperspectral(cfg)

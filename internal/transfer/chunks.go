@@ -54,6 +54,19 @@ func planFile(file int, size, chunkBytes int64) []chunkSpan {
 	return spans
 }
 
+// PlanFile returns the chunk lengths of the engine's own plan for a file
+// of the given size, in order — what a mover outside this package (the
+// simulated one, internal/lab) needs to move the same plan the live
+// engine moves.
+func PlanFile(size, chunkBytes int64) []int64 {
+	spans := planFile(0, size, chunkBytes)
+	lens := make([]int64, len(spans))
+	for i, sp := range spans {
+		lens[i] = sp.N
+	}
+	return lens
+}
+
 // manifestChunk is the persisted state of one chunk.
 type manifestChunk struct {
 	Off int64 `json:"off"`

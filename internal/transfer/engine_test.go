@@ -613,9 +613,20 @@ func TestEngineBadMergeFailsWholeAttempt(t *testing.T) {
 	fx, payloads := newEngineBatch(t, 4, 2*chunk)
 	e, sk := &engine{}, newMemSink()
 	sk.badMerge, sk.badMergeRel = 1, "f2.bin"
+	// A worker that has taken a chunk but not yet looked at the abort flag
+	// skips it once f2's merge has failed; hold f2's last chunk until the
+	// first stripe's four are written, so what the manifest must show below
+	// does not depend on how the two workers were scheduled.
+	sk.before = func(sp chunkSpan) error {
+		for sp.File == 2 && sp.Index == 1 && sk.count("w f0.bin")+sk.count("w f1.bin") < 4 {
+			time.Sleep(time.Millisecond)
+		}
+		return nil
+	}
 	cfg := moveConfig{chunkBytes: chunk, streams: 2}
 
 	rep, err := e.run(cfg, fx.task, fx.src, fx.dst, sk)
+	sk.before = nil
 	if err == nil || !strings.Contains(err.Error(), "checksum mismatch on f2.bin") {
 		t.Fatalf("err = %v, want f2's checksum mismatch", err)
 	}

@@ -12,9 +12,10 @@
 // endpoint roots on disk, WireMover ships them to a facility daemon over
 // TCP, both always with per-chunk SHA-256 and a verified merge — there is
 // no unverified transfer, and the daemon refuses a chunk or a merge plan
-// that declares no digest (DESIGN.md §11). A simulated
-// mover drives the same framing over the netsim fluid-flow network so
-// 1-hour facility experiments run in milliseconds of virtual time.
+// that declares no digest (DESIGN.md §11). A simulated mover
+// (internal/lab's SimMover, planning with PlanFile) drives the same
+// framing over the netsim fluid-flow network so 1-hour facility
+// experiments run in milliseconds of virtual time.
 // Failed moves are retried with bounded attempts, spaced as the mover
 // declares (the wire mover backs off for a daemon that may be restarting,
 // the in-process and simulated ones are retried at once), mirroring the

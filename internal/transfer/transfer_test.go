@@ -13,8 +13,6 @@ import (
 	"time"
 
 	"picoprobe/internal/auth"
-	"picoprobe/internal/netsim"
-	"picoprobe/internal/sim"
 )
 
 func issuerAndToken(t *testing.T) (*auth.Issuer, string) {
@@ -144,107 +142,6 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	if err := svc.RegisterEndpoint(Endpoint{}); err == nil {
 		t.Error("empty endpoint ID accepted")
-	}
-}
-
-func TestSimMoverTimedTransfer(t *testing.T) {
-	iss, tok := issuerAndToken(t)
-	k := sim.NewKernel()
-	net := netsim.New(k)
-	link := net.AddLink("switch", 1e9)
-	mover := &SimMover{
-		Kernel:  k,
-		Network: net,
-		RouteFor: func(src, dst *Endpoint) Route {
-			return Route{Path: []*netsim.Link{link}, StreamCap: 80e6, SetupTime: 2 * time.Second}
-		},
-	}
-	svc := NewService(iss, mover, k.Now, Options{})
-	svc.RegisterEndpoint(Endpoint{ID: "instrument"})
-	svc.RegisterEndpoint(Endpoint{ID: "eagle"})
-
-	var id string
-	k.Spawn("client", func(ctx sim.Context) {
-		var err error
-		id, err = svc.Submit(tok, "instrument", "eagle", []FileSpec{{RelPath: "hs.emdg", Bytes: 91_000_000}})
-		if err != nil {
-			t.Error(err)
-		}
-	})
-	k.Run()
-	if err := k.Err(); err != nil {
-		t.Fatal(err)
-	}
-	view, err := svc.Status(tok, id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if view.Status != StatusSucceeded {
-		t.Fatalf("status = %s (%s)", view.Status, view.Error)
-	}
-	// 91 MB at 80 Mbit/s = 9.1s, plus 2s setup.
-	got := view.Completed.Sub(view.Submitted)
-	want := 2*time.Second + time.Duration(91_000_000*8/80e6*float64(time.Second))
-	if diff := got - want; diff < -200*time.Millisecond || diff > 200*time.Millisecond {
-		t.Errorf("sim transfer took %v, want ~%v", got, want)
-	}
-	if view.BytesMoved != 91_000_000 {
-		t.Errorf("bytes moved = %d", view.BytesMoved)
-	}
-}
-
-func TestSimMoverFaultInjectionRetries(t *testing.T) {
-	iss, tok := issuerAndToken(t)
-	k := sim.NewKernel()
-	net := netsim.New(k)
-	link := net.AddLink("switch", 1e9)
-	mover := &SimMover{
-		Kernel:   k,
-		Network:  net,
-		FailNext: 1,
-		RouteFor: func(src, dst *Endpoint) Route {
-			return Route{Path: []*netsim.Link{link}}
-		},
-	}
-	svc := NewService(iss, mover, k.Now, Options{MaxAttempts: 3})
-	svc.RegisterEndpoint(Endpoint{ID: "a"})
-	svc.RegisterEndpoint(Endpoint{ID: "b"})
-	var id string
-	k.Spawn("client", func(ctx sim.Context) {
-		id, _ = svc.Submit(tok, "a", "b", []FileSpec{{RelPath: "f", Bytes: 1_000_000}})
-	})
-	k.Run()
-	view, _ := svc.Status(tok, id)
-	if view.Status != StatusSucceeded {
-		t.Fatalf("status = %s after retry", view.Status)
-	}
-	if view.Attempts != 2 {
-		t.Errorf("attempts = %d, want 2", view.Attempts)
-	}
-}
-
-func TestSimMoverExhaustsRetries(t *testing.T) {
-	iss, tok := issuerAndToken(t)
-	k := sim.NewKernel()
-	net := netsim.New(k)
-	link := net.AddLink("switch", 1e9)
-	mover := &SimMover{
-		Kernel:   k,
-		Network:  net,
-		FailNext: 5,
-		RouteFor: func(src, dst *Endpoint) Route { return Route{Path: []*netsim.Link{link}} },
-	}
-	svc := NewService(iss, mover, k.Now, Options{MaxAttempts: 2})
-	svc.RegisterEndpoint(Endpoint{ID: "a"})
-	svc.RegisterEndpoint(Endpoint{ID: "b"})
-	var id string
-	k.Spawn("client", func(ctx sim.Context) {
-		id, _ = svc.Submit(tok, "a", "b", []FileSpec{{RelPath: "f", Bytes: 1000}})
-	})
-	k.Run()
-	view, _ := svc.Status(tok, id)
-	if view.Status != StatusFailed || view.Attempts != 2 {
-		t.Errorf("status=%s attempts=%d, want FAILED/2", view.Status, view.Attempts)
 	}
 }
 
@@ -591,114 +488,6 @@ func TestChunkPoolConcurrentTasks(t *testing.T) {
 	}
 }
 
-// --- simulated chunk engine ------------------------------------------
-
-// simTransfer runs one simulated task through the given route and returns
-// its final view.
-func simTransfer(t *testing.T, route Route, files []FileSpec, mutate func(*SimMover)) TaskView {
-	t.Helper()
-	iss, tok := issuerAndToken(t)
-	k := sim.NewKernel()
-	net := netsim.New(k)
-	link := net.AddLink("switch", 1e9)
-	route.Path = []*netsim.Link{link}
-	mover := &SimMover{
-		Kernel:   k,
-		Network:  net,
-		RouteFor: func(src, dst *Endpoint) Route { return route },
-	}
-	if mutate != nil {
-		mutate(mover)
-	}
-	svc := NewService(iss, mover, k.Now, Options{MaxAttempts: 3})
-	svc.RegisterEndpoint(Endpoint{ID: "a"})
-	svc.RegisterEndpoint(Endpoint{ID: "b"})
-	var id string
-	k.Spawn("client", func(ctx sim.Context) {
-		var err error
-		id, err = svc.Submit(tok, "a", "b", files)
-		if err != nil {
-			t.Error(err)
-		}
-	})
-	k.Run()
-	if err := k.Err(); err != nil {
-		t.Fatal(err)
-	}
-	view, err := svc.Status(tok, id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return view
-}
-
-// TestSimChunkedDegeneracy pins the sim-side degeneracy: chunk >= file
-// size with a single stream produces the exact completion instant of the
-// whole-file single-stream framing.
-func TestSimChunkedDegeneracy(t *testing.T) {
-	files := []FileSpec{{RelPath: "hs.emdg", Bytes: 91_000_000}}
-	base := Route{StreamCap: 80e6, SetupTime: 2 * time.Second}
-	whole := simTransfer(t, base, files, nil)
-	chunkRoute := base
-	chunkRoute.ChunkBytes = 200_000_000 // > file size: one chunk
-	chunkRoute.Streams = 1
-	chunked := simTransfer(t, chunkRoute, files, nil)
-	d1 := whole.Completed.Sub(whole.Submitted)
-	d2 := chunked.Completed.Sub(chunked.Submitted)
-	if d1 != d2 {
-		t.Errorf("degenerate chunked transfer took %v, whole-file took %v (must be identical)", d2, d1)
-	}
-	if whole.Status != StatusSucceeded || chunked.Status != StatusSucceeded {
-		t.Errorf("status = %s / %s", whole.Status, chunked.Status)
-	}
-	if chunked.BytesMoved != 91_000_000 {
-		t.Errorf("bytes moved = %d", chunked.BytesMoved)
-	}
-}
-
-// TestSimChunkedMultiStreamTiming checks the analytic chunk-window math:
-// 80 MB in 10 MB chunks over 2 streams capped at 80 Mbit/s each is 4
-// two-chunk rounds of 1 s — half the single-stream wire time.
-func TestSimChunkedMultiStreamTiming(t *testing.T) {
-	files := []FileSpec{{RelPath: "f", Bytes: 80_000_000}}
-	view := simTransfer(t, Route{
-		StreamCap: 80e6, SetupTime: time.Second, ChunkBytes: 10_000_000, Streams: 2,
-	}, files, nil)
-	got := view.Completed.Sub(view.Submitted)
-	want := time.Second + 4*time.Second // setup + 4 rounds of 2 parallel 1 s chunks
-	if diff := got - want; diff < -100*time.Millisecond || diff > 100*time.Millisecond {
-		t.Errorf("chunked multi-stream transfer took %v, want ~%v", got, want)
-	}
-	if view.ChunksTotal != 8 || view.ChunksMoved != 8 {
-		t.Errorf("chunks = %d/%d, want 8/8", view.ChunksMoved, view.ChunksTotal)
-	}
-}
-
-// TestSimChunkKillResume pins chunk-level resume in the simulator: the
-// first attempt dies after 3 of 8 chunks, the retry re-moves only the
-// remaining 5, and the completion instant reflects exactly that.
-func TestSimChunkKillResume(t *testing.T) {
-	files := []FileSpec{{RelPath: "f", Bytes: 80_000_000}}
-	view := simTransfer(t, Route{
-		StreamCap: 80e6, SetupTime: 2 * time.Second, ChunkBytes: 10_000_000, Streams: 1,
-	}, files, func(m *SimMover) { m.FailAfterChunks = 3 })
-	if view.Status != StatusSucceeded || view.Attempts != 2 {
-		t.Fatalf("status=%s attempts=%d, want SUCCEEDED/2", view.Status, view.Attempts)
-	}
-	got := view.Completed.Sub(view.Submitted)
-	// 2 s setup + 3 chunks, then 2 s setup + 5 resumed chunks (1 s each).
-	want := 2*time.Second + 3*time.Second + 2*time.Second + 5*time.Second
-	if diff := got - want; diff < -100*time.Millisecond || diff > 100*time.Millisecond {
-		t.Errorf("kill/resume transfer took %v, want ~%v (resume must skip landed chunks)", got, want)
-	}
-	if view.ChunksSkipped != 3 || view.ChunksMoved != 8 {
-		t.Errorf("skipped/moved = %d/%d, want 3/8", view.ChunksSkipped, view.ChunksMoved)
-	}
-	if view.BytesCopied != 80_000_000 {
-		t.Errorf("bytes copied = %d, want 80000000 (each chunk crosses once)", view.BytesCopied)
-	}
-}
-
 // TestResumeDetectsLostDestination: if the destination file vanishes
 // between attempts, resume must NOT trust the manifest (the full-size
 // file the new attempt creates is all zeros) — every chunk is re-copied.
@@ -773,49 +562,5 @@ func TestRewrittenSourceInvalidatesManifest(t *testing.T) {
 	got, err := os.ReadFile(filepath.Join(dstRoot, "f.emdg"))
 	if err != nil || !bytes.Equal(got, newPayload) {
 		t.Errorf("destination does not match the rewritten source (err=%v)", err)
-	}
-}
-
-// TestSimMoverForgetsFailedTaskProgress: a permanently failed chunked
-// task's resume state is dropped (the service's taskForgetter hook), so
-// long fault-heavy experiments do not accumulate orphaned progress maps.
-func TestSimMoverForgetsFailedTaskProgress(t *testing.T) {
-	files := []FileSpec{{RelPath: "f", Bytes: 40_000_000}}
-	var mover *SimMover
-	view := simTransfer(t, Route{
-		StreamCap: 80e6, ChunkBytes: 10_000_000, Streams: 1,
-	}, files, func(m *SimMover) {
-		m.FailNext = 3 // exhausts MaxAttempts(3) before any chunk moves
-		mover = m
-	})
-	if view.Status != StatusFailed {
-		t.Fatalf("status = %s, want FAILED", view.Status)
-	}
-	if n := len(mover.progress); n != 0 {
-		t.Errorf("failed task left %d progress entries", n)
-	}
-}
-
-// TestSimChunkKillResumeMultiStream pins the attempt report's accounting
-// when the kill fires with chunks still in flight: the aborting attempt
-// drains them, counts them as moved, and the resumed attempt skips them
-// — BytesCopied across attempts equals the file exactly, never less.
-func TestSimChunkKillResumeMultiStream(t *testing.T) {
-	files := []FileSpec{{RelPath: "f", Bytes: 80_000_000}}
-	view := simTransfer(t, Route{
-		StreamCap: 80e6, ChunkBytes: 10_000_000, Streams: 2,
-	}, files, func(m *SimMover) { m.FailAfterChunks = 3 })
-	if view.Status != StatusSucceeded || view.Attempts != 2 {
-		t.Fatalf("status=%s attempts=%d, want SUCCEEDED/2", view.Status, view.Attempts)
-	}
-	// The kill fires on the 3rd completion while the 4th chunk is in
-	// flight; the attempt drains it, so 4 chunks count as moved and the
-	// retry skips exactly those 4.
-	if view.ChunksMoved != 8 || view.ChunksSkipped != 4 {
-		t.Errorf("moved/skipped = %d/%d, want 8/4 (in-flight chunk must be counted)",
-			view.ChunksMoved, view.ChunksSkipped)
-	}
-	if view.BytesCopied != 80_000_000 {
-		t.Errorf("bytes copied = %d, want 80000000 exactly", view.BytesCopied)
 	}
 }

@@ -6,7 +6,7 @@ import (
 
 // HealthTarget adapts a facility daemon's status endpoint to the
 // health monitor's Target: one Check is one authenticated status round
-// trip. It is the liveness sibling of ProbeTarget — the prober asks
+// trip. It is the liveness sibling of lab.ProbeTarget — the prober asks
 // "how good is this path", the health check asks only "does anyone
 // answer" — and shares the short-timeout discipline: the Client's
 // Timeout bounds the check, so a hung daemon costs one short deadline

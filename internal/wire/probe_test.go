@@ -1,21 +1,23 @@
-package wire
+package wire_test
 
 import (
 	"net"
 	"testing"
 	"time"
 
+	"picoprobe/internal/lab"
 	"picoprobe/internal/netfault"
 	"picoprobe/internal/netprobe"
 	"picoprobe/internal/sim"
+	"picoprobe/internal/wire"
 )
 
 // TestProbeTargetMeasure: one Measure against a live daemon produces a
 // sane sample — a positive sub-second RTT, no loss, and a real goodput
 // figure from the filled round trip.
 func TestProbeTargetMeasure(t *testing.T) {
-	_, cl, token := startServer(t, nil)
-	target := NewProbeTarget(cl.Addr, token)
+	_, cl, token := wire.StartServer(t, nil)
+	target := lab.NewProbeTarget(cl.Addr, token)
 	defer target.Client.Close()
 
 	m := target.Measure(time.Now())
@@ -40,7 +42,7 @@ func TestProbeTargetDeadFacility(t *testing.T) {
 	addr := ln.Addr().String()
 	ln.Close() // nothing listening here any more
 
-	target := NewProbeTarget(addr, "any")
+	target := lab.NewProbeTarget(addr, "any")
 	defer target.Client.Close()
 	start := time.Now()
 	m := target.Measure(time.Now())
@@ -68,7 +70,7 @@ func TestProberSeesInducedDelay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := &Server{Root: t.TempDir(), Facility: "probed"}
+	srv := &wire.Server{Root: t.TempDir(), Facility: "probed"}
 	go srv.Serve(faults.Listener(raw))
 	defer srv.Close()
 	addr := raw.Addr().String()
@@ -78,7 +80,7 @@ func TestProberSeesInducedDelay(t *testing.T) {
 		Interval:      20 * time.Millisecond,
 		WindowSamples: 2,
 	})
-	target := NewProbeTarget(addr, "")
+	target := lab.NewProbeTarget(addr, "")
 	defer target.Client.Close()
 	const path = "wan:probed"
 	if _, err := prober.Register(path, target); err != nil {

@@ -63,36 +63,39 @@ import (
 	"picoprobe/internal/core"
 	"picoprobe/internal/detect"
 	"picoprobe/internal/flows"
+	"picoprobe/internal/lab"
 	"picoprobe/internal/metadata"
 	"picoprobe/internal/synth"
 )
 
-// Deployment profile and experiment harness (simulation mode).
+// Laboratory (internal/lab) — deployment profile and experiment harness
+// (simulation mode).
 type (
 	// Profile holds the facility calibration constants (network rates,
 	// PBS delays, analysis cost models, orchestration overheads).
-	Profile = core.Profile
+	Profile = lab.Profile
 	// ExperimentConfig parameterizes one simulated 1-hour evaluation.
-	ExperimentConfig = core.ExperimentConfig
+	ExperimentConfig = lab.ExperimentConfig
 	// ExperimentResult carries the run records and aggregations.
-	ExperimentResult = core.ExperimentResult
+	ExperimentResult = lab.ExperimentResult
 	// Table1Row is one column of the paper's Table 1.
-	Table1Row = core.Table1Row
+	Table1Row = lab.Table1Row
 	// StageRow is one bar group of the paper's Fig 4.
-	StageRow = core.StageRow
+	StageRow = lab.StageRow
 )
 
-// Federation (multi-facility placement).
+// Laboratory (internal/lab) — federation (multi-facility placement).
 type (
 	// FacilitySpec describes one simulated facility of a federation.
-	FacilitySpec = core.FacilitySpec
+	FacilitySpec = lab.FacilitySpec
 	// FederatedConfig parameterizes a federated evaluation run.
-	FederatedConfig = core.FederatedConfig
+	FederatedConfig = lab.FederatedConfig
 	// FederatedResult carries run records plus placement telemetry.
-	FederatedResult = core.FederatedResult
+	FederatedResult = lab.FederatedResult
 )
 
-// Live deployment (real files, real analysis).
+// Production (internal/core) — live deployment (real files, real
+// analysis).
 type (
 	// LiveOptions configures an in-process live deployment.
 	LiveOptions = core.LiveOptions
@@ -145,57 +148,57 @@ type (
 )
 
 // DefaultProfile returns the paper-calibrated deployment profile.
-func DefaultProfile() Profile { return core.DefaultProfile() }
+func DefaultProfile() Profile { return lab.DefaultProfile() }
 
 // HyperspectralExperiment returns the paper's hyperspectral Table 1
 // configuration (30 s start period, 91 MB files, 1 hour).
-func HyperspectralExperiment() ExperimentConfig { return core.HyperspectralExperiment() }
+func HyperspectralExperiment() ExperimentConfig { return lab.HyperspectralExperiment() }
 
 // SpatiotemporalExperiment returns the paper's spatiotemporal Table 1
 // configuration (120 s start period, 1200 MB files, 1 hour).
-func SpatiotemporalExperiment() ExperimentConfig { return core.SpatiotemporalExperiment() }
+func SpatiotemporalExperiment() ExperimentConfig { return lab.SpatiotemporalExperiment() }
 
 // RunExperiment executes one simulated evaluation run; a full virtual hour
 // completes in milliseconds and is fully deterministic.
 func RunExperiment(cfg ExperimentConfig) (*ExperimentResult, error) {
-	return core.RunExperiment(cfg)
+	return lab.RunExperiment(cfg)
 }
 
 // RunFederatedExperiment executes a simulated evaluation across N
 // facilities with queue-wait-aware placement and failover; N=1 matches
 // RunExperiment bit for bit.
 func RunFederatedExperiment(cfg FederatedConfig) (*FederatedResult, error) {
-	return core.RunFederatedExperiment(cfg)
+	return lab.RunFederatedExperiment(cfg)
 }
 
 // FederatedScenario returns the showcase federated configuration: three
 // asymmetric facilities with a mid-experiment outage of the primary.
-func FederatedScenario() FederatedConfig { return core.FederatedScenario() }
+func FederatedScenario() FederatedConfig { return lab.FederatedScenario() }
 
 // DefaultFederationSpecs returns the first n stock simulated facilities.
-func DefaultFederationSpecs(n int) []FacilitySpec { return core.DefaultFederationSpecs(n) }
+func DefaultFederationSpecs(n int) []FacilitySpec { return lab.DefaultFederationSpecs(n) }
 
 // FederationContentionScenario returns the queue-wait benchmark workload
 // (pin=true gives the pinned single-backend baseline over the same
 // facilities).
 func FederationContentionScenario(pin bool) FederatedConfig {
-	return core.FederationContentionScenario(pin)
+	return lab.FederationContentionScenario(pin)
 }
 
 // FormatFacilities renders a federated result's per-facility summary.
-func FormatFacilities(res *FederatedResult) string { return core.FormatFacilities(res) }
+func FormatFacilities(res *FederatedResult) string { return lab.FormatFacilities(res) }
 
 // FormatTable1 renders experiment rows the way the paper's Table 1 does.
-func FormatTable1(rows ...Table1Row) string { return core.FormatTable1(rows...) }
+func FormatTable1(rows ...Table1Row) string { return lab.FormatTable1(rows...) }
 
 // FormatStages renders a per-step decomposition like the paper's Fig 4.
-func FormatStages(label string, stages []StageRow) string { return core.FormatStages(label, stages) }
+func FormatStages(label string, stages []StageRow) string { return lab.FormatStages(label, stages) }
 
 // PaperTable1Hyperspectral and PaperTable1Spatiotemporal are the published
 // Table 1 values, for side-by-side comparison.
 var (
-	PaperTable1Hyperspectral  = core.PaperTable1Hyperspectral
-	PaperTable1Spatiotemporal = core.PaperTable1Spatiotemporal
+	PaperTable1Hyperspectral  = lab.PaperTable1Hyperspectral
+	PaperTable1Spatiotemporal = lab.PaperTable1Spatiotemporal
 )
 
 // NewLiveDeployment wires a live in-process deployment against local

@@ -29,6 +29,7 @@ import (
 	"picoprobe/internal/compute"
 	"picoprobe/internal/core"
 	"picoprobe/internal/detect"
+	"picoprobe/internal/lab"
 	"picoprobe/internal/netfault"
 	"picoprobe/internal/search"
 	"picoprobe/internal/transfer"
@@ -343,7 +344,7 @@ func TestWireCrossPathEquivalence(t *testing.T) {
 		rels[i] = rel
 		var staged []byte
 		for _, root := range []string{liveDep.Options.InstrumentRoot, wireDep.Options.InstrumentRoot} {
-			if err := core.WriteSyntheticAcquisition(filepath.Join(root, rel), "hyperspectral", i); err != nil {
+			if err := lab.WriteSyntheticAcquisition(filepath.Join(root, rel), "hyperspectral", i); err != nil {
 				t.Fatal(err)
 			}
 			b, err := os.ReadFile(filepath.Join(root, rel))
