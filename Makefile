@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt-check vet test race race-fed chaos-smoke load-smoke bench-smoke bench bench-portal bench-portal-load bench-recovery bench-netprobe bench-wire bench-watch bench-analysis fuzz-wire fuzz-jpeg linkcheck optaudit depcheck cross-watch ci
+.PHONY: all build fmt-check vet test race race-fed chaos-smoke load-smoke bench-smoke bench bench-portal bench-portal-load bench-recovery bench-netprobe bench-wire bench-watch bench-analysis fuzz-wire fuzz-jpeg fuzz-search fuzz-etag linkcheck optaudit depcheck cross-watch ci
 
 all: ci
 
@@ -126,6 +126,17 @@ fuzz-wire:
 fuzz-jpeg:
 	$(GO) test -run NONE -fuzz FuzzAppendJPEG -fuzztime $(FUZZTIME) ./internal/video/
 
+# The answers the index maintains across publishes against the code that
+# recomputes them: the fuzzer writes the Ingest/IngestBatch/Delete
+# sequence, and after every step the unfiltered anonymous page must equal
+# the scan's and the carried facet counts a rebuilt index's (DESIGN.md §7).
+fuzz-search:
+	$(GO) test -run NONE -fuzz FuzzIndexOps -fuzztime $(FUZZTIME) ./internal/search/
+
+# The If-None-Match matcher every revalidating client reaches.
+fuzz-etag:
+	$(GO) test -run NONE -fuzz FuzzETagMatch -fuzztime $(FUZZTIME) ./internal/portal/
+
 # Compile and execute every benchmark exactly once so perf-critical paths
 # (including the portal serving and netprobe pairs above) get exercised
 # on every PR without burning CI minutes.
@@ -146,4 +157,4 @@ linkcheck:
 optaudit:
 	$(GO) run ./tools/optaudit
 
-ci: build fmt-check vet depcheck cross-watch test race-fed chaos-smoke load-smoke bench-smoke fuzz-wire fuzz-jpeg optaudit linkcheck
+ci: build fmt-check vet depcheck cross-watch test race-fed chaos-smoke load-smoke bench-smoke fuzz-wire fuzz-jpeg fuzz-search fuzz-etag optaudit linkcheck

@@ -14,13 +14,16 @@
 //
 //	picoprobe-watch -dir ./instrument -kind hyperspectral [-workdir ./picoprobe-work]
 //	               [-facility host:port [-secret ...]]
-//	               [-batch-files 8] [-batch-bytes N] [-linger 500ms] [-inflight N]
+//	               [-batch-files 8] [-batch-bytes N] [-inflight N]
 //	               [-chunk 64MB] [-streams 4] [-count 0]
 //
-// Batching: settled files arriving within -linger of each other coalesce
-// into one flow (at most -batch-files files / -batch-bytes bytes per
-// batch), and new batches are withheld while more than -inflight bytes
-// are still being processed. Transfers move in -chunk-sized chunks over
+// Batching: one batch flow runs at a time. An idle pipeline starts a
+// closed file's flow as soon as the directory has been quiet for a few
+// milliseconds (a burst renamed in together stays one batch); files
+// closed while a flow runs wait for it and leave together as the next
+// batch (at most -batch-files files / -batch-bytes bytes per batch), and
+// new batches are withheld while more than -inflight bytes are still
+// being processed. Transfers move in -chunk-sized chunks over
 // -streams concurrent streams with manifest-based resume (a file no bigger
 // than one chunk moves as one); 0 for either means the default. With
 // -count N the command exits after N files (useful for scripted demos); 0
@@ -29,11 +32,13 @@
 //
 // The banner names the close signal in use ("close detection: inotify +
 // 200ms scan", or "200ms × 2 scan (inotify unavailable: …)"), the exit
-// line counts the files each signal found and the files whose batch flow
-// failed (they are checkpointed already and named when they fail: rename
-// or touch one to trigger it again), and a checkpoint that cannot be
-// saved — a full or read-only disk, after which a restart re-triggers
-// every file — is logged when it starts failing and when it recovers.
+// line counts the files each signal found, the batches they left in (with
+// the mean files per batch: 1 on an idle pipeline, more under load) and
+// the files whose batch flow failed (they are checkpointed already and
+// named when they fail: rename or touch one to trigger it again), and a
+// checkpoint that cannot be saved — a full or read-only disk, after which
+// a restart re-triggers every file — is logged when it starts failing and
+// when it recovers.
 package main
 
 import (
@@ -44,7 +49,6 @@ import (
 	"os/signal"
 	"path/filepath"
 	"strings"
-	"time"
 
 	"picoprobe/internal/core"
 	"picoprobe/internal/watcher"
@@ -60,7 +64,6 @@ func main() {
 	count := flag.Int("count", 0, "exit after this many files (0 = forever)")
 	batchFiles := flag.Int("batch-files", 8, "max files coalesced into one batch flow")
 	batchBytes := flag.Int64("batch-bytes", 2<<30, "max bytes per batch (0 = uncapped)")
-	linger := flag.Duration("linger", 500*time.Millisecond, "quiet period before a below-threshold batch flushes")
 	inflight := flag.Int64("inflight", 4<<30, "bytes-in-flight backpressure budget (0 = unlimited)")
 	chunk := flag.Int64("chunk", core.DefaultTransferChunkBytes, "transfer chunk size in bytes (0 = the default)")
 	streams := flag.Int("streams", core.DefaultTransferStreams, "concurrent transfer streams per task (0 = the default)")
@@ -106,6 +109,11 @@ func main() {
 		log.Fatal(err)
 	}
 	w.Start()
+	batcher := watcher.NewBatcher(w.Events(), watcher.BatchOptions{
+		MaxBatchFiles: *batchFiles,
+		MaxBatchBytes: *batchBytes,
+		BudgetBytes:   *inflight,
+	})
 	// A file is checkpointed when it is announced, before its flow runs
 	// (at-most-once triggering), so a failed batch is never re-announced:
 	// it is named when it fails and counted in the exit line.
@@ -126,9 +134,9 @@ func main() {
 	defer func() {
 		w.Stop()
 		reportCheckpoint()
-		st := w.Stats()
-		fmt.Printf("announced %d file(s) by close notification, %d by scan; %d checkpoint save(s); %d file(s) in %d failed batch(es) not published\n",
-			st.ByNotify, st.ByScan, st.CheckpointSaves, failedFiles, failedBatches)
+		st, bs := w.Stats(), batcher.Stats()
+		fmt.Printf("announced %d file(s) by close notification, %d by scan; %d batch(es), mean %.1f file(s) per batch; %d checkpoint save(s); %d file(s) in %d failed batch(es) not published\n",
+			st.ByNotify, st.ByScan, bs.Batches, float64(bs.Files)/float64(max(bs.Batches, 1)), st.CheckpointSaves, failedFiles, failedBatches)
 	}()
 	interrupted := make(chan os.Signal, 1)
 	signal.Notify(interrupted, os.Interrupt)
@@ -138,12 +146,6 @@ func main() {
 		log.Print("interrupted: finishing the batch in flight")
 		w.Stop()
 	}()
-	batcher := watcher.NewBatcher(w.Events(), watcher.BatchOptions{
-		MaxBatchFiles: *batchFiles,
-		MaxBatchBytes: *batchBytes,
-		Linger:        *linger,
-		BudgetBytes:   *inflight,
-	})
 
 	fmt.Printf("watching %s for %s files (checkpointed; batches of ≤%d files, %d-byte chunks × %d streams) → %s\n",
 		*dir, *pattern, *batchFiles, dep.Options.TransferChunkBytes, dep.Options.TransferStreams, destination)

@@ -1,7 +1,8 @@
 // Ingest: the acquisition-side data plane (DESIGN.md §8) under fire. A
-// simulated detector burst drops six files into the instrument's transfer
-// directory; the watcher settles them, the batcher coalesces the burst
-// into one multi-file transfer task under a bytes-in-flight budget, and
+// simulated detector burst renames six files into the instrument's
+// transfer directory; the watcher announces them, the batcher — idle, so
+// it waits only for the directory to go quiet — hands the burst over as
+// one multi-file transfer task under a bytes-in-flight budget, and
 // the chunked live mover starts moving it over four concurrent streams —
 // until an injected fault kills the transfer mid-flight. The walkthrough
 // then "reboots" the transfer service and shows chunk-level resume: the
@@ -39,7 +40,8 @@ func main() {
 	instrument := filepath.Join(work, "instrument")
 	eagle := filepath.Join(work, "eagle")
 	manifests := filepath.Join(work, "manifests")
-	for _, d := range []string{instrument, eagle} {
+	staging := filepath.Join(work, "staging")
+	for _, d := range []string{instrument, eagle, staging} {
 		if err := os.MkdirAll(d, 0o755); err != nil {
 			log.Fatal(err)
 		}
@@ -60,17 +62,28 @@ func main() {
 	defer w.Stop()
 	batcher := watcher.NewBatcher(w.Events(), watcher.BatchOptions{
 		MaxBatchFiles: 8,
-		Linger:        150 * time.Millisecond,
 		BudgetBytes:   64 << 20,
 	})
 
+	// The burst is written beside the watched directory and renamed in, as
+	// an instrument's acquisition software does: the six files then appear
+	// complete and back to back, where writing them in place would close
+	// them a write apart and an idle pipeline would rightly start on the
+	// first ones alone.
 	fmt.Println("detector burst: 6 files hit the transfer directory")
 	rng := rand.New(rand.NewSource(42))
+	var names []string
 	for i := 0; i < 6; i++ {
 		payload := make([]byte, fileBytes)
 		rng.Read(payload)
 		name := fmt.Sprintf("burst-%02d.emdg", i)
-		if err := os.WriteFile(filepath.Join(instrument, name), payload, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(staging, name), payload, 0o644); err != nil {
+			log.Fatal(err)
+		}
+		names = append(names, name)
+	}
+	for _, name := range names {
+		if err := os.Rename(filepath.Join(staging, name), filepath.Join(instrument, name)); err != nil {
 			log.Fatal(err)
 		}
 	}

@@ -61,6 +61,39 @@ func TestETagMatch(t *testing.T) {
 	}
 }
 
+// FuzzETagMatch throws arbitrary If-None-Match values at the matcher a
+// revalidating client reaches on every request. It has no second
+// implementation to differ from, so it checks what must hold for any
+// header: a match needs the current opaque tag or a wildcard somewhere in
+// it; weakness on either side changes nothing; the current tag in front
+// matches whatever follows; and the current tag appended matches exactly
+// when a wildcard appended does — when the header parsed to its end or
+// had matched already.
+func FuzzETagMatch(f *testing.F) {
+	for _, h := range []string{``, `*`, `"pp-1"`, `W/"pp-1"`, `"a", "pp-1"`, `"x,y", "pp-1"`, `pp-1`,
+		`"unterminated`, `"ok" garbage "pp-1"`, `W/`, `  ,, "pp-1"`, `"pp-10"`, "\"a\x7f\", \"pp-1\"", "\"\xff\"\t,W/\"pp-1\""} {
+		f.Add(h, uint64(1))
+	}
+	f.Fuzz(func(t *testing.T, header string, epoch uint64) {
+		etag := epochTag(epoch)
+		got := etagMatch(header, etag)
+		if got && !strings.Contains(header, etag) && !strings.Contains(header, "*") {
+			t.Fatalf("etagMatch(%q, %s) matched a header holding neither the tag nor a wildcard", header, etag)
+		}
+		if etagMatch(header, "W/"+etag) != got {
+			t.Fatalf("etagMatch(%q, ·): weak and strong current tag disagree", header)
+		}
+		for _, front := range []string{etag + "," + header, "W/" + etag + " " + header} {
+			if !etagMatch(front, etag) {
+				t.Fatalf("etagMatch(%q, %s) = false with the current tag in front", front, etag)
+			}
+		}
+		if a, b := etagMatch(header+","+etag, etag), etagMatch(header+",*", etag); a != b || (got && !a) {
+			t.Fatalf("etagMatch(%q + tag) = %v, (+ wildcard) = %v, alone = %v", header, a, b, got)
+		}
+	})
+}
+
 // TestConditionalGET is the table-driven endpoint-level test: a matching
 // If-None-Match gets 304 with no body, a stale or malformed one gets the
 // full 200, and bodiless 304s still carry the validator.

@@ -25,6 +25,14 @@ import (
 // into the build-owned copy, and sorts + publishes at the end, so bulk
 // loads pay the copy-on-write cost once per term instead of once per
 // document.
+//
+// Two answers are maintained rather than recomputed, because the portal
+// asks for them once per epoch and they change by one record per publish:
+// each shard's recency order (shardSnap.recent, the unfiltered anonymous
+// page in topPage) and the memoised public facet counts (facetTable,
+// carried from snapshot to snapshot by the publish's own delta). What is
+// carried between publishes is bounded by the constants below, never by
+// what clients asked for. See DESIGN.md §7.
 
 const (
 	// minShards bounds the per-write copy-on-write cost even on small
@@ -32,6 +40,14 @@ const (
 	// per-query fan-in.
 	minShards = 8
 	maxShards = 256
+
+	// maxCarriedFields and maxCarriedValues bound the facet counts a
+	// publish carries forward (facetTable.carry): the writer clones at
+	// most fields × values map entries per publish under Index.mu,
+	// whatever field names the portal's clients memoised. The portal's
+	// sidebar needs one field of two values.
+	maxCarriedFields = 8
+	maxCarriedValues = 256
 )
 
 // posting records one document's term frequency inside a shard, keyed by
@@ -85,13 +101,65 @@ type shardSnap struct {
 	docs []*sdoc     // ord-indexed; nil holes where ordinals were freed
 	post [][]posting // termID-indexed (may lag the dictionary); sorted by ord
 	live int
-	// facets lazily memoizes public facet counts per field for this
-	// snapshot (see publicFacets); queries that hit it are O(values).
+	// recent lists the live ordinals as unranked results are ordered
+	// (recencyCmp) and anon counts the documents an anonymous caller may
+	// see: the unfiltered anonymous page reads offset+limit entries of
+	// each shard's recent instead of visiting every document. Immutable
+	// once published, like the inner posting slices.
+	recent []int32
+	anon   int
+	// facets memoizes public facet counts per field for this snapshot:
+	// built on first use (publicFacets), then carried to the next
+	// snapshot by publishLocked. Queries that hit it are O(values).
 	facets atomic.Pointer[facetTable]
 }
 
 type facetTable struct {
 	byField map[string]map[string]int
+}
+
+// facetDelta is one ACL-free document entering (n = +1) or leaving
+// (n = −1) a shard between two publishes.
+type facetDelta struct {
+	d *sdoc
+	n int
+}
+
+// carry returns the table for the next snapshot: each memoised field's
+// counts moved by delta, applied in order with a value deleted at zero,
+// so a carried map equals a recount. The documents in delta are the
+// index's own (ingestLocked detaches Fields), so the value a document
+// leaves with is the value it entered with. Only what the caps admit is
+// carried: a field with no counts (a name no document has) or more than
+// maxCarriedValues of them — before the delta, so it is not even cloned,
+// or after it — is left to be recounted on demand, and with more than
+// maxCarriedFields candidates the table is dropped whole (nil).
+func (t *facetTable) carry(delta []facetDelta) *facetTable {
+	nt := &facetTable{byField: map[string]map[string]int{}}
+	for field, counts := range t.byField {
+		if len(counts) == 0 || len(counts) > maxCarriedValues {
+			continue
+		}
+		m := maps.Clone(counts)
+		for _, fd := range delta {
+			if v, ok := fd.d.entry.Fields[field]; ok {
+				if m[v] += fd.n; m[v] == 0 {
+					delete(m, v)
+				}
+			}
+		}
+		if len(m) == 0 || len(m) > maxCarriedValues {
+			continue
+		}
+		if len(nt.byField) == maxCarriedFields {
+			return nil
+		}
+		nt.byField[field] = m
+	}
+	if len(nt.byField) == 0 {
+		return nil
+	}
+	return nt
 }
 
 // shard pairs a published snapshot with writer-private build state.
@@ -105,6 +173,12 @@ type shard struct {
 	post     [][]posting      // working directory; inner slices immutable once published
 	batching bool
 	dirty    map[int32]bool // batch mode: terms whose slices are build-owned
+	// recent and anon become the next snapshot's (see shardSnap). recent
+	// is never modified in place: Ingest and Delete build a new slice, a
+	// batch leaves it alone and rebuilds it once at its publish.
+	recent []int32
+	anon   int
+	delta  []facetDelta // ACL-free documents in and out since the last publish
 }
 
 // Index is an in-memory inverted index, safe for concurrent use: one
@@ -267,6 +341,7 @@ func (ix *Index) IngestBatch(entries []Entry) error {
 		}
 		sh.batching = false
 		sh.dirty = nil
+		sh.mergeRecent()
 		sh.publishLocked()
 	}
 	ix.epoch.Add(1)
@@ -308,10 +383,13 @@ func (sh *shard) ingestLocked(ix *Index, e Entry, dict *termDict) {
 		sh.removeLocked(e.ID, ord)
 	}
 	d := &sdoc{entry: e}
-	// The ACL is load-bearing for every future read of this record;
-	// detach it from the caller's slice. Fields/Numbers stay aliased to
-	// the caller's maps, as they always have.
+	// The ACL is load-bearing for every future read of this record, and
+	// the facet counts carried across publishes are moved by the Fields a
+	// document enters and leaves with: detach both from the caller's
+	// memory, so the index answers from ingest-time values — what the
+	// journal recorded. Numbers stay aliased to the caller's map.
 	d.entry.VisibleTo = append([]string(nil), e.VisibleTo...)
+	d.entry.Fields = maps.Clone(e.Fields)
 
 	sc := tokenScratch.Get().(*tokenBuf)
 	toks := docTokens(sc.toks[:0], &d.entry)
@@ -346,7 +424,79 @@ func (sh *shard) ingestLocked(ix *Index, e Entry, dict *termDict) {
 	for _, tc := range d.terms {
 		sh.addPosting(tc.id, posting{ord: ord, tf: tc.tf})
 	}
+	if !sh.batching {
+		i := sh.searchRecent(d)
+		nr := make([]int32, 0, len(sh.recent)+1)
+		nr = append(nr, sh.recent[:i]...)
+		nr = append(nr, ord)
+		sh.recent = append(nr, sh.recent[i:]...)
+	}
+	sh.noteDoc(d, +1)
 	ix.ids.Store(d.entry.ID, d)
+}
+
+// searchRecent finds d's position in the shard's recency order: where it
+// is, or where it belongs.
+func (sh *shard) searchRecent(d *sdoc) int {
+	i, _ := slices.BinarySearchFunc(sh.recent, d, func(ord int32, d *sdoc) int {
+		return recencyCmp(sh.docs[ord], d)
+	})
+	return i
+}
+
+// noteDoc moves the anonymous-visible count and, for an ACL-free document,
+// records the facet delta. The two predicates differ on purpose: an ACL
+// that names the empty principal is on the anonymous page (visible("")),
+// as it always was, and was never in the public facet counts.
+func (sh *shard) noteDoc(d *sdoc, n int) {
+	if d.entry.visible("") {
+		sh.anon += n
+	}
+	if len(d.entry.VisibleTo) == 0 && len(d.entry.Fields) > 0 {
+		sh.delta = append(sh.delta, facetDelta{d, n})
+	}
+}
+
+// mergeRecent rebuilds the recency order after a batch. Against the last
+// published snapshot an ordinal's document is either the same *sdoc
+// (untouched: its entry in recent stands) or not — added, replaced, or
+// the ordinal reused — so the batch keeps no list of its own and an entry
+// replaced twice within it needs no special case. Each new document finds
+// its place by binary search, so a few records landing anywhere in a
+// large shard cost a few comparisons each and one pass of copying, and a
+// bulk load stays linear in what it loads.
+func (sh *shard) mergeRecent() {
+	prev := sh.snap.Load().docs
+	same := func(ord int32) bool { return int(ord) < len(prev) && prev[ord] == sh.docs[ord] }
+	var fresh []int32
+	for ord, d := range sh.docs {
+		if d != nil && !same(int32(ord)) {
+			fresh = append(fresh, int32(ord))
+		}
+	}
+	slices.SortFunc(fresh, func(a, b int32) int { return recencyCmp(sh.docs[a], sh.docs[b]) })
+
+	merged := make([]int32, 0, len(sh.ords))
+	old := sh.recent
+	keep := func(n int) { // the next n old entries, less those the batch replaced or removed
+		for _, ord := range old[:n] {
+			if same(ord) {
+				merged = append(merged, ord)
+			}
+		}
+		old = old[n:]
+	}
+	for _, ord := range fresh {
+		// old is ordered by the documents it was published with, and the
+		// batch may have emptied or refilled their ordinals: compare prev's.
+		i, _ := slices.BinarySearchFunc(old, sh.docs[ord], func(o int32, d *sdoc) int {
+			return recencyCmp(prev[o], d)
+		})
+		keep(i)
+		merged = append(merged, ord)
+	}
+	keep(len(old))
+	sh.recent = merged
 }
 
 // removeLocked unindexes the entry by deleting exactly the postings its
@@ -357,6 +507,13 @@ func (sh *shard) ingestLocked(ix *Index, e Entry, dict *termDict) {
 // Delete() removes the ids entry itself.
 func (sh *shard) removeLocked(id string, ord int32) {
 	d := sh.docs[ord]
+	if !sh.batching {
+		i := sh.searchRecent(d)
+		nr := make([]int32, 0, len(sh.recent)-1)
+		nr = append(nr, sh.recent[:i]...)
+		sh.recent = append(nr, sh.recent[i+1:]...)
+	}
+	sh.noteDoc(d, -1)
 	sh.docs[ord] = nil
 	sh.free = append(sh.free, ord)
 	delete(sh.ords, id)
@@ -427,13 +584,25 @@ func (sh *shard) delPosting(tid, ord int32) {
 // publishLocked snapshots the build state: clone the ord-indexed doc
 // array and the posting directory (headers only — the inner slices are
 // immutable) and swap the shard's epoch pointer. Readers that already
-// grabbed the previous snapshot keep a fully consistent view.
+// grabbed the previous snapshot keep a fully consistent view. Whatever
+// facet counts readers memoised on the previous snapshot move to the new
+// one by the delta since it was published (facetTable.carry): the writer
+// pays O(delta) plus a clone the two caps bound.
 func (sh *shard) publishLocked() {
-	sh.snap.Store(&shardSnap{
-		docs: slices.Clone(sh.docs),
-		post: slices.Clone(sh.post),
-		live: len(sh.ords),
-	})
+	sn := &shardSnap{
+		docs:   slices.Clone(sh.docs),
+		post:   slices.Clone(sh.post),
+		live:   len(sh.ords),
+		recent: sh.recent,
+		anon:   sh.anon,
+	}
+	if t := sh.snap.Load().facets.Load(); t != nil {
+		if nt := t.carry(sh.delta); nt != nil {
+			sn.facets.Store(nt)
+		}
+	}
+	sh.delta = nil
+	sh.snap.Store(sn)
 }
 
 // Save writes a JSON-lines snapshot of every entry, ordered by ID. It

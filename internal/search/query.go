@@ -4,6 +4,7 @@ import (
 	"maps"
 	"math"
 	"sort"
+	"strings"
 	"sync"
 )
 
@@ -29,11 +30,27 @@ func better(a, b scored) bool {
 	if a.score != b.score {
 		return a.score > b.score
 	}
-	ad, bd := a.d.entry.Date, b.d.entry.Date
-	if !ad.Equal(bd) {
-		return ad.After(bd)
+	return recencyCmp(a.d, b.d) < 0
+}
+
+// recencyCmp orders documents as unranked results are listed — date
+// descending, then ID ascending — and is the order of shardSnap.recent.
+func recencyCmp(a, b *sdoc) int {
+	if c := b.entry.Date.Compare(a.entry.Date); c != 0 {
+		return c
 	}
-	return a.d.entry.ID < b.d.entry.ID
+	return strings.Compare(a.entry.ID, b.entry.ID)
+}
+
+// matchesAllPublic reports whether q, whose text tokenised to terms,
+// selects exactly the records an anonymous caller may see: no text, no
+// filters, no ranges, no dates, no principal. It is the portal's landing
+// page and sidebar, the one query asked again at every epoch, and the
+// only one answered from what the index maintains across publishes
+// (topPage, Facets).
+func (q *Query) matchesAllPublic(terms []string) bool {
+	return len(terms) == 0 && len(q.Filters) == 0 && len(q.NumRange) == 0 &&
+		q.From.IsZero() && q.To.IsZero() && q.Principal == ""
 }
 
 // topkHeap keeps the k best candidates seen so far; the root is the worst
@@ -231,7 +248,26 @@ func (ix *Index) topPage(q *Query, sc *queryScratch) ([]scored, int) {
 	}
 	h := topkHeap{items: sc.cand[:0], k: k}
 	total := 0
+	maintained := q.matchesAllPublic(sc.terms)
 	for _, sn := range snaps {
+		if maintained {
+			// The k newest anonymous-visible documents of the shard are
+			// the first k such entries of its recency order, and the count
+			// was kept at publish: O(page) per shard, not O(shard). The
+			// scan below is this path's oracle.
+			total += sn.anon
+			offered := 0
+			for _, ord := range sn.recent {
+				if offered == k {
+					break
+				}
+				if d := sn.docs[ord]; d.entry.visible("") {
+					h.offer(scored{d: d})
+					offered++
+				}
+			}
+			continue
+		}
 		if !ranked {
 			for _, d := range sn.docs {
 				if d != nil && match(&d.entry, q) {
@@ -295,8 +331,7 @@ func (ix *Index) Facets(q Query, field string) map[string]int {
 	sc.terms = appendTokens(sc.terms[:0], q.Text)
 	out := map[string]int{}
 
-	if len(sc.terms) == 0 && len(q.Filters) == 0 && len(q.NumRange) == 0 &&
-		q.From.IsZero() && q.To.IsZero() && q.Principal == "" {
+	if q.matchesAllPublic(sc.terms) {
 		for _, sn := range snaps {
 			for v, c := range sn.publicFacets(field) {
 				out[v] += c
@@ -349,7 +384,9 @@ func (ix *Index) Facets(q Query, field string) map[string]int {
 
 // publicFacets returns this snapshot's public (ACL-free) value counts for
 // field, computing them on first use and memoizing on the immutable
-// snapshot — writers pay nothing at publish, repeat queries pay O(values).
+// snapshot — repeat queries pay O(values), and the next publish carries
+// the counts forward (facetTable.carry: writers pay O(delta), bounded)
+// instead of leaving them to be recounted.
 func (sn *shardSnap) publicFacets(field string) map[string]int {
 	for {
 		t := sn.facets.Load()

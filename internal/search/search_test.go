@@ -3,6 +3,7 @@ package search
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"math/rand"
 	"testing"
 	"time"
@@ -312,18 +313,30 @@ func TestDeleteAfterCallerMutatesFields(t *testing.T) {
 	if err := ix.Ingest(Entry{ID: "a", Text: "gold film", Fields: fields}); err != nil {
 		t.Fatal(err)
 	}
+	if err := ix.Ingest(Entry{ID: "b", Text: "lead film", Fields: map[string]string{"kind": "spatiotemporal"}}); err != nil {
+		t.Fatal(err)
+	}
+	// Memoise the kind counts, so the publishes below carry them forward
+	// by what each document enters and leaves with.
+	if got := ix.Facets(Query{}, "kind"); got["hyperspectral"] != 1 || got["spatiotemporal"] != 1 {
+		t.Fatalf("kind facets = %v", got)
+	}
 	// The caller mutates its map after ingest; removal must still delete
-	// the postings created from the original values.
+	// the postings created from the original values, and take the original
+	// value out of the carried counts.
 	fields["kind"] = "spatiotemporal"
 	if !ix.Delete("a") {
 		t.Fatal("delete failed")
 	}
-	for _, q := range []string{"hyperspectral", "spatiotemporal", "gold"} {
+	for _, q := range []string{"hyperspectral", "gold"} {
 		if hits, total, _ := ix.Search(Query{Text: q}); total != 0 || len(hits) != 0 {
 			t.Errorf("query %q after delete: total=%d hits=%v", q, total, hits)
 		}
 	}
-	if ix.Count() != 0 {
+	if ix.Count() != 1 {
 		t.Errorf("count = %d after delete", ix.Count())
+	}
+	if got, want := ix.Facets(Query{}, "kind"), rebuilt(t, ix).Facets(Query{}, "kind"); !maps.Equal(got, want) {
+		t.Errorf("kind facets after delete = %v, a rebuilt index counts %v", got, want)
 	}
 }

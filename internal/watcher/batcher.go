@@ -24,11 +24,12 @@ type BatchOptions struct {
 	// cap still travels (as a batch of one). 0 means uncapped.
 	MaxBatchBytes int64
 	// Linger is the quiet period after the last pending event before a
-	// below-threshold batch is flushed anyway (default 200ms). Every event
-	// restarts it: a detector burst therefore coalesces and a lone file
-	// waits one Linger, but under a steady trickle spaced closer than
-	// Linger it never fires — batches then close at MaxBatchFiles or
-	// MaxBatchBytes, and a file waits up to MaxBatchFiles−1 spacings.
+	// below-threshold batch is flushed although earlier batches are still
+	// held (default 200ms); every event restarts it. It decides only for
+	// a consumer that holds several batches at once: with nothing held a
+	// pending batch leaves after idleGather, and behind one held batch it
+	// leaves at Done, so a consumer that runs one batch at a time — every
+	// shipped binary — never waits for it.
 	Linger time.Duration
 	// BudgetBytes is the bytes-in-flight backpressure budget: batches are
 	// cut to fit it, and the next batch is withheld while acknowledged-
@@ -49,14 +50,27 @@ type BatchStats struct {
 	MaxInFlightBytes int64
 }
 
+// idleGather is how long the event stream must have been quiet before a
+// pending batch leaves for an idle consumer (no batch handed over and not
+// yet released). It is a gap, re-armed by every event, not a delay from
+// the first one: a burst renamed in back to back reaches the batcher as a
+// few groups 0.6–1.7 ms apart (one per inotify read), and a gap of 5 ms
+// keeps them one batch where a fixed 1 ms gather split them; a lone file
+// pays it once (DESIGN.md §8).
+const idleGather = 5 * time.Millisecond
+
 // Batcher coalesces watcher events into multi-file batches under a
 // bytes-in-flight budget. Where the pre-rework pipeline started one
 // transfer task per settled file, the batcher shapes bursts into a few
 // large tasks and throttles announcement when too much data is already in
 // flight — the backpressure half of the ingest data plane (DESIGN.md §8).
+// It is work-conserving: an idle consumer is handed what is pending as
+// soon as the stream pauses, a busy one finds everything that arrived
+// meanwhile waiting as one batch — batch size follows load, not a timer.
 //
 // Call Done with each consumed batch once its downstream work (transfer,
-// flow) completes; that releases its bytes from the budget.
+// flow) completes; that releases its bytes from the budget and, once no
+// batch is held, lets the next one start without waiting for Linger.
 type Batcher struct {
 	opts    BatchOptions
 	out     chan Batch
@@ -125,26 +139,32 @@ func (b *Batcher) run(events <-chan Event) {
 	var (
 		pending  []Event
 		bytes    int64
-		inFlight int64
+		inFlight int64 // bytes handed over and not yet released
+		held     int   // batches handed over and not yet released
 		lingerC  <-chan time.Time
 		lingerT  *time.Timer
 		expired  bool
+		gatherC  <-chan time.Time
+		gatherT  *time.Timer
+		quiet    bool // no event for idleGather since the last one
 		closed   bool
 		seq      int
 	)
-	stopLinger := func() {
-		if lingerT != nil {
+	stopTimers := func() {
+		if lingerT != nil { // the two are armed and stopped together
 			lingerT.Stop()
-			lingerT = nil
-			lingerC = nil
+			gatherT.Stop()
+			lingerT, lingerC, gatherT, gatherC = nil, nil, nil, nil
 		}
 	}
-	defer stopLinger()
-	resetLinger := func() {
-		stopLinger()
-		expired = false
+	defer stopTimers()
+	armTimers := func() {
+		stopTimers()
+		expired, quiet = false, false
 		lingerT = time.NewTimer(b.opts.Linger)
 		lingerC = lingerT.C
+		gatherT = time.NewTimer(idleGather)
+		gatherC = gatherT.C
 	}
 
 	// cut slices the head of pending into the next candidate batch,
@@ -169,14 +189,16 @@ func (b *Batcher) run(events <-chan Event) {
 	}
 
 	for {
-		// A batch is ready when thresholds are met, the linger expired, or
-		// the source closed; it is sendable when the budget allows.
+		// A batch is ready when thresholds are met, the linger expired, the
+		// source closed, or nothing is held and the stream has paused; it
+		// is sendable when the budget allows. Idle is a count of batches,
+		// not of bytes: a held batch of empty files is still a busy consumer.
 		var outC chan Batch
 		var next Batch
 		if len(pending) > 0 {
 			full := len(pending) >= b.opts.MaxBatchFiles ||
 				(b.opts.MaxBatchBytes > 0 && bytes >= b.opts.MaxBatchBytes)
-			if full || expired || closed {
+			if full || expired || closed || (held == 0 && quiet) {
 				candidate := cut()
 				if b.opts.BudgetBytes <= 0 || inFlight == 0 || inFlight+candidate.Bytes <= b.opts.BudgetBytes {
 					next = candidate
@@ -192,25 +214,30 @@ func (b *Batcher) run(events <-chan Event) {
 			if !ok {
 				closed = true
 				events = nil
-				stopLinger()
+				stopTimers()
 				continue
 			}
 			pending = append(pending, ev)
 			bytes += ev.Size
-			resetLinger()
+			armTimers()
 		case <-lingerC:
 			expired = true
 			lingerC = nil
+		case <-gatherC:
+			quiet = true
+			gatherC = nil
 		case n := <-b.release:
 			inFlight -= n
+			held--
 		case outC <- next:
 			seq++
 			pending = pending[len(next.Files):]
 			bytes -= next.Bytes
 			inFlight += next.Bytes
+			held++
 			if len(pending) == 0 {
-				expired = false
-				stopLinger()
+				expired, quiet = false, false
+				stopTimers()
 			}
 			b.mu.Lock()
 			b.stats.Batches++

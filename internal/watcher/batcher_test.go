@@ -144,19 +144,112 @@ func TestBatcherFlushesOnClose(t *testing.T) {
 	}
 }
 
-// TestBatcherLingerHoldsForBurst: events arriving within the linger
-// window join one batch instead of going out one by one.
+// TestBatcherLingerHoldsForBurst: behind batches that are held and not
+// yet Done, Linger decides — events arriving within it join one batch
+// instead of going out one by one.
 func TestBatcherLingerHoldsForBurst(t *testing.T) {
-	ch := feed()
+	ch := feed(ev("first", 10))
 	b := NewBatcher(ch, BatchOptions{MaxBatchFiles: 100, Linger: 150 * time.Millisecond})
 	defer b.Stop()
+	first := recvBatch(t, b, 2*time.Second) // held for the rest of the test
+	if len(first.Files) != 1 {
+		t.Fatalf("first batch = %+v", first)
+	}
+	start := time.Now()
 	for i := 0; i < 4; i++ {
 		ch <- ev(fmt.Sprintf("burst-%d", i), 10)
-		time.Sleep(5 * time.Millisecond)
+		time.Sleep(10 * time.Millisecond) // past the gather, inside the linger
 	}
 	batch := recvBatch(t, b, 2*time.Second)
 	if len(batch.Files) != 4 {
 		t.Fatalf("burst split: %+v", batch)
+	}
+	if waited := time.Since(start); waited < 150*time.Millisecond {
+		t.Errorf("batch behind a held one left after %v, before its 150ms linger", waited)
+	}
+}
+
+// TestBatcherIdleFlushesLoneFile: with nothing held, a lone file leaves
+// after the gather, whatever Linger says.
+func TestBatcherIdleFlushesLoneFile(t *testing.T) {
+	ch := feed()
+	b := NewBatcher(ch, BatchOptions{Linger: time.Hour})
+	defer b.Stop()
+	ch <- ev("lone", 10)
+	batch := recvBatch(t, b, 50*time.Millisecond)
+	if len(batch.Files) != 1 || batch.Files[0].Path != "lone" {
+		t.Fatalf("batch = %+v", batch)
+	}
+}
+
+// TestBatcherGatherKeepsBurstWhole: a burst reaching the batcher as groups
+// a millisecond apart (one per inotify read) is not split at the group
+// boundaries: the gather is a quiet gap, re-armed by every event. The
+// budget admits one batch, so the full second batch waits for Done.
+func TestBatcherGatherKeepsBurstWhole(t *testing.T) {
+	ch := feed()
+	b := NewBatcher(ch, BatchOptions{MaxBatchFiles: 8, BudgetBytes: 800, Linger: time.Hour})
+	defer b.Stop()
+	n := 0
+	for _, group := range []int{5, 8, 3} {
+		for i := 0; i < group; i++ {
+			ch <- ev(fmt.Sprintf("f%02d", n), 100)
+			n++
+		}
+		gap := time.Now()
+		time.Sleep(time.Millisecond)
+		if slept := time.Since(gap); slept >= idleGather {
+			t.Skipf("the scheduler stretched a 1ms gap to %v, past the gather: a split here is the right answer", slept)
+		}
+	}
+	first := recvBatch(t, b, 2*time.Second)
+	if len(first.Files) != 8 || first.Files[0].Path != "f00" {
+		t.Fatalf("first batch = %d file(s) from %s, want 8 from f00", len(first.Files), first.Files[0].Path)
+	}
+	noBatch(t, b, 4*idleGather)
+	b.Done(first)
+	second := recvBatch(t, b, 2*time.Second)
+	if len(second.Files) != 8 || second.Files[0].Path != "f08" {
+		t.Fatalf("second batch = %d file(s) from %s, want 8 from f08", len(second.Files), second.Files[0].Path)
+	}
+	noBatch(t, b, 4*idleGather)
+}
+
+// TestBatcherGroupCommitAtDone: files arriving while a batch is held
+// accumulate and leave as one batch when it is Done — no Linger wait.
+func TestBatcherGroupCommitAtDone(t *testing.T) {
+	ch := feed()
+	b := NewBatcher(ch, BatchOptions{MaxBatchFiles: 100, Linger: time.Hour})
+	defer b.Stop()
+	ch <- ev("first", 10)
+	first := recvBatch(t, b, 2*time.Second)
+	for i := 0; i < 5; i++ {
+		ch <- ev(fmt.Sprintf("behind-%d", i), 10)
+	}
+	noBatch(t, b, 4*idleGather)
+	b.Done(first)
+	second := recvBatch(t, b, 50*time.Millisecond)
+	if len(second.Files) != 5 {
+		t.Fatalf("second batch = %+v, want the 5 files that arrived behind the first", second)
+	}
+}
+
+// TestBatcherZeroByteBatchIsHeld: idle is a count of batches, not of
+// bytes — a held batch of empty files keeps later files behind it.
+func TestBatcherZeroByteBatchIsHeld(t *testing.T) {
+	ch := feed(ev("empty-0", 0), ev("empty-1", 0))
+	b := NewBatcher(ch, BatchOptions{MaxBatchFiles: 100, Linger: time.Hour})
+	defer b.Stop()
+	first := recvBatch(t, b, 2*time.Second)
+	if len(first.Files) != 2 || first.Bytes != 0 {
+		t.Fatalf("first batch = %+v", first)
+	}
+	ch <- ev("behind", 10)
+	noBatch(t, b, 4*idleGather)
+	b.Done(first)
+	second := recvBatch(t, b, 50*time.Millisecond)
+	if len(second.Files) != 1 || second.Files[0].Path != "behind" {
+		t.Fatalf("second batch = %+v", second)
 	}
 }
 
