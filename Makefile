@@ -14,16 +14,17 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
-# Production and laboratory (DESIGN.md §2): the trigger application, the
-# facility daemon and the layers they are built from import nothing that
-# only the experiment harness runs. Every package those two binaries link,
-# and every production layer by its direct imports, is listed with what it
-# imports; an import of the laboratory side is printed as its edge.
+# Production and laboratory (DESIGN.md §2): no production package imports
+# anything that only the experiment harness runs. The laboratory side is
+# named once, below; every other package under internal/ is production —
+# a new one the day it is added — and is listed with what it imports,
+# as is every package the trigger application and the facility daemon
+# link; an import of the laboratory side is printed as its edge.
 LAB_SIDE := lab|facility|health|netfault|netprobe|netsim|scheduler|stats|synth
 IMPORTS := {{.ImportPath}}{{range .Imports}} {{.}}{{end}}
 depcheck:
 	@bad="$$( { $(GO) list -deps -f '$(IMPORTS)' ./cmd/picoprobe-watch ./cmd/picoprobe-facilityd; \
-		$(GO) list -f '$(IMPORTS)' ./internal/core ./internal/transfer ./internal/compute ./internal/wire ./internal/flows ./internal/watcher ./internal/landing; } \
+		$(GO) list -f '$(IMPORTS)' ./internal/... | grep -Ev '^picoprobe/internal/($(LAB_SIDE))( |$$)'; } \
 		| awk '{ for (i = 2; i <= NF; i++) if ($$i ~ "^picoprobe/internal/($(LAB_SIDE))$$") print "  " $$1 " -> " $$i }' | sort -u )"; \
 	if [ -n "$$bad" ]; then echo "depcheck: production code imports the laboratory side:" >&2; echo "$$bad" >&2; exit 1; fi
 

@@ -769,7 +769,7 @@ func BenchmarkIngestKillResume(b *testing.B) {
 				if err := os.WriteFile(filepath.Join(srcRoot, "f.emdg"), payload, 0o644); err != nil {
 					b.Fatal(err)
 				}
-				svc1 := transfer.NewService(iss, &transfer.LiveMover{
+				svc1 := transfer.NewService(iss, &transfer.ChunkMover{
 					ChunkBytes: chunk, Streams: 1,
 					ManifestDir: manDir, KillAfterChunks: kill,
 				}, time.Now, transfer.Options{MaxAttempts: 1})
@@ -784,7 +784,7 @@ func BenchmarkIngestKillResume(b *testing.B) {
 				}
 				// "Reboot": a fresh service and mover; only the manifest
 				// directory (when enabled) survives.
-				svc2 := transfer.NewService(iss, &transfer.LiveMover{
+				svc2 := transfer.NewService(iss, &transfer.ChunkMover{
 					ChunkBytes: chunk, Streams: 1, ManifestDir: manDir,
 				}, time.Now, transfer.Options{})
 				svc2.RegisterEndpoint(transfer.Endpoint{ID: "src", Root: srcRoot})

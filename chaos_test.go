@@ -119,15 +119,17 @@ func TestChaosSoak(t *testing.T) {
 	}
 
 	srcRoot := t.TempDir()
-	mover := &transfer.WireMover{
-		ChunkBytes:      chunkBytes,
-		Streams:         2,
-		ManifestDir:     filepath.Join(srcRoot, ".manifests"),
-		Token:           token,
-		Dial:            routedDial,
-		Timeout:         2 * time.Second,
-		BreakerCooldown: 150 * time.Millisecond,
-		RetryBackoff:    &wire.Backoff{Base: 15 * time.Millisecond, Max: 250 * time.Millisecond},
+	mover := &transfer.ChunkMover{
+		ChunkBytes:  chunkBytes,
+		Streams:     2,
+		ManifestDir: filepath.Join(srcRoot, ".manifests"),
+		Land: &transfer.WireLanding{
+			Token:           token,
+			Dial:            routedDial,
+			Timeout:         2 * time.Second,
+			BreakerCooldown: 150 * time.Millisecond,
+			RetryBackoff:    &wire.Backoff{Base: 15 * time.Millisecond, Max: 250 * time.Millisecond},
+		},
 	}
 	defer mover.Close()
 	svc := transfer.NewService(iss, mover, time.Now, transfer.Options{MaxAttempts: 40})

@@ -1,7 +1,7 @@
 // Command picoprobe-facilityd is the facility-side wire daemon: one
 // process per HPC facility, serving the three wire services on plain
 // TCP (DESIGN.md §11) — ranged chunk I/O under its storage root for the
-// acquisition side's WireMover, compute dispatch into a local worker
+// acquisition side's chunk mover, compute dispatch into a local worker
 // pool running the real analysis functions, and the status endpoint
 // link-quality probers measure RTT and goodput against.
 //
@@ -38,11 +38,7 @@ import (
 	"syscall"
 	"time"
 
-	"picoprobe/internal/auth"
-	"picoprobe/internal/compute"
 	"picoprobe/internal/core"
-	"picoprobe/internal/detect"
-	"picoprobe/internal/wire"
 )
 
 func main() {
@@ -74,36 +70,13 @@ func main() {
 	if outDir == "" {
 		outDir = filepath.Join(*root, "analysis-out")
 	}
-	for _, dir := range []string{*root, outDir} {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			log.Fatalf("picoprobe-facilityd: %v", err)
-		}
-	}
-
-	issuer := auth.NewIssuer([]byte(*secret), nil)
-	registry := compute.NewRegistry()
-	core.RegisterAnalysisFunctions(registry, outDir, detect.DefaultParams())
-	csvc := compute.NewService(issuer, registry, compute.NewLocalExecutor(*workers, nil), time.Now)
-	// The daemon's own compute token: wire sessions were already
-	// authenticated at Hello, so dispatches run under this identity.
-	ctoken, err := issuer.Issue("facilityd@"+*id, []string{auth.ScopeCompute}, 365*24*time.Hour)
+	srv, err := core.NewFacilityDaemon(*id, *root, outDir, *secret, *workers)
 	if err != nil {
 		log.Fatalf("picoprobe-facilityd: %v", err)
 	}
-
-	srv := &wire.Server{
-		Root:     *root,
-		Facility: *id,
-		Verify: func(token string) error {
-			_, err := issuer.Verify(token, auth.ScopeTransfer)
-			return err
-		},
-		Compute:      csvc,
-		ComputeToken: ctoken,
-		MaxSessions:  *maxSessions,
-		IdleTimeout:  *idleTimeout,
-		Logf:         log.Printf,
-	}
+	srv.MaxSessions = *maxSessions
+	srv.IdleTimeout = *idleTimeout
+	srv.Logf = log.Printf
 	bound, err := srv.Start(*addr)
 	if err != nil {
 		log.Fatalf("picoprobe-facilityd: %v", err)

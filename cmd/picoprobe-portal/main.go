@@ -20,7 +20,8 @@
 // The production serving layer (DESIGN.md §13) is on by default — the
 // configuration the benchmark measures: -cache is epoch-keyed response
 // caching (strong ETags, 304 revalidation, bounded memoization), -events
-// serves live run/flow/facility transitions over SSE at /api/events,
+// serves live run transitions over SSE at /api/events (the simulated
+// -federation run is finished before serving starts and pushes nothing),
 // -metrics serves Prometheus text at /metrics; each turns off with
 // -cache=false and so on. Admission control stays opt-in:
 // -limit-rps/-max-inflight (429 + Retry-After per principal, 503 shed
@@ -49,7 +50,6 @@ import (
 
 	"picoprobe/internal/core"
 	"picoprobe/internal/durable"
-	"picoprobe/internal/facility"
 	"picoprobe/internal/flows"
 	"picoprobe/internal/lab"
 	"picoprobe/internal/metadata"
@@ -79,7 +79,7 @@ func main() {
 	durableDir := flag.String("durable", "", "journal the catalog and run records under this directory and recover them at boot")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this side address (e.g. localhost:6060); empty disables")
 	cache := flag.Bool("cache", true, "epoch-keyed response caching (ETag/304 + memoization) on the catalog routes")
-	events := flag.Bool("events", true, "serve live run/flow/facility transitions over SSE at /api/events")
+	events := flag.Bool("events", true, "serve live run transitions over SSE at /api/events")
 	metrics := flag.Bool("metrics", true, "serve Prometheus text metrics at /metrics")
 	limitRPS := flag.Float64("limit-rps", 0, "per-principal admission rate in requests/sec (0 disables rate limiting)")
 	limitBurst := flag.Float64("limit-burst", 0, "admission burst capacity (default: rate)")
@@ -98,7 +98,7 @@ func main() {
 
 	index := search.NewIndex()
 	var engine *flows.Engine
-	var registry *facility.Registry
+	var facilities http.Handler
 	if *indexPath != "" {
 		f, err := os.Open(*indexPath)
 		if err != nil {
@@ -143,12 +143,12 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		registry = res.Registry
+		facilities = res.Registry.View(portal.Title)
 		fmt.Printf("federated scenario: %d runs, %d failover(s), %d re-stage(s)\n",
 			len(res.Runs), res.Placement.Failovers, res.Placement.Restages)
 	}
 
-	cfg := portal.Config{Index: index, ArtifactRoot: *artifacts, Flows: engine, Facilities: registry}
+	cfg := portal.Config{Index: index, ArtifactRoot: *artifacts, Flows: engine, Facilities: facilities}
 	if *cache {
 		cfg.Cache = &portal.CacheConfig{}
 	}
@@ -161,13 +161,8 @@ func main() {
 	if *events {
 		hub := portal.NewHub()
 		cfg.Events = hub
-		// Tap the live producers: run transitions from the engine, placement
-		// transitions from the federation registry.
 		if engine != nil {
 			engine.SetEventSink(hub.FlowSink())
-		}
-		if registry != nil {
-			registry.SetEventSink(hub.FacilitySink())
 		}
 	}
 	srv, err := portal.NewServer(cfg)
@@ -178,7 +173,7 @@ func main() {
 	if engine != nil {
 		fmt.Printf("flow runs under /flows\n")
 	}
-	if registry != nil {
+	if facilities != nil {
 		fmt.Printf("facilities under /facilities\n")
 	}
 	if *events {

@@ -100,6 +100,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer dep.Close()
 
 	w, err := watcher.New(*dir, watcher.Options{
 		Pattern:        *pattern,

@@ -3,7 +3,7 @@
 // transfer directory; the watcher announces them, the batcher — idle, so
 // it waits only for the directory to go quiet — hands the burst over as
 // one multi-file transfer task under a bytes-in-flight budget, and
-// the chunked live mover starts moving it over four concurrent streams —
+// the chunk mover starts moving it over four concurrent streams —
 // until an injected fault kills the transfer mid-flight. The walkthrough
 // then "reboots" the transfer service and shows chunk-level resume: the
 // resubmitted task re-moves only the chunks the manifest has not verified
@@ -106,7 +106,7 @@ func main() {
 	totalChunks := 6 * (fileBytes / chunkBytes)
 	killAt := totalChunks / 3
 
-	svc1 := transfer.NewService(issuer, &transfer.LiveMover{
+	svc1 := transfer.NewService(issuer, &transfer.ChunkMover{
 		ChunkBytes:      chunkBytes,
 		Streams:         streams,
 		ManifestDir:     manifests,
@@ -128,7 +128,7 @@ func main() {
 
 	// --- 3. reboot, resubmit, resume ------------------------------------
 	fmt.Println("\"rebooting\" the transfer service (fresh mover, same manifest directory)...")
-	svc2 := transfer.NewService(issuer, &transfer.LiveMover{
+	svc2 := transfer.NewService(issuer, &transfer.ChunkMover{
 		ChunkBytes:  chunkBytes,
 		Streams:     streams,
 		ManifestDir: manifests,

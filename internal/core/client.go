@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"time"
@@ -90,6 +91,9 @@ type LiveDeployment struct {
 	// address landed files by bare relative path (the daemon resolves
 	// them under its own root) instead of by local absolute path.
 	wirePaths bool
+	// conns are a wire deployment's pooled connections — the mover's and
+	// the compute backends' — which Close drops.
+	conns []io.Closer
 }
 
 // computePath is how a compute state addresses a landed file: the
@@ -110,9 +114,13 @@ type DurableRecovery struct {
 	RestoredRuns int
 }
 
-// Close flushes and closes the deployment's durable journals (no-op for
-// memory-only deployments).
+// Close flushes and closes the deployment's durable journals and drops a
+// wire deployment's pooled sessions (no-op for a memory-only in-process
+// deployment).
 func (d *LiveDeployment) Close() error {
+	for _, c := range d.conns {
+		c.Close()
+	}
 	var err error
 	if d.Catalog != nil {
 		err = d.Catalog.Close()
@@ -142,7 +150,7 @@ func NewLiveDeployment(opts LiveOptions) (*LiveDeployment, error) {
 		secret:  "picoprobe-live",
 		options: opts,
 		mover: func(string) transfer.Mover {
-			return &transfer.LiveMover{
+			return &transfer.ChunkMover{
 				ChunkBytes: opts.TransferChunkBytes,
 				Streams:    opts.TransferStreams,
 				// Manifests live beside the destination root so a redeployed
@@ -168,8 +176,8 @@ func NewLiveDeployment(opts LiveOptions) (*LiveDeployment, error) {
 }
 
 // site is one facility as a deployment reaches it: the transfer endpoint
-// its data lands on (Root is a directory under an in-process mover, a
-// daemon's host:port under the wire mover) and the backend its compute
+// its data lands on (Root is a directory for a local landing, a
+// daemon's host:port for a wire landing) and the backend its compute
 // runs on. The endpoint ID doubles as the facility ID.
 type site struct {
 	endpoint transfer.Endpoint
@@ -184,7 +192,7 @@ type Placement func(transfer flows.ActionProvider, backends map[string]ComputeBa
 
 // assembly is everything that differs between deployments; assemble
 // supplies the rest. mover and each site's backend are built from the
-// operator credentials because the wire mover and the wire clients
+// operator credentials because the wire landing and the wire clients
 // authenticate with the token.
 type assembly struct {
 	// secret keys the token issuer (a daemon verifies with the same one).
@@ -367,7 +375,7 @@ func TransferState() flows.StateDef {
 		Params: func(input map[string]any, _ flows.Results) map[string]any {
 			rel, _ := input["rel_path"].(string)
 			// bytes, when the input sizes the file, feeds the placement
-			// estimate and the simulated mover; live movers stat the file.
+			// estimate and the simulated mover; the chunk mover stats the file.
 			bytes, _ := input["bytes"].(float64)
 			return WithPlacement(flows.Pack(TransferParams{
 				Src: EndpointInstrument, Dst: EndpointEagle, RelPath: rel, Bytes: int64(bytes),

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"net"
 	"os"
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -238,6 +241,66 @@ func TestWireDeploymentRefusesOversizedChunk(t *testing.T) {
 	if dep.Options.TransferChunkBytes != DefaultTransferChunkBytes || dep.Options.TransferStreams != DefaultTransferStreams {
 		t.Errorf("default wire framing recorded as %d bytes × %d streams, want %d × %d",
 			dep.Options.TransferChunkBytes, dep.Options.TransferStreams, DefaultTransferChunkBytes, DefaultTransferStreams)
+	}
+}
+
+// countedConn takes itself off the open count when it is closed.
+type countedConn struct {
+	net.Conn
+	open *atomic.Int64
+	once sync.Once
+}
+
+func (c *countedConn) Close() error {
+	c.once.Do(func() { c.open.Add(-1) })
+	return c.Conn.Close()
+}
+
+// TestWireDeploymentCloseDropsSessions: a wire deployment's mover and
+// compute backend pool their sessions to the daemon, and Close is what
+// drops them — a closed deployment must not sit on the daemon's
+// -max-sessions until the clients' idle eviction.
+func TestWireDeploymentCloseDropsSessions(t *testing.T) {
+	root := t.TempDir()
+	srv, err := NewFacilityDaemon("close-test", root, filepath.Join(root, "analysis-out"), WireSecretDefault, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	var open atomic.Int64
+	instrument := t.TempDir()
+	writeHyperspectralFile(t, instrument, "hs.emdg")
+	dep, err := NewWireDeployment(WireOptions{
+		InstrumentRoot: instrument,
+		DaemonAddr:     addr,
+		Dial: func(addr string) (net.Conn, error) {
+			c, err := net.Dial("tcp", addr)
+			if err != nil {
+				return nil, err
+			}
+			open.Add(1)
+			return &countedConn{Conn: c, open: &open}, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dep.RunBatch("hyperspectral", []string{"hs.emdg"}); err != nil {
+		t.Fatal(err)
+	}
+	if open.Load() == 0 {
+		t.Fatal("no session is pooled after a batch: Close has nothing to prove")
+	}
+	if err := dep.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := open.Load(); n != 0 {
+		t.Errorf("%d connection(s) to the daemon still open after Close", n)
 	}
 }
 

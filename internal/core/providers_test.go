@@ -30,7 +30,7 @@ func simWorld(t *testing.T) (*sim.Kernel, *auth.Issuer, string) {
 
 func TestTransferProviderParamValidation(t *testing.T) {
 	k, issuer, token := simWorld(t)
-	svc := transfer.NewService(issuer, &transfer.LiveMover{}, k.Now, transfer.Options{})
+	svc := transfer.NewService(issuer, &transfer.ChunkMover{}, k.Now, transfer.Options{})
 	p := core.NewTransferProvider(svc)
 	if p.Name() != "transfer" {
 		t.Error("name")

@@ -52,7 +52,7 @@ const WireSecretDefault = "picoprobe-wire"
 // daemon. It is the same assembly as an in-process deployment and runs
 // the same flow definitions — RunFile, RunBatch, FanOutDefinition all
 // carry over — with two substitutions underneath: the transfer
-// provider's mover is a transfer.WireMover shipping chunks over the wire,
+// provider's mover lands its chunks over the wire (transfer.WireLanding),
 // and the compute provider's backend dispatches to the daemon's pool
 // instead of a local executor. The catalog stays local: analysis entries
 // come back in the compute results and are published into the
@@ -62,24 +62,23 @@ func NewWireDeployment(opts WireOptions) (*LiveDeployment, error) {
 		return nil, fmt.Errorf("core: wire deployment needs InstrumentRoot and DaemonAddr")
 	}
 	// The destination endpoint's Root carries the daemon address — the
-	// wire mover's one deviation from the live mover's filesystem view.
+	// wire landing's one deviation from the local one's filesystem view.
 	daemon := transfer.Endpoint{ID: EndpointEagle, Name: "Facility daemon", Root: opts.DaemonAddr}
-	dep, _, err := NewWireFederation(opts, []transfer.Endpoint{daemon}, nil)
-	return dep, err
+	return NewWireFederation(opts, []transfer.Endpoint{daemon}, nil)
 }
 
 // NewWireFederation assembles the acquisition side against one daemon
 // per endpoint (Root = host:port; opts.DaemonAddr is not read). With
 // more than one, place decides where each state runs among them. The
-// returned func closes the mover's and the compute backends' pooled
+// deployment's Close drops the mover's and the compute backends' pooled
 // connections.
-func NewWireFederation(opts WireOptions, daemons []transfer.Endpoint, place Placement) (*LiveDeployment, func(), error) {
+func NewWireFederation(opts WireOptions, daemons []transfer.Endpoint, place Placement) (*LiveDeployment, error) {
 	if err := os.MkdirAll(opts.InstrumentRoot, 0o755); err != nil {
-		return nil, nil, fmt.Errorf("core: %w", err)
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	chunkBytes, streams := framing(opts.TransferChunkBytes, opts.TransferStreams)
 	if chunkBytes > wire.MaxChunkBytes {
-		return nil, nil, fmt.Errorf("core: wire transfer chunk of %d bytes does not fit one frame (frame limit %d bytes, largest chunk %d)",
+		return nil, fmt.Errorf("core: wire transfer chunk of %d bytes does not fit one frame (frame limit %d bytes, largest chunk %d)",
 			chunkBytes, wire.DefaultMaxFrame, wire.MaxChunkBytes)
 	}
 	secret := opts.Secret
@@ -95,16 +94,14 @@ func NewWireFederation(opts WireOptions, daemons []transfer.Endpoint, place Plac
 		place:     place,
 		wirePaths: true,
 		mover: func(token string) transfer.Mover {
-			m := &transfer.WireMover{
+			m := &transfer.ChunkMover{
 				ChunkBytes: chunkBytes,
 				Streams:    streams,
 				// Resume state is client-side by design: manifests live beside
 				// the SOURCE root, so a daemon lost and restarted changes
 				// nothing about what the client knows it still owes.
 				ManifestDir: filepath.Join(opts.InstrumentRoot, ".picoprobe-manifests"),
-				Token:       token,
-				Dial:        opts.Dial,
-				Timeout:     opts.Timeout,
+				Land:        &transfer.WireLanding{Token: token, Dial: opts.Dial, Timeout: opts.Timeout},
 			}
 			conns = append(conns, m)
 			return m
@@ -118,11 +115,11 @@ func NewWireFederation(opts WireOptions, daemons []transfer.Endpoint, place Plac
 		}})
 	}
 	dep, err := assemble(a)
-	return dep, func() {
-		for _, c := range conns {
-			c.Close()
-		}
-	}, err
+	if err != nil {
+		return nil, err
+	}
+	dep.conns = conns
+	return dep, nil
 }
 
 // WireComputeBackend adapts a facility daemon's dispatch service to the

@@ -1,25 +1,32 @@
-package portal
+package facility
 
 import (
+	"encoding/json"
 	"fmt"
 	"html/template"
 	"net/http"
+	"strconv"
 	"time"
 
-	"picoprobe/internal/facility"
 	"picoprobe/internal/stats"
 )
 
-// The facility views expose the federation layer's per-facility state:
-// /facilities renders a load table (pool occupancy, queue depth, live
-// queue-wait estimate, placements and failovers), /api/facilities serves
-// the JSON twin. Unlike the flow-run views these carry no run inputs or
-// per-record data, only aggregate facility load, so they are served to
-// anonymous requests even on authenticated portals.
+// View is the registry's own rendering of its state, for a portal to
+// mount: /facilities is a load table (pool occupancy, queue depth, live
+// queue-wait estimate, placements and failovers), /api/facilities the
+// JSON twin. Unlike flow-run views these carry no run inputs or
+// per-record data, only aggregate facility load, so a portal serves them
+// to anonymous requests too. title is the host portal's heading.
+func (r *Registry) View(title string) http.Handler {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/facilities", func(w http.ResponseWriter, _ *http.Request) { r.servePage(w, title) })
+	mux.HandleFunc("/api/facilities", func(w http.ResponseWriter, _ *http.Request) { r.serveJSON(w) })
+	return mux
+}
 
-func (s *Server) handleFacilities(w http.ResponseWriter, r *http.Request) {
-	snap := s.cfg.Facilities.Snapshot()
-	data := facilitiesData{Title: portalTitle, Total: len(snap)}
+func (r *Registry) servePage(w http.ResponseWriter, title string) {
+	snap := r.Snapshot()
+	data := facilitiesData{Title: title, Total: len(snap)}
 	for _, f := range snap {
 		row := facilityRowData{
 			ID:      f.ID,
@@ -61,16 +68,23 @@ func (s *Server) handleFacilities(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func (s *Server) handleAPIFacilities(w http.ResponseWriter, r *http.Request) {
-	snap := s.cfg.Facilities.Snapshot()
+func (r *Registry) serveJSON(w http.ResponseWriter) {
+	snap := r.Snapshot()
 	if snap == nil {
-		snap = []facility.Status{} // clients get "facilities": [], never null
+		snap = []Status{} // clients get "facilities": [], never null
 	}
-	resp := struct {
-		Total      int `json:"total"`
-		Facilities any `json:"facilities"`
-	}{Total: len(snap), Facilities: snap}
-	writeJSON(w, resp)
+	body, err := json.Marshal(struct {
+		Total      int      `json:"total"`
+		Facilities []Status `json:"facilities"`
+	}{len(snap), snap})
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	body = append(body, '\n')
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.Write(body)
 }
 
 func formatSeconds(s float64) string {

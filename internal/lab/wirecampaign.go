@@ -9,10 +9,7 @@ import (
 	"text/tabwriter"
 	"time"
 
-	"picoprobe/internal/auth"
-	"picoprobe/internal/compute"
 	"picoprobe/internal/core"
-	"picoprobe/internal/detect"
 	"picoprobe/internal/facility"
 	"picoprobe/internal/flows"
 	"picoprobe/internal/health"
@@ -113,32 +110,14 @@ func RunWireCampaign(cfg WireCampaignConfig) (*WireCampaignResult, error) {
 	// monitor and prober read it.
 	rt := sim.NewLiveRuntime(1)
 	reg := facility.NewRegistry(rt, 0)
-	issuer := auth.NewIssuer([]byte(core.WireSecretDefault), nil)
 	var daemons []transfer.Endpoint
 	var faults *netfault.Faults
 	for i := 0; i < cfg.Facilities; i++ {
 		id := fmt.Sprintf("facility-%02d", i)
 		root := filepath.Join(dir, id)
-		outDir := filepath.Join(root, "analysis-out")
-		if err := os.MkdirAll(outDir, 0o755); err != nil {
-			return nil, err
-		}
-		registry := compute.NewRegistry()
-		core.RegisterAnalysisFunctions(registry, outDir, detect.DefaultParams())
-		csvc := compute.NewService(issuer, registry, compute.NewLocalExecutor(2, nil), time.Now)
-		ctoken, err := issuer.Issue("facilityd@"+id, []string{auth.ScopeCompute}, 24*time.Hour)
+		srv, err := core.NewFacilityDaemon(id, root, filepath.Join(root, "analysis-out"), core.WireSecretDefault, 2)
 		if err != nil {
 			return nil, err
-		}
-		srv := &wire.Server{
-			Root:     root,
-			Facility: id,
-			Verify: func(t string) error {
-				_, err := issuer.Verify(t, auth.ScopeTransfer)
-				return err
-			},
-			Compute:      csvc,
-			ComputeToken: ctoken,
 		}
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -165,7 +144,7 @@ func RunWireCampaign(cfg WireCampaignConfig) (*WireCampaignResult, error) {
 	// registry placing each transfer and compute state. The synthetic
 	// acquisitions are small, so the campaign frames them small too: a
 	// file still crosses the wire as several chunks over two sessions.
-	dep, closeWire, err := core.NewWireFederation(core.WireOptions{
+	dep, err := core.NewWireFederation(core.WireOptions{
 		InstrumentRoot:     instrument,
 		Policy:             flows.Push{Latency: 5 * time.Millisecond},
 		TransferChunkBytes: 256 << 10,
@@ -176,7 +155,7 @@ func RunWireCampaign(cfg WireCampaignConfig) (*WireCampaignResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer closeWire()
+	defer dep.Close()
 	token := dep.Token
 
 	res := &WireCampaignResult{Dir: dir}

@@ -1,7 +1,7 @@
 // Package landing is the on-disk landing store of the chunk data plane
 // (DESIGN.md §8): the rooted, path-confined file operations a chunked
 // transfer needs at its destination. It is the one implementation behind
-// both transfer paths — the in-process mover's local sink calls it
+// both landings — the chunk mover's local sink calls it
 // directly, the facility daemon's wire handlers call it after their
 // protocol-level checks. The store keeps no state beyond the files under
 // Root and holds no file open between calls, which is what lets a

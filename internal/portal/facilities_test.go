@@ -2,6 +2,7 @@ package portal
 
 import (
 	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -53,7 +54,7 @@ func federationFixture(t *testing.T) (*facility.Registry, *sim.Kernel) {
 
 func TestFacilitiesView(t *testing.T) {
 	reg, _ := federationFixture(t)
-	srv, err := NewServer(Config{Index: search.NewIndex(), Facilities: reg})
+	srv, err := NewServer(Config{Index: search.NewIndex(), Facilities: reg.View(Title)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func TestFacilitiesView(t *testing.T) {
 
 func TestFacilitiesAPI(t *testing.T) {
 	reg, _ := federationFixture(t)
-	srv, err := NewServer(Config{Index: search.NewIndex(), Facilities: reg})
+	srv, err := NewServer(Config{Index: search.NewIndex(), Facilities: reg.View(Title)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +122,7 @@ func TestFacilitiesQualityColumns(t *testing.T) {
 		// olcf-orion deliberately unmeasured.
 	}, 50)
 
-	srv, err := NewServer(Config{Index: search.NewIndex(), Facilities: reg})
+	srv, err := NewServer(Config{Index: search.NewIndex(), Facilities: reg.View(Title)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +163,7 @@ func TestFacilitiesQualityColumns(t *testing.T) {
 // link columns in HTML — the routes must stay fully functional.
 func TestFacilitiesQualityAbsentWithoutProvider(t *testing.T) {
 	reg, _ := federationFixture(t)
-	srv, err := NewServer(Config{Index: search.NewIndex(), Facilities: reg})
+	srv, err := NewServer(Config{Index: search.NewIndex(), Facilities: reg.View(Title)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,4 +189,65 @@ func TestFacilitiesRoutesAbsentWithoutRegistry(t *testing.T) {
 	if rec.Code != 404 {
 		t.Errorf("facilities without registry: status = %d, want 404", rec.Code)
 	}
+}
+
+// TestFacilitiesAPIEmptyRegistry: a registry with no facility answers
+// "facilities":[] — an array a client can iterate, never null.
+func TestFacilitiesAPIEmptyRegistry(t *testing.T) {
+	reg := facility.NewRegistry(sim.NewKernel(), 0)
+	srv, err := NewServer(Config{Index: search.NewIndex(), Facilities: reg.View(Title)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest("GET", "/api/facilities", nil))
+	if got, want := rec.Body.String(), `{"total":0,"facilities":[]}`+"\n"; rec.Code != 200 || got != want {
+		t.Errorf("empty registry: status %d body %q, want 200 %q", rec.Code, got, want)
+	}
+}
+
+// TestFacilitiesBehindAdmission: the mounted view is admitted like every
+// other route — rate-limited per principal (429 + Retry-After) and shed
+// past the in-flight cap (503) while another facilities request holds
+// the only slot.
+func TestFacilitiesBehindAdmission(t *testing.T) {
+	reg, _ := federationFixture(t)
+	srv, err := NewServer(Config{Index: search.NewIndex(), Facilities: reg.View(Title),
+		Limits: &LimitConfig{RatePerSec: 0.25, Burst: 1, Now: newFakeClock().Now}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest("GET", "/facilities", nil))
+	if rec.Code != 200 {
+		t.Fatalf("first request: status %d", rec.Code)
+	}
+	rec = httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest("GET", "/api/facilities", nil))
+	if rec.Code != http.StatusTooManyRequests || rec.Header().Get("Retry-After") != "4" {
+		t.Errorf("past the burst: status %d Retry-After %q, want 429 and 4", rec.Code, rec.Header().Get("Retry-After"))
+	}
+
+	hold, inside := make(chan struct{}), make(chan struct{})
+	srv, err = NewServer(Config{Index: search.NewIndex(), Limits: &LimitConfig{MaxInFlight: 1},
+		Facilities: http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
+			close(inside)
+			<-hold
+		})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		srv.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/facilities", nil))
+	}()
+	<-inside
+	rec = httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest("GET", "/api/facilities", nil))
+	if rec.Code != http.StatusServiceUnavailable || rec.Header().Get("Retry-After") == "" {
+		t.Errorf("over the in-flight cap: status %d Retry-After %q, want 503 with a Retry-After", rec.Code, rec.Header().Get("Retry-After"))
+	}
+	close(hold)
+	<-done
 }

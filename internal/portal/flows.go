@@ -38,7 +38,7 @@ func (s *Server) handleFlows(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	runs := s.cfg.Flows.Runs()
-	data := flowsData{Title: portalTitle, Total: len(runs)}
+	data := flowsData{Title: Title, Total: len(runs)}
 	// Newest first: researchers care about the run they just started.
 	for i := len(runs) - 1; i >= 0; i-- {
 		data.Runs = append(data.Runs, runSummary(runs[i]))
@@ -59,7 +59,7 @@ func (s *Server) handleFlowRun(w http.ResponseWriter, r *http.Request) {
 		http.NotFound(w, r)
 		return
 	}
-	data := flowRunData{Title: portalTitle, Run: runSummary(rec)}
+	data := flowRunData{Title: Title, Run: runSummary(rec)}
 	for _, st := range rec.States {
 		data.States = append(data.States, stateRowData{
 			Name:     st.Name,

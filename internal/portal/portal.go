@@ -25,7 +25,6 @@ import (
 	"time"
 
 	"picoprobe/internal/auth"
-	"picoprobe/internal/facility"
 	"picoprobe/internal/flows"
 	"picoprobe/internal/obs"
 	"picoprobe/internal/search"
@@ -45,10 +44,11 @@ type Config struct {
 	// runs, /flows/run/{id} renders one run's executed DAG with per-state
 	// timings, and /api/flows[/run/{id}] serve the JSON twins.
 	Flows *flows.Engine
-	// Facilities, when non-nil, exposes the federation registry:
-	// /facilities renders per-facility load, queue depth and placements,
-	// /api/facilities serves the JSON twin.
-	Facilities *facility.Registry
+	// Facilities, when non-nil, is mounted at /facilities and
+	// /api/facilities behind admission control — the federation
+	// registry's own view (facility.Registry.View): per-facility load,
+	// queue depth and placements, and the JSON twin.
+	Facilities http.Handler
 
 	// The production serving layer (DESIGN.md §13). Every knob is
 	// opt-in: with all four nil the portal serves exactly the responses
@@ -63,10 +63,10 @@ type Config struct {
 	// token-bucket rate limiting (429 + Retry-After) and a global
 	// in-flight cap that sheds with 503 before latency collapses.
 	Limits *LimitConfig
-	// Events, when non-nil, serves live run/flow/facility status pushes
-	// over SSE at /api/events through this hub. Wire producers with
-	// flows.Engine.SetEventSink(hub.FlowSink()) and
-	// facility.Registry.SetEventSink(hub.FacilitySink()).
+	// Events, when non-nil, serves live status pushes over SSE at
+	// /api/events through this hub. Run transitions come from
+	// flows.Engine.SetEventSink(hub.FlowSink()); any other producer
+	// calls hub.Publish.
 	Events *Hub
 	// Metrics, when non-nil, instruments every route into this registry
 	// and serves it at /metrics in Prometheus text format.
@@ -83,8 +83,8 @@ type Server struct {
 	instrument bool
 }
 
-// portalTitle is the portal heading.
-const portalTitle = "Dynamic PicoProbe Data Portal"
+// Title is the portal heading.
+const Title = "Dynamic PicoProbe Data Portal"
 
 // NewServer builds the portal.
 func NewServer(cfg Config) (*Server, error) {
@@ -116,8 +116,8 @@ func NewServer(cfg Config) (*Server, error) {
 		s.route("/api/flows/run/", s.handleAPIFlowRun, admitted|capped)
 	}
 	if cfg.Facilities != nil {
-		s.route("/facilities", s.handleFacilities, admitted|capped)
-		s.route("/api/facilities", s.handleAPIFacilities, admitted|capped)
+		s.route("/facilities", cfg.Facilities.ServeHTTP, admitted|capped)
+		s.route("/api/facilities", cfg.Facilities.ServeHTTP, admitted|capped)
 	}
 	if cfg.Events != nil {
 		// SSE connections are long-lived: they pass the token bucket at
@@ -223,7 +223,7 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	}
 	facets := s.cfg.Index.Facets(search.Query{Text: q.Text, Principal: q.Principal}, "kind")
 	data := indexData{
-		Title:  portalTitle,
+		Title:  Title,
 		Query:  q.Text,
 		Kind:   r.FormValue("kind"),
 		Total:  total,
@@ -258,7 +258,7 @@ func (s *Server) handleRecord(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	data := recordData{
-		Title: portalTitle,
+		Title: Title,
 		ID:    entry.ID,
 		Date:  entry.Date.Format(time.RFC1123),
 		Kind:  entry.Fields["kind"],

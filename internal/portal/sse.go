@@ -8,20 +8,20 @@ import (
 	"sync"
 	"time"
 
-	"picoprobe/internal/facility"
 	"picoprobe/internal/flows"
 )
 
 // Live push (DESIGN.md §13). Instead of polling /api/flows, portal
-// clients hold one SSE stream at /api/events and receive run, flow and
-// facility status transitions as they happen. The Hub is a fan-out
+// clients hold one SSE stream at /api/events and receive status
+// transitions as they happen. The Hub is a fan-out
 // broadcaster built for slow-client safety: every subscriber owns a
 // bounded queue, Publish never blocks — a subscriber whose queue is full
 // is evicted (its channel closed, its connection torn down) so one
 // stalled reader cannot delay the beam line's status fan-out to everyone
-// else. Event producers are the engine and registry taps
-// (flows.Engine.SetEventSink, facility.Registry.SetEventSink) wired
-// through FlowSink/FacilitySink.
+// else. The shipped producer is the engine's tap
+// (flows.Engine.SetEventSink through FlowSink), which publishes "run"
+// events; Publish is the seam for any other — a live facility registry
+// would publish "facility" events through it.
 
 // Hub broadcasts server-sent events to any number of subscribers.
 // Configure the exported knobs before serving; they must not change
@@ -129,12 +129,6 @@ func (h *Hub) unsubscribe(c *hubClient) {
 // transition becomes a "run" event.
 func (h *Hub) FlowSink() func(flows.RunEvent) {
 	return func(ev flows.RunEvent) { h.Publish("run", ev) }
-}
-
-// FacilitySink adapts the hub for facility.Registry.SetEventSink:
-// placement and landing transitions become "facility" events.
-func (h *Hub) FacilitySink() func(facility.Event) {
-	return func(ev facility.Event) { h.Publish("facility", ev) }
 }
 
 // handleEvents serves one SSE subscription until the client disconnects,

@@ -40,7 +40,7 @@ func TestLiveAdaptiveResumeAcrossTunedChunkSize(t *testing.T) {
 	const chunk = 8 << 10
 	payload := writeRandom(t, filepath.Join(srcRoot, "f.emdg"), 8*chunk, 11)
 
-	svc1 := NewService(iss, &LiveMover{
+	svc1 := NewService(iss, &ChunkMover{
 		Tuner:       &testTuner{streams: 1, chunk: chunk},
 		ManifestDir: manDir, KillAfterChunks: 3,
 	}, time.Now, Options{MaxAttempts: 1})
@@ -57,7 +57,7 @@ func TestLiveAdaptiveResumeAcrossTunedChunkSize(t *testing.T) {
 
 	// New service, new tuner opinion: the fingerprint pins the adaptive
 	// MODE, so the 8 KiB manifest still matches and its plan wins.
-	svc2 := NewService(iss, &LiveMover{
+	svc2 := NewService(iss, &ChunkMover{
 		Tuner:       &testTuner{streams: 2, chunk: 4 * chunk},
 		ManifestDir: manDir,
 	}, time.Now, Options{})
@@ -99,7 +99,7 @@ func TestLiveAdaptiveDispatchUnderChurn(t *testing.T) {
 		n := calls.Add(1)
 		return int(n%8) + 1, chunk
 	})
-	svc := NewService(iss, &LiveMover{
+	svc := NewService(iss, &ChunkMover{
 		Tuner: churn,
 	}, time.Now, Options{})
 	svc.RegisterEndpoint(Endpoint{ID: "src", Root: srcRoot})

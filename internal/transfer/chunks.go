@@ -106,7 +106,7 @@ type manifest struct {
 }
 
 // taskKey fingerprints a task for manifest lookup: same endpoints, same
-// files at the same sizes and (when provided, as the live mover does)
+// files at the same sizes and (when provided, as the chunk mover does)
 // the same source modification times, same chunk size. A source file
 // rewritten between attempts therefore gets a fresh manifest — its old
 // chunks must not be resumed into a mixed-content destination.

@@ -8,12 +8,11 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"picoprobe/internal/fsutil"
 	"picoprobe/internal/landing"
 )
 
-// sink is the destination side of one move attempt — the only thing the
-// two real movers do differently. The engine owns the plan, the manifest,
+// sink is the destination side of one move attempt — the one thing a
+// mover's landing decides. The engine owns the plan, the manifest,
 // the worker pool and every resume decision; a sink only touches
 // destination bytes and reports what it found (contract: DESIGN.md §8).
 // A sink must refuse a rel that is not local to its root.
@@ -35,41 +34,22 @@ type sink interface {
 	Merge(rel string, chunks []landing.Chunk) (sum string, badChunk int, err error)
 }
 
-// moveConfig is the framing and fault-injection configuration both real
-// movers expose as fields, gathered per attempt.
-type moveConfig struct {
-	chunkBytes      int64
-	streams         int
-	tuner           RouteTuner
-	manifestDir     string
-	killAfterChunks int
-	fs              fsutil.FS
-}
-
-// engine is what a mover keeps across attempts — the chunk manifests and
-// the one-shot kill latch. Both real movers embed it.
-type engine struct {
-	killed    atomic.Bool
-	manifests *manifestStore
-	initOnce  sync.Once
-}
-
 // adaptiveWorkerCap bounds the adaptive worker pool: the tuner can widen
 // the window up to this many concurrent chunk copies.
 const adaptiveWorkerCap = 32
 
-func (e *engine) store(cfg moveConfig) *manifestStore {
-	e.initOnce.Do(func() { e.manifests = newManifestStore(cfg.manifestDir, cfg.fs) })
-	return e.manifests
+func (m *ChunkMover) store() *manifestStore {
+	m.initOnce.Do(func() { m.manifests = newManifestStore(m.ManifestDir, m.FS) })
+	return m.manifests
 }
 
 // tunedStreams is the dispatcher's current admission window: the tuner's
 // stream count (the fixed one without a tuner or an opinion) clamped to
 // [1, pool].
-func tunedStreams(cfg moveConfig, pool int) int {
-	s := cfg.streams
-	if cfg.tuner != nil {
-		if ts, _ := cfg.tuner.Tune(); ts > 0 {
+func (m *ChunkMover) tunedStreams(pool int) int {
+	s := m.Streams
+	if m.Tuner != nil {
+		if ts, _ := m.Tuner.Tune(); ts > 0 {
 			s = ts
 		}
 	}
@@ -80,9 +60,9 @@ func tunedStreams(cfg moveConfig, pool int) int {
 // worker pool landing chunks in stripes and merging each file, verified,
 // as its last chunk lands. The partial Report of a failed attempt still
 // counts every chunk that landed.
-func (e *engine) run(cfg moveConfig, task *Task, src, dst *Endpoint, sk sink) (Report, error) {
+func (m *ChunkMover) run(task *Task, src, dst *Endpoint, sk sink) (Report, error) {
 	var rep Report
-	ms := e.store(cfg)
+	ms := m.store()
 
 	// Fix the plan from the real source files, so chunk spans and the task
 	// fingerprint are computed from real sizes. The fingerprint includes
@@ -117,10 +97,10 @@ func (e *engine) run(cfg moveConfig, task *Task, src, dst *Endpoint, sk sink) (R
 	// With a tuner the fingerprint pins the adaptive MODE rather than the
 	// measured size, so a retry resumes the recorded chunk plan even after
 	// the tuner's answer has moved.
-	chunkBytes, keyChunk := cfg.chunkBytes, cfg.chunkBytes
-	adaptive := cfg.tuner != nil
+	chunkBytes, keyChunk := m.ChunkBytes, m.ChunkBytes
+	adaptive := m.Tuner != nil
 	if adaptive {
-		if _, cb := cfg.tuner.Tune(); cb > 0 {
+		if _, cb := m.Tuner.Tune(); cb > 0 {
 			chunkBytes = cb
 		}
 		keyChunk = adaptiveChunkSentinel
@@ -168,11 +148,11 @@ func (e *engine) run(cfg moveConfig, task *Task, src, dst *Endpoint, sk sink) (R
 	// adaptive ceiling and the dispatcher throttles admission to the
 	// tuned window instead, so the effective parallelism can move
 	// mid-task without re-spawning workers.
-	pool := max(cfg.streams, 1)
+	pool := max(m.Streams, 1)
 	if adaptive {
 		pool = adaptiveWorkerCap
 	}
-	todo := striped(pending, tunedStreams(cfg, pool))
+	todo := striped(pending, m.tunedStreams(pool))
 	pool = min(pool, len(todo))
 	var (
 		work      = make(chan job)
@@ -221,7 +201,7 @@ func (e *engine) run(cfg moveConfig, task *Task, src, dst *Endpoint, sk sink) (R
 		ms.mark(man, sp, sum, true)
 		copied.Add(sp.N)
 		n := completed.Add(1)
-		if cfg.killAfterChunks > 0 && n >= int64(cfg.killAfterChunks) && e.killed.CompareAndSwap(false, true) {
+		if m.KillAfterChunks > 0 && n >= int64(m.KillAfterChunks) && m.killed.CompareAndSwap(false, true) {
 			fail(fmt.Errorf("transfer: killed after %d chunks (injected fault)", n))
 		}
 		if remaining[sp.File].Add(-1) == 0 {
@@ -249,7 +229,7 @@ func (e *engine) run(cfg moveConfig, task *Task, src, dst *Endpoint, sk sink) (R
 	// measured path mid-task (without a tuner the window is the pool).
 	inFlight := 0
 	for _, j := range todo {
-		for inFlight >= tunedStreams(cfg, pool) {
+		for inFlight >= m.tunedStreams(pool) {
 			<-chunkDone
 			inFlight--
 		}

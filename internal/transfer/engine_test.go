@@ -147,7 +147,7 @@ func newEngineBatch(t *testing.T, n, size int) (*engineFixture, [][]byte) {
 }
 
 // doneChunks counts the chunks the engine's only manifest records done.
-func doneChunks(t *testing.T, e *engine) int {
+func doneChunks(t *testing.T, e *ChunkMover) int {
 	t.Helper()
 	e.manifests.mu.Lock()
 	defer e.manifests.mu.Unlock()
@@ -173,10 +173,10 @@ func doneChunks(t *testing.T, e *engine) int {
 func TestEngineKillIsOneShot(t *testing.T) {
 	const chunk = 1024
 	fx := newEngineFixture(t, 8*chunk)
-	e, sk := &engine{}, newMemSink()
-	cfg := moveConfig{chunkBytes: chunk, streams: 1, killAfterChunks: 3}
+	sk := newMemSink()
+	e := &ChunkMover{ChunkBytes: chunk, Streams: 1, KillAfterChunks: 3}
 
-	rep, err := e.run(cfg, fx.task, fx.src, fx.dst, sk)
+	rep, err := e.run(fx.task, fx.src, fx.dst, sk)
 	if err == nil || !strings.Contains(err.Error(), "killed after 3 chunks") {
 		t.Fatalf("first attempt err = %v, want the injected kill", err)
 	}
@@ -188,7 +188,7 @@ func TestEngineKillIsOneShot(t *testing.T) {
 		t.Errorf("manifest records %d chunks done after the kill, want 3", n)
 	}
 
-	rep, err = e.run(cfg, fx.task, fx.src, fx.dst, sk)
+	rep, err = e.run(fx.task, fx.src, fx.dst, sk)
 	if err != nil {
 		t.Fatalf("second attempt killed again (or failed): %v", err)
 	}
@@ -214,7 +214,7 @@ func TestEngineKillIsOneShot(t *testing.T) {
 func TestEngineAbortAccountingExact(t *testing.T) {
 	const chunk = 1024
 	fx := newEngineFixture(t, 3*chunk+500) // 4 chunks, the last partial
-	e, sk := &engine{}, newMemSink()
+	sk := newMemSink()
 	var inFlight sync.WaitGroup
 	inFlight.Add(3)
 	failed := make(chan struct{})
@@ -228,9 +228,9 @@ func TestEngineAbortAccountingExact(t *testing.T) {
 		<-failed
 		return nil
 	}
-	cfg := moveConfig{chunkBytes: chunk, streams: 4}
+	e := &ChunkMover{ChunkBytes: chunk, Streams: 4}
 
-	rep, err := e.run(cfg, fx.task, fx.src, fx.dst, sk)
+	rep, err := e.run(fx.task, fx.src, fx.dst, sk)
 	if err == nil || !strings.Contains(err.Error(), "disk on fire") {
 		t.Fatalf("err = %v, want the sink's write error", err)
 	}
@@ -247,7 +247,7 @@ func TestEngineAbortAccountingExact(t *testing.T) {
 
 	// The retry re-sends exactly the failed chunk.
 	sk.before, sk.writes = nil, nil
-	rep, err = e.run(cfg, fx.task, fx.src, fx.dst, sk)
+	rep, err = e.run(fx.task, fx.src, fx.dst, sk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestEngineAbortAccountingExact(t *testing.T) {
 func TestEngineAdaptiveWindowRereadBetweenDispatches(t *testing.T) {
 	const chunk = 1024
 	fx := newEngineFixture(t, 12*chunk)
-	e, sk := &engine{}, newMemSink()
+	sk := newMemSink()
 	tuner := &testTuner{streams: 1, chunk: chunk}
 
 	var (
@@ -304,9 +304,9 @@ func TestEngineAdaptiveWindowRereadBetweenDispatches(t *testing.T) {
 		}
 		return nil
 	}
-	cfg := moveConfig{tuner: tuner}
+	e := &ChunkMover{Tuner: tuner}
 
-	rep, err := e.run(cfg, fx.task, fx.src, fx.dst, sk)
+	rep, err := e.run(fx.task, fx.src, fx.dst, sk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,11 +331,11 @@ func TestEngineAdaptiveWindowRereadBetweenDispatches(t *testing.T) {
 func TestEngineDemotedChunkOnlyOneResent(t *testing.T) {
 	const chunk = 1024
 	fx := newEngineFixture(t, 6*chunk)
-	e, sk := &engine{}, newMemSink()
+	sk := newMemSink()
 	sk.badMerge = 2
-	cfg := moveConfig{chunkBytes: chunk, streams: 2}
+	e := &ChunkMover{ChunkBytes: chunk, Streams: 2}
 
-	rep, err := e.run(cfg, fx.task, fx.src, fx.dst, sk)
+	rep, err := e.run(fx.task, fx.src, fx.dst, sk)
 	if err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
 		t.Fatalf("err = %v, want the merge's checksum mismatch", err)
 	}
@@ -347,7 +347,7 @@ func TestEngineDemotedChunkOnlyOneResent(t *testing.T) {
 	}
 
 	sk.writes = nil
-	rep, err = e.run(cfg, fx.task, fx.src, fx.dst, sk)
+	rep, err = e.run(fx.task, fx.src, fx.dst, sk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,7 +440,7 @@ func TestStripedDispatchOrder(t *testing.T) {
 func TestEngineFirstWindowSpansDistinctFiles(t *testing.T) {
 	const chunk, streams = 1024, 4
 	fx, _ := newEngineBatch(t, 8, 2*chunk)
-	e, sk := &engine{}, newMemSink()
+	e, sk := &ChunkMover{ChunkBytes: chunk, Streams: streams}, newMemSink()
 	var (
 		mu       sync.Mutex
 		first    []int
@@ -465,7 +465,7 @@ func TestEngineFirstWindowSpansDistinctFiles(t *testing.T) {
 		}
 		return nil
 	}
-	if _, err := e.run(moveConfig{chunkBytes: chunk, streams: streams}, fx.task, fx.src, fx.dst, sk); err != nil {
+	if _, err := e.run(fx.task, fx.src, fx.dst, sk); err != nil {
 		t.Fatal(err)
 	}
 	seen := map[int]bool{}
@@ -484,8 +484,8 @@ func TestEngineFirstWindowSpansDistinctFiles(t *testing.T) {
 func TestEngineMergesEachFileAsItsLastChunkLands(t *testing.T) {
 	const chunk, streams = 1024, 2
 	fx, payloads := newEngineBatch(t, 2*streams, 2*chunk)
-	e, sk := &engine{}, newMemSink()
-	rep, err := e.run(moveConfig{chunkBytes: chunk, streams: streams}, fx.task, fx.src, fx.dst, sk)
+	e, sk := &ChunkMover{ChunkBytes: chunk, Streams: streams}, newMemSink()
+	rep, err := e.run(fx.task, fx.src, fx.dst, sk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -531,7 +531,7 @@ func TestEngineMergesEachFileAsItsLastChunkLands(t *testing.T) {
 // such a job already queued behind the failure.
 func TestEngineSkippedFileStillMergedAndAbortStopsMerges(t *testing.T) {
 	fx, payloads := newEngineBatch(t, 3, 1024) // one chunk each
-	e, sk := &engine{}, newMemSink()
+	e, sk := &ChunkMover{Streams: 3}, newMemSink()
 	failF1 := func(sp chunkSpan) error {
 		if sp.File == 1 {
 			return errors.New("disk on fire")
@@ -551,7 +551,7 @@ func TestEngineSkippedFileStillMergedAndAbortStopsMerges(t *testing.T) {
 		}
 		return failF1(sp)
 	}
-	if _, err := e.run(moveConfig{streams: 3}, fx.task, fx.src, fx.dst, sk); err == nil {
+	if _, err := e.run(fx.task, fx.src, fx.dst, sk); err == nil {
 		t.Fatal("attempt with a failing write succeeded")
 	}
 	if n := doneChunks(t, e); n != 2 {
@@ -561,8 +561,8 @@ func TestEngineSkippedFileStillMergedAndAbortStopsMerges(t *testing.T) {
 	// One stream: merge f0, write f1 (fails again), merge f2 — which must
 	// not start.
 	sk.before, sk.events = failF1, nil
-	cfg := moveConfig{streams: 1}
-	rep, err := e.run(cfg, fx.task, fx.src, fx.dst, sk)
+	e.Streams = 1
+	rep, err := e.run(fx.task, fx.src, fx.dst, sk)
 	if err == nil || rep.Checksums != nil {
 		t.Fatalf("err = %v sums = %v, want the write error and no checksums", err, rep.Checksums)
 	}
@@ -571,7 +571,7 @@ func TestEngineSkippedFileStillMergedAndAbortStopsMerges(t *testing.T) {
 	}
 
 	sk.before, sk.events = nil, nil
-	rep, err = e.run(cfg, fx.task, fx.src, fx.dst, sk)
+	rep, err = e.run(fx.task, fx.src, fx.dst, sk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -594,9 +594,9 @@ func TestEngineSkippedFileStillMergedAndAbortStopsMerges(t *testing.T) {
 func TestEngineKillOnLastChunkStartsNoMerge(t *testing.T) {
 	const chunk = 1024
 	fx, _ := newEngineBatch(t, 2, 2*chunk)
-	e, sk := &engine{}, newMemSink()
-	cfg := moveConfig{chunkBytes: chunk, streams: 1, killAfterChunks: 2}
-	if _, err := e.run(cfg, fx.task, fx.src, fx.dst, sk); err == nil || !strings.Contains(err.Error(), "killed after 2 chunks") {
+	sk := newMemSink()
+	e := &ChunkMover{ChunkBytes: chunk, Streams: 1, KillAfterChunks: 2}
+	if _, err := e.run(fx.task, fx.src, fx.dst, sk); err == nil || !strings.Contains(err.Error(), "killed after 2 chunks") {
 		t.Fatalf("err = %v, want the injected kill", err)
 	}
 	if got := strings.Join(sk.events, ","); got != "w f0.bin,w f0.bin" {
@@ -611,7 +611,7 @@ func TestEngineKillOnLastChunkStartsNoMerge(t *testing.T) {
 func TestEngineBadMergeFailsWholeAttempt(t *testing.T) {
 	const chunk = 1024
 	fx, payloads := newEngineBatch(t, 4, 2*chunk)
-	e, sk := &engine{}, newMemSink()
+	sk := newMemSink()
 	sk.badMerge, sk.badMergeRel = 1, "f2.bin"
 	// A worker that has taken a chunk but not yet looked at the abort flag
 	// skips it once f2's merge has failed; hold f2's last chunk until the
@@ -623,9 +623,9 @@ func TestEngineBadMergeFailsWholeAttempt(t *testing.T) {
 		}
 		return nil
 	}
-	cfg := moveConfig{chunkBytes: chunk, streams: 2}
+	e := &ChunkMover{ChunkBytes: chunk, Streams: 2}
 
-	rep, err := e.run(cfg, fx.task, fx.src, fx.dst, sk)
+	rep, err := e.run(fx.task, fx.src, fx.dst, sk)
 	sk.before = nil
 	if err == nil || !strings.Contains(err.Error(), "checksum mismatch on f2.bin") {
 		t.Fatalf("err = %v, want f2's checksum mismatch", err)
@@ -648,7 +648,7 @@ func TestEngineBadMergeFailsWholeAttempt(t *testing.T) {
 	e.manifests.mu.Unlock()
 
 	sk.writes = nil
-	rep, err = e.run(cfg, fx.task, fx.src, fx.dst, sk)
+	rep, err = e.run(fx.task, fx.src, fx.dst, sk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -676,7 +676,7 @@ func TestEngineSourceOpenFailureClosesEarlierFiles(t *testing.T) {
 	fx.task.Files = append(fx.task.Files, FileSpec{RelPath: "missing.bin"})
 	before := openFDs(t)
 	for i := 0; i < 20; i++ {
-		if _, err := (&engine{}).run(moveConfig{}, fx.task, fx.src, fx.dst, newMemSink()); err == nil {
+		if _, err := (&ChunkMover{}).run(fx.task, fx.src, fx.dst, newMemSink()); err == nil {
 			t.Fatal("attempt with a missing source succeeded")
 		}
 	}

@@ -5,25 +5,31 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"sync"
+	"sync/atomic"
+	"time"
 
 	"picoprobe/internal/fsutil"
 	"picoprobe/internal/landing"
 )
 
-// LiveMover really moves bytes between endpoint roots on the local
+// ChunkMover really moves bytes out of an endpoint root on the local
 // filesystem through the chunk engine (engine.go): each file is split into
-// ChunkBytes-sized chunks, a bounded pool of Streams workers copies the
+// ChunkBytes-sized chunks, a bounded pool of Streams workers lands the
 // chunks as parallel ranged writes (SHA-256 of the source bytes computed
-// in-flight), and a sequential verified merge re-reads the destination,
-// checking every chunk digest while producing the whole-file checksum
-// (the role checksums play in Globus Transfer). Progress is recorded in a
-// per-task chunk manifest — in memory always, mirrored under ManifestDir
-// when set — so an interrupted or failed transfer resumes from the last
-// verified chunk instead of restarting. Verification is not optional: the
-// zero-value mover moves verified. With ChunkBytes 0 and Streams 1 the
-// engine degenerates exactly to a single whole-file copy-and-verify per
-// file, the pre-chunking behavior.
-type LiveMover struct {
+// before they leave), and a sequential verified merge re-reads the
+// destination, checking every chunk digest while producing the whole-file
+// checksum (the role checksums play in Globus Transfer). Progress is
+// recorded in a per-task chunk manifest — in memory always, mirrored under
+// ManifestDir when set — so an interrupted or failed transfer resumes from
+// the last verified chunk instead of restarting. Verification is not
+// optional: the zero-value mover moves verified. With ChunkBytes 0 and
+// Streams 1 the engine degenerates exactly to a single whole-file
+// copy-and-verify per file, the pre-chunking behavior.
+//
+// The one deployment choice is where chunks land (Land): a directory on
+// this machine, or a facility daemon over the wire protocol.
+type ChunkMover struct {
 	// ChunkBytes is the chunk size; <= 0 means one chunk per file
 	// (whole-file framing).
 	ChunkBytes int64
@@ -50,24 +56,55 @@ type LiveMover struct {
 	// written through (nil = the real one) — the torn-manifest tests'
 	// fault-injection hook. Payload copies always use the real filesystem.
 	FS fsutil.FS
+	// Land is where chunks land. Nil: the destination endpoint's Root is
+	// a local directory, written through a landing store — the same
+	// store, and so the same disk code, a facility daemon serves from.
+	// Set: the destination endpoint's Root is a daemon's host:port and
+	// chunks are shipped to it over this link.
+	Land *WireLanding
 
-	engine
+	// What the mover keeps across attempts: the chunk manifests and the
+	// one-shot kill latch.
+	killed    atomic.Bool
+	manifests *manifestStore
+	initOnce  sync.Once
 }
 
 // Move implements Mover. The copy runs on its own goroutines; done is
 // called exactly once.
-func (m *LiveMover) Move(task *Task, src, dst *Endpoint, done func(Report, error)) {
-	cfg := moveConfig{chunkBytes: m.ChunkBytes, streams: m.Streams, tuner: m.Tuner,
-		manifestDir: m.ManifestDir, killAfterChunks: m.KillAfterChunks, fs: m.FS}
+func (m *ChunkMover) Move(task *Task, src, dst *Endpoint, done func(Report, error)) {
 	go func() {
-		done(m.run(cfg, task, src, dst, localSink{landing.Store{Root: dst.Root}}))
+		var sk sink = localSink{landing.Store{Root: dst.Root}}
+		if m.Land != nil {
+			sk = wireSink{m.Land.client(dst.Root)}
+		}
+		done(m.run(task, src, dst, sk))
 	}()
 }
 
-// localSink lands chunks in a landing store on the local filesystem —
-// the same store, and so the same disk code, the facility daemon serves
-// the wire sink's requests from. Stat, Prepare, Hash and Merge are the
-// store's own.
+// RetryDelay implements retrySpacer: retries against a daemon over a
+// network need spacing (the link's back-off); a local landing is retried
+// at once.
+func (m *ChunkMover) RetryDelay(attempt int) time.Duration {
+	switch {
+	case m.Land == nil:
+		return 0
+	case m.Land.RetryBackoff != nil:
+		return m.Land.RetryBackoff.Delay(attempt)
+	}
+	return defaultRetryBackoff.Delay(attempt)
+}
+
+// Close drops the link's pooled wire sessions, if there is a link.
+func (m *ChunkMover) Close() error {
+	if m.Land != nil {
+		m.Land.close()
+	}
+	return nil
+}
+
+// localSink lands chunks in a landing store on the local filesystem.
+// Stat, Prepare, Hash and Merge are the store's own.
 type localSink struct {
 	landing.Store
 }
@@ -93,7 +130,7 @@ func (s localSink) Write(rel string, sp chunkSpan, src io.ReaderAt) (string, err
 // chunk size in use is pinned per task at first attempt — the resume
 // state's chunk plan must stay stable across retries — so only new tasks
 // pick up a re-tuned chunk size. Implementations must be safe for
-// concurrent use (the live mover calls Tune from its dispatcher
+// concurrent use (the chunk mover calls Tune from its dispatcher
 // goroutine). Returning 0 for either value means "no opinion": the
 // route's fixed setting applies.
 type RouteTuner interface {

@@ -71,7 +71,7 @@ func TestRetryableErrorRetriesToMaxAttempts(t *testing.T) {
 }
 
 // spacedMover is a countingMover that declares its retry spacing, as
-// WireMover does.
+// a ChunkMover landing over the wire does.
 type spacedMover struct {
 	countingMover
 	delays []time.Duration
@@ -80,7 +80,7 @@ type spacedMover struct {
 func (m *spacedMover) RetryDelay(attempt int) time.Duration { return m.delays[attempt] }
 
 // inlineMover fails every attempt before Move returns and declares no
-// spacing, as SimMover and LiveMover do not.
+// spacing, as SimMover does not.
 type inlineMover struct{ attempts int }
 
 func (m *inlineMover) Move(task *Task, src, dst *Endpoint, done func(Report, error)) {
@@ -129,9 +129,27 @@ func TestServiceSpacesRetriesByMover(t *testing.T) {
 	}
 }
 
-// TestRetryBackoffSpacesAttempts: WireMover is the mover that declares
-// spacing — its attempts against a daemon that is not there are spaced by
-// RetryBackoff; the pinned Rand makes the delays deterministic.
+// TestRetryDelayBelongsToTheLanding: a local landing is retried at once
+// and has nothing to close; a wire landing's retries fall in the default
+// back-off's full-jitter window, 100 ms doubling per attempt.
+func TestRetryDelayBelongsToTheLanding(t *testing.T) {
+	local, wired := &ChunkMover{}, &ChunkMover{Land: &WireLanding{}}
+	for n := 0; n < 5; n++ {
+		if d := local.RetryDelay(n); d != 0 {
+			t.Errorf("local landing, attempt %d: delay %v, want 0", n, d)
+		}
+		if d, ceil := wired.RetryDelay(n), 100*time.Millisecond<<n; d < 0 || d > ceil {
+			t.Errorf("wire landing, attempt %d: delay %v outside [0, %v]", n, d, ceil)
+		}
+	}
+	if err := local.Close(); err != nil {
+		t.Errorf("Close on a local mover: %v", err)
+	}
+}
+
+// TestRetryBackoffSpacesAttempts: the wire landing is what declares
+// spacing — a mover's attempts against a daemon that is not there are
+// spaced by RetryBackoff; the pinned Rand makes the delays deterministic.
 func TestRetryBackoffSpacesAttempts(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -144,8 +162,8 @@ func TestRetryBackoffSpacesAttempts(t *testing.T) {
 		t.Fatal(err)
 	}
 	iss, tok := issuerAndToken(t)
-	mover := &WireMover{ManifestDir: t.TempDir(), Timeout: time.Second,
-		RetryBackoff: &wire.Backoff{Base: 30 * time.Millisecond, Rand: func() float64 { return 1 }}}
+	mover := &ChunkMover{ManifestDir: t.TempDir(), Land: &WireLanding{Timeout: time.Second,
+		RetryBackoff: &wire.Backoff{Base: 30 * time.Millisecond, Rand: func() float64 { return 1 }}}}
 	defer mover.Close()
 	svc := NewService(iss, mover, time.Now, Options{MaxAttempts: 3})
 	svc.RegisterEndpoint(Endpoint{ID: "src", Root: src})
@@ -210,7 +228,7 @@ func chunkRejectServer(t *testing.T, code string, rejects int) (addr string, wri
 	return ln.Addr().String(), writes
 }
 
-func shipOneChunk(t *testing.T, m *WireMover, addr string) error {
+func shipOneChunk(t *testing.T, l *WireLanding, addr string) error {
 	t.Helper()
 	dir := t.TempDir()
 	path := filepath.Join(dir, "c.bin")
@@ -222,7 +240,7 @@ func shipOneChunk(t *testing.T, m *WireMover, addr string) error {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	_, err = m.sink(addr).Write("c.bin", chunkSpan{File: 0, Index: 0, Off: 0, N: 512}, f)
+	_, err = wireSink{l.client(addr)}.Write("c.bin", chunkSpan{File: 0, Index: 0, Off: 0, N: 512}, f)
 	return err
 }
 
@@ -231,9 +249,8 @@ func shipOneChunk(t *testing.T, m *WireMover, addr string) error {
 // extra sends — instead of failing the whole attempt.
 func TestShipChunkResendsOnChecksumReject(t *testing.T) {
 	addr, writes := chunkRejectServer(t, wire.CodeChecksum, DefaultChunkRetries)
-	m := &WireMover{ChunkBytes: 1024, Timeout: 5 * time.Second,
-		ManifestDir: t.TempDir()}
-	defer m.Close()
+	m := &WireLanding{Timeout: 5 * time.Second}
+	defer m.close()
 	if err := shipOneChunk(t, m, addr); err != nil {
 		t.Fatalf("chunk not re-sent through checksum rejects: %v", err)
 	}
@@ -246,9 +263,8 @@ func TestShipChunkResendsOnChecksumReject(t *testing.T) {
 // DefaultChunkRetries fails the attempt with the checksum error.
 func TestShipChunkResendBudgetExhausted(t *testing.T) {
 	addr, writes := chunkRejectServer(t, wire.CodeChecksum, 100)
-	m := &WireMover{ChunkBytes: 1024, Timeout: 5 * time.Second,
-		ManifestDir: t.TempDir()}
-	defer m.Close()
+	m := &WireLanding{Timeout: 5 * time.Second}
+	defer m.close()
 	err := shipOneChunk(t, m, addr)
 	if !wire.IsRemoteCode(err, wire.CodeChecksum) {
 		t.Fatalf("err = %v, want the surfaced checksum rejection", err)
@@ -264,9 +280,8 @@ func TestShipChunkResendBudgetExhausted(t *testing.T) {
 // test), so the sink must not absorb it.
 func TestShipChunkDoesNotResendOnCorrupt(t *testing.T) {
 	addr, writes := chunkRejectServer(t, wire.CodeCorrupt, 1)
-	m := &WireMover{ChunkBytes: 1024, Timeout: 5 * time.Second,
-		ManifestDir: t.TempDir()}
-	defer m.Close()
+	m := &WireLanding{Timeout: 5 * time.Second}
+	defer m.close()
 	if err := shipOneChunk(t, m, addr); !wire.IsRemoteCode(err, wire.CodeCorrupt) {
 		t.Fatalf("err = %v, want the corrupt rejection surfaced", err)
 	}

@@ -164,7 +164,7 @@ func TestPathConfinement(t *testing.T) {
 	escapes := []string{"../escape.bin", "a/../../escape.bin", filepath.Join(t.TempDir(), "abs-escape.bin"), ""}
 
 	forBothMovers(t, func(t *testing.T, w *world) {
-		svc := w.service(t, moveConfig{}, Options{MaxAttempts: 1})
+		svc := w.service(t, &ChunkMover{}, Options{MaxAttempts: 1})
 		for _, rel := range escapes {
 			if id, err := svc.Submit(w.tok, "src", "dst", []FileSpec{{RelPath: "ok.bin"}, {RelPath: rel}}); err == nil {
 				t.Errorf("Submit accepted RelPath %q as task %s", rel, id)

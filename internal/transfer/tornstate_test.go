@@ -44,7 +44,7 @@ func TestTornManifestQuarantinedAndFailsLoudly(t *testing.T) {
 	const chunk = 8 << 10
 	payload := writeRandom(t, filepath.Join(srcRoot, "f.emdg"), 8*chunk, 11)
 
-	svc1 := NewService(iss, &LiveMover{
+	svc1 := NewService(iss, &ChunkMover{
 		ChunkBytes: chunk, Streams: 1,
 		ManifestDir: manDir, KillAfterChunks: 3,
 	}, time.Now, Options{MaxAttempts: 1})
@@ -68,7 +68,7 @@ func TestTornManifestQuarantinedAndFailsLoudly(t *testing.T) {
 
 	// A new service over the torn manifest must refuse loudly, not resume
 	// from zero over an unaccounted-for destination.
-	svc2 := NewService(iss, &LiveMover{
+	svc2 := NewService(iss, &ChunkMover{
 		ChunkBytes: chunk, Streams: 1, ManifestDir: manDir,
 	}, time.Now, Options{MaxAttempts: 1})
 	svc2.RegisterEndpoint(Endpoint{ID: "src", Root: srcRoot})
@@ -90,7 +90,7 @@ func TestTornManifestQuarantinedAndFailsLoudly(t *testing.T) {
 
 	// With the quarantine done, a third service starts from a fresh
 	// manifest and completes correctly.
-	svc3 := NewService(iss, &LiveMover{
+	svc3 := NewService(iss, &ChunkMover{
 		ChunkBytes: chunk, Streams: 1, ManifestDir: manDir,
 	}, time.Now, Options{})
 	svc3.RegisterEndpoint(Endpoint{ID: "src", Root: srcRoot})
@@ -122,7 +122,7 @@ func TestManifestCrashMidPersistNeverTorn(t *testing.T) {
 		payload := writeRandom(t, filepath.Join(srcRoot, "f.emdg"), 8*chunk, 12)
 
 		fs := &fsutil.FaultFS{CrashAtWrite: crashAt}
-		svc := NewService(iss, &LiveMover{
+		svc := NewService(iss, &ChunkMover{
 			ChunkBytes: chunk, Streams: 1,
 			ManifestDir: manDir, FS: fs,
 		}, time.Now, Options{})

@@ -6,23 +6,23 @@
 // chunks, moved by a bounded worker pool over N concurrent streams, and
 // recorded in a per-task chunk manifest so an interrupted or failed
 // transfer resumes from the last verified chunk instead of restarting
-// (retry cost is O(remaining chunks)). The real movers share one chunk
-// engine (engine.go) and differ only in the sink a chunk lands through:
-// LiveMover really copies chunks as parallel ranged writes between
-// endpoint roots on disk, WireMover ships them to a facility daemon over
-// TCP, both always with per-chunk SHA-256 and a verified merge — there is
+// (retry cost is O(remaining chunks)). There is one real mover,
+// ChunkMover (the engine is engine.go), and its one deployment choice is
+// where chunks land: as parallel ranged writes into a directory on this
+// machine, or — given a WireLanding — shipped to a facility daemon over
+// TCP, either way with per-chunk SHA-256 and a verified merge — there is
 // no unverified transfer, and the daemon refuses a chunk or a merge plan
 // that declares no digest (DESIGN.md §11). A simulated mover
 // (internal/lab's SimMover, planning with PlanFile) drives the same
 // framing over the netsim fluid-flow network so 1-hour facility
 // experiments run in milliseconds of virtual time.
 // Failed moves are retried with bounded attempts, spaced as the mover
-// declares (the wire mover backs off for a daemon that may be restarting,
-// the in-process and simulated ones are retried at once), mirroring the
-// service-managed fault tolerance the paper delegates to Globus; with
-// chunk framing disabled and a single stream, every mover degenerates
-// exactly to the original whole-file, single-stream behavior the Table 1
-// reproductions pin.
+// declares (a wire landing backs off for a daemon that may be restarting,
+// a local landing and the simulated mover are retried at once),
+// mirroring the service-managed fault tolerance the paper delegates to
+// Globus; with chunk framing disabled and a single stream, every mover
+// degenerates exactly to the original whole-file, single-stream behavior
+// the Table 1 reproductions pin.
 package transfer
 
 import (
@@ -54,7 +54,7 @@ type Endpoint struct {
 }
 
 // FileSpec names one file of a task, relative to the endpoint roots. Bytes
-// drives the simulated mover; the live mover stats the real file.
+// drives the simulated mover; the chunk mover stats the real file.
 type FileSpec struct {
 	RelPath string
 	Bytes   int64
@@ -137,7 +137,7 @@ type Mover interface {
 
 // taskForgetter is an optional Mover extension: the service calls it
 // when a task fails permanently (retries exhausted), so movers that keep
-// per-task-ID resume state can drop it. The live mover does not need it
+// per-task-ID resume state can drop it. The chunk mover does not need it
 // — its manifests are keyed by task fingerprint so a resubmitted task
 // still resumes.
 type taskForgetter interface {
@@ -146,9 +146,9 @@ type taskForgetter interface {
 
 // retrySpacer is an optional Mover extension: how long the service waits
 // before retry attempt (0-based) of a failed move. Spacing is a property
-// of what the mover talks to — WireMover, whose daemon may be restarting,
-// declares it; a mover without the method is retried at once, which is
-// what the sim timelines (Table 1) rest on.
+// of what the mover talks to — a ChunkMover landing on a daemon, which may
+// be restarting, declares it; a mover without the method, or answering 0,
+// is retried at once, which is what the sim timelines (Table 1) rest on.
 type retrySpacer interface {
 	RetryDelay(attempt int) time.Duration
 }

@@ -53,7 +53,7 @@ func TestMoversCopyAndVerify(t *testing.T) {
 		os.MkdirAll(filepath.Join(w.srcRoot, "runs"), 0o755)
 		a := writeRandom(t, filepath.Join(w.srcRoot, "runs/a.emdg"), 4096+100, 1) // 5 chunks, last partial
 		b := writeRandom(t, filepath.Join(w.srcRoot, "b.emdg"), 2048, 2)          // 2 chunks exactly
-		svc := w.service(t, moveConfig{chunkBytes: 1024, streams: 1}, Options{})
+		svc := w.service(t, &ChunkMover{ChunkBytes: 1024, Streams: 1}, Options{})
 		id, err := svc.Submit(w.tok, "src", "dst", []FileSpec{{RelPath: "runs/a.emdg"}, {RelPath: "b.emdg"}})
 		if err != nil {
 			t.Fatal(err)
@@ -87,7 +87,7 @@ func TestMoversCopyAndVerify(t *testing.T) {
 
 func TestMissingFileFailsAfterRetries(t *testing.T) {
 	forBothMovers(t, func(t *testing.T, w *world) {
-		svc := w.service(t, moveConfig{}, Options{MaxAttempts: 2})
+		svc := w.service(t, &ChunkMover{}, Options{MaxAttempts: 2})
 		id, err := svc.Submit(w.tok, "src", "dst", []FileSpec{{RelPath: "missing.emdg"}})
 		if err != nil {
 			t.Fatal(err)
@@ -104,7 +104,7 @@ func TestMissingFileFailsAfterRetries(t *testing.T) {
 
 func TestAuthEnforced(t *testing.T) {
 	iss, _ := issuerAndToken(t)
-	svc := NewService(iss, &LiveMover{}, time.Now, Options{})
+	svc := NewService(iss, &ChunkMover{}, time.Now, Options{})
 	svc.RegisterEndpoint(Endpoint{ID: "a", Root: t.TempDir()})
 	svc.RegisterEndpoint(Endpoint{ID: "b", Root: t.TempDir()})
 	// No token.
@@ -123,7 +123,7 @@ func TestAuthEnforced(t *testing.T) {
 
 func TestSubmitValidation(t *testing.T) {
 	iss, tok := issuerAndToken(t)
-	svc := NewService(iss, &LiveMover{}, time.Now, Options{})
+	svc := NewService(iss, &ChunkMover{}, time.Now, Options{})
 	svc.RegisterEndpoint(Endpoint{ID: "a", Root: t.TempDir()})
 	if _, err := svc.Submit(tok, "a", "nope", []FileSpec{{RelPath: "x"}}); err == nil {
 		t.Error("unknown destination accepted")
@@ -152,7 +152,7 @@ func TestZeroValueMoverVerifies(t *testing.T) {
 	iss, tok := issuerAndToken(t)
 	srcRoot, dstRoot := t.TempDir(), t.TempDir()
 	os.WriteFile(filepath.Join(srcRoot, "f"), []byte("data"), 0o644)
-	svc := NewService(iss, &LiveMover{}, time.Now, Options{})
+	svc := NewService(iss, &ChunkMover{}, time.Now, Options{})
 	svc.RegisterEndpoint(Endpoint{ID: "src", Root: srcRoot})
 	svc.RegisterEndpoint(Endpoint{ID: "dst", Root: dstRoot})
 	id, _ := svc.Submit(tok, "src", "dst", []FileSpec{{RelPath: "f"}})
@@ -166,7 +166,7 @@ func TestTasksSnapshot(t *testing.T) {
 	iss, tok := issuerAndToken(t)
 	srcRoot, dstRoot := t.TempDir(), t.TempDir()
 	os.WriteFile(filepath.Join(srcRoot, "f"), []byte("x"), 0o644)
-	svc := NewService(iss, &LiveMover{}, time.Now, Options{})
+	svc := NewService(iss, &ChunkMover{}, time.Now, Options{})
 	svc.RegisterEndpoint(Endpoint{ID: "src", Root: srcRoot})
 	svc.RegisterEndpoint(Endpoint{ID: "dst", Root: dstRoot})
 	id, _ := svc.Submit(tok, "src", "dst", []FileSpec{{RelPath: "f"}})
@@ -209,7 +209,7 @@ func TestChunkedCopyMatchesWholeFile(t *testing.T) {
 	payload := writeRandom(t, filepath.Join(srcRoot, "burst.emdg"), 100_001, 1) // odd size: remainder chunk
 	want := wholeSHA256(t, filepath.Join(srcRoot, "burst.emdg"))
 
-	configs := []LiveMover{
+	configs := []ChunkMover{
 		{}, // degenerate: whole file, single stream
 		{ChunkBytes: 4 << 10, Streams: 1},
 		{ChunkBytes: 4 << 10, Streams: 4},
@@ -257,7 +257,7 @@ func TestMultiFileChunkedTask(t *testing.T) {
 		specs = append(specs, FileSpec{RelPath: rel})
 		total += int64(n)
 	}
-	svc := NewService(iss, &LiveMover{ChunkBytes: 8 << 10, Streams: 3}, time.Now, Options{})
+	svc := NewService(iss, &ChunkMover{ChunkBytes: 8 << 10, Streams: 3}, time.Now, Options{})
 	svc.RegisterEndpoint(Endpoint{ID: "src", Root: srcRoot})
 	svc.RegisterEndpoint(Endpoint{ID: "dst", Root: dstRoot})
 	id, err := svc.Submit(tok, "src", "dst", specs)
@@ -284,7 +284,7 @@ func TestKillMidTransferResumesInService(t *testing.T) {
 	forBothMovers(t, func(t *testing.T, w *world) {
 		const chunk = 8 << 10
 		payload := writeRandom(t, filepath.Join(w.srcRoot, "f.emdg"), 8*chunk, 2)
-		svc := w.service(t, moveConfig{chunkBytes: chunk, streams: 1, killAfterChunks: 3}, Options{MaxAttempts: 2})
+		svc := w.service(t, &ChunkMover{ChunkBytes: chunk, Streams: 1, KillAfterChunks: 3}, Options{MaxAttempts: 2})
 		id, err := svc.Submit(w.tok, "src", "dst", []FileSpec{{RelPath: "f.emdg"}})
 		if err != nil {
 			t.Fatal(err)
@@ -317,9 +317,9 @@ func TestManifestResumesAcrossServices(t *testing.T) {
 		const chunk = 8 << 10
 		payload := writeRandom(t, filepath.Join(w.srcRoot, "f.emdg"), 8*chunk, 3)
 
-		svc1 := w.service(t, moveConfig{
-			chunkBytes: chunk, streams: 1,
-			manifestDir: w.manDir, killAfterChunks: 3,
+		svc1 := w.service(t, &ChunkMover{
+			ChunkBytes: chunk, Streams: 1,
+			ManifestDir: w.manDir, KillAfterChunks: 3,
 		}, Options{MaxAttempts: 1})
 		id1, err := svc1.Submit(w.tok, "src", "dst", []FileSpec{{RelPath: "f.emdg"}})
 		if err != nil {
@@ -332,8 +332,8 @@ func TestManifestResumesAcrossServices(t *testing.T) {
 
 		// "Reboot": everything about the first service is gone except the
 		// manifest directory and the partially landed destination file.
-		svc2 := w.service(t, moveConfig{
-			chunkBytes: chunk, streams: 1, manifestDir: w.manDir,
+		svc2 := w.service(t, &ChunkMover{
+			ChunkBytes: chunk, Streams: 1, ManifestDir: w.manDir,
 		}, Options{})
 		id2, err := svc2.Submit(w.tok, "src", "dst", []FileSpec{{RelPath: "f.emdg"}})
 		if err != nil {
@@ -364,9 +364,9 @@ func TestResumeRecopiesCorruptedChunk(t *testing.T) {
 		const chunk = 8 << 10
 		payload := writeRandom(t, filepath.Join(w.srcRoot, "f.emdg"), 4*chunk, 4)
 
-		svc1 := w.service(t, moveConfig{
-			chunkBytes: chunk, streams: 1,
-			manifestDir: w.manDir, killAfterChunks: 3,
+		svc1 := w.service(t, &ChunkMover{
+			ChunkBytes: chunk, Streams: 1,
+			ManifestDir: w.manDir, KillAfterChunks: 3,
 		}, Options{MaxAttempts: 1})
 		id1, _ := svc1.Submit(w.tok, "src", "dst", []FileSpec{{RelPath: "f.emdg"}})
 		waitFor(t, svc1, w.tok, id1, StatusFailed)
@@ -381,8 +381,8 @@ func TestResumeRecopiesCorruptedChunk(t *testing.T) {
 		}
 		f.Close()
 
-		svc2 := w.service(t, moveConfig{
-			chunkBytes: chunk, streams: 1, manifestDir: w.manDir,
+		svc2 := w.service(t, &ChunkMover{
+			ChunkBytes: chunk, Streams: 1, ManifestDir: w.manDir,
 		}, Options{})
 		id2, _ := svc2.Submit(w.tok, "src", "dst", []FileSpec{{RelPath: "f.emdg"}})
 		v2 := waitFor(t, svc2, w.tok, id2, StatusSucceeded)
@@ -406,9 +406,9 @@ func TestResumeRemovesUndigestedDoneChunks(t *testing.T) {
 		const chunk = 8 << 10
 		payload := writeRandom(t, filepath.Join(w.srcRoot, "f.emdg"), 8*chunk, 8)
 
-		svc1 := w.service(t, moveConfig{
-			chunkBytes: chunk, streams: 1,
-			manifestDir: w.manDir, killAfterChunks: 3,
+		svc1 := w.service(t, &ChunkMover{
+			ChunkBytes: chunk, Streams: 1,
+			ManifestDir: w.manDir, KillAfterChunks: 3,
 		}, Options{MaxAttempts: 1})
 		id1, _ := svc1.Submit(w.tok, "src", "dst", []FileSpec{{RelPath: "f.emdg"}})
 		waitFor(t, svc1, w.tok, id1, StatusFailed)
@@ -439,8 +439,8 @@ func TestResumeRemovesUndigestedDoneChunks(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		svc2 := w.service(t, moveConfig{
-			chunkBytes: chunk, streams: 1, manifestDir: w.manDir,
+		svc2 := w.service(t, &ChunkMover{
+			ChunkBytes: chunk, Streams: 1, ManifestDir: w.manDir,
 		}, Options{})
 		id2, _ := svc2.Submit(w.tok, "src", "dst", []FileSpec{{RelPath: "f.emdg"}})
 		v2 := waitFor(t, svc2, w.tok, id2, StatusSucceeded)
@@ -463,7 +463,7 @@ func TestResumeRemovesUndigestedDoneChunks(t *testing.T) {
 func TestChunkPoolConcurrentTasks(t *testing.T) {
 	iss, tok := issuerAndToken(t)
 	srcRoot, dstRoot := t.TempDir(), t.TempDir()
-	mover := &LiveMover{ChunkBytes: 4 << 10, Streams: 4, ManifestDir: t.TempDir()}
+	mover := &ChunkMover{ChunkBytes: 4 << 10, Streams: 4, ManifestDir: t.TempDir()}
 	svc := NewService(iss, mover, time.Now, Options{})
 	svc.RegisterEndpoint(Endpoint{ID: "src", Root: srcRoot})
 	svc.RegisterEndpoint(Endpoint{ID: "dst", Root: dstRoot})
@@ -496,8 +496,8 @@ func TestResumeDetectsLostDestination(t *testing.T) {
 		const chunk = 8 << 10
 		payload := writeRandom(t, filepath.Join(w.srcRoot, "f.emdg"), 4*chunk, 6)
 
-		svc1 := w.service(t, moveConfig{
-			chunkBytes: chunk, streams: 1, manifestDir: w.manDir, killAfterChunks: 2,
+		svc1 := w.service(t, &ChunkMover{
+			ChunkBytes: chunk, Streams: 1, ManifestDir: w.manDir, KillAfterChunks: 2,
 		}, Options{MaxAttempts: 1})
 		id1, _ := svc1.Submit(w.tok, "src", "dst", []FileSpec{{RelPath: "f.emdg"}})
 		waitFor(t, svc1, w.tok, id1, StatusFailed)
@@ -507,8 +507,8 @@ func TestResumeDetectsLostDestination(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		svc2 := w.service(t, moveConfig{
-			chunkBytes: chunk, streams: 1, manifestDir: w.manDir,
+		svc2 := w.service(t, &ChunkMover{
+			ChunkBytes: chunk, Streams: 1, ManifestDir: w.manDir,
 		}, Options{})
 		id2, _ := svc2.Submit(w.tok, "src", "dst", []FileSpec{{RelPath: "f.emdg"}})
 		v2 := waitFor(t, svc2, w.tok, id2, StatusSucceeded)
@@ -535,7 +535,7 @@ func TestRewrittenSourceInvalidatesManifest(t *testing.T) {
 	writeRandom(t, srcPath, 4*chunk, 7)
 	os.Chtimes(srcPath, time.Unix(1000, 0), time.Unix(1000, 0))
 
-	svc1 := NewService(iss, &LiveMover{
+	svc1 := NewService(iss, &ChunkMover{
 		ChunkBytes: chunk, Streams: 1,
 		ManifestDir: manDir, KillAfterChunks: 2,
 	}, time.Now, Options{MaxAttempts: 1})
@@ -548,7 +548,7 @@ func TestRewrittenSourceInvalidatesManifest(t *testing.T) {
 	newPayload := writeRandom(t, srcPath, 4*chunk, 8)
 	os.Chtimes(srcPath, time.Unix(2000, 0), time.Unix(2000, 0))
 
-	svc2 := NewService(iss, &LiveMover{
+	svc2 := NewService(iss, &ChunkMover{
 		ChunkBytes: chunk, Streams: 1, ManifestDir: manDir,
 	}, time.Now, Options{})
 	svc2.RegisterEndpoint(Endpoint{ID: "src", Root: srcRoot})

@@ -17,7 +17,7 @@ import (
 type benchWorld struct {
 	srcRoot string
 	dstRoot string
-	mover   *WireMover
+	mover   *ChunkMover
 	svc     *Service
 	tok     string
 }
@@ -37,12 +37,11 @@ func newBenchWorld(b *testing.B, chunkBytes int64, streams int, opts Options) *b
 	}
 	b.Cleanup(func() { srv.Close() })
 
-	w.mover = &WireMover{
+	w.mover = &ChunkMover{
 		ChunkBytes:  chunkBytes,
 		Streams:     streams,
 		ManifestDir: filepath.Join(w.srcRoot, ".manifests"),
-		Token:       tok,
-		Timeout:     30 * time.Second,
+		Land:        &WireLanding{Token: tok, Timeout: 30 * time.Second},
 	}
 	b.Cleanup(func() { w.mover.Close() })
 	w.svc = NewService(iss, w.mover, time.Now, opts)

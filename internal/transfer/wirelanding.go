@@ -10,34 +10,20 @@ import (
 	"sync"
 	"time"
 
-	"picoprobe/internal/fsutil"
 	"picoprobe/internal/landing"
 	"picoprobe/internal/wire"
 )
 
-// WireMover moves bytes to a remote facility daemon over the wire
-// protocol through the same chunk engine as LiveMover (engine.go): files
-// split into chunk spans, a bounded pool of Streams workers shipping
-// chunks as ranged writes (SHA-256 computed before the bytes leave the
-// machine, re-checked by the daemon at the door), a per-task chunk
-// manifest for resume, and a verified merge (run daemon-side in one
-// request) producing the whole-file checksum. The source endpoint's Root
-// is a local directory exactly as for LiveMover; the DESTINATION
-// endpoint's Root is the daemon's host:port. All resume state is
-// client-side: a daemon that is SIGKILLed and restarted on the same
-// storage root serves the resumed transfer with no recovery step, because
-// the manifest plus remote range hashes reconstruct exactly which chunks
-// survived.
-type WireMover struct {
-	// ChunkBytes, Streams, Tuner, ManifestDir, KillAfterChunks and FS mean
-	// exactly what they mean on LiveMover.
-	ChunkBytes      int64
-	Streams         int
-	Tuner           RouteTuner
-	ManifestDir     string
-	KillAfterChunks int
-	FS              fsutil.FS
-
+// WireLanding lands a ChunkMover's chunks on remote facility daemons over
+// the wire protocol: chunks go out as ranged writes (SHA-256 computed
+// before the bytes leave the machine, re-checked by the daemon at the
+// door) and the verified merge runs daemon-side in one request. The
+// destination endpoint's Root is the daemon's host:port. All resume state
+// stays client-side, in the mover's manifests: a daemon that is SIGKILLed
+// and restarted on the same storage root serves the resumed transfer with
+// no recovery step, because the manifest plus remote range hashes
+// reconstruct exactly which chunks survived.
+type WireLanding struct {
 	// Token authenticates wire sessions (empty against open servers).
 	Token string
 	// Dial overrides the dialer on every wire client (nil = plain TCP);
@@ -54,75 +40,48 @@ type WireMover struct {
 	// Backoff only spaces busy retries.
 	RetryBackoff *wire.Backoff
 
-	engine
-
-	cmu     sync.Mutex
+	mu      sync.Mutex
 	clients map[string]*wire.Client
 }
 
 // client returns the shared wire client for one daemon address. Clients
 // pool sessions internally, so N chunk workers become N concurrent
 // authenticated connections to the same daemon.
-func (m *WireMover) client(addr string) *wire.Client {
-	m.cmu.Lock()
-	defer m.cmu.Unlock()
-	if m.clients == nil {
-		m.clients = map[string]*wire.Client{}
+func (l *WireLanding) client(addr string) *wire.Client {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.clients == nil {
+		l.clients = map[string]*wire.Client{}
 	}
-	c, ok := m.clients[addr]
+	c, ok := l.clients[addr]
 	if !ok {
 		c = &wire.Client{
-			Addr: addr, Token: m.Token, Dial: m.Dial, Timeout: m.Timeout,
-			BreakerCooldown: m.BreakerCooldown,
+			Addr: addr, Token: l.Token, Dial: l.Dial, Timeout: l.Timeout,
+			BreakerCooldown: l.BreakerCooldown,
 		}
-		m.clients[addr] = c
+		l.clients[addr] = c
 	}
 	return c
 }
 
-// Close drops every pooled wire session.
-func (m *WireMover) Close() error {
-	m.cmu.Lock()
-	defer m.cmu.Unlock()
-	for _, c := range m.clients {
+// close drops every pooled wire session.
+func (l *WireLanding) close() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, c := range l.clients {
 		c.Close()
 	}
-	m.clients = nil
-	return nil
+	l.clients = nil
 }
 
-// defaultRetryBackoff spaces attempt retries when WireMover.RetryBackoff
-// is nil.
+// defaultRetryBackoff spaces attempt retries when RetryBackoff is nil.
 var defaultRetryBackoff = &wire.Backoff{Base: 100 * time.Millisecond, Max: 5 * time.Second}
-
-// RetryDelay implements retrySpacer: the mover that talks to a daemon over
-// a network is the one whose retries need spacing.
-func (m *WireMover) RetryDelay(attempt int) time.Duration {
-	if m.RetryBackoff != nil {
-		return m.RetryBackoff.Delay(attempt)
-	}
-	return defaultRetryBackoff.Delay(attempt)
-}
-
-// Move implements Mover.
-func (m *WireMover) Move(task *Task, src, dst *Endpoint, done func(Report, error)) {
-	cfg := moveConfig{chunkBytes: m.ChunkBytes, streams: m.Streams, tuner: m.Tuner,
-		manifestDir: m.ManifestDir, killAfterChunks: m.KillAfterChunks, fs: m.FS}
-	go func() {
-		done(m.run(cfg, task, src, dst, m.sink(dst.Root)))
-	}()
-}
 
 // DefaultChunkRetries is how many times one chunk rejected by the
 // daemon's checksum check is re-sent before the attempt fails.
 // Re-reading and re-shipping one chunk costs one chunk; burning a whole
 // service-attempt retry costs a full resume pass.
 const DefaultChunkRetries = 2
-
-// sink returns the wire sink for one daemon address.
-func (m *WireMover) sink(addr string) wireSink {
-	return wireSink{m.client(addr)}
-}
 
 // wireSink lands chunks on a facility daemon, which serves each request
 // from its own landing store — the same disk code the local sink calls

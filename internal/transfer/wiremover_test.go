@@ -17,26 +17,25 @@ import (
 	"picoprobe/internal/wire"
 )
 
-// wireWorld is the wire-only fixture for what only the wire mover can
+// wireWorld is the wire-only fixture for what only the wire landing can
 // do (reconnects, daemon restarts, auth): a "wire" world plus one
-// WireMover the test can reach into.
+// mover the test can reach into.
 type wireWorld struct {
 	*world
 	addr  string
-	mover *WireMover
+	mover *ChunkMover
 	svc   *Service
 }
 
-func newWireWorld(t *testing.T, mutate func(*WireMover), opts Options) *wireWorld {
+func newWireWorld(t *testing.T, mutate func(*ChunkMover), opts Options) *wireWorld {
 	t.Helper()
 	w := &wireWorld{world: newWorld(t, "wire")}
 	w.addr = w.dstAddr
-	w.mover = &WireMover{
+	w.mover = &ChunkMover{
 		ChunkBytes:  1024,
 		Streams:     1,
 		ManifestDir: filepath.Join(w.srcRoot, ".manifests"),
-		Token:       w.tok,
-		Timeout:     10 * time.Second,
+		Land:        &WireLanding{Token: w.tok, Timeout: 10 * time.Second},
 	}
 	if mutate != nil {
 		mutate(w.mover)
@@ -68,7 +67,7 @@ func TestWireMoverSeverAtNthChunkReconnects(t *testing.T) {
 	// Single session, Streams 1: writes are Hello(1) Stat(2) Prepare(3)
 	// chunks(4..7) Merge(8). Cutting write 6 kills the third chunk.
 	faults := &netfault.Faults{CutAtWrite: 6}
-	w := newWireWorld(t, func(m *WireMover) { m.Dial = faults.Dialer(nil) }, Options{MaxAttempts: 2})
+	w := newWireWorld(t, func(m *ChunkMover) { m.Land.Dial = faults.Dialer(nil) }, Options{MaxAttempts: 2})
 	data := w.stage(t, "x.bin", 4096, 3) // 4 chunks
 
 	id, err := w.svc.Submit(w.tok, "src", "dst", []FileSpec{{RelPath: "x.bin"}})
@@ -109,7 +108,7 @@ func TestWireMoverSeverAtNthChunkReconnects(t *testing.T) {
 // retry re-ships the chunk — the corrupted bytes never reach the file.
 func TestWireMoverCorruptOnWireRetried(t *testing.T) {
 	faults := &netfault.Faults{CorruptAtWrite: 5} // second chunk write
-	w := newWireWorld(t, func(m *WireMover) { m.Dial = faults.Dialer(nil) }, Options{MaxAttempts: 2})
+	w := newWireWorld(t, func(m *ChunkMover) { m.Land.Dial = faults.Dialer(nil) }, Options{MaxAttempts: 2})
 	data := w.stage(t, "y.bin", 4096, 4)
 
 	id, err := w.svc.Submit(w.tok, "src", "dst", []FileSpec{{RelPath: "y.bin"}})
@@ -144,7 +143,7 @@ func TestWireMoverMergeDemotesMismatchedChunk(t *testing.T) {
 	w.stage(t, "m.bin", 2048, 6) // 2 chunks
 
 	// Land the file through the wire by hand.
-	cl := w.mover.client(w.addr)
+	cl := w.mover.Land.client(w.addr)
 	src, err := os.ReadFile(filepath.Join(w.srcRoot, "m.bin"))
 	if err != nil {
 		t.Fatal(err)
@@ -165,7 +164,7 @@ func TestWireMoverMergeDemotesMismatchedChunk(t *testing.T) {
 	// Build the manifest, recording a WRONG digest for chunk 1 — the
 	// stand-in for bytes that rotted between landing and merge.
 	files := []FileSpec{{RelPath: "m.bin", Bytes: 2048}}
-	ms := w.mover.store(moveConfig{manifestDir: w.mover.ManifestDir})
+	ms := w.mover.store()
 	man, err := ms.load("merge-demote-test", files, 1024, false)
 	if err != nil {
 		t.Fatal(err)
@@ -175,7 +174,7 @@ func TestWireMoverMergeDemotesMismatchedChunk(t *testing.T) {
 	wrong := strings.Repeat("ab", 32)
 	ms.mark(man, spans[1], wrong, true)
 
-	_, err = merge(w.mover.sink(w.addr), ms, man, 0)
+	_, err = merge(wireSink{cl}, ms, man, 0)
 	if err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
 		t.Fatalf("merge err = %v, want checksum mismatch", err)
 	}
@@ -192,7 +191,7 @@ func TestWireMoverMergeDemotesMismatchedChunk(t *testing.T) {
 // storage root and address, and lets the retry finish: resume at chunk
 // granularity across a full server restart, no daemon-side recovery.
 func TestWireMoverDaemonRestartMidTransfer(t *testing.T) {
-	w := newWireWorld(t, func(m *WireMover) { m.KillAfterChunks = 2 }, Options{MaxAttempts: 1})
+	w := newWireWorld(t, func(m *ChunkMover) { m.KillAfterChunks = 2 }, Options{MaxAttempts: 1})
 	data := w.stage(t, "r.bin", 4096, 7) // 4 chunks
 
 	id, err := w.svc.Submit(w.tok, "src", "dst", []FileSpec{{RelPath: "r.bin"}})
@@ -244,7 +243,7 @@ func TestWireMoverDaemonRestartMidTransfer(t *testing.T) {
 // TestWireMoverBadTokenRefused: a mover holding a token without the
 // transfer scope is refused at Hello — no bytes move.
 func TestWireMoverBadTokenRefused(t *testing.T) {
-	w := newWireWorld(t, func(m *WireMover) { m.Token = "garbage" }, Options{MaxAttempts: 1})
+	w := newWireWorld(t, func(m *ChunkMover) { m.Land.Token = "garbage" }, Options{MaxAttempts: 1})
 	w.stage(t, "t.bin", 1024, 9)
 	id, err := w.svc.Submit(w.tok, "src", "dst", []FileSpec{{RelPath: "t.bin"}})
 	if err != nil {

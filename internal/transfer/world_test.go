@@ -8,10 +8,11 @@ import (
 	"picoprobe/internal/wire"
 )
 
-// world is one transfer fixture for either real mover: a source root, a
-// destination root, and — for kind "wire" — a facility daemon on loopback
-// serving that destination root. Behaviours both movers promise are
-// tested as one table over both kinds (forBothMovers).
+// world is one transfer fixture for either landing of the chunk mover: a
+// source root, a destination root, and — for kind "wire" — a facility
+// daemon on loopback serving that destination root. Behaviours both
+// landings promise are tested as one table over both kinds
+// (forBothMovers).
 type world struct {
 	kind             string
 	srcRoot, dstRoot string
@@ -48,32 +49,23 @@ func newWorld(t *testing.T, kind string) *world {
 	return w
 }
 
-// forBothMovers runs fn once per real mover, each in a fresh world.
+// forBothMovers runs fn once per landing, each in a fresh world.
 func forBothMovers(t *testing.T, fn func(t *testing.T, w *world)) {
 	for _, kind := range []string{"live", "wire"} {
 		t.Run(kind, func(t *testing.T) { fn(t, newWorld(t, kind)) })
 	}
 }
 
-// service brings up a fresh mover of the world's kind with the given
-// framing and a service over it — a new process as far as in-memory
-// resume state goes; only the roots, cfg.manifestDir and the daemon
-// outlive it.
-func (w *world) service(t *testing.T, cfg moveConfig, opts Options) *Service {
+// service brings up a service over the fresh mover m, landing where the
+// world's kind says — a new process as far as in-memory resume state
+// goes; only the roots, m.ManifestDir and the daemon outlive it.
+func (w *world) service(t *testing.T, m *ChunkMover, opts Options) *Service {
 	t.Helper()
 	if w.kind == "wire" {
-		m := &WireMover{
-			ChunkBytes: cfg.chunkBytes, Streams: cfg.streams, Tuner: cfg.tuner,
-			ManifestDir: cfg.manifestDir, KillAfterChunks: cfg.killAfterChunks, FS: cfg.fs,
-			Token: w.tok, Timeout: 10 * time.Second,
-		}
+		m.Land = &WireLanding{Token: w.tok, Timeout: 10 * time.Second}
 		t.Cleanup(func() { m.Close() })
-		return w.serve(m, opts)
 	}
-	return w.serve(&LiveMover{
-		ChunkBytes: cfg.chunkBytes, Streams: cfg.streams, Tuner: cfg.tuner,
-		ManifestDir: cfg.manifestDir, KillAfterChunks: cfg.killAfterChunks, FS: cfg.fs,
-	}, opts)
+	return w.serve(m, opts)
 }
 
 // serve registers the world's endpoints ("src", "dst") on a new service

@@ -10,9 +10,9 @@ import (
 // This file is the client-side resilience vocabulary shared by every
 // wire consumer (DESIGN.md §12): a retryable/permanent classification
 // over the protocol's error codes, full-jitter exponential backoff, and
-// the circuit-breaker sentinel. The transfer service and the WireMover
+// the circuit-breaker sentinel. The transfer service and the wire landing
 // both consult Permanent before burning a retry, and the client's busy
-// retries and the WireMover's attempt retries are both spaced with a
+// retries and the wire landing's attempt retries are both spaced with a
 // Backoff — one taxonomy, one delay policy, instead of per-call-site
 // knobs that drift apart.
 

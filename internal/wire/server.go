@@ -501,7 +501,7 @@ func (s *Server) handle(c net.Conn, typ byte, head, body []byte) bool {
 
 // store is the landing store every file op goes through: path
 // confinement under Root and the disk half of the chunk discipline live
-// there, shared with the in-process mover (DESIGN.md §8).
+// there, shared with the chunk mover's local landing (DESIGN.md §8).
 func (s *Server) store() landing.Store { return landing.Store{Root: s.Root} }
 
 // resolveArgs rewrites a relative "path" argument under Root so

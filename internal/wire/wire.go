@@ -1,6 +1,6 @@
 // Package wire is the facility data+control plane on plain TCP: a
 // length-prefixed, CRC-framed session protocol connecting the
-// acquisition side (transfer.WireMover, the probe target) to a facility
+// acquisition side (transfer.WireLanding, the probe target) to a facility
 // daemon (picoprobe-facilityd, or an in-process Server in tests). One
 // frame is one request or one response; a session is one authenticated
 // connection carrying a strict request/response sequence, so N parallel

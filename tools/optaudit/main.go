@@ -1,7 +1,7 @@
 // Command optaudit keeps the option audit of PR 16 from having to be
 // redone by hand. The rule it enforces: an option is something a
 // deployment sets. For every exported field of every exported struct under
-// internal/ named *Options, *Config, *Mover, Client or Server it lists the
+// internal/ named *Options, *Config, *Mover, Client, Server or WireLanding it lists the
 // non-test files that set the field, and a field nobody sets outside
 // _test.go files — a second configuration only the tests reach — fails the
 // audit unless the allowlist below keeps it, with a reason.
@@ -49,9 +49,7 @@ const allowlist = `
 core.WireOptions.Dial — the wire e2e and chaos tests inject netfault dialers
 durable.Options.FS — the torn-write tests substitute a failing filesystem
 search.DurableOptions.Durable — carries durable.Options.FS to the catalog's journal for the same tests
-transfer.LiveMover.FS — the torn-manifest tests substitute a failing filesystem
-transfer.WireMover.FS — as on LiveMover
-transfer.WireMover.KillAfterChunks — the resume tests kill a transfer mid-flight (examples/ingest sets LiveMover's)
+transfer.ChunkMover.FS — the torn-manifest tests substitute a failing filesystem
 lab.SimMover.FailNext — the sim retry tests
 lab.SimMover.FailAfterChunks — the sim resume tests
 watcher.Options.FS — the torn-checkpoint tests
@@ -60,8 +58,8 @@ portal.LimitConfig.Now — clock seam
 # Kept: time constants tests shrink; zero = the production value, never "off"
 wire.Client.IdleTimeout — 1 min in production; the eviction tests cannot wait that long
 wire.Client.Backoff — 50 ms doubling to 2 s in production; the busy-retry tests pin the jitter
-transfer.WireMover.BreakerCooldown — 5 s in production; the chaos soak heals in 150 ms
-transfer.WireMover.RetryBackoff — 100 ms doubling to 5 s in production; the chaos soak retries in 15–250 ms
+transfer.WireLanding.BreakerCooldown — 5 s in production; the chaos soak heals in 150 ms
+transfer.WireLanding.RetryBackoff — 100 ms doubling to 5 s in production; the chaos soak retries in 15–250 ms
 # Kept: recovery state, credentials and addresses, the paper's ablations
 flows.Options.Checkpoints — Engine.Resume reads what it persists
 search.DurableOptions.CompactEvery — the snapshot cadence recovery replays from
@@ -70,8 +68,7 @@ portal.Config.Issuer — an authenticated portal verifies tokens with it
 lab.ExperimentConfig.CompressionRatio — the paper's future-work ablation (BenchmarkAblationCompression) sets it
 # Kept: code with tests and no shipped caller, and what would bring it one
 emd.DatasetOptions.Compression — the writer's gzip path generates the fixtures for a chunk encoding the reader must accept from files written elsewhere
-transfer.LiveMover.Tuner — the live adaptive path has tests and no benchmark; delete or wire in when ROADMAP "a link that is not loopback" (b) measures it
-transfer.WireMover.Tuner — as on LiveMover
+transfer.ChunkMover.Tuner — the live adaptive path has tests and no benchmark; delete or wire in when ROADMAP "a link that is not loopback" (c) measures it
 `
 
 // audited reports whether a struct name is an option surface.
@@ -81,7 +78,7 @@ func audited(name string) bool {
 			return true
 		}
 	}
-	return name == "Client" || name == "Server"
+	return name == "Client" || name == "Server" || name == "WireLanding"
 }
 
 // field is one audited option field and the non-test files that set it.

@@ -7,7 +7,7 @@ package picoprobe
 // lives entirely in the client's chunk manifest, the daemon carries
 // nothing across the crash. TestWireCrossPathEquivalence is the other
 // half of the wire gate: the same 24-file campaign through the
-// in-process live mover and through a WireMover over localhost must
+// in-process local landing and through a wire landing over localhost must
 // produce identical checksums, chunk accounting, landed bytes, and
 // catalog records (timings excluded).
 
@@ -26,9 +26,7 @@ import (
 	"time"
 
 	"picoprobe/internal/auth"
-	"picoprobe/internal/compute"
 	"picoprobe/internal/core"
-	"picoprobe/internal/detect"
 	"picoprobe/internal/lab"
 	"picoprobe/internal/netfault"
 	"picoprobe/internal/search"
@@ -155,13 +153,11 @@ func TestWireDaemonKillNineResume(t *testing.T) {
 	// stretches the transfer so the kill reliably lands mid-flight.
 	faults := &netfault.Faults{}
 	faults.SetReadDelay(2 * time.Millisecond)
-	mover := &transfer.WireMover{
+	mover := &transfer.ChunkMover{
 		ChunkBytes:  chunkBytes,
 		Streams:     2,
 		ManifestDir: filepath.Join(srcRoot, ".manifests"),
-		Token:       token,
-		Dial:        faults.Dialer(nil),
-		Timeout:     20 * time.Second,
+		Land:        &transfer.WireLanding{Token: token, Dial: faults.Dialer(nil), Timeout: 20 * time.Second},
 	}
 	defer mover.Close()
 	svc := transfer.NewService(iss, mover, time.Now, transfer.Options{MaxAttempts: 1})
@@ -298,27 +294,9 @@ func TestWireCrossPathEquivalence(t *testing.T) {
 	// a real socket.
 	wireDir := t.TempDir()
 	daemonRoot := filepath.Join(wireDir, "facility")
-	outDir := filepath.Join(daemonRoot, "analysis-out")
-	if err := os.MkdirAll(outDir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	iss := auth.NewIssuer([]byte(core.WireSecretDefault), nil)
-	registry := compute.NewRegistry()
-	core.RegisterAnalysisFunctions(registry, outDir, detect.DefaultParams())
-	csvc := compute.NewService(iss, registry, compute.NewLocalExecutor(2, nil), time.Now)
-	ctok, err := iss.Issue("facilityd@equiv", []string{auth.ScopeCompute}, time.Hour)
+	srv, err := core.NewFacilityDaemon("equiv", daemonRoot, filepath.Join(daemonRoot, "analysis-out"), core.WireSecretDefault, 2)
 	if err != nil {
 		t.Fatal(err)
-	}
-	srv := &wire.Server{
-		Root:     daemonRoot,
-		Facility: "equiv",
-		Verify: func(tok string) error {
-			_, err := iss.Verify(tok, auth.ScopeTransfer)
-			return err
-		},
-		Compute:      csvc,
-		ComputeToken: ctok,
 	}
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
