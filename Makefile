@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt-check vet test race race-fed chaos-smoke load-smoke bench-smoke bench bench-portal bench-portal-load bench-recovery bench-netprobe bench-wire bench-watch bench-analysis fuzz-wire fuzz-jpeg fuzz-search fuzz-etag linkcheck optaudit depcheck cross-watch ci
+.PHONY: all build fmt-check vet test race race-fed race-signal chaos-smoke load-smoke bench-smoke bench bench-portal bench-portal-load bench-recovery bench-netprobe bench-wire bench-watch bench-analysis fuzz-wire fuzz-jpeg fuzz-search fuzz-etag linkcheck optaudit depcheck cross-watch ci
 
 all: ci
 
@@ -49,6 +49,13 @@ race:
 race-fed:
 	$(GO) test -race -count 1 ./internal/...
 	$(GO) test -race -count 1 -run 'TestWireCrossPathEquivalence|TestWireDaemonKillNineResume' .
+
+# Pushed completion (DESIGN.md §3): a signal that arrives inside Watch,
+# during the action's status call or while it waits for its timeout must
+# never be lost. The window is a race that one pass rarely hits, so the
+# signal tests run 50 times under the race detector.
+race-signal:
+	$(GO) test -race -count 50 -run 'Watch|Signal' ./internal/flows ./internal/core ./internal/transfer ./internal/compute
 
 # A short-mode pass of the chaos soak and the heartbeat detection gate
 # (DESIGN.md §12): a scaled-down daemon federation under the seeded
@@ -158,4 +165,4 @@ linkcheck:
 optaudit:
 	$(GO) run ./tools/optaudit
 
-ci: build fmt-check vet depcheck cross-watch test race-fed chaos-smoke load-smoke bench-smoke fuzz-wire fuzz-jpeg fuzz-search fuzz-etag optaudit linkcheck
+ci: build fmt-check vet depcheck cross-watch test race-fed race-signal chaos-smoke load-smoke bench-smoke fuzz-wire fuzz-jpeg fuzz-search fuzz-etag optaudit linkcheck

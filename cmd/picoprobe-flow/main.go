@@ -94,8 +94,8 @@ func main() {
 			st.Name, after, st.ActionID, st.Active().Round(1e6), st.Overhead().Round(1e6), st.Polls)
 	}
 	stats := dep.Engine.PollStats()
-	fmt.Printf("completion detection: %d wakeups, %d sweeps, %d status calls\n",
-		stats.Wakeups, stats.Sweeps, stats.StatusCalls)
+	fmt.Printf("completion detection: %d wakeups, %d sweeps, %d status calls, %d signals\n",
+		stats.Wakeups, stats.Sweeps, stats.StatusCalls, stats.Signals)
 	fmt.Printf("indexed records: %d\n", dep.Index.Count())
 	fmt.Printf("artifacts under %s:\n", outDir)
 	filepath.Walk(outDir, func(path string, info os.FileInfo, err error) error {

@@ -180,6 +180,7 @@ type Service struct {
 	executor Executor
 	now      func() time.Time
 	tasks    map[string]*task
+	watchers map[string][]func() // task ID -> Watch callbacks until terminal
 	nextID   int
 }
 
@@ -191,6 +192,7 @@ func NewService(issuer *auth.Issuer, registry *Registry, executor Executor, now 
 		executor: executor,
 		now:      now,
 		tasks:    map[string]*task{},
+		watchers: map[string][]func(){},
 	}
 }
 
@@ -217,7 +219,6 @@ func (s *Service) Submit(token, fnName string, args Args) (string, error) {
 
 	s.executor.Exec(fn, args, func(rep ExecReport) {
 		s.mu.Lock()
-		defer s.mu.Unlock()
 		tk.view.Started = rep.Started
 		tk.view.Completed = s.now()
 		tk.view.NodeID = rep.NodeID
@@ -226,12 +227,31 @@ func (s *Service) Submit(token, fnName string, args Args) (string, error) {
 		if rep.Err != nil {
 			tk.view.Status = StatusFailed
 			tk.view.Error = rep.Err.Error()
-			return
+		} else {
+			tk.view.Status = StatusSucceeded
+			tk.view.Result = rep.Result
 		}
-		tk.view.Status = StatusSucceeded
-		tk.view.Result = rep.Result
+		watchers := s.watchers[tk.view.ID]
+		delete(s.watchers, tk.view.ID)
+		s.mu.Unlock()
+		for _, done := range watchers {
+			done()
+		}
 	})
 	return tk.view.ID, nil
+}
+
+// Watch calls done once the task has finished (the executor reported),
+// and at once when it already has or is unknown.
+func (s *Service) Watch(taskID string, done func()) {
+	s.mu.Lock()
+	if tk, ok := s.tasks[taskID]; ok && tk.view.Status == StatusActive {
+		s.watchers[taskID] = append(s.watchers[taskID], done)
+		s.mu.Unlock()
+		return
+	}
+	s.mu.Unlock()
+	done()
 }
 
 // Status returns the task's current state.

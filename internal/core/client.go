@@ -200,7 +200,9 @@ type assembly struct {
 	// options is kept on the deployment; InstrumentRoot and DurableDir are
 	// read here.
 	options LiveOptions
-	// policy is the engine's polling policy (nil = 20 ms push).
+	// policy is the engine's completion-detection policy (nil = 20 ms
+	// push: providers that signal completion are read at once, the rest
+	// polled every 20 ms).
 	policy flows.Policy
 	mover  func(token string) transfer.Mover
 	sites  []site
@@ -256,7 +258,9 @@ func assemble(a assembly) (*LiveDeployment, error) {
 	var catalog Catalog
 	engineOpts := flows.Options{Policy: a.policy, MaxStateRetries: 2}
 	if engineOpts.Policy == nil {
-		// Idealized push: live flows finish promptly.
+		// Push: the in-process providers signal completion and are read
+		// at once; 20 ms is the poll for a provider that cannot signal
+		// (the wire compute proxy).
 		engineOpts.Policy = flows.Push{Latency: 20 * time.Millisecond}
 	}
 	if opts.DurableDir == "" {

@@ -44,7 +44,8 @@ type TransferResult struct {
 	BytesMoved int64  `json:"bytes_moved"`
 }
 
-// NewTransferProvider adapts the transfer service to the flows engine.
+// NewTransferProvider adapts the transfer service to the flows engine; a
+// task signals its final outcome (transfer.Service.Watch).
 func NewTransferProvider(svc *transfer.Service) flows.ActionProvider {
 	return flows.NewTypedProvider("transfer",
 		func(token string, p TransferParams) (string, error) {
@@ -85,7 +86,7 @@ func NewTransferProvider(svc *transfer.Service) flows.ActionProvider {
 				st.State = flows.StateActive
 			}
 			return st, nil
-		})
+		}).WithWatch(svc.Watch)
 }
 
 // ComputeParams are the typed parameters of the "compute" action.
@@ -117,9 +118,11 @@ type ComputeBackend interface {
 	Status(token, taskID string) (compute.TaskView, error)
 }
 
-// NewComputeProvider adapts a compute backend to the flows engine.
+// NewComputeProvider adapts a compute backend to the flows engine. A
+// backend that can signal completion (the in-process *compute.Service)
+// is watched; one that cannot (the wire proxy) is polled.
 func NewComputeProvider(svc ComputeBackend) flows.ActionProvider {
-	return flows.NewTypedProvider("compute",
+	p := flows.NewTypedProvider("compute",
 		func(token string, p ComputeParams) (string, error) {
 			if p.Function == "" {
 				return "", fmt.Errorf("core: compute params need a function name")
@@ -152,6 +155,10 @@ func NewComputeProvider(svc ComputeBackend) flows.ActionProvider {
 			}
 			return st, nil
 		})
+	if w, ok := svc.(interface{ Watch(string, func()) }); ok {
+		p.WithWatch(w.Watch)
+	}
+	return p
 }
 
 // Catalog is the ingest surface the publication provider writes through:
@@ -196,6 +203,7 @@ type PublishStats struct {
 // pendingPub is one publication action waiting for its service-side cost
 // to elapse.
 type pendingPub struct {
+	id      string
 	act     *flows.TypedStatus[SearchResult]
 	entries []search.Entry
 	ids     []string
@@ -218,9 +226,11 @@ type searchService struct {
 	index   Catalog
 	cost    time.Duration
 	actions map[string]*flows.TypedStatus[SearchResult]
-	queue   []*pendingPub
-	nextID  int
-	stats   PublishStats
+	// watchers holds Watch callbacks until their action's flush.
+	watchers map[string][]func()
+	queue    []*pendingPub
+	nextID   int
+	stats    PublishStats
 }
 
 // NewSearchProvider returns a publication provider writing into index
@@ -234,8 +244,8 @@ func NewSearchProvider(rt sim.Runtime, issuer *auth.Issuer, index Catalog, cost 
 // counters (used by tests and the ingest benchmark).
 func NewSearchProviderWithStats(rt sim.Runtime, issuer *auth.Issuer, index Catalog, cost time.Duration) (flows.ActionProvider, func() PublishStats) {
 	s := &searchService{rt: rt, issuer: issuer, index: index, cost: cost,
-		actions: map[string]*flows.TypedStatus[SearchResult]{}}
-	return flows.NewTypedProvider("search", s.invoke, s.status), s.Stats
+		actions: map[string]*flows.TypedStatus[SearchResult]{}, watchers: map[string][]func(){}}
+	return flows.NewTypedProvider("search", s.invoke, s.status).WithWatch(s.watch), s.Stats
 }
 
 // Stats snapshots the provider's batching counters.
@@ -274,7 +284,7 @@ func (s *searchService) invoke(token string, p SearchParams) (string, error) {
 	s.actions[id] = act
 	s.stats.Actions++
 	s.queue = append(s.queue, &pendingPub{
-		act: act, entries: entries, ids: ids, due: s.rt.Now().Add(s.cost),
+		id: id, act: act, entries: entries, ids: ids, due: s.rt.Now().Add(s.cost),
 	})
 	s.mu.Unlock()
 
@@ -313,8 +323,8 @@ func (s *searchService) flush() {
 	// Publication state's active window. The sim kernel's clock cannot
 	// advance inside a callback, so simulated timelines are unchanged.
 	done := s.rt.Now()
+	var watchers []func()
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if len(batch) > 0 {
 		s.stats.Batches++
 		s.stats.Entries += len(batch)
@@ -323,6 +333,8 @@ func (s *searchService) flush() {
 		}
 	}
 	for _, p := range due {
+		watchers = append(watchers, s.watchers[p.id]...)
+		delete(s.watchers, p.id)
 		p.act.Completed = done
 		if ingestErr != nil {
 			p.act.State = flows.StateFailed
@@ -339,6 +351,23 @@ func (s *searchService) flush() {
 		}
 		p.act.Result = res
 	}
+	s.mu.Unlock()
+	for _, w := range watchers {
+		w() // after the unlock: the engine's status call reads the result
+	}
+}
+
+// watch calls done at the flush that completes the action, and at once
+// when it is already complete or unknown.
+func (s *searchService) watch(actionID string, done func()) {
+	s.mu.Lock()
+	if act, ok := s.actions[actionID]; ok && act.State == flows.StateActive {
+		s.watchers[actionID] = append(s.watchers[actionID], done)
+		s.mu.Unlock()
+		return
+	}
+	s.mu.Unlock()
+	done()
 }
 
 func (s *searchService) status(token, actionID string) (flows.TypedStatus[SearchResult], error) {

@@ -29,7 +29,9 @@ type WireOptions struct {
 	// session tokens are minted from it and verified offline on both
 	// ends.
 	Secret string
-	// Policy is the engine's polling policy (default: 20 ms push).
+	// Policy is the engine's completion-detection policy (default: 20 ms
+	// push — the transfer and publication states signal completion, the
+	// daemon's compute jobs, which cannot, are polled every 20 ms).
 	Policy flows.Policy
 	// TransferChunkBytes / TransferStreams frame the wire transfers as
 	// in LiveOptions (<= 0 = the same defaults). One chunk rides in one

@@ -17,7 +17,11 @@
 // completion-detection lag). Policies, timeouts and retry budgets can be
 // overridden per state. Detection itself is batched: the engine keeps one
 // deadline queue across all runs and one sweep services every action that
-// is due at a tick, instead of dedicating a timer to every run.
+// is due at a tick, instead of dedicating a timer to every run. Under the
+// Push policy a provider that knows when its action ends (a Watcher)
+// signals it, and the signal moves the action's deadline to now: the same
+// sweep reads the status at once, and providers that cannot signal are
+// polled at the policy's latency. The backoff policies ignore signals.
 //
 // Engines run identically under the simulation kernel and the live
 // runtime; all execution is event-driven through sim.Runtime.AfterFunc,
@@ -66,6 +70,16 @@ type ActionProvider interface {
 	Name() string
 	Invoke(token string, params map[string]any) (string, error)
 	Status(token, actionID string) (ActionStatus, error)
+}
+
+// Watcher is an optional ActionProvider extension for providers that know
+// when an action ends. Watch returns false when it cannot signal that
+// action (the engine then polls it). Otherwise it calls done exactly
+// once, after the terminal status is readable through Status — at once,
+// possibly before Watch returns, if the action is already terminal. The
+// engine subscribes only under the Push policy.
+type Watcher interface {
+	Watch(actionID string, done func()) bool
 }
 
 // NoRetries disables retries for a state (StateDef.Retries); the zero
@@ -203,7 +217,7 @@ type StateRecord struct {
 	// Started/Completed are the provider-side active window.
 	Started   time.Time
 	Completed time.Time
-	// DetectedAt is when polling observed the terminal status.
+	// DetectedAt is when a status call observed the terminal status.
 	DetectedAt time.Time
 	// Polls counts status calls; Attempts counts invocations (1 + retries).
 	Polls    int
@@ -540,9 +554,11 @@ func (x *runExec) enterState(name string) {
 	}
 	sd := x.states[name]
 	s := &stateRun{
-		x:  x,
-		sd: sd,
-		sr: StateRecord{Name: sd.Name, Provider: sd.Provider, After: sd.After, EnteredAt: e.rt.Now()},
+		x:    x,
+		sd:   sd,
+		sr:   StateRecord{Name: sd.Name, Provider: sd.Provider, After: sd.After, EnteredAt: e.rt.Now()},
+		idx:  -1,
+		busy: true,
 	}
 	s.policy = sd.Policy
 	if s.policy == nil {
@@ -634,7 +650,8 @@ func (x *runExec) stateTerminal(s *stateRun, succeeded bool) {
 
 // fail terminates the run on a state failure. Sibling states still in
 // flight are abandoned: their poller entries are dropped at the next
-// sweep and they do not appear in the record.
+// sweep, their later signals are ignored, and they do not appear in the
+// record.
 func (x *runExec) fail(sr StateRecord) {
 	e := x.e
 	e.mu.Lock()
@@ -680,11 +697,16 @@ type stateRun struct {
 	retries int
 	params  map[string]any
 
-	// poller bookkeeping (guarded by the engine mutex).
+	// poller bookkeeping, written by the state's owner.
 	pollN     int
 	timeoutAt time.Time // zero = no timeout
+	watched   bool      // this attempt's provider will signal completion
+	// poller bookkeeping guarded by the engine mutex.
 	at        time.Time // next poll deadline
 	seq       uint64
+	idx       int  // position in the poll queue, -1 when not queued
+	busy      bool // owned by an invoke or status callback, not the queue
+	signalled bool // a signal arrived while busy
 }
 
 // invoke builds params (once) and submits the action, retrying failed
@@ -730,12 +752,23 @@ func (s *stateRun) invoke() {
 	if s.sd.Timeout > 0 {
 		s.timeoutAt = s.sr.InvokedAt.Add(s.sd.Timeout)
 	}
+	s.watched = false
+	if _, push := s.policy.(Push); push {
+		if w, ok := provider.(Watcher); ok {
+			s.watched = w.Watch(s.sr.ActionID, func() { e.poller.signal(s) })
+		}
+	}
 	e.poller.add(s, s.nextDeadline(s.sr.InvokedAt))
 }
 
 // nextDeadline computes the next poll instant from now, clamped to the
-// attempt timeout so expiry is detected exactly on time.
+// attempt timeout so expiry is detected exactly on time. A watched
+// action is polled only at its timeout (zero: never) — its signal queues
+// it otherwise.
 func (s *stateRun) nextDeadline(now time.Time) time.Time {
+	if s.watched {
+		return s.timeoutAt
+	}
 	at := now.Add(s.policy.Next(s.pollN) + s.x.e.opts.StatusLatency)
 	if !s.timeoutAt.IsZero() && at.After(s.timeoutAt) {
 		at = s.timeoutAt

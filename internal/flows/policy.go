@@ -71,7 +71,10 @@ func (l Linear) Next(poll int) time.Duration {
 // Push idealizes an event-driven (webhook/AMQP) completion signal: the
 // engine learns of completion one notification latency after it happens.
 // It bounds how much of the paper's measured overhead a push-based flows
-// service could recover.
+// service could recover. Push is also the one policy under which the
+// engine takes real signals: an action whose provider is a Watcher is
+// read as soon as it signals, and Latency is the poll interval of the
+// actions whose providers cannot signal.
 type Push struct{ Latency time.Duration }
 
 // Name implements Policy.

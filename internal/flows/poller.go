@@ -20,6 +20,8 @@ type PollStats struct {
 	// StatusCalls counts provider status round trips (one per poll of one
 	// action).
 	StatusCalls int64
+	// Signals counts completion signals (see Watcher) that queued a sweep.
+	Signals int64
 }
 
 // poller is the engine's completion detector: a single deadline queue
@@ -27,9 +29,15 @@ type PollStats struct {
 // earliest deadline and each firing sweeps all actions due at that
 // instant.
 //
+// A watched action (see Watcher) is queued only for its attempt timeout,
+// or not at all; its completion signal moves its deadline to now, so the
+// ordinary sweep reads the status at once.
+//
 // All fields are guarded by the owning engine's mutex. Status round
-// trips run outside the lock; a stateRun is owned either by the queue or
-// by exactly one in-flight callback, with handoffs under the lock.
+// trips run outside the lock; a stateRun is owned either by the queue, by
+// exactly one in-flight callback (busy), or — watched and without a
+// timeout — by nobody until its signal arrives, with handoffs under the
+// lock.
 type poller struct {
 	e     *Engine
 	queue pollQueue
@@ -42,20 +50,58 @@ type poller struct {
 	stats PollStats
 }
 
-// add (re)queues a state for polling at the given deadline.
+// add hands a busy state back to the poller: it is queued for the given
+// deadline, or at once if a signal arrived while it was busy, or parked
+// until its signal when the deadline is zero.
 func (p *poller) add(s *stateRun, at time.Time) {
 	e := p.e
-	s.at = at
 	e.mu.Lock()
+	defer e.mu.Unlock()
+	s.busy = false
 	if s.x.finished {
-		e.mu.Unlock()
 		return
 	}
+	now := e.rt.Now()
+	if s.signalled {
+		s.signalled = false
+		p.stats.Signals++
+		at = now
+	}
+	if at.IsZero() {
+		return
+	}
+	s.at = at
 	p.seq++
 	s.seq = p.seq
 	heap.Push(&p.queue, s)
-	p.ensureTimerLocked(e.rt.Now())
-	e.mu.Unlock()
+	p.ensureTimerLocked(now)
+}
+
+// signal is a watched action's completion signal: the state's deadline
+// moves to now. A busy state remembers it for add; a signal for a run
+// that has already ended is dropped.
+func (p *poller) signal(s *stateRun) {
+	e := p.e
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	switch {
+	case s.x.finished:
+		return
+	case s.busy:
+		s.signalled = true
+		return
+	}
+	now := e.rt.Now()
+	p.stats.Signals++
+	s.at = now
+	if s.idx >= 0 {
+		heap.Fix(&p.queue, s.idx) // queued for its timeout
+	} else {
+		p.seq++
+		s.seq = p.seq
+		heap.Push(&p.queue, s)
+	}
+	p.ensureTimerLocked(now)
 }
 
 // ensureTimerLocked guarantees a timer will fire at or before the
@@ -86,6 +132,7 @@ func (p *poller) sweep(target time.Time) {
 		if s.x.finished {
 			continue // run failed while this sibling was queued
 		}
+		s.busy = true
 		due = append(due, s)
 	}
 	if len(due) > 0 {
@@ -116,13 +163,21 @@ func (q pollQueue) Less(i, j int) bool {
 	}
 	return q[i].seq < q[j].seq
 }
-func (q pollQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *pollQueue) Push(x any)   { *q = append(*q, x.(*stateRun)) }
+func (q pollQueue) Swap(i, j int) {
+	q[i], q[j] = q[j], q[i]
+	q[i].idx, q[j].idx = i, j
+}
+func (q *pollQueue) Push(x any) {
+	s := x.(*stateRun)
+	s.idx = len(*q)
+	*q = append(*q, s)
+}
 func (q *pollQueue) Pop() any {
 	old := *q
 	n := len(old)
 	s := old[n-1]
 	old[n-1] = nil
+	s.idx = -1
 	*q = old[:n-1]
 	return s
 }

@@ -26,6 +26,7 @@ type TypedProvider[P, R any] struct {
 	name   string
 	invoke func(token string, params P) (string, error)
 	status func(token, actionID string) (TypedStatus[R], error)
+	watch  func(actionID string, done func())
 }
 
 // NewTypedProvider wraps typed invoke/status implementations as an
@@ -36,6 +37,24 @@ func NewTypedProvider[P, R any](
 	status func(token, actionID string) (TypedStatus[R], error),
 ) *TypedProvider[P, R] {
 	return &TypedProvider[P, R]{name: name, invoke: invoke, status: status}
+}
+
+// WithWatch gives the provider a completion signal: watch calls done
+// exactly once, once the action's terminal status is readable (at once if
+// it already is). Without one the provider is polled.
+func (p *TypedProvider[P, R]) WithWatch(watch func(actionID string, done func())) *TypedProvider[P, R] {
+	p.watch = watch
+	return p
+}
+
+// Watch implements Watcher: it reports false when the provider has no
+// watch function.
+func (p *TypedProvider[P, R]) Watch(actionID string, done func()) bool {
+	if p.watch == nil {
+		return false
+	}
+	p.watch(actionID, done)
+	return true
 }
 
 // Name implements ActionProvider.

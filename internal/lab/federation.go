@@ -493,7 +493,11 @@ func RunFederatedExperiment(cfg FederatedConfig) (*FederatedResult, error) {
 	}
 
 	index := search.NewIndex()
-	sprov := core.NewSearchProvider(k, issuer, index, p.PublishCost)
+	// The simulated flows service learns of completion only by polling,
+	// under every policy: the placement wrappers do not pass a provider's
+	// completion signal (flows.Watcher) through, and the embedding hides
+	// the publication provider's.
+	sprov := struct{ flows.ActionProvider }{core.NewSearchProvider(k, issuer, index, p.PublishCost)}
 
 	engine := flows.NewEngine(k, flows.Options{
 		Policy:          cfg.Policy,

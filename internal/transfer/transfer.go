@@ -167,6 +167,7 @@ type Service struct {
 	now       func() time.Time
 	endpoints map[string]*Endpoint
 	tasks     map[string]*Task
+	watchers  map[string][]func() // task ID -> Watch callbacks until terminal
 	nextID    int
 	maxTries  int
 }
@@ -184,6 +185,7 @@ func NewService(issuer *auth.Issuer, mover Mover, now func() time.Time, opts Opt
 		now:       now,
 		endpoints: map[string]*Endpoint{},
 		tasks:     map[string]*Task{},
+		watchers:  map[string][]func(){},
 		maxTries:  opts.MaxAttempts,
 	}
 }
@@ -281,18 +283,50 @@ func (s *Service) startMove(task *Task, src, dst *Endpoint) {
 			task.Status = StatusFailed
 			task.Error = err.Error()
 			task.Completed = s.now()
+			watchers := s.takeWatchersLocked(task.ID)
 			s.mu.Unlock()
 			if f, ok := s.mover.(taskForgetter); ok {
 				f.ForgetTask(task.ID)
 			}
+			fire(watchers)
 			return
 		}
 		task.Status = StatusSucceeded
 		task.BytesMoved = rep.BytesMoved
 		task.Checksums = rep.Checksums
 		task.Completed = s.now()
+		watchers := s.takeWatchersLocked(task.ID)
 		s.mu.Unlock()
+		fire(watchers)
 	})
+}
+
+// Watch calls done once the task has reached its final status —
+// succeeded, or failed with its attempts spent, never between attempts —
+// and at once when the task is already terminal or unknown.
+func (s *Service) Watch(taskID string, done func()) {
+	s.mu.Lock()
+	if t, ok := s.tasks[taskID]; ok && t.Status == StatusActive {
+		s.watchers[taskID] = append(s.watchers[taskID], done)
+		s.mu.Unlock()
+		return
+	}
+	s.mu.Unlock()
+	done()
+}
+
+// takeWatchersLocked removes and returns a task's Watch callbacks; s.mu
+// must be held.
+func (s *Service) takeWatchersLocked(taskID string) []func() {
+	w := s.watchers[taskID]
+	delete(s.watchers, taskID)
+	return w
+}
+
+func fire(callbacks []func()) {
+	for _, f := range callbacks {
+		f()
+	}
 }
 
 // viewLocked snapshots a task; s.mu must be held.
