@@ -52,10 +52,11 @@ race-fed:
 
 # Pushed completion (DESIGN.md §3): a signal that arrives inside Watch,
 # during the action's status call or while it waits for its timeout must
-# never be lost. The window is a race that one pass rarely hits, so the
-# signal tests run 50 times under the race detector.
+# never be lost, nor a held wire Job (§11) outlive its task, its daemon's
+# drain or its client's Close. The window is a race that one pass rarely
+# hits, so the signal tests run 50 times under the race detector.
 race-signal:
-	$(GO) test -race -count 50 -run 'Watch|Signal' ./internal/flows ./internal/core ./internal/transfer ./internal/compute
+	$(GO) test -race -count 50 -run 'Watch|Signal' ./internal/flows ./internal/core ./internal/transfer ./internal/compute ./internal/wire
 
 # A short-mode pass of the chaos soak and the heartbeat detection gate
 # (DESIGN.md §12): a scaled-down daemon federation under the seeded

@@ -181,6 +181,12 @@ func main() {
 		}
 		fmt.Printf("  %s %s in %v; %d records indexed\n",
 			rec.RunID, rec.Status, rec.Runtime().Round(1e6), dep.Index.Count())
+		// Fig 4's split, live: a state's overhead is what completion
+		// detection and orchestration added to the provider's own time.
+		for _, st := range rec.States {
+			fmt.Printf("    %-12s active=%v overhead=%v polls=%d\n",
+				st.Name, st.Active().Round(1e6), st.Overhead().Round(1e6), st.Polls)
+		}
 		ran += len(rels)
 		if *count > 0 && ran >= *count {
 			return

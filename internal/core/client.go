@@ -201,8 +201,9 @@ type assembly struct {
 	// read here.
 	options LiveOptions
 	// policy is the engine's completion-detection policy (nil = 20 ms
-	// push: providers that signal completion are read at once, the rest
-	// polled every 20 ms).
+	// push: providers that signal completion are read at once, the rest —
+	// behind a placement wrapper, which passes no signal through — polled
+	// every 20 ms).
 	policy flows.Policy
 	mover  func(token string) transfer.Mover
 	sites  []site
@@ -258,9 +259,9 @@ func assemble(a assembly) (*LiveDeployment, error) {
 	var catalog Catalog
 	engineOpts := flows.Options{Policy: a.policy, MaxStateRetries: 2}
 	if engineOpts.Policy == nil {
-		// Push: the in-process providers signal completion and are read
-		// at once; 20 ms is the poll for a provider that cannot signal
-		// (the wire compute proxy).
+		// Push: the providers signal completion — the wire compute proxy
+		// through held Jobs — and are read at once; 20 ms is the poll for
+		// a provider that cannot signal (one behind placement).
 		engineOpts.Policy = flows.Push{Latency: 20 * time.Millisecond}
 	}
 	if opts.DurableDir == "" {

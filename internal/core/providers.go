@@ -119,8 +119,8 @@ type ComputeBackend interface {
 }
 
 // NewComputeProvider adapts a compute backend to the flows engine. A
-// backend that can signal completion (the in-process *compute.Service)
-// is watched; one that cannot (the wire proxy) is polled.
+// backend that can signal completion (the in-process *compute.Service,
+// the wire proxy's held Jobs) is watched; one that cannot is polled.
 func NewComputeProvider(svc ComputeBackend) flows.ActionProvider {
 	p := flows.NewTypedProvider("compute",
 		func(token string, p ComputeParams) (string, error) {

@@ -64,8 +64,8 @@ func TestPublicationWatchFiresPerAction(t *testing.T) {
 	}
 }
 
-// pollOnlyBackend is the wire compute proxy's shape: Submit and Status,
-// no completion signal.
+// pollOnlyBackend is a compute backend with Submit and Status and no
+// completion signal.
 type pollOnlyBackend struct{ svc *compute.Service }
 
 func (b pollOnlyBackend) Submit(token, fn string, args compute.Args) (string, error) {
@@ -77,7 +77,7 @@ func (b pollOnlyBackend) Status(token, id string) (compute.TaskView, error) {
 }
 
 // TestComputeWithoutWatchIsPolled: a Push engine over a compute backend
-// that cannot signal (the wire proxy) still completes, by polling at the
+// that cannot signal still completes, by polling at the
 // Push latency; the in-process service is signalled instead.
 func TestComputeWithoutWatchIsPolled(t *testing.T) {
 	for _, tc := range []struct {

@@ -30,8 +30,9 @@ type WireOptions struct {
 	// ends.
 	Secret string
 	// Policy is the engine's completion-detection policy (default: 20 ms
-	// push — the transfer and publication states signal completion, the
-	// daemon's compute jobs, which cannot, are polled every 20 ms).
+	// push — the transfer, publication and compute states all signal
+	// completion, the daemon's compute jobs through held Jobs, so a
+	// one-facility wire deployment polls nothing).
 	Policy flows.Policy
 	// TransferChunkBytes / TransferStreams frame the wire transfers as
 	// in LiveOptions (<= 0 = the same defaults). One chunk rides in one
@@ -126,8 +127,9 @@ func NewWireFederation(opts WireOptions, daemons []transfer.Endpoint, place Plac
 
 // WireComputeBackend adapts a facility daemon's dispatch service to the
 // ComputeBackend seam: Submit becomes a wire Dispatch, Status a wire
-// Job poll. Tokens are verified locally first (same issuer secret as
-// the daemon), so a bad token fails fast without a round trip.
+// Job, and Watch a held Job the daemon answers when the task ends.
+// Tokens are verified locally first (same issuer secret as the daemon),
+// so a bad token fails fast without a round trip.
 type WireComputeBackend struct {
 	Issuer *auth.Issuer
 	Client *wire.Client
@@ -164,4 +166,21 @@ func (b *WireComputeBackend) Status(token, taskID string) (compute.TaskView, err
 		view.Completed = time.Unix(0, j.Completed)
 	}
 	return view, nil
+}
+
+// Watch calls done once the daemon reports the task no longer ACTIVE, or
+// on the first error (a remote one, a closed client, a transport failure
+// the client's own retry did not absorb): one goroutine issues held Jobs
+// back to back until then. Status reads the outcome either way; an
+// action it still finds ACTIVE goes back to being polled.
+func (b *WireComputeBackend) Watch(taskID string, done func()) {
+	go func() {
+		defer done()
+		for {
+			j, err := b.Client.WaitJob(taskID, wire.MaxJobHold)
+			if err != nil || compute.TaskStatus(j.Status) != compute.StatusActive {
+				return
+			}
+		}
+	}()
 }

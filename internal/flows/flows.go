@@ -792,6 +792,10 @@ func (s *stateRun) handleStatus(status ActionStatus, err error) {
 			}
 		} else {
 			s.pollN++
+			// A watched action read ACTIVE was signalled early (a remote
+			// watcher's transport error): it is polled from now on, never
+			// parked with no deadline.
+			s.watched = false
 			e.poller.add(s, s.nextDeadline(now))
 			return
 		}

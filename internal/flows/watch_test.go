@@ -247,6 +247,37 @@ func TestSignalDuringStatusCall(t *testing.T) {
 	}
 }
 
+// TestEarlySignalReturnsToPolling: a watcher that fires before its action
+// ends (as a remote watcher does on a transport error) and never again
+// leaves the action read ACTIVE; it is then polled at the Push latency
+// and completes, instead of waiting forever for a signal with no
+// deadline behind it.
+func TestEarlySignalReturnsToPolling(t *testing.T) {
+	k := sim.NewKernel()
+	e := NewEngine(k, Options{Policy: Push{Latency: 100 * time.Millisecond}})
+	p := newSignalling("transfer", k, 950*time.Millisecond)
+	e.RegisterProvider(p)
+	k.AfterFunc(300*time.Millisecond, func() {
+		p.mu.Lock()
+		w := p.watchers["transfer-1"]
+		delete(p.watchers, "transfer-1")
+		p.mu.Unlock()
+		w[0]()
+	})
+	def := Definition{Name: "one", States: []StateDef{{Name: "Transfer", Provider: "transfer"}}}
+	final := runToEnd(t, k, e, def)
+	if final.Status != StateSucceeded {
+		t.Fatalf("status = %q (%s): the early-signalled action was stranded", final.Status, final.Error)
+	}
+	// Read ACTIVE at 0.3 s, then polled every 100 ms: 0.4 … 1.0 s.
+	if st := final.States[0]; st.Polls != 8 || st.DetectedAt.Sub(st.InvokedAt) != time.Second {
+		t.Errorf("state = %+v, want 8 polls, detected 1s after invoke", st)
+	}
+	if s := e.PollStats(); s.Signals != 1 {
+		t.Errorf("signals = %d, want 1", s.Signals)
+	}
+}
+
 // TestSignalWithTimeoutRetries: a watched attempt still fails at its
 // timeout and is retried; the retry's signal moves its queued timeout
 // deadline ahead of a polled sibling's, and the first attempt's late

@@ -50,6 +50,7 @@ type Client struct {
 
 	mu     sync.Mutex
 	idle   []idleSession
+	out    map[net.Conn]struct{} // checked-out sessions, which Close also closes
 	reaper *time.Timer
 	closed bool
 
@@ -105,8 +106,8 @@ func orDefault(d, def time.Duration) time.Duration {
 func (c *Client) timeout() time.Duration     { return orDefault(c.Timeout, DefaultTimeout) }
 func (c *Client) idleTimeout() time.Duration { return orDefault(c.IdleTimeout, defaultIdleTimeout) }
 
-// Close drops every idle session. In-flight ops finish on their own
-// connections and find the client closed when they try to return them.
+// Close drops every session, idle or checked out: an op in flight —
+// a held Job included — fails at once, and every later op fails too.
 func (c *Client) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -115,6 +116,10 @@ func (c *Client) Close() error {
 		s.conn.Close()
 	}
 	c.idle = nil
+	for conn := range c.out {
+		conn.Close()
+	}
+	c.out = nil
 	if c.reaper != nil {
 		c.reaper.Stop()
 		c.reaper = nil
@@ -134,6 +139,7 @@ func (c *Client) checkout(deadline time.Time) (conn net.Conn, fromPool bool, err
 	if n := len(c.idle); n > 0 {
 		conn := c.idle[n-1].conn
 		c.idle = c.idle[:n-1]
+		c.trackLocked(conn)
 		c.mu.Unlock()
 		return conn, true, nil
 	}
@@ -167,11 +173,35 @@ func (c *Client) checkout(deadline time.Time) (conn net.Conn, fromPool bool, err
 		conn.Close()
 		return nil, false, fmt.Errorf("wire: hello answered with message type %d", typ)
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
+		conn.Close()
+		return nil, false, fmt.Errorf("wire: client closed")
+	}
+	c.trackLocked(conn)
 	return conn, false, nil
+}
+
+// trackLocked records a checked-out session; c.mu is held.
+func (c *Client) trackLocked(conn net.Conn) {
+	if c.out == nil {
+		c.out = map[net.Conn]struct{}{}
+	}
+	c.out[conn] = struct{}{}
+}
+
+// drop closes a checked-out session that can no longer be trusted.
+func (c *Client) drop(conn net.Conn) {
+	c.mu.Lock()
+	delete(c.out, conn)
+	c.mu.Unlock()
+	conn.Close()
 }
 
 func (c *Client) checkin(conn net.Conn) {
 	c.mu.Lock()
+	delete(c.out, conn)
 	if c.closed {
 		c.mu.Unlock()
 		conn.Close()
@@ -326,12 +356,12 @@ func (c *Client) doOnce(reqTyp byte, reqHead any, reqBody []byte, wantTyp byte, 
 // transport or codec failure.
 func (c *Client) exchange(conn net.Conn, reqTyp byte, reqHead any, reqBody []byte, wantTyp byte, respHead any) ([]byte, error) {
 	if err := WriteFrame(conn, reqTyp, reqHead, reqBody); err != nil {
-		conn.Close()
+		c.drop(conn)
 		return nil, fmt.Errorf("wire: send: %w", err)
 	}
 	typ, head, body, err := ReadFrame(conn, DefaultMaxFrame)
 	if err != nil {
-		conn.Close()
+		c.drop(conn)
 		return nil, fmt.Errorf("wire: recv: %w", err)
 	}
 	if typ == MsgError {
@@ -339,12 +369,12 @@ func (c *Client) exchange(conn net.Conn, reqTyp byte, reqHead any, reqBody []byt
 		return nil, remoteErr(head)
 	}
 	if typ != wantTyp {
-		conn.Close()
+		c.drop(conn)
 		return nil, fmt.Errorf("wire: expected message type %d, got %d", wantTyp, typ)
 	}
 	if respHead != nil {
 		if err := DecodeHead(head, respHead); err != nil {
-			conn.Close()
+			c.drop(conn)
 			return nil, err
 		}
 	}
@@ -386,17 +416,6 @@ func (c *Client) WriteChunk(rel string, off int64, data []byte, sha256hex string
 	return err
 }
 
-// ReadChunk fetches n bytes at off of rel, plus the server's digest of
-// them.
-func (c *Client) ReadChunk(rel string, off, n int64) ([]byte, string, error) {
-	var resp ReadOK
-	body, err := c.do(MsgRead, Read{Rel: rel, Off: off, N: n}, nil, MsgReadOK, &resp)
-	if err != nil {
-		return nil, "", err
-	}
-	return body, resp.SHA256, nil
-}
-
 // HashChunk asks the server for the digest of a byte range. present is
 // false when the file is absent or shorter than the range.
 func (c *Client) HashChunk(rel string, off, n int64) (present bool, sha256hex string, err error) {
@@ -428,10 +447,18 @@ func (c *Client) Dispatch(function string, args map[string]any) (string, error) 
 	return resp.Task, nil
 }
 
-// Job polls one dispatched task.
-func (c *Client) Job(task string) (JobOK, error) {
+// Job reports one dispatched task's current state.
+func (c *Client) Job(task string) (JobOK, error) { return c.WaitJob(task, 0) }
+
+// WaitJob asks the daemon to answer once the task is terminal or wait has
+// passed, whichever is first, and returns the task's state then — ACTIVE
+// when the hold ran out. wait is capped at half the op timeout, so the
+// answer arrives inside the op's deadline; the daemon caps it further
+// (MaxJobHold). A wait under a millisecond is a plain Job.
+func (c *Client) WaitJob(task string, wait time.Duration) (JobOK, error) {
 	var resp JobOK
-	if _, err := c.do(MsgJob, Job{Task: task}, nil, MsgJobOK, &resp); err != nil {
+	req := Job{Task: task, WaitMs: min(wait, c.timeout()/2).Milliseconds()}
+	if _, err := c.do(MsgJob, req, nil, MsgJobOK, &resp); err != nil {
 		return JobOK{}, err
 	}
 	return resp, nil

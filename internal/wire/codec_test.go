@@ -33,8 +33,6 @@ func everyMessage() []struct {
 		{MsgPrepareOK, PrepareOK{}, nil},
 		{MsgWrite, Write{Rel: "a/b.emdg", Off: 4096, SHA256: "deadbeef"}, []byte("chunk bytes")},
 		{MsgWriteOK, WriteOK{}, nil},
-		{MsgRead, Read{Rel: "a/b.emdg", Off: 0, N: 512}, nil},
-		{MsgReadOK, ReadOK{SHA256: "cafe"}, bytes.Repeat([]byte{0xAB}, 512)},
 		{MsgHash, Hash{Rel: "a/b.emdg", Off: 1024, N: 1024}, nil},
 		{MsgHashOK, HashOK{Present: true, SHA256: "f00d"}, nil},
 		{MsgMerge, Merge{Rel: "a/b.emdg", Chunks: []MergeChunk{{Off: 0, N: 512, SHA256: "aa"}, {Off: 512, N: 512, SHA256: "bb"}}}, nil},
@@ -42,9 +40,11 @@ func everyMessage() []struct {
 		{MsgDispatch, Dispatch{Function: "picoprobe_hyperspectral_analysis", Args: map[string]any{"path": "a/b.emdg", "bytes": float64(91e6)}}, nil},
 		{MsgDispatchOK, DispatchOK{Task: "task-000001"}, nil},
 		{MsgJob, Job{Task: "task-000001"}, nil},
+		{MsgJob, Job{Task: "task-000001", WaitMs: 10000}, nil},
 		{MsgJobOK, JobOK{Status: "SUCCEEDED", Result: map[string]any{"record_id": "exp-1"}, NodeID: 2, Started: 100, Completed: 200}, nil},
 		{MsgStatus, Status{Fill: 65536}, nil},
 		{MsgStatusOK, StatusOK{Facility: "alcf-eagle", Queued: 1, Busy: 2, Jobs: 17, UnixNano: 42}, make([]byte, 65536)},
+		{MsgStatusOK, StatusOK{Facility: "alcf-eagle", Jobs: 17, Held: 3, UnixNano: 42}, nil},
 	}
 }
 
@@ -164,7 +164,7 @@ func TestCodecTornFrames(t *testing.T) {
 // TestCodecCRCCorruption: flipping any single byte of the payload (or
 // the stored CRC) must be rejected as ErrCorrupt, loudly.
 func TestCodecCRCCorruption(t *testing.T) {
-	full := frameBytes(t, MsgRead, Read{Rel: "x", Off: 0, N: 64}, []byte("sixty-four bytes of body padding...!"))
+	full := frameBytes(t, MsgWrite, Write{Rel: "x", Off: 0, SHA256: "ab"}, []byte("sixty-four bytes of body padding...!"))
 	for i := 4; i < len(full); i++ { // every byte except the length prefix
 		cp := append([]byte(nil), full...)
 		cp[i] ^= 0x01

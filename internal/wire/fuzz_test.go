@@ -33,6 +33,8 @@ func FuzzCodec(f *testing.F) {
 		f.Add(buf.Bytes())
 	}
 	seed(MsgHello, Hello{Magic: Magic, Version: ProtocolVersion, Token: "t"}, nil)
+	seed(MsgHello, Hello{Magic: Magic, Version: 1, Token: "t"}, nil) // a v1 client's
+	seed(MsgJob, Job{Task: "task-000001", WaitMs: 10000}, nil)       // held
 	seed(MsgWrite, Write{Rel: "a/b", Off: 4096, SHA256: "ff"}, []byte("chunk"))
 	// A digest-less Write: the codec carries it; the server's door refuses it.
 	seed(MsgWrite, Write{Rel: "a/b", Off: 4096}, []byte("chunk"))

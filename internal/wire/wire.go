@@ -16,10 +16,12 @@
 // loud, never a silent mis-parse.
 //
 // Three services ride the same session: ranged chunk I/O mapping 1:1
-// onto the transfer manifest machinery (Stat/Prepare/Write/Read/Hash/
-// Merge), compute dispatch against the facility's pool (Dispatch/Job),
-// and a status endpoint (Status) cheap enough for netprobe's prober to
-// Measure RTT and goodput against.
+// onto the transfer manifest machinery (Stat/Prepare/Write/Hash/Merge),
+// compute dispatch against the facility's pool (Dispatch/Job — a Job may
+// ask the daemon to hold its answer until the task ends, which is how the
+// acquisition side learns of completion without polling), and a status
+// endpoint (Status) cheap enough for netprobe's prober to measure RTT and
+// goodput against.
 package wire
 
 import (
@@ -30,13 +32,24 @@ import (
 	"hash/crc32"
 	"io"
 	"sync"
+	"time"
 
 	"picoprobe/internal/landing"
 )
 
-// ProtocolVersion gates sessions: a Hello carrying a different version
-// is rejected before any other op.
-const ProtocolVersion = 1
+// ProtocolVersion gates sessions: a Hello carrying a version the server
+// does not speak is rejected before any other op. Version 2 added the
+// held Job (Job.WaitMs); a v2 server still serves v1 sessions, whose Jobs
+// never ask to be held (DESIGN.md §11).
+const ProtocolVersion = 2
+
+// minProtocolVersion is the oldest Hello version a server accepts.
+const minProtocolVersion = 1
+
+// MaxJobHold caps how long the server holds one Job answer (less when
+// its IdleTimeout is shorter): a held session is tied up, and a watcher
+// simply asks again.
+const MaxJobHold = 10 * time.Second
 
 // Magic identifies the protocol in the Hello header; anything else on
 // the socket is not a picoprobe wire client.
@@ -48,8 +61,8 @@ const Magic = "picowire"
 // gigabytes (the durable WAL's maxRecordBytes guard, scaled to frames).
 const DefaultMaxFrame = 256 << 20
 
-// MaxChunkBytes is the largest body a Write or ReadOK frame is sure to
-// carry under DefaultMaxFrame: the payload also holds the type byte, the
+// MaxChunkBytes is the largest body a Write frame is sure to carry
+// under DefaultMaxFrame: the payload also holds the type byte, the
 // header length and the JSON header (rel path, offset, digest), which
 // 64 KiB covers with room to spare.
 const MaxChunkBytes = DefaultMaxFrame - 64<<10
@@ -79,8 +92,8 @@ const (
 	MsgPrepareOK
 	MsgWrite
 	MsgWriteOK
-	MsgRead
-	MsgReadOK
+	_ // 10 and 11 were Read/ReadOK, retired in version 2: reserved, never
+	_ // reused, and answered as unknown message types.
 	MsgHash
 	MsgHashOK
 	MsgMerge
@@ -151,18 +164,6 @@ type Write struct {
 // WriteOK answers Write.
 type WriteOK struct{}
 
-// Read asks for N bytes at Off of a file.
-type Read struct {
-	Rel string `json:"rel"`
-	Off int64  `json:"off"`
-	N   int64  `json:"n"`
-}
-
-// ReadOK answers Read; the body carries the bytes, SHA256 their digest.
-type ReadOK struct {
-	SHA256 string `json:"sha256"`
-}
-
 // Hash asks for the digest of a byte range without moving the bytes —
 // the cheap remote verification chunk resume rides on.
 type Hash struct {
@@ -212,9 +213,13 @@ type DispatchOK struct {
 	Task string `json:"task"`
 }
 
-// Job polls one dispatched task.
+// Job asks for one dispatched task's state. With WaitMs > 0 (version 2)
+// the server holds the answer until the task is terminal or the hold
+// ends — WaitMs, capped by MaxJobHold and half the server's IdleTimeout —
+// and then answers as for a plain Job: ACTIVE means the hold ran out.
 type Job struct {
-	Task string `json:"task"`
+	Task   string `json:"task"`
+	WaitMs int64  `json:"wait_ms,omitempty"`
 }
 
 // JobOK answers Job with the task's current state (timestamps are the
@@ -243,6 +248,8 @@ type StatusOK struct {
 	Queued int `json:"queued"`
 	Busy   int `json:"busy"`
 	Jobs   int `json:"jobs"`
+	// Held is the number of Jobs the server is holding right now.
+	Held int `json:"held,omitempty"`
 	// UnixNano is the facility clock at response time.
 	UnixNano int64 `json:"unix_nano"`
 }
