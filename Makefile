@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt-check vet test race race-fed race-signal chaos-smoke load-smoke bench-smoke bench bench-portal bench-portal-load bench-recovery bench-netprobe bench-wire bench-watch bench-analysis fuzz-wire fuzz-jpeg fuzz-search fuzz-etag linkcheck optaudit depcheck cross-watch ci
+.PHONY: all build fmt-check vet test race race-fed race-signal chaos-smoke load-smoke bench-smoke bench bench-portal bench-portal-load bench-recovery bench-netprobe bench-wire bench-watch bench-analysis fuzz-wire fuzz-manifest fuzz-jpeg fuzz-search fuzz-etag linkcheck optaudit depcheck cross-watch ci
 
 all: ci
 
@@ -129,6 +129,12 @@ FUZZTIME ?= 10s
 fuzz-wire:
 	$(GO) test -run NONE -fuzz FuzzCodec -fuzztime $(FUZZTIME) ./internal/wire/
 
+# The chunk manifest a restarted mover resumes from: arbitrary bytes as the
+# persisted manifest must load as a plan that tiles the task's files, or
+# fail loudly with the bytes quarantined as .corrupt (DESIGN.md §8).
+fuzz-manifest:
+	$(GO) test -run NONE -fuzz FuzzManifestLoad -fuzztime $(FUZZTIME) ./internal/transfer/
+
 # The JPEG frame encoder against its oracle: the fuzzer picks size,
 # quality, pixels and which of them are coloured, and AppendJPEG must
 # write what image/jpeg.Encode writes (DESIGN.md §14).
@@ -166,4 +172,4 @@ linkcheck:
 optaudit:
 	$(GO) run ./tools/optaudit
 
-ci: build fmt-check vet depcheck cross-watch test race-fed race-signal chaos-smoke load-smoke bench-smoke fuzz-wire fuzz-jpeg fuzz-search fuzz-etag optaudit linkcheck
+ci: build fmt-check vet depcheck cross-watch test race-fed race-signal chaos-smoke load-smoke bench-smoke fuzz-wire fuzz-manifest fuzz-jpeg fuzz-search fuzz-etag optaudit linkcheck

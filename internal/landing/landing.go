@@ -106,21 +106,31 @@ func (s Store) Prepare(rel string, size int64) error {
 }
 
 // Write streams r into rel starting at off and returns the bytes landed.
-func (s Store) Write(rel string, off int64, r io.Reader) (int64, error) {
+// whole reports that rel is now exactly those bytes: the write began at
+// offset 0 and the file ends where it ended. A caller that verified the
+// bytes it wrote has then verified the whole file, and that write is the
+// file's merge (DESIGN.md §8) — no byte of it needs reading back.
+func (s Store) Write(rel string, off int64, r io.Reader) (n int64, whole bool, err error) {
 	if off < 0 {
-		return 0, fmt.Errorf("landing: write offset %d: %w", off, ErrInvalid)
+		return 0, false, fmt.Errorf("landing: write offset %d: %w", off, ErrInvalid)
 	}
 	f, err := s.create(rel)
 	if err != nil {
-		return 0, err
+		return 0, false, err
 	}
 	bufp := bufPool.Get().(*[]byte)
-	n, err := io.CopyBuffer(io.NewOffsetWriter(f, off), r, *bufp)
+	n, err = io.CopyBuffer(io.NewOffsetWriter(f, off), r, *bufp)
 	bufPool.Put(bufp)
+	if err == nil && off == 0 {
+		var st os.FileInfo
+		if st, err = f.Stat(); err == nil {
+			whole = st.Size() == n
+		}
+	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
-	return n, err
+	return n, whole && err == nil, err
 }
 
 // Hash returns the hex SHA-256 of rel's bytes [off, off+n). present is
@@ -148,21 +158,6 @@ func (s Store) Hash(rel string, off, n int64) (sum string, present bool, err err
 	return hex.EncodeToString(h.Sum(nil)), true, nil
 }
 
-// Read returns rel's bytes [off, off+n); a range the file does not cover
-// is an error.
-func (s Store) Read(rel string, off, n int64) ([]byte, error) {
-	f, err := s.openRange(rel, off, n)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(io.NewSectionReader(f, off, n), buf); err != nil {
-		return nil, fmt.Errorf("landing: read %s @%d+%d: %w", rel, off, n, err)
-	}
-	return buf, nil
-}
-
 // openRange opens rel read-only after checking the range's bounds.
 func (s Store) openRange(rel string, off, n int64) (*os.File, error) {
 	if off < 0 || n < 0 {
@@ -180,7 +175,8 @@ func (s Store) openRange(rel string, off, n int64) (*os.File, error) {
 // against its recorded digest. The plan must tile the file exactly and
 // give every chunk a digest (ErrInvalid otherwise): no unverified byte is
 // merged. On the first mismatch it returns that chunk's index as badChunk
-// (>= 0) and no digest; badChunk is -1 otherwise.
+// (>= 0) and no digest; badChunk is -1 otherwise. A one-chunk plan is
+// hashed once: its chunk digest is the whole-file digest.
 func (s Store) Merge(rel string, chunks []Chunk) (sum string, badChunk int, err error) {
 	f, err := s.openRange(rel, 0, 0)
 	if err != nil {
@@ -208,9 +204,13 @@ func (s Store) Merge(rel string, chunks []Chunk) (sum string, badChunk int, err 
 	defer bufPool.Put(bufp)
 	whole := sha256.New()
 	for i, c := range chunks {
-		chunk := sha256.New()
+		chunk, w := whole, io.Writer(whole)
+		if len(chunks) > 1 {
+			chunk = sha256.New()
+			w = io.MultiWriter(whole, chunk)
+		}
 		r := io.NewSectionReader(f, c.Off, c.N)
-		if _, err := io.CopyBuffer(io.MultiWriter(whole, chunk), r, *bufp); err != nil {
+		if _, err := io.CopyBuffer(w, r, *bufp); err != nil {
 			return "", -1, fmt.Errorf("landing: merge read %s @%d: %w", rel, c.Off, err)
 		}
 		if hex.EncodeToString(chunk.Sum(nil)) != c.SHA256 {

@@ -30,6 +30,9 @@ type chunkSpan struct {
 	File, Index int
 	// Off/N bound the byte range [Off, Off+N) within the file.
 	Off, N int64
+	// Whole marks the one span of a one-chunk plan: the span is the file,
+	// and a sink may merge it as it lands.
+	Whole bool
 }
 
 // planFile splits a file of the given size into chunkBytes-sized spans.
@@ -39,7 +42,7 @@ type chunkSpan struct {
 // copy machinery creates the destination file.
 func planFile(file int, size, chunkBytes int64) []chunkSpan {
 	if chunkBytes <= 0 || chunkBytes >= size {
-		return []chunkSpan{{File: file, Index: 0, Off: 0, N: size}}
+		return []chunkSpan{{File: file, Index: 0, Off: 0, N: size, Whole: true}}
 	}
 	n := (size + chunkBytes - 1) / chunkBytes
 	spans := make([]chunkSpan, 0, n)
@@ -159,11 +162,34 @@ func (m *manifest) matches(key string, files []FileSpec, chunkBytes int64, adapt
 func (m *manifest) spans() []chunkSpan {
 	var out []chunkSpan
 	for fi := range m.Files {
-		for ci, c := range m.Files[fi].Chunks {
-			out = append(out, chunkSpan{File: fi, Index: ci, Off: c.Off, N: c.N})
+		chunks := m.Files[fi].Chunks
+		for ci, c := range chunks {
+			out = append(out, chunkSpan{File: fi, Index: ci, Off: c.Off, N: c.N, Whole: len(chunks) == 1})
 		}
 	}
 	return out
+}
+
+// tiles reports whether every file's recorded chunks cover it exactly:
+// contiguous non-empty spans from 0 to Bytes, or the one empty span of a
+// zero-byte file. A plan that does not can never be moved or merged.
+func (m *manifest) tiles() bool {
+	for _, f := range m.Files {
+		if f.Bytes == 0 && len(f.Chunks) == 1 && f.Chunks[0].Off == 0 && f.Chunks[0].N == 0 {
+			continue
+		}
+		var end int64
+		for _, c := range f.Chunks {
+			if c.Off != end || c.N <= 0 || c.N > f.Bytes-end {
+				return false
+			}
+			end += c.N
+		}
+		if len(f.Chunks) == 0 || end != f.Bytes {
+			return false
+		}
+	}
+	return true
 }
 
 // manifestStore keeps per-task manifests in memory (so in-service retries
@@ -196,7 +222,9 @@ func (s *manifestStore) path(key string) string {
 // silently starting from a fresh manifest would re-copy chunks over a
 // destination whose contents we can no longer account for. The corrupt
 // file is quarantined (renamed to .corrupt so the evidence survives) and
-// the attempt fails loudly; the next attempt starts clean.
+// the attempt fails loudly; the next attempt starts clean. So is one that
+// parses and describes this task but whose chunks do not tile its files:
+// resumed, every attempt would fail the same way.
 func (s *manifestStore) load(key string, files []FileSpec, chunkBytes int64, adaptive bool) (*manifest, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -208,14 +236,19 @@ func (s *manifestStore) load(key string, files []FileSpec, chunkBytes int64, ada
 		switch {
 		case err == nil:
 			var m manifest
-			if uerr := json.Unmarshal(raw, &m); uerr != nil {
+			uerr := json.Unmarshal(raw, &m)
+			if uerr == nil && !m.matches(key, files, chunkBytes, adaptive) {
+				break // another task's plan: start fresh
+			}
+			if uerr == nil && !m.tiles() {
+				uerr = errors.New("its chunks do not tile the files")
+			}
+			if uerr != nil {
 				_ = s.fs.Rename(s.path(key), s.path(key)+".corrupt")
 				return nil, fmt.Errorf("transfer: corrupt chunk manifest %s (quarantined as .corrupt): %w", s.path(key), uerr)
 			}
-			if m.matches(key, files, chunkBytes, adaptive) {
-				s.mem[key] = &m
-				return &m, nil
-			}
+			s.mem[key] = &m
+			return &m, nil
 		case !errors.Is(err, os.ErrNotExist):
 			return nil, fmt.Errorf("transfer: read chunk manifest: %w", err)
 		}

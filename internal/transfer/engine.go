@@ -22,8 +22,10 @@ type sink interface {
 	// Prepare creates rel at exactly size bytes.
 	Prepare(rel string, size int64) error
 	// Write lands src's bytes at sp in the same range of rel and returns
-	// their hex SHA-256.
-	Write(rel string, sp chunkSpan, src io.ReaderAt) (sum string, err error)
+	// their hex SHA-256. merged reports that the write was also the file's
+	// verified merge — sp is Whole and rel is now exactly the bytes sum
+	// digests — so sum is the whole-file digest and no Merge follows.
+	Write(rel string, sp chunkSpan, src io.ReaderAt) (sum string, merged bool, err error)
 	// Hash digests what rel holds at [off, off+n) now; present is false
 	// when the destination does not extend past the range.
 	Hash(rel string, off, n int64) (sum string, present bool, err error)
@@ -177,15 +179,18 @@ func (m *ChunkMover) run(task *Task, src, dst *Endpoint, sk sink) (Report, error
 	// mergeFile is the verified merge of one fully landed file, run on the
 	// pool by whichever worker landed its last chunk: a damaged chunk is
 	// never folded into a "completed" file, and no merge starts once the
-	// attempt is aborted.
-	mergeFile := func(fi int) {
+	// attempt is aborted. A file the sink merged as its one chunk landed
+	// (merged, with sum its digest) has nothing left to verify.
+	mergeFile := func(fi int, merged bool, sum string) {
 		if aborted.Load() {
 			return
 		}
-		sum, err := merge(sk, ms, man, fi)
-		if err != nil {
-			fail(err)
-			return
+		if !merged {
+			var err error
+			if sum, err = merge(sk, ms, man, fi); err != nil {
+				fail(err)
+				return
+			}
 		}
 		mergedMu.Lock()
 		sums[files[fi].RelPath] = sum
@@ -193,7 +198,7 @@ func (m *ChunkMover) run(task *Task, src, dst *Endpoint, sk sink) (Report, error
 		mergedMu.Unlock()
 	}
 	land := func(sp chunkSpan) {
-		sum, err := sk.Write(files[sp.File].RelPath, sp, srcs[sp.File])
+		sum, merged, err := sk.Write(files[sp.File].RelPath, sp, srcs[sp.File])
 		if err != nil {
 			fail(err)
 			return
@@ -205,7 +210,7 @@ func (m *ChunkMover) run(task *Task, src, dst *Endpoint, sk sink) (Report, error
 			fail(fmt.Errorf("transfer: killed after %d chunks (injected fault)", n))
 		}
 		if remaining[sp.File].Add(-1) == 0 {
-			mergeFile(sp.File)
+			mergeFile(sp.File, merged, sum)
 		}
 	}
 	for w := 0; w < pool; w++ {
@@ -216,7 +221,7 @@ func (m *ChunkMover) run(task *Task, src, dst *Endpoint, sk sink) (Report, error
 				switch {
 				case aborted.Load():
 				case j.mergeOnly:
-					mergeFile(j.sp.File)
+					mergeFile(j.sp.File, false, "")
 				default:
 					land(j.sp)
 				}

@@ -72,22 +72,22 @@ func (s *memSink) Prepare(rel string, size int64) error {
 	return nil
 }
 
-func (s *memSink) Write(rel string, sp chunkSpan, src io.ReaderAt) (string, error) {
+func (s *memSink) Write(rel string, sp chunkSpan, src io.ReaderAt) (string, bool, error) {
 	if s.before != nil {
 		if err := s.before(sp); err != nil {
-			return "", err
+			return "", false, err
 		}
 	}
 	buf := make([]byte, sp.N)
 	if _, err := io.ReadFull(io.NewSectionReader(src, sp.Off, sp.N), buf); err != nil {
-		return "", err
+		return "", false, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	copy(s.files[rel][sp.Off:], buf)
 	s.writes = append(s.writes, sp)
 	s.events = append(s.events, "w "+rel)
-	return hexSum(buf), nil
+	return hexSum(buf), false, nil
 }
 
 func (s *memSink) Hash(rel string, off, n int64) (string, bool, error) {

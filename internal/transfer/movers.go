@@ -19,7 +19,9 @@ import (
 // chunks as parallel ranged writes (SHA-256 of the source bytes computed
 // before they leave), and a sequential verified merge re-reads the
 // destination, checking every chunk digest while producing the whole-file
-// checksum (the role checksums play in Globus Transfer). Progress is
+// checksum (the role checksums play in Globus Transfer). A file that is
+// one chunk is merged by the write that lands it: its verified bytes are
+// the whole file, so nothing is read back. Progress is
 // recorded in a per-task chunk manifest — in memory always, mirrored under
 // ManifestDir when set — so an interrupted or failed transfer resumes from
 // the last verified chunk instead of restarting. Verification is not
@@ -110,17 +112,18 @@ type localSink struct {
 }
 
 // Write streams one ranged slice from src into the store, hashing the
-// source bytes in-flight.
-func (s localSink) Write(rel string, sp chunkSpan, src io.ReaderAt) (string, error) {
+// bytes in-flight on their way in. A whole span the store reports as the
+// whole file is merged: the in-flight digest is the file's.
+func (s localSink) Write(rel string, sp chunkSpan, src io.ReaderAt) (string, bool, error) {
 	h := sha256.New()
-	n, err := s.Store.Write(rel, sp.Off, io.TeeReader(io.NewSectionReader(src, sp.Off, sp.N), h))
+	n, whole, err := s.Store.Write(rel, sp.Off, io.TeeReader(io.NewSectionReader(src, sp.Off, sp.N), h))
 	if err != nil {
-		return "", fmt.Errorf("transfer: copy chunk @%d: %w", sp.Off, err)
+		return "", false, fmt.Errorf("transfer: copy chunk @%d: %w", sp.Off, err)
 	}
 	if n != sp.N {
-		return "", fmt.Errorf("transfer: chunk @%d short copy: %d of %d bytes", sp.Off, n, sp.N)
+		return "", false, fmt.Errorf("transfer: chunk @%d short copy: %d of %d bytes", sp.Off, n, sp.N)
 	}
-	return hex.EncodeToString(h.Sum(nil)), nil
+	return hex.EncodeToString(h.Sum(nil)), sp.Whole && whole, nil
 }
 
 // RouteTuner yields the transfer framing a route should use right now.

@@ -71,7 +71,7 @@ func TestSinkConformance(t *testing.T) {
 		if err := sk.Prepare(rel, chunk); err != nil {
 			t.Fatal(err)
 		}
-		sum0, err := sk.Write(rel, spans[0], src)
+		sum0, _, err := sk.Write(rel, spans[0], src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +117,7 @@ func TestSinkConformance(t *testing.T) {
 		// of the source bytes (so the two sinks agree with each other).
 		plan := []landing.Chunk{{Off: 0, N: chunk, SHA256: sum0}}
 		for _, sp := range spans[1:] {
-			sum, err := sk.Write(rel, sp, src)
+			sum, _, err := sk.Write(rel, sp, src)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -151,6 +151,36 @@ func TestSinkConformance(t *testing.T) {
 		f.Close()
 		if whole, bad, err := sk.Merge(rel, plan); err != nil || bad != 1 || whole != "" {
 			t.Fatalf("corrupted merge = %q bad=%d err=%v, want chunk 1 named", whole, bad, err)
+		}
+
+		// A one-chunk file: its whole span is merged by the write that lands
+		// it, the digest being the file's; a separate merge of the one-chunk
+		// plan agrees, and names chunk 0 once the file is corrupted.
+		const one = "runs/one.bin"
+		wholeSpan := planFile(0, chunk, 0)[0]
+		if err := sk.Prepare(one, chunk); err != nil {
+			t.Fatal(err)
+		}
+		sum, merged, err := sk.Write(one, wholeSpan, src)
+		if err != nil || !merged || sum != hexSum(data[:chunk]) {
+			t.Fatalf("whole write = %s merged=%v err=%v, want merged with %s", sum, merged, err, hexSum(data[:chunk]))
+		}
+		onePlan := []landing.Chunk{{Off: 0, N: chunk, SHA256: sum}}
+		if got, bad, err := sk.Merge(one, onePlan); err != nil || bad != -1 || got != sum {
+			t.Fatalf("one-chunk merge = %s bad=%d err=%v, want %s", got, bad, err, sum)
+		}
+		if err := os.WriteFile(filepath.Join(root, one), data[1:chunk+1], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if got, bad, err := sk.Merge(one, onePlan); err != nil || bad != 0 || got != "" {
+			t.Fatalf("corrupted one-chunk merge = %q bad=%d err=%v, want chunk 0 named", got, bad, err)
+		}
+		// A whole span landing into a longer file is not its merge.
+		if err := sk.Prepare(one, 2*chunk); err != nil {
+			t.Fatal(err)
+		}
+		if _, merged, err := sk.Write(one, wholeSpan, src); err != nil || merged {
+			t.Fatalf("whole write into a longer file: merged=%v err=%v, want not merged", merged, err)
 		}
 	})
 }
@@ -191,7 +221,7 @@ func TestPathConfinement(t *testing.T) {
 			if err := sk.Prepare(rel, 64); err == nil {
 				t.Errorf("Prepare accepted %q", rel)
 			}
-			if _, err := sk.Write(rel, sp, src); err == nil {
+			if _, _, err := sk.Write(rel, sp, src); err == nil {
 				t.Errorf("Write accepted %q", rel)
 			}
 			if _, _, err := sk.Hash(rel, sp.Off, sp.N); err == nil {

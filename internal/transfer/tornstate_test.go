@@ -109,6 +109,127 @@ func TestTornManifestQuarantinedAndFailsLoudly(t *testing.T) {
 	}
 }
 
+// manifestTask is the task the manifest-load tests persist manifests for:
+// a three-chunk file beside an empty one.
+func manifestTask() (files []FileSpec, chunk int64, key string) {
+	files = []FileSpec{{RelPath: "a.bin", Bytes: 3000}, {RelPath: "empty.bin"}}
+	return files, 1024, taskKey("src", "dst", files, 1024, nil)
+}
+
+// persistManifest writes raw as the persisted manifest under key in a
+// fresh directory and returns a store over it.
+func persistManifest(t *testing.T, key string, raw []byte) *manifestStore {
+	t.Helper()
+	ms := newManifestStore(t.TempDir(), nil)
+	if err := os.WriteFile(ms.path(key), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return ms
+}
+
+// TestManifestThatDoesNotTileIsCorrupt: a persisted manifest that parses
+// and describes this task, but whose chunks leave a gap, overlap, run past
+// the file or do not reach its end, is corrupt resume state like a torn
+// one — quarantined as .corrupt with a loud error, the next load starting
+// clean — not a plan every attempt would fail on. The intact manifest
+// still resumes.
+func TestManifestThatDoesNotTileIsCorrupt(t *testing.T) {
+	files, chunk, key := manifestTask()
+	for name, damage := range map[string]func(f []manifestFile){
+		"intact":        func([]manifestFile) {},
+		"gap":           func(f []manifestFile) { f[0].Chunks[1].Off, f[0].Chunks[1].N = 1100, 948 },
+		"overlap":       func(f []manifestFile) { f[0].Chunks[1].Off, f[0].Chunks[1].N = 1000, 1048 },
+		"overrun":       func(f []manifestFile) { f[0].Chunks[2].N++ },
+		"short":         func(f []manifestFile) { f[0].Chunks = f[0].Chunks[:2] },
+		"empty chunk":   func(f []manifestFile) { f[0].Chunks = append(f[0].Chunks, manifestChunk{Off: 3000}) },
+		"no empty span": func(f []manifestFile) { f[1].Chunks = nil },
+	} {
+		m := newManifest(key, files, chunk)
+		m.Files[0].Chunks[0].Done, m.Files[0].Chunks[0].SHA256 = true, strings.Repeat("ab", 32)
+		damage(m.Files)
+		raw, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ms := persistManifest(t, key, raw)
+		got, err := ms.load(key, files, chunk, false)
+		if name == "intact" {
+			if err != nil || !got.Files[0].Chunks[0].Done {
+				t.Errorf("intact manifest: err=%v, want its done chunk resumed", err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), "corrupt chunk manifest") {
+			t.Errorf("%s: load err = %v, want a corrupt-manifest error", name, err)
+		}
+		if _, err := os.Stat(ms.path(key) + ".corrupt"); err != nil {
+			t.Errorf("%s: not quarantined: %v", name, err)
+		}
+		if fresh, err := ms.load(key, files, chunk, false); err != nil || !fresh.tiles() || fresh.Files[0].Chunks[0].Done {
+			t.Errorf("%s: the load after the quarantine did not start clean (err=%v)", name, err)
+		}
+	}
+}
+
+// FuzzManifestLoad writes arbitrary bytes as a task's persisted chunk
+// manifest and loads it. Load never panics, and either fails with the
+// bytes quarantined as .corrupt or returns a plan whose spans tile every
+// file of the task exactly — the only plan the engine can move and merge.
+func FuzzManifestLoad(f *testing.F) {
+	files, chunk, key := manifestTask()
+	seed := func(damage func(m *manifest)) {
+		m := newManifest(key, files, chunk)
+		damage(m)
+		raw, err := json.Marshal(m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw, false)
+		f.Add(raw, true)
+	}
+	seed(func(*manifest) {})
+	seed(func(m *manifest) { m.Files[0].Chunks[0].Done, m.Files[0].Chunks[0].SHA256 = true, "ab" })
+	seed(func(m *manifest) { m.Files[0].Chunks[1].Off++ })
+	seed(func(m *manifest) { m.Files[0].Chunks[2].N = 1 << 62 })
+	seed(func(m *manifest) { m.ChunkBytes = 512 })
+	f.Add([]byte(`{"version":1,"key":"`+key+`"`), false) // torn
+	f.Add([]byte("{}"), false)
+
+	f.Fuzz(func(t *testing.T, raw []byte, adaptive bool) {
+		ms := persistManifest(t, key, raw)
+		m, err := ms.load(key, files, chunk, adaptive)
+		if err != nil {
+			if _, serr := os.Stat(ms.path(key) + ".corrupt"); serr != nil {
+				t.Fatalf("load failed (%v) without quarantining the manifest: %v", err, serr)
+			}
+			return
+		}
+		byFile := make([][]chunkSpan, len(files))
+		for _, sp := range m.spans() {
+			byFile[sp.File] = append(byFile[sp.File], sp)
+		}
+		for fi, spans := range byFile {
+			size := files[fi].Bytes
+			if size == 0 {
+				if len(spans) != 1 || spans[0].Off != 0 || spans[0].N != 0 || !spans[0].Whole {
+					t.Fatalf("%s: spans %+v, want the one empty span", files[fi].RelPath, spans)
+				}
+				continue
+			}
+			var end int64
+			for i, sp := range spans {
+				if sp.Index != i || sp.Off != end || sp.N <= 0 || sp.N > size-end || sp.Whole != (len(spans) == 1) {
+					t.Fatalf("%s: span %+v does not continue the plan at %d", files[fi].RelPath, sp, end)
+				}
+				end += sp.N
+			}
+			if end != size {
+				t.Fatalf("%s: spans cover %d of %d bytes", files[fi].RelPath, end, size)
+			}
+		}
+	})
+}
+
 // A crash in the middle of a manifest persist (injected via FaultFS on
 // the mover's manifest filesystem) must never leave a torn manifest on
 // disk: the atomic write leaves either the previous snapshot or the new

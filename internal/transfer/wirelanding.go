@@ -17,7 +17,10 @@ import (
 // WireLanding lands a ChunkMover's chunks on remote facility daemons over
 // the wire protocol: chunks go out as ranged writes (SHA-256 computed
 // before the bytes leave the machine, re-checked by the daemon at the
-// door) and the verified merge runs daemon-side in one request. The
+// door) and the verified merge runs daemon-side in one request — or, for
+// a file that is one chunk, in the write itself, which the daemon answers
+// with the file's digest when the landed file is exactly the door-checked
+// body. The
 // destination endpoint's Root is the daemon's host:port. All resume state
 // stays client-side, in the mover's manifests: a daemon that is SIGKILLed
 // and restarted on the same storage root serves the resumed transfer with
@@ -100,8 +103,10 @@ var chunkPool sync.Pool
 // a ranged write; the daemon re-hashes the received bytes and refuses a
 // mismatch, so a chunk corrupted past the frame CRC still never reaches
 // the destination file. A checksum rejection is re-sent (fresh read,
-// fresh hash) up to DefaultChunkRetries times.
-func (s wireSink) Write(rel string, sp chunkSpan, src io.ReaderAt) (string, error) {
+// fresh hash) up to DefaultChunkRetries times. A whole span goes out as a
+// whole-file write, and is merged only if the daemon answers with the
+// digest sent; a daemon that answers none leaves the file to Merge.
+func (s wireSink) Write(rel string, sp chunkSpan, src io.ReaderAt) (string, bool, error) {
 	bufp, _ := chunkPool.Get().(*[]byte)
 	if bufp == nil || int64(cap(*bufp)) < sp.N {
 		b := make([]byte, sp.N)
@@ -111,18 +116,24 @@ func (s wireSink) Write(rel string, sp chunkSpan, src io.ReaderAt) (string, erro
 	buf := (*bufp)[:sp.N]
 	for resend := 0; ; resend++ {
 		if _, err := io.ReadFull(io.NewSectionReader(src, sp.Off, sp.N), buf); err != nil {
-			return "", fmt.Errorf("transfer: read chunk @%d: %w", sp.Off, err)
+			return "", false, fmt.Errorf("transfer: read chunk @%d: %w", sp.Off, err)
 		}
 		h := sha256.Sum256(buf)
 		sum := hex.EncodeToString(h[:])
-		err := s.WriteChunk(rel, sp.Off, buf, sum)
+		var merged string
+		var err error
+		if sp.Whole {
+			merged, err = s.WriteWhole(rel, buf, sum)
+		} else {
+			err = s.WriteChunk(rel, sp.Off, buf, sum)
+		}
 		if err == nil {
-			return sum, nil
+			return sum, merged == sum, nil
 		}
 		if resend < DefaultChunkRetries && wire.IsRemoteCode(err, wire.CodeChecksum) {
 			continue
 		}
-		return "", fmt.Errorf("transfer: wire chunk %s @%d: %w", rel, sp.Off, err)
+		return "", false, fmt.Errorf("transfer: wire chunk %s @%d: %w", rel, sp.Off, err)
 	}
 }
 

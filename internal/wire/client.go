@@ -416,6 +416,20 @@ func (c *Client) WriteChunk(rel string, off int64, data []byte, sha256hex string
 	return err
 }
 
+// WriteWhole lands data as the whole of rel, at offset 0. A daemon that
+// finds rel is exactly data once it has landed merges it at the door and
+// answers its digest, which the door has checked against sha256hex;
+// merged is "" from a daemon that did not (rel was longer than data, or
+// the daemon predates the whole-file Write), and the caller then merges
+// separately.
+func (c *Client) WriteWhole(rel string, data []byte, sha256hex string) (merged string, err error) {
+	var resp WriteOK
+	if _, err := c.do(MsgWrite, Write{Rel: rel, SHA256: sha256hex, Whole: true}, data, MsgWriteOK, &resp); err != nil {
+		return "", err
+	}
+	return resp.SHA256, nil
+}
+
 // HashChunk asks the server for the digest of a byte range. present is
 // false when the file is absent or shorter than the range.
 func (c *Client) HashChunk(rel string, off, n int64) (present bool, sha256hex string, err error) {

@@ -33,6 +33,8 @@ func everyMessage() []struct {
 		{MsgPrepareOK, PrepareOK{}, nil},
 		{MsgWrite, Write{Rel: "a/b.emdg", Off: 4096, SHA256: "deadbeef"}, []byte("chunk bytes")},
 		{MsgWriteOK, WriteOK{}, nil},
+		{MsgWrite, Write{Rel: "a/b.emdg", SHA256: "deadbeef", Whole: true}, []byte("whole file")},
+		{MsgWriteOK, WriteOK{SHA256: "deadbeef"}, nil},
 		{MsgHash, Hash{Rel: "a/b.emdg", Off: 1024, N: 1024}, nil},
 		{MsgHashOK, HashOK{Present: true, SHA256: "f00d"}, nil},
 		{MsgMerge, Merge{Rel: "a/b.emdg", Chunks: []MergeChunk{{Off: 0, N: 512, SHA256: "aa"}, {Off: 512, N: 512, SHA256: "bb"}}}, nil},
@@ -45,6 +47,7 @@ func everyMessage() []struct {
 		{MsgStatus, Status{Fill: 65536}, nil},
 		{MsgStatusOK, StatusOK{Facility: "alcf-eagle", Queued: 1, Busy: 2, Jobs: 17, UnixNano: 42}, make([]byte, 65536)},
 		{MsgStatusOK, StatusOK{Facility: "alcf-eagle", Jobs: 17, Held: 3, UnixNano: 42}, nil},
+		{MsgStatusOK, StatusOK{Facility: "alcf-eagle", Merged: 5, UnixNano: 42}, nil},
 	}
 }
 

@@ -38,6 +38,9 @@ func FuzzCodec(f *testing.F) {
 	seed(MsgWrite, Write{Rel: "a/b", Off: 4096, SHA256: "ff"}, []byte("chunk"))
 	// A digest-less Write: the codec carries it; the server's door refuses it.
 	seed(MsgWrite, Write{Rel: "a/b", Off: 4096}, []byte("chunk"))
+	// A whole-file Write and the WriteOK that merges it.
+	seed(MsgWrite, Write{Rel: "a/b", SHA256: "ff", Whole: true}, []byte("file"))
+	seed(MsgWriteOK, WriteOK{SHA256: "ff"}, nil)
 	seed(MsgStatusOK, StatusOK{Facility: "alcf-eagle", Jobs: 3}, make([]byte, 128))
 	seed(MsgError, ErrFrame{Code: CodeChecksum, Msg: "m", Chunk: 1}, nil)
 	seed(MsgMerge, Merge{Rel: "a", Chunks: []MergeChunk{{Off: 0, N: 4, SHA256: "aa"}}}, nil)

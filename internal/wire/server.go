@@ -61,10 +61,11 @@ type Server struct {
 	closed   bool
 	draining bool
 	// quit is closed by Drain and Close; it wakes every held Job.
-	quit chan struct{}
-	wg   sync.WaitGroup
-	jobs atomic.Int64
-	held atomic.Int64
+	quit   chan struct{}
+	wg     sync.WaitGroup
+	jobs   atomic.Int64
+	held   atomic.Int64
+	merged atomic.Int64
 }
 
 // Start listens on addr ("127.0.0.1:0" for an ephemeral test port),
@@ -386,16 +387,25 @@ func (s *Server) handle(c net.Conn, typ byte, head, body []byte) bool {
 			break
 		}
 		sum := sha256.Sum256(body)
-		if got := hex.EncodeToString(sum[:]); got != req.SHA256 {
+		got := hex.EncodeToString(sum[:])
+		if got != req.SHA256 {
 			werr = &ErrFrame{Code: CodeChecksum,
 				Msg: fmt.Sprintf("chunk @%d of %s: declared digest %s, received bytes hash to %s", req.Off, req.Rel, req.SHA256, got)}
 			break
 		}
-		if _, err := s.store().Write(req.Rel, req.Off, bytes.NewReader(body)); err != nil {
+		_, whole, err := s.store().Write(req.Rel, req.Off, bytes.NewReader(body))
+		if err != nil {
 			werr = classify(err)
 			break
 		}
-		respTyp, respHead = MsgWriteOK, WriteOK{}
+		resp := WriteOK{}
+		if req.Whole && whole {
+			// Every byte of the file is a byte of this body, which the door
+			// just checked: the write is the file's verified merge.
+			resp.SHA256 = got
+			s.merged.Add(1)
+		}
+		respTyp, respHead = MsgWriteOK, resp
 
 	case MsgHash:
 		var req Hash
@@ -492,6 +502,7 @@ func (s *Server) handle(c net.Conn, typ byte, head, body []byte) bool {
 			Facility: s.Facility,
 			Jobs:     int(s.jobs.Load()),
 			Held:     int(s.held.Load()),
+			Merged:   int(s.merged.Load()),
 			UnixNano: s.now().UnixNano(),
 		}
 		respBody = make([]byte, req.Fill)

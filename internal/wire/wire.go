@@ -16,8 +16,9 @@
 // loud, never a silent mis-parse.
 //
 // Three services ride the same session: ranged chunk I/O mapping 1:1
-// onto the transfer manifest machinery (Stat/Prepare/Write/Hash/Merge),
-// compute dispatch against the facility's pool (Dispatch/Job — a Job may
+// onto the transfer manifest machinery (Stat/Prepare/Write/Hash/Merge —
+// a Write that carries a whole file is also its merge, so a one-chunk
+// file takes no Merge), compute dispatch against the facility's pool (Dispatch/Job — a Job may
 // ask the daemon to hold its answer until the task ends, which is how the
 // acquisition side learns of completion without polling), and a status
 // endpoint (Status) cheap enough for netprobe's prober to measure RTT and
@@ -40,7 +41,9 @@ import (
 // ProtocolVersion gates sessions: a Hello carrying a version the server
 // does not speak is rejected before any other op. Version 2 added the
 // held Job (Job.WaitMs); a v2 server still serves v1 sessions, whose Jobs
-// never ask to be held (DESIGN.md §11).
+// never ask to be held (DESIGN.md §11). The whole-file Write moved no
+// version: a server that ignores Write.Whole answers a WriteOK without a
+// digest, which the client can tell from a merge.
 const ProtocolVersion = 2
 
 // minProtocolVersion is the oldest Hello version a server accepts.
@@ -154,15 +157,23 @@ type PrepareOK struct{}
 // at Off. SHA256 is the hex digest of the body the sender computed; the
 // server re-hashes and rejects a mismatch with CodeChecksum and a Write
 // without a digest with CodeBadRequest — a corrupted or unverifiable
-// chunk is refused at the door, never merged.
+// chunk is refused at the door, never merged. Whole says the body is the
+// whole file: a server that finds the file is exactly the body after
+// landing it merges it at the door (WriteOK.SHA256).
 type Write struct {
 	Rel    string `json:"rel"`
 	Off    int64  `json:"off"`
 	SHA256 string `json:"sha256,omitempty"`
+	Whole  bool   `json:"whole,omitempty"`
 }
 
-// WriteOK answers Write.
-type WriteOK struct{}
+// WriteOK answers Write. SHA256 is the whole-file digest when the write
+// merged the file — Whole was set, Off was 0 and the landed file is
+// exactly the door-checked body — and empty otherwise (a server older
+// than the field never sets it); the client then merges separately.
+type WriteOK struct {
+	SHA256 string `json:"sha256,omitempty"`
+}
 
 // Hash asks for the digest of a byte range without moving the bytes —
 // the cheap remote verification chunk resume rides on.
@@ -250,6 +261,9 @@ type StatusOK struct {
 	Jobs   int `json:"jobs"`
 	// Held is the number of Jobs the server is holding right now.
 	Held int `json:"held,omitempty"`
+	// Merged counts the whole-file Writes merged at the door this process
+	// lifetime.
+	Merged int `json:"merged,omitempty"`
 	// UnixNano is the facility clock at response time.
 	UnixNano int64 `json:"unix_nano"`
 }
