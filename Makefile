@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt-check vet test race race-fed race-signal chaos-smoke load-smoke bench-smoke bench bench-portal bench-portal-load bench-recovery bench-netprobe bench-wire bench-watch bench-analysis fuzz-wire fuzz-manifest fuzz-jpeg fuzz-search fuzz-etag linkcheck optaudit depcheck cross-watch ci
+.PHONY: all build fmt-check vet test race race-fed race-signal bench-e2e-smoke chaos-smoke load-smoke bench-smoke bench bench-portal bench-portal-load bench-recovery bench-netprobe bench-wire bench-watch bench-analysis fuzz-wire fuzz-manifest fuzz-jpeg fuzz-search fuzz-etag linkcheck optaudit depcheck cross-watch ci
 
 all: ci
 
@@ -53,10 +53,20 @@ race-fed:
 # Pushed completion (DESIGN.md §3): a signal that arrives inside Watch,
 # during the action's status call or while it waits for its timeout must
 # never be lost, nor a held wire Job (§11) outlive its task, its daemon's
-# drain or its client's Close. The window is a race that one pass rarely
-# hits, so the signal tests run 50 times under the race detector.
+# drain or its client's Close. Nor may a chunk waiting for its turn to
+# fold into its file's digest (§8) miss that turn or an abort. The window
+# is a race that one pass rarely hits, so these tests run 50 times under
+# the race detector.
 race-signal:
-	$(GO) test -race -count 50 -run 'Watch|Signal' ./internal/flows ./internal/core ./internal/transfer ./internal/compute ./internal/wire
+	$(GO) test -race -count 50 -run 'Watch|Signal|Fold' ./internal/flows ./internal/core ./internal/transfer ./internal/compute ./internal/wire
+
+# The benchmark program end to end on the one workload whose files span
+# several chunks (bench/README.md): a short traced and untraced run of
+# burst-large, whose probe phase calls Merge itself and whose output
+# checks compare every landed file's digest with the staged one. The run
+# exits non-zero when a check fails (≈ 30 s on 2 vCPUs).
+bench-e2e-smoke:
+	$(GO) run ./bench -workload burst-large -trace both -seconds 5
 
 # A short-mode pass of the chaos soak and the heartbeat detection gate
 # (DESIGN.md §12): a scaled-down daemon federation under the seeded
@@ -172,4 +182,4 @@ linkcheck:
 optaudit:
 	$(GO) run ./tools/optaudit
 
-ci: build fmt-check vet depcheck cross-watch test race-fed race-signal chaos-smoke load-smoke bench-smoke fuzz-wire fuzz-manifest fuzz-jpeg fuzz-search fuzz-etag optaudit linkcheck
+ci: build fmt-check vet depcheck cross-watch test race-fed race-signal chaos-smoke load-smoke bench-smoke bench-e2e-smoke fuzz-wire fuzz-manifest fuzz-jpeg fuzz-search fuzz-etag optaudit linkcheck

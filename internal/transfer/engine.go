@@ -1,7 +1,10 @@
 package transfer
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"hash"
 	"io"
 	"os"
 	"path/filepath"
@@ -25,7 +28,10 @@ type sink interface {
 	// their hex SHA-256. merged reports that the write was also the file's
 	// verified merge — sp is Whole and rel is now exactly the bytes sum
 	// digests — so sum is the whole-file digest and no Merge follows.
-	Write(rel string, sp chunkSpan, src io.ReaderAt) (sum string, merged bool, err error)
+	// f is the file's fold (nil when it has none): a sink that holds the
+	// bytes the destination accepted calls f.add once with them, and a
+	// sink that does not hold them leaves the file to Merge.
+	Write(rel string, sp chunkSpan, src io.ReaderAt, f *fold) (sum string, merged bool, err error)
 	// Hash digests what rel holds at [off, off+n) now; present is false
 	// when the destination does not extend past the range.
 	Hash(rel string, off, n int64) (sum string, present bool, err error)
@@ -156,6 +162,15 @@ func (m *ChunkMover) run(task *Task, src, dst *Endpoint, sk sink) (Report, error
 	}
 	todo := striped(pending, m.tunedStreams(pool))
 	pool = min(pool, len(todo))
+	// A multi-chunk file whose every chunk this attempt lands is digested
+	// as its chunks are accepted (fold); one with a chunk that survived a
+	// resume is not, because the merge re-checks the skipped bytes.
+	folds := make([]*fold, len(files))
+	for fi, mf := range man.Files {
+		if n := len(mf.Chunks); n >= 2 && len(pending[fi]) == n {
+			folds[fi] = newFold(n)
+		}
+	}
 	var (
 		work      = make(chan job)
 		chunkDone = make(chan struct{}, len(todo)) // one send per dispatched job: workers never block on it
@@ -175,19 +190,28 @@ func (m *ChunkMover) run(task *Task, src, dst *Endpoint, sk sink) (Report, error
 	fail := func(err error) {
 		errOnce.Do(func() { firstErr = err })
 		aborted.Store(true)
+		for _, f := range folds {
+			f.stop()
+		}
 	}
 	// mergeFile is the verified merge of one fully landed file, run on the
-	// pool by whichever worker landed its last chunk: a damaged chunk is
-	// never folded into a "completed" file, and no merge starts once the
+	// pool by whichever worker landed its last chunk: a damaged chunk
+	// never ends up in a "completed" file, and no merge starts once the
 	// attempt is aborted. A file the sink merged as its one chunk landed
-	// (merged, with sum its digest) has nothing left to verify.
+	// (merged, with sum its digest) has nothing left to verify; one whose
+	// every chunk was folded as it was accepted needs only its size.
 	mergeFile := func(fi int, merged bool, sum string) {
 		if aborted.Load() {
 			return
 		}
 		if !merged {
 			var err error
-			if sum, err = merge(sk, ms, man, fi); err != nil {
+			if folded, ok := folds[fi].sum(); ok {
+				sum, err = closeFolded(sk, files[fi], folded)
+			} else {
+				sum, err = merge(sk, ms, man, fi)
+			}
+			if err != nil {
 				fail(err)
 				return
 			}
@@ -198,7 +222,7 @@ func (m *ChunkMover) run(task *Task, src, dst *Endpoint, sk sink) (Report, error
 		mergedMu.Unlock()
 	}
 	land := func(sp chunkSpan) {
-		sum, merged, err := sk.Write(files[sp.File].RelPath, sp, srcs[sp.File])
+		sum, merged, err := sk.Write(files[sp.File].RelPath, sp, srcs[sp.File], folds[sp.File])
 		if err != nil {
 			fail(err)
 			return
@@ -268,7 +292,8 @@ type job struct {
 // whole copy, and chunks of one file only queue behind each other
 // (DESIGN.md §8). A file with nothing pending still needs its merge; that
 // goes at the head of its stripe. One file, or width 1, is file-major
-// order.
+// order. Either way a file's chunks go out in ascending order, so the
+// chunk a fold waits for is always held by a worker or done.
 func striped(pending [][]chunkSpan, width int) []job {
 	var out []job
 	for lo := 0; lo < len(pending); lo += width {
@@ -323,6 +348,84 @@ func merge(sk sink, ms *manifestStore, man *manifest, fi int) (string, error) {
 	if bad >= 0 {
 		ms.mark(man, chunkSpan{File: fi, Index: bad, Off: plan[bad].Off, N: plan[bad].N}, "", false)
 		return "", fmt.Errorf("transfer: checksum mismatch on %s chunk @%d", mf.RelPath, plan[bad].Off)
+	}
+	return sum, nil
+}
+
+// fold is the running whole-file SHA-256 of a multi-chunk file every
+// chunk of which this attempt lands: each chunk's accepted bytes are
+// added in chunk order, so once all are in, the digest is the file's
+// and the file needs no read-back (DESIGN.md §8).
+type fold struct {
+	mu      sync.Mutex
+	turn    sync.Cond // signalled when next moves or the attempt aborts
+	h       hash.Hash
+	next, n int // next chunk to add, of n
+	stopped bool
+}
+
+func newFold(n int) *fold {
+	f := &fold{h: sha256.New(), n: n}
+	f.turn.L = &f.mu
+	return f
+}
+
+// add folds chunk index's bytes into the digest once every earlier chunk
+// is in. It returns at once, adding nothing, when the attempt aborts. A
+// nil fold does nothing.
+func (f *fold) add(index int, b []byte) {
+	if f == nil {
+		return
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for f.next != index && !f.stopped {
+		f.turn.Wait()
+	}
+	if f.stopped {
+		return
+	}
+	f.h.Write(b)
+	f.next++
+	f.turn.Broadcast()
+}
+
+// stop wakes every add waiting for its turn; none adds anything after.
+func (f *fold) stop() {
+	if f == nil {
+		return
+	}
+	f.mu.Lock()
+	f.stopped = true
+	f.mu.Unlock()
+	f.turn.Broadcast()
+}
+
+// sum returns the whole-file digest; ok is false unless every chunk was
+// added.
+func (f *fold) sum() (sum string, ok bool) {
+	if f == nil {
+		return "", false
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.next != f.n {
+		return "", false
+	}
+	return hex.EncodeToString(f.h.Sum(nil)), true
+}
+
+// closeFolded closes a file whose digest its fold computed: every byte of
+// it was written by this attempt and passed the destination's check, so
+// what is left to confirm is that the destination holds exactly the
+// file's bytes and no more.
+func closeFolded(sk sink, f FileSpec, sum string) (string, error) {
+	sizes, err := sk.Stat([]string{f.RelPath})
+	if err != nil {
+		return "", fmt.Errorf("transfer: stat %s: %w", f.RelPath, err)
+	}
+	if sizes[0] != f.Bytes {
+		return "", fmt.Errorf("transfer: %s holds %d bytes once its chunks landed, want %d: %w", f.RelPath, sizes[0], f.Bytes, landing.ErrInvalid)
 	}
 	return sum, nil
 }

@@ -72,7 +72,7 @@ func (s *memSink) Prepare(rel string, size int64) error {
 	return nil
 }
 
-func (s *memSink) Write(rel string, sp chunkSpan, src io.ReaderAt) (string, bool, error) {
+func (s *memSink) Write(rel string, sp chunkSpan, src io.ReaderAt, _ *fold) (string, bool, error) {
 	if s.before != nil {
 		if err := s.before(sp); err != nil {
 			return "", false, err
@@ -362,7 +362,8 @@ func TestEngineDemotedChunkOnlyOneResent(t *testing.T) {
 // TestStripedDispatchOrder pins the dispatch order: stripes of width files,
 // round-robin inside a stripe, so a file's next chunk never goes out while
 // another file of that stripe is still waiting for its turn. One file is
-// file-major order, as before.
+// file-major order, as before. Each file's chunks go out in ascending
+// order, so the chunk a fold waits for has always been dispatched.
 func TestStripedDispatchOrder(t *testing.T) {
 	plan := func(chunks ...int) [][]chunkSpan {
 		out := make([][]chunkSpan, len(chunks))
@@ -397,6 +398,7 @@ func TestStripedDispatchOrder(t *testing.T) {
 		{"a skipped file merges at the head of its stripe", plan(2, 0, 1, 0), 2, "m1 f0c0 f0c1 m3 f2c0"},
 		{"burst-large batch", plan(4, 4, 4, 4, 4, 4, 4, 4), 4, ""},
 		{"uneven files", plan(4, 1, 1, 1, 3, 2), 4, ""},
+		{"a resumed file's pending tail", append(plan(2), []chunkSpan{{File: 1, Index: 2}, {File: 1, Index: 3}}), 2, "f0c0 f1c2 f0c1 f1c3"},
 	} {
 		jobs := striped(tc.pending, tc.width)
 		if tc.want != "" && render(jobs) != tc.want {
@@ -426,6 +428,11 @@ func TestStripedDispatchOrder(t *testing.T) {
 				if fi != sp.File && last[sp.File] > 0 && left[fi] > 0 && last[fi] < last[sp.File] {
 					t.Errorf("%s: f%dc%d dispatched again before f%d, which still has %d pending (%s)",
 						tc.name, sp.File, sp.Index, fi, left[fi], render(jobs))
+				}
+			}
+			for _, prev := range chunks[:i] {
+				if prev.File == sp.File && prev.Index >= sp.Index {
+					t.Errorf("%s: f%dc%d dispatched after f%dc%d (%s)", tc.name, sp.File, sp.Index, prev.File, prev.Index, render(jobs))
 				}
 			}
 			last[sp.File] = i + 1

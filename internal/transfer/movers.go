@@ -21,7 +21,10 @@ import (
 // destination, checking every chunk digest while producing the whole-file
 // checksum (the role checksums play in Globus Transfer). A file that is
 // one chunk is merged by the write that lands it: its verified bytes are
-// the whole file, so nothing is read back. Progress is
+// the whole file, so nothing is read back. Over the wire, a multi-chunk
+// file every chunk of which one attempt lands is not read back either:
+// the whole-file digest is folded, in chunk order, from the very bytes
+// the daemon accepted, and a size check closes the file. Progress is
 // recorded in a per-task chunk manifest — in memory always, mirrored under
 // ManifestDir when set — so an interrupted or failed transfer resumes from
 // the last verified chunk instead of restarting. Verification is not
@@ -113,8 +116,9 @@ type localSink struct {
 
 // Write streams one ranged slice from src into the store, hashing the
 // bytes in-flight on their way in. A whole span the store reports as the
-// whole file is merged: the in-flight digest is the file's.
-func (s localSink) Write(rel string, sp chunkSpan, src io.ReaderAt) (string, bool, error) {
+// whole file is merged: the in-flight digest is the file's. The chunk is
+// never held whole, so it is not folded: a multi-chunk file is merged.
+func (s localSink) Write(rel string, sp chunkSpan, src io.ReaderAt, _ *fold) (string, bool, error) {
 	h := sha256.New()
 	n, whole, err := s.Store.Write(rel, sp.Off, io.TeeReader(io.NewSectionReader(src, sp.Off, sp.N), h))
 	if err != nil {

@@ -240,7 +240,7 @@ func shipOneChunk(t *testing.T, l *WireLanding, addr string) error {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	_, _, err = wireSink{l.client(addr)}.Write("c.bin", chunkSpan{File: 0, Index: 0, Off: 0, N: 512}, f)
+	_, _, err = wireSink{l.client(addr)}.Write("c.bin", chunkSpan{File: 0, Index: 0, Off: 0, N: 512}, f, nil)
 	return err
 }
 

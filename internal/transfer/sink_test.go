@@ -71,7 +71,7 @@ func TestSinkConformance(t *testing.T) {
 		if err := sk.Prepare(rel, chunk); err != nil {
 			t.Fatal(err)
 		}
-		sum0, _, err := sk.Write(rel, spans[0], src)
+		sum0, _, err := sk.Write(rel, spans[0], src, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +117,7 @@ func TestSinkConformance(t *testing.T) {
 		// of the source bytes (so the two sinks agree with each other).
 		plan := []landing.Chunk{{Off: 0, N: chunk, SHA256: sum0}}
 		for _, sp := range spans[1:] {
-			sum, _, err := sk.Write(rel, sp, src)
+			sum, _, err := sk.Write(rel, sp, src, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -161,7 +161,7 @@ func TestSinkConformance(t *testing.T) {
 		if err := sk.Prepare(one, chunk); err != nil {
 			t.Fatal(err)
 		}
-		sum, merged, err := sk.Write(one, wholeSpan, src)
+		sum, merged, err := sk.Write(one, wholeSpan, src, nil)
 		if err != nil || !merged || sum != hexSum(data[:chunk]) {
 			t.Fatalf("whole write = %s merged=%v err=%v, want merged with %s", sum, merged, err, hexSum(data[:chunk]))
 		}
@@ -179,7 +179,7 @@ func TestSinkConformance(t *testing.T) {
 		if err := sk.Prepare(one, 2*chunk); err != nil {
 			t.Fatal(err)
 		}
-		if _, merged, err := sk.Write(one, wholeSpan, src); err != nil || merged {
+		if _, merged, err := sk.Write(one, wholeSpan, src, nil); err != nil || merged {
 			t.Fatalf("whole write into a longer file: merged=%v err=%v, want not merged", merged, err)
 		}
 	})
@@ -221,7 +221,7 @@ func TestPathConfinement(t *testing.T) {
 			if err := sk.Prepare(rel, 64); err == nil {
 				t.Errorf("Prepare accepted %q", rel)
 			}
-			if _, _, err := sk.Write(rel, sp, src); err == nil {
+			if _, _, err := sk.Write(rel, sp, src, nil); err == nil {
 				t.Errorf("Write accepted %q", rel)
 			}
 			if _, _, err := sk.Hash(rel, sp.Off, sp.N); err == nil {

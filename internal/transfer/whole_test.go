@@ -20,8 +20,8 @@ import (
 // merged, as both real sinks do when the landed file is exactly the span.
 type mergingSink struct{ *memSink }
 
-func (s mergingSink) Write(rel string, sp chunkSpan, src io.ReaderAt) (string, bool, error) {
-	sum, _, err := s.memSink.Write(rel, sp, src)
+func (s mergingSink) Write(rel string, sp chunkSpan, src io.ReaderAt, f *fold) (string, bool, error) {
+	sum, _, err := s.memSink.Write(rel, sp, src, f)
 	return sum, err == nil && sp.Whole, err
 }
 
@@ -142,8 +142,10 @@ func TestLocalSinkOneChunkFileNeverReadBack(t *testing.T) {
 // relay forwards raw frames between clients and the daemon at addr and
 // counts the Merge requests that pass. With strip it deletes the "whole"
 // field of every Write on the way, so the daemon behind it answers as one
-// that predates the field: a plain WriteOK.
-func relay(t *testing.T, addr string, strip bool) (string, *atomic.Int64) {
+// that predates the field: a plain WriteOK. hold, when set, is called
+// with each Write's offset before the daemon's answer to it is passed on,
+// and may block to delay that answer.
+func relay(t *testing.T, addr string, strip bool, hold func(off int64)) (string, *atomic.Int64) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -151,28 +153,35 @@ func relay(t *testing.T, addr string, strip bool) (string, *atomic.Int64) {
 	}
 	t.Cleanup(func() { ln.Close() })
 	merges := new(atomic.Int64)
-	// forward copies one frame, its header re-encoded from raw JSON.
-	forward := func(dst, src net.Conn, request bool) error {
+	// forward copies one frame, its header re-encoded from raw JSON, and
+	// returns its type and, for a Write, its offset.
+	forward := func(dst, src net.Conn, request bool) (byte, int64, error) {
 		typ, head, body, err := wire.ReadFrame(src, 0)
 		if err != nil {
-			return err
+			return 0, 0, err
 		}
 		var h any
 		if len(head) > 0 {
 			h = json.RawMessage(head)
 		}
-		if request && strip && typ == wire.MsgWrite {
-			var fields map[string]any
-			if err := wire.DecodeHead(head, &fields); err != nil {
-				return err
+		var w wire.Write
+		if request && typ == wire.MsgWrite {
+			if err := wire.DecodeHead(head, &w); err != nil {
+				return 0, 0, err
 			}
-			delete(fields, "whole")
-			h = fields
+			if strip {
+				var fields map[string]any
+				if err := wire.DecodeHead(head, &fields); err != nil {
+					return 0, 0, err
+				}
+				delete(fields, "whole")
+				h = fields
+			}
 		}
 		if request && typ == wire.MsgMerge {
 			merges.Add(1)
 		}
-		return wire.WriteFrame(dst, typ, h, body)
+		return typ, w.Off, wire.WriteFrame(dst, typ, h, body)
 	}
 	go func() {
 		for {
@@ -187,7 +196,17 @@ func relay(t *testing.T, addr string, strip bool) (string, *atomic.Int64) {
 					return
 				}
 				defer up.Close()
-				for forward(up, c, true) == nil && forward(c, up, false) == nil {
+				for {
+					typ, off, err := forward(up, c, true)
+					if err != nil {
+						return
+					}
+					if hold != nil && typ == wire.MsgWrite {
+						hold(off)
+					}
+					if _, _, err := forward(c, up, false); err != nil {
+						return
+					}
 				}
 			}()
 		}
@@ -197,18 +216,23 @@ func relay(t *testing.T, addr string, strip bool) (string, *atomic.Int64) {
 
 // TestWholeWriteOnDaemonWithoutIt: against a daemon that ignores the
 // whole-file Write (a relay strips the field from the frames a current
-// client sends), every file still lands with the right checksum, through
-// exactly one Merge frame of its own, and the daemon counts no door
-// merge; against the daemon as it is, no Merge frame is sent and the
-// daemon counts one door merge per file.
+// client sends), every one-chunk file still lands with the right
+// checksum, through exactly one Merge frame of its own, and the daemon
+// counts no door merge; against the daemon as it is, no Merge frame is
+// sent and the daemon counts one door merge per file. Multi-chunk files
+// are folded as their chunks are accepted, so against either daemon they
+// land with the right checksum, no Merge frame and no door merge.
 func TestWholeWriteOnDaemonWithoutIt(t *testing.T) {
 	for _, tc := range []struct {
 		name           string
 		strip          bool
+		size           int
 		merges, merged int
 	}{
-		{"older daemon", true, 3, 0},
-		{"current daemon", false, 0, 3},
+		{"older daemon", true, 3000, 3, 0},
+		{"current daemon", false, 3000, 0, 3},
+		{"multi-chunk files, older daemon", true, 10000, 0, 0},
+		{"multi-chunk files, current daemon", false, 10000, 0, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			srv := &wire.Server{Root: t.TempDir(), Facility: "test"}
@@ -217,11 +241,11 @@ func TestWholeWriteOnDaemonWithoutIt(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { srv.Close() })
-			via, merges := relay(t, addr, tc.strip)
+			via, merges := relay(t, addr, tc.strip, nil)
 			cl := &wire.Client{Addr: via, Timeout: 10 * time.Second}
 			defer cl.Close()
 
-			fx, payloads := newEngineBatch(t, 3, 3000)
+			fx, payloads := newEngineBatch(t, 3, tc.size)
 			rep, err := (&ChunkMover{ChunkBytes: 4096, Streams: 2}).run(fx.task, fx.src, fx.dst, wireSink{cl})
 			if err != nil {
 				t.Fatal(err)
@@ -260,7 +284,7 @@ func TestShipWholeResendsOnChecksumReject(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	sum, merged, err := wireSink{l.client(addr)}.Write("c.bin", planFile(0, 512, 0)[0], f)
+	sum, merged, err := wireSink{l.client(addr)}.Write("c.bin", planFile(0, 512, 0)[0], f, nil)
 	if err != nil || merged || sum != hexSum(make([]byte, 512)) {
 		t.Fatalf("whole write = %s merged=%v err=%v, want the digest, not merged", sum, merged, err)
 	}

@@ -17,10 +17,12 @@ import (
 // WireLanding lands a ChunkMover's chunks on remote facility daemons over
 // the wire protocol: chunks go out as ranged writes (SHA-256 computed
 // before the bytes leave the machine, re-checked by the daemon at the
-// door) and the verified merge runs daemon-side in one request — or, for
-// a file that is one chunk, in the write itself, which the daemon answers
-// with the file's digest when the landed file is exactly the door-checked
-// body. The
+// door). A file that is one chunk is merged by the write itself, which
+// the daemon answers with the file's digest when the landed file is
+// exactly the door-checked body; a multi-chunk file every chunk of which
+// an attempt lands is digested here, each chunk folded in order once the
+// daemon has accepted it, and closed by a size check. Only a file resumed
+// across attempts is merged daemon-side, in one request. The
 // destination endpoint's Root is the daemon's host:port. All resume state
 // stays client-side, in the mover's manifests: a daemon that is SIGKILLed
 // and restarted on the same storage root serves the resumed transfer with
@@ -105,8 +107,10 @@ var chunkPool sync.Pool
 // the destination file. A checksum rejection is re-sent (fresh read,
 // fresh hash) up to DefaultChunkRetries times. A whole span goes out as a
 // whole-file write, and is merged only if the daemon answers with the
-// digest sent; a daemon that answers none leaves the file to Merge.
-func (s wireSink) Write(rel string, sp chunkSpan, src io.ReaderAt) (string, bool, error) {
+// digest sent; a daemon that answers none leaves the file to Merge. The
+// bytes the daemon accepted are folded into f before the buffer is
+// recycled; a rejected buffer never is.
+func (s wireSink) Write(rel string, sp chunkSpan, src io.ReaderAt, f *fold) (string, bool, error) {
 	bufp, _ := chunkPool.Get().(*[]byte)
 	if bufp == nil || int64(cap(*bufp)) < sp.N {
 		b := make([]byte, sp.N)
@@ -128,6 +132,7 @@ func (s wireSink) Write(rel string, sp chunkSpan, src io.ReaderAt) (string, bool
 			err = s.WriteChunk(rel, sp.Off, buf, sum)
 		}
 		if err == nil {
+			f.add(sp.Index, buf)
 			return sum, merged == sum, nil
 		}
 		if resend < DefaultChunkRetries && wire.IsRemoteCode(err, wire.CodeChecksum) {

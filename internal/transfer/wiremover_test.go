@@ -65,7 +65,7 @@ func (w *wireWorld) stage(t *testing.T, rel string, n int, seed int64) []byte {
 // re-moved, and the transfer completes in the same attempt.
 func TestWireMoverSeverAtNthChunkReconnects(t *testing.T) {
 	// Single session, Streams 1: writes are Hello(1) Stat(2) Prepare(3)
-	// chunks(4..7) Merge(8). Cutting write 6 kills the third chunk.
+	// chunks(4..7) Stat(8). Cutting write 6 kills the third chunk.
 	faults := &netfault.Faults{CutAtWrite: 6}
 	w := newWireWorld(t, func(m *ChunkMover) { m.Land.Dial = faults.Dialer(nil) }, Options{MaxAttempts: 2})
 	data := w.stage(t, "x.bin", 4096, 3) // 4 chunks

@@ -442,7 +442,10 @@ func (c *Client) HashChunk(rel string, off, n int64) (present bool, sha256hex st
 
 // Merge runs the verified merge server-side and returns the whole-file
 // digest. A chunk mismatch surfaces as *RemoteError with
-// CodeChunkMismatch and the chunk index.
+// CodeChunkMismatch and the chunk index. The chunk mover sends it only
+// for a file with chunks that survived from an earlier attempt: a
+// one-chunk file is merged by its Write, and a multi-chunk file one
+// attempt lands whole is digested client-side as its chunks are accepted.
 func (c *Client) Merge(rel string, chunks []MergeChunk) (string, error) {
 	var resp MergeOK
 	if _, err := c.do(MsgMerge, Merge{Rel: rel, Chunks: chunks}, nil, MsgMergeOK, &resp); err != nil {

@@ -18,7 +18,8 @@
 // Three services ride the same session: ranged chunk I/O mapping 1:1
 // onto the transfer manifest machinery (Stat/Prepare/Write/Hash/Merge —
 // a Write that carries a whole file is also its merge, so a one-chunk
-// file takes no Merge), compute dispatch against the facility's pool (Dispatch/Job — a Job may
+// file takes no Merge, nor does a multi-chunk file whose chunks one
+// attempt landed, which the client digests as they are accepted), compute dispatch against the facility's pool (Dispatch/Job — a Job may
 // ask the daemon to hold its answer until the task ends, which is how the
 // acquisition side learns of completion without polling), and a status
 // endpoint (Status) cheap enough for netprobe's prober to measure RTT and
