@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt-check vet test race race-fed race-signal bench-e2e-smoke chaos-smoke load-smoke bench-smoke bench bench-portal bench-portal-load bench-recovery bench-netprobe bench-wire bench-watch bench-analysis fuzz-wire fuzz-manifest fuzz-jpeg fuzz-search fuzz-etag linkcheck optaudit depcheck cross-watch ci
+.PHONY: all build fmt-check vet test race race-fed race-signal bench-e2e-smoke chaos-smoke load-smoke bench-smoke bench bench-portal bench-portal-load bench-recovery bench-netprobe bench-wire bench-watch bench-analysis fuzz-wire fuzz-manifest fuzz-jpeg fuzz-png fuzz-search fuzz-etag linkcheck optaudit depcheck cross-watch ci
 
 all: ci
 
@@ -125,12 +125,14 @@ bench-watch:
 
 # The analysis kernels (BENCHMARKS.md "Analysis kernels"): one frame
 # through image/jpeg and through video.AppendJPEG, one frame's background
-# statistics by selection and by histogram, and the fused spatiotemporal
-# function they sit in. Quote pairs with BENCHFLAGS='-benchtime 2s -count 5'.
+# statistics by selection and by histogram, one spectrum plot rendered and
+# written as a PNG, and the fused hyperspectral and spatiotemporal
+# functions they sit in. Quote pairs with BENCHFLAGS='-benchtime 2s -count 5'.
 bench-analysis:
 	$(GO) test -run NONE -bench 'BenchmarkJPEGFrame' -benchtime 1x -benchmem $(BENCHFLAGS) ./internal/video/
 	$(GO) test -run NONE -bench 'BenchmarkRobustStats' -benchtime 1x -benchmem $(BENCHFLAGS) ./internal/detect/
-	$(GO) test -run NONE -bench 'BenchmarkFig3SpatiotemporalInference' -benchtime 1x -benchmem $(BENCHFLAGS) .
+	$(GO) test -run NONE -bench 'BenchmarkSpectrumPlotPNG' -benchtime 1x -benchmem $(BENCHFLAGS) ./internal/imaging/
+	$(GO) test -run NONE -bench 'BenchmarkFig2HyperspectralAnalysis|BenchmarkFig3SpatiotemporalInference' -benchtime 1x -benchmem $(BENCHFLAGS) .
 
 # A short coverage-guided run of the wire codec fuzzer on top of the
 # checked-in seed corpus (internal/wire/testdata/fuzz). FUZZTIME=30s to
@@ -150,6 +152,13 @@ fuzz-manifest:
 # write what image/jpeg.Encode writes (DESIGN.md §14).
 fuzz-jpeg:
 	$(GO) test -run NONE -fuzz FuzzAppendJPEG -fuzztime $(FUZZTIME) ./internal/video/
+
+# The palette PNG writer against its oracle: the fuzzer picks the size, the
+# number of colors (past 256, where png.Encoder writes the image) and the
+# pixels, and EncodePNG must write what png.Encoder writes for the image
+# palettized in first-seen order (DESIGN.md §14).
+fuzz-png:
+	$(GO) test -run NONE -fuzz FuzzEncodePNG -fuzztime $(FUZZTIME) ./internal/imaging/
 
 # The answers the index maintains across publishes against the code that
 # recomputes them: the fuzzer writes the Ingest/IngestBatch/Delete
@@ -182,4 +191,4 @@ linkcheck:
 optaudit:
 	$(GO) run ./tools/optaudit
 
-ci: build fmt-check vet depcheck cross-watch test race-fed race-signal chaos-smoke load-smoke bench-smoke bench-e2e-smoke fuzz-wire fuzz-manifest fuzz-jpeg fuzz-search fuzz-etag optaudit linkcheck
+ci: build fmt-check vet depcheck cross-watch test race-fed race-signal chaos-smoke load-smoke bench-smoke bench-e2e-smoke fuzz-wire fuzz-manifest fuzz-jpeg fuzz-png fuzz-search fuzz-etag optaudit linkcheck

@@ -108,16 +108,18 @@ func AnalyzeHyperspectral(emdPath, outDir string) (*AnalysisOutput, error) {
 		xs[c] = (float64(c) + 0.5) * maxKeV / float64(channels)
 	}
 	composition, markers := assignPeaks(xs, spectrum)
-	plot, err := imaging.LinePlot(imaging.PlotConfig{
+	plot := imaging.PlotConfig{
 		Title:   "AGGREGATE EDS SPECTRUM",
 		XLabel:  "ENERGY (KEV)",
 		YLabel:  "COUNTS",
 		Markers: markers,
-	}, imaging.Series{Label: "SUM", X: xs, Y: spectrum, Color: imaging.Blue})
-	if err != nil {
-		return nil, err
 	}
-	if err := writePNG(filepath.Join(recDir, "spectrum.png"), plot); err != nil {
+	if err := writeProduct(filepath.Join(recDir, "spectrum.png"), func(w *bufio.Writer) error {
+		if err := imaging.WriteLinePlotPNG(w, plot, imaging.Series{Label: "SUM", X: xs, Y: spectrum, Color: imaging.Blue}); err != nil {
+			return fmt.Errorf("core: encode png: %w", err)
+		}
+		return nil
+	}); err != nil {
 		return nil, err
 	}
 	if err := writeSpectrumCSV(filepath.Join(recDir, "spectrum.csv"), xs, spectrum); err != nil {

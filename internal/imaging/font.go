@@ -111,13 +111,14 @@ func fillRect(img *image.RGBA, x, y, w, h int, c RGB) {
 	if x0 >= x1 || y0 >= y1 {
 		return
 	}
-	for yy := y0; yy < y1; yy++ {
-		row := img.Pix[img.PixOffset(x0, yy):img.PixOffset(x1, yy):img.PixOffset(x1, yy)]
-		for i := 0; i < len(row); i += 4 {
-			row[i] = c.R
-			row[i+1] = c.G
-			row[i+2] = c.B
-			row[i+3] = 255
-		}
+	first := img.Pix[img.PixOffset(x0, y0):img.PixOffset(x1, y0)]
+	for i := 0; i < len(first); i += 4 {
+		first[i] = c.R
+		first[i+1] = c.G
+		first[i+2] = c.B
+		first[i+3] = 255
+	}
+	for yy := y0 + 1; yy < y1; yy++ {
+		copy(img.Pix[img.PixOffset(x0, yy):], first)
 	}
 }

@@ -3,7 +3,9 @@ package imaging
 import (
 	"fmt"
 	"image"
+	"io"
 	"math"
+	"sync"
 )
 
 // Series is one labeled line in a plot.
@@ -39,29 +41,64 @@ const (
 	plotMarginBottom = 34
 )
 
-// LinePlot renders one or more series into an image with axes, tick labels
-// and optional markers. It is deliberately minimal — enough to reproduce
-// the paper's Fig 2.B spectrum plot — but handles multi-series legends.
+// LinePlot renders one or more series into a fresh image with axes, tick
+// labels and optional markers, for a caller that keeps the image; a plot
+// that is only written out goes through WriteLinePlotPNG. It is
+// deliberately minimal — enough to reproduce the paper's Fig 2.B spectrum
+// plot — but handles multi-series legends.
 func LinePlot(cfg PlotConfig, series ...Series) (*image.RGBA, error) {
-	if len(series) == 0 {
-		return nil, fmt.Errorf("imaging: LinePlot needs at least one series")
+	img := image.NewRGBA(image.Rect(0, 0, plotWidth, plotHeight))
+	if err := drawLinePlot(img, cfg, series); err != nil {
+		return nil, err
 	}
-	// Data bounds.
+	return img, nil
+}
+
+// plotCanvases holds the canvases WriteLinePlotPNG renders into. A canvas
+// belongs to one call from Get to Put and never leaves it: drawLinePlot
+// overwrites every pixel before drawing, and EncodePNG keeps no reference
+// to the image it writes.
+var plotCanvases = sync.Pool{New: func() any { return image.NewRGBA(image.Rect(0, 0, plotWidth, plotHeight)) }}
+
+// WriteLinePlotPNG renders the plot LinePlot would return and writes it to
+// w as EncodePNG would, in a reused canvas instead of a fresh 0.9 MB one.
+func WriteLinePlotPNG(w io.Writer, cfg PlotConfig, series ...Series) error {
+	img := plotCanvases.Get().(*image.RGBA)
+	defer plotCanvases.Put(img)
+	if err := drawLinePlot(img, cfg, series); err != nil {
+		return err
+	}
+	return EncodePNG(w, img)
+}
+
+// drawLinePlot draws the whole plot over img, a plotWidth × plotHeight
+// canvas whose previous contents do not matter.
+func drawLinePlot(img *image.RGBA, cfg PlotConfig, series []Series) error {
+	if len(series) == 0 {
+		return fmt.Errorf("imaging: LinePlot needs at least one series")
+	}
+	// Data bounds, over the points whose coordinates are both finite.
 	xmin, xmax := math.Inf(1), math.Inf(-1)
 	ymin, ymax := math.Inf(1), math.Inf(-1)
 	for _, s := range series {
 		if len(s.X) != len(s.Y) {
-			return nil, fmt.Errorf("imaging: series %q has %d x vs %d y", s.Label, len(s.X), len(s.Y))
+			return fmt.Errorf("imaging: series %q has %d x vs %d y", s.Label, len(s.X), len(s.Y))
 		}
 		if len(s.X) == 0 {
-			return nil, fmt.Errorf("imaging: series %q is empty", s.Label)
+			return fmt.Errorf("imaging: series %q is empty", s.Label)
 		}
 		for i := range s.X {
+			if !finite(s.X[i], s.Y[i]) {
+				continue
+			}
 			xmin = math.Min(xmin, s.X[i])
 			xmax = math.Max(xmax, s.X[i])
 			ymin = math.Min(ymin, s.Y[i])
 			ymax = math.Max(ymax, s.Y[i])
 		}
+	}
+	if xmin > xmax { // no finite point
+		xmin, xmax, ymin, ymax = 0, 1, 0, 1
 	}
 	if xmax == xmin {
 		xmax = xmin + 1
@@ -70,7 +107,6 @@ func LinePlot(cfg PlotConfig, series ...Series) (*image.RGBA, error) {
 		ymax = ymin + 1
 	}
 
-	img := image.NewRGBA(image.Rect(0, 0, plotWidth, plotHeight))
 	fillRect(img, 0, 0, plotWidth, plotHeight, White)
 
 	px0, py0 := plotMarginLeft, plotMarginTop
@@ -103,16 +139,19 @@ func LinePlot(cfg PlotConfig, series ...Series) (*image.RGBA, error) {
 		DrawText(img, px0-6-TextWidth(lbl, 1), py-3, lbl, Black, 1)
 	}
 
-	// Series polylines.
+	// Series polylines, broken where a point is not finite.
 	for _, s := range series {
 		for i := 1; i < len(s.X); i++ {
+			if !finite(s.X[i-1], s.Y[i-1]) || !finite(s.X[i], s.Y[i]) {
+				continue
+			}
 			drawLine(img, toPx(s.X[i-1]), toPy(s.Y[i-1]), toPx(s.X[i]), toPy(s.Y[i]), s.Color)
 		}
 	}
 
 	// Markers.
 	for _, m := range cfg.Markers {
-		if m.X < xmin || m.X > xmax {
+		if !(m.X >= xmin && m.X <= xmax) {
 			continue
 		}
 		px := toPx(m.X)
@@ -135,7 +174,12 @@ func LinePlot(cfg PlotConfig, series ...Series) (*image.RGBA, error) {
 		DrawText(img, px1-56, ly, s.Label, Black, 1)
 		ly += 10
 	}
-	return img, nil
+	return nil
+}
+
+// finite reports whether neither coordinate is NaN or infinite.
+func finite(x, y float64) bool {
+	return !math.IsNaN(x) && !math.IsInf(x, 0) && !math.IsNaN(y) && !math.IsInf(y, 0)
 }
 
 // drawLine draws a 1px line with the integer Bresenham algorithm.

@@ -9,10 +9,7 @@ import (
 	"fmt"
 	"image"
 	"image/color"
-	"image/png"
-	"io"
 	"math"
-	"sync"
 
 	"picoprobe/internal/geom"
 	"picoprobe/internal/tensor"
@@ -35,7 +32,8 @@ func setRGB(img *image.RGBA, x, y int, c RGB) {
 	img.SetRGBA(x, y, color.RGBA{R: c.R, G: c.G, B: c.B, A: 255})
 }
 
-// Colormap maps a normalized value in [0, 1] to a color.
+// Colormap maps a normalized value in [0, 1] to a color; the colormaps
+// here clamp a value outside it, and map NaN as they map 0.
 type Colormap func(v float64) RGB
 
 // Grayscale is the identity colormap.
@@ -66,13 +64,15 @@ func Viridis(v float64) RGB {
 }
 
 // Heatmap renders a rank-2 tensor as an image, normalizing [min, max] of
-// the data onto the colormap.
+// the finite samples onto the colormap. A non-finite sample — a dead
+// detector pixel — takes the nearest end of the colormap: +Inf the high
+// end, −Inf and NaN the low end.
 func Heatmap(d *tensor.Dense, cmap Colormap) (*image.RGBA, error) {
 	if d.Rank() != 2 {
 		return nil, fmt.Errorf("imaging: Heatmap needs a rank-2 tensor, got %v", d.Shape())
 	}
 	h, w := d.Shape()[0], d.Shape()[1]
-	lo, hi := d.MinMax()
+	lo, hi := finiteRange(d.Data())
 	span := hi - lo
 	if span == 0 {
 		span = 1
@@ -88,6 +88,24 @@ func Heatmap(d *tensor.Dense, cmap Colormap) (*image.RGBA, error) {
 		img.Pix[o+3] = 255
 	}
 	return img, nil
+}
+
+// finiteRange is the minimum and maximum of the finite values in data, or
+// 0, 0 when there are none.
+func finiteRange(data []float64) (lo, hi float64) {
+	lo, hi = math.Inf(1), math.Inf(-1)
+	for _, v := range data {
+		if v < lo && !math.IsInf(v, -1) {
+			lo = v
+		}
+		if v > hi && !math.IsInf(v, 1) {
+			hi = v
+		}
+	}
+	if lo > hi {
+		return 0, 0
+	}
+	return lo, hi
 }
 
 // GrayFrame renders pre-quantized uint8 samples (row-major h x w) as a
@@ -172,75 +190,9 @@ func ToRGBAInto(dst *image.RGBA, src image.Image) *image.RGBA {
 	return dst
 }
 
-// pngEncoder trades a little artifact size for encode speed: the portal's
-// intensity maps and spectrum plots sit on the fused analysis hot path, and
-// default-compression deflate dominated their cost.
-var pngEncoder = png.Encoder{CompressionLevel: png.BestSpeed, BufferPool: pngBuffers{}}
-
-// pngBuffers adapts a sync.Pool to png.EncoderBufferPool so repeated
-// artifact writes reuse the encoder's internal row buffers.
-type pngBuffers struct{}
-
-var pngBufferPool = sync.Pool{New: func() any { return new(png.EncoderBuffer) }}
-
-func (pngBuffers) Get() *png.EncoderBuffer  { return pngBufferPool.Get().(*png.EncoderBuffer) }
-func (pngBuffers) Put(b *png.EncoderBuffer) { pngBufferPool.Put(b) }
-
-// EncodePNG writes img to w with the fast encoder settings.
-func EncodePNG(w io.Writer, img image.Image) error {
-	if rgba, ok := img.(*image.RGBA); ok {
-		if pal := palettize(rgba); pal != nil {
-			img = pal
-		}
-	}
-	return pngEncoder.Encode(w, img)
-}
-
-// palettize losslessly converts an RGBA image that uses at most 256
-// distinct colors (true for every rendered plot and most small heatmaps)
-// to paletted form, or returns nil if the image is too colorful. Paletted
-// rows are a quarter the size, which quarters the dominant PNG
-// filter+deflate cost of artifact writing.
-func palettize(img *image.RGBA) *image.Paletted {
-	const tableSize = 1024 // power of two, ≥4× max palette for low load
-	var keys [tableSize]uint32
-	var idxs [tableSize]uint8
-	var used [tableSize]bool
-	// One backing array for the palette colors; storing *color.RGBA in the
-	// interface slice avoids a boxing allocation per distinct color.
-	vals := make([]color.RGBA, 0, 256)
-	pal := make(color.Palette, 0, 256)
-	out := image.NewPaletted(img.Rect, nil)
-	w, h := img.Rect.Dx(), img.Rect.Dy()
-	for y := 0; y < h; y++ {
-		src := img.Pix[y*img.Stride : y*img.Stride+w*4]
-		dst := out.Pix[y*out.Stride : y*out.Stride+w]
-		for x := 0; x < w; x++ {
-			o := x * 4
-			key := uint32(src[o]) | uint32(src[o+1])<<8 | uint32(src[o+2])<<16 | uint32(src[o+3])<<24
-			slot := (key * 2654435761) >> 22 % tableSize
-			for used[slot] && keys[slot] != key {
-				slot = (slot + 1) % tableSize
-			}
-			if !used[slot] {
-				if len(pal) == 256 {
-					return nil
-				}
-				used[slot] = true
-				keys[slot] = key
-				idxs[slot] = uint8(len(pal))
-				vals = append(vals, color.RGBA{R: src[o], G: src[o+1], B: src[o+2], A: src[o+3]})
-				pal = append(pal, &vals[len(vals)-1])
-			}
-			dst[x] = idxs[slot]
-		}
-	}
-	out.Palette = pal
-	return out
-}
-
+// clamp01 clamps v to [0, 1], NaN to 0.
 func clamp01(v float64) float64 {
-	if v < 0 {
+	if !(v > 0) {
 		return 0
 	}
 	if v > 1 {
